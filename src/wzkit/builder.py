@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .degrees import DegreeDistribution, PoissonWeightSpec, poisson_counts
-from .gf2 import (BitMatrix, RankDeficiencyError, permute, read_matrix,
-                  write_matrix)
+from .gf2 import (BitMatrix, RankDeficiencyError, _bit_indices, permute,
+                  read_matrix, write_matrix)
 
 __all__ = [
     "CodeParams",
@@ -222,13 +222,6 @@ def _check_degree_sequence(terms, n_checks: int, n_edges: int) -> list[int]:
     return seq
 
 
-def _bits_iter(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def peg_generate(n_checks: int, n_vars: int, dist: DegreeDistribution,
                  seed: int) -> BitMatrix:
     """Progressive edge growth realizing `dist` at n_checks x n_vars.
@@ -243,6 +236,10 @@ def peg_generate(n_checks: int, n_vars: int, dist: DegreeDistribution,
     passes, so the result has full row rank.  Empirical edge fractions track
     the profile to within a couple percent whenever the requested shape is
     near the profile's own check-to-variable ratio.
+
+    The graph grows in preallocated edge arrays; each BFS level gathers the
+    frontier checks' rows of a fixed-width check-to-variable table, then masks
+    the edges placed so far to find those variables' checks.
     """
     rng = random.Random(seed)
     var_degs = _node_degree_sequence(dist.lambda_terms, n_vars)
@@ -260,67 +257,67 @@ def peg_generate(n_checks: int, n_vars: int, dist: DegreeDistribution,
     rng.shuffle(chk_degs)
     cap = np.array(chk_degs, dtype=np.int64)
     deg = np.zeros(gen_checks, dtype=np.int64)
-    adj_var = [0] * n_vars          # bitmask over checks
-    adj_check = [0] * gen_checks    # bitmask over vars
-    under = (1 << gen_checks) - 1   # checks still below capacity
-    nbytes = (gen_checks + 7) // 8
-
-    def pick(cand_mask: int) -> int:
-        # lowest current degree, lowest index on ties
-        packed = np.frombuffer(cand_mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(packed, bitorder="little", count=gen_checks)
-        idx = np.flatnonzero(bits)
-        return int(idx[np.argmin(deg[idx])])
-
-    all_checks = (1 << gen_checks) - 1
+    # edges in placement order, plus each check's variables in a table padded
+    # with the sentinel variable n_vars (widened when a spill outgrows it)
     order = sorted(range(n_vars), key=lambda v: (var_degs[v], v))
+    edge_var = np.repeat(order, [var_degs[v] for v in order])
+    edge_check = np.empty(n_edges, dtype=np.int64)
+    chk_adj = np.full((gen_checks, max(chk_degs)), n_vars, dtype=np.int64)
+    ne = 0
     for v in order:
         for k in range(var_degs[v]):
+            own = edge_check[ne - k:ne]
             # capacities are a soft preference: when every non-neighbor is
             # already full, spill onto the least-loaded one instead of failing
-            pool = under & ~adj_var[v]
-            if not pool:
-                pool = all_checks & ~adj_var[v]
-            if not pool:
+            pool = np.ones(gen_checks, dtype=bool)
+            pool[own] = False
+            if (pool & (deg < cap)).any():
+                pool &= deg < cap
+            elif not pool.any():
                 raise ValueError(
                     f"variable {v} needs {var_degs[v]} distinct checks but "
                     f"only {gen_checks} exist")
-            if k == 0:
-                cand = pool
-            else:
-                # BFS out of v; stop once every pool check has been seen
-                visited_c = adj_var[v]
-                visited_v = 1 << v
-                wave = visited_c
+            if k:
+                # BFS out of v; stop once every pool check has been seen (the
+                # first level always runs: pool and own are disjoint)
+                ec, ev = edge_check[:ne], edge_var[:ne]
+                seen_c = np.zeros(gen_checks, dtype=bool)
+                seen_c[own] = True
+                seen_v = np.zeros(n_vars + 1, dtype=bool)
+                seen_v[[v, n_vars]] = True
+                wave = own
                 depth = 0
-                while (pool & ~visited_c) and wave and depth < BFS_DEPTH_CAP:
+                while ((pool & ~seen_c).any() and wave.size
+                       and depth < BFS_DEPTH_CAP):
                     depth += 1
-                    new_v = 0
-                    for c in _bits_iter(wave):
-                        new_v |= adj_check[c]
-                    new_v &= ~visited_v
-                    visited_v |= new_v
-                    wave = 0
-                    for u in _bits_iter(new_v):
-                        wave |= adj_var[u]
-                    wave &= ~visited_c
-                    visited_c |= wave
-                unreached = pool & ~visited_c
-                cand = unreached if unreached else (wave & pool)
-                if not cand:
-                    cand = pool
-            c = pick(cand)
-            adj_var[v] |= 1 << c
-            adj_check[c] |= 1 << v
+                    new_v = np.zeros(n_vars + 1, dtype=bool)
+                    new_v[chk_adj[wave]] = True
+                    new_v &= ~seen_v
+                    seen_v |= new_v
+                    new_c = np.zeros(gen_checks, dtype=bool)
+                    new_c[ec[new_v[ev]]] = True
+                    new_c &= ~seen_c
+                    seen_c |= new_c
+                    wave = np.flatnonzero(new_c)
+                cand = pool & ~seen_c
+                if not cand.any():
+                    cand = pool & new_c
+                if cand.any():
+                    pool = cand
+            # lowest current degree, lowest index on ties
+            c = int(np.argmin(np.where(pool, deg, n_edges + 1)))
+            if deg[c] == chk_adj.shape[1]:
+                chk_adj = np.pad(chk_adj, ((0, 0), (0, chk_adj.shape[1])),
+                                 constant_values=n_vars)
+            chk_adj[c, deg[c]] = v
+            edge_check[ne] = c
+            ne += 1
             deg[c] += 1
-            if deg[c] == cap[c]:
-                under &= ~(1 << c)
 
-    rows = list(adj_check)
+    keep = range(gen_checks)
     if gen_checks > n_checks:
-        keep = sorted(rng.sample(range(gen_checks), n_checks))
-        rows = [rows[i] for i in keep]
-
+        keep = sorted(rng.sample(keep, n_checks))
+    rows = [sum(1 << u for u in chk_adj[c, :deg[c]].tolist()) for c in keep]
     rows = _repair_full_rank(rows, n_vars, rng)
     return BitMatrix.from_bitrows(n_checks, n_vars, rows)
 
@@ -586,7 +583,7 @@ def design_poisson_generator(h1: BitMatrix, params: CodeParams,
                 for c in tail:
                     m_bits |= 1 << (o_width + c)
                 if try_add(m_bits):
-                    return (sorted(_bits_iter(parity))
+                    return (_bit_indices(parity)
                             + sorted(r + c for c in pad)
                             + sorted(o_end + c for c in tail))
         return None
@@ -690,7 +687,8 @@ def load_code(directory: str | Path) -> CompoundCode:
             mats[name] = read_matrix(f)
     code = CompoundCode(params, mats["h"], mats["h1"], mats["h2"], mats["g1"],
                         manifest["seed"], manifest.get("dist_id", ""))
-    if code.h1.rows + code.h2.rows != code.h.rows:
+    if (code.h.row_support != code.h1.row_support + code.h2.row_support
+            or not code.h.cols == code.h1.cols == code.h2.cols):
         raise ValueError("loaded halves do not stack to the outer matrix")
     _verify_generator(code)
     return code

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, NamedTuple, TextIO
 
@@ -22,7 +22,7 @@ from scipy.optimize import brentq
 from .builder import CodeParams, CompoundCode
 from .decoder import SpParams, sp_decode
 from .gf2 import BitMatrix, BitVector, ShapeError, _invert_rows, mul_vec
-from .quantizer import BipParams, bip_quantize, generator_codeword
+from .quantizer import BipParams, _resolve, bip_quantize, generator_codeword
 
 __all__ = [
     "binary_entropy",
@@ -191,6 +191,8 @@ class CompoundQuantizer:
         self.mid_width = mid
         self.g_sub = BitMatrix(len(sub_cols), r + len(sub_cols),
                                [cols + [r + j] for j, cols in enumerate(sub_cols)])
+        # default damping is a fact of g_sub: search it for 4-cycles once
+        self._damping = _resolve(BipParams(), self.g_sub)[1]
         self._coeff_rows: list[int] | None = None
 
     def quantize(self, source: BitVector,
@@ -202,6 +204,8 @@ class CompoundQuantizer:
         parity_mask = (1 << r) - 1
         local = BitVector(self.g_sub.cols,
                           source.bits & parity_mask | source.bits >> (r + mid) << r)
+        if bip.damping is None:
+            bip = replace(bip, damping=self._damping)
         res = bip_quantize(self.g_sub, local, bip)
         sub_word = generator_codeword(self.g_sub, res.u)
         word = BitVector(self.n,

@@ -25,6 +25,7 @@ from wzkit.degrees import design_rate
 from wzkit.gf2 import BitMatrix, BitVector, mat_mul, mul_vec, rank, transpose
 from wzkit.quantizer import bip_quantize, exhaustive_quantize, generator_codeword
 
+import test_builder
 import test_decoder
 import test_quantizer
 from conftest import SMALL_PARAMS, TINY_PARAMS
@@ -64,7 +65,7 @@ def codebook_floor(params):
 
 @pytest.fixture(scope="module")
 def scaled_code(catalog):
-    """Ten-thousand-bit build on the code3 profile; roughly forty seconds."""
+    """Ten-thousand-bit build on the code3 profile; about 13 s on two cores."""
     return build_compound_code(SCALED_PARAMS, catalog["code3"].dist,
                                seed=RUN_SEED, dist_id="code3")
 
@@ -348,3 +349,10 @@ def test_07_property_suites(tiny_code, small_code, scaled_code):
            + ", ".join(f"{name}={'ok' if ok else 'FAIL'}"
                        for name, ok in suites))
     assert all(ok for _, ok in suites), [n for n, ok in suites if not ok]
+
+
+def test_scaled_build_pinned(scaled_code):
+    """The n = 10^4 build, pinned bit for bit by digests of h and g1."""
+    digest = test_builder.digest
+    assert (digest(scaled_code.h), digest(scaled_code.g1)) == (
+        "7f184090990bd71d", "b0b481d974babca0")

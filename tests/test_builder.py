@@ -1,18 +1,21 @@
 """Graph growth, diagonalization, mirroring, and generator design."""
 
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 
 from conftest import SMALL_PARAMS, TINY_PARAMS, tiny_dist
-from wzkit.builder import (CodeParams, ParamValidationError,
-                           all_one_diagonalize, assemble_compound,
-                           build_compound_code, design_poisson_generator,
-                           empirical_fractions, load_code, peg_generate,
-                           save_code, validate_params)
+from wzkit.builder import (BFS_DEPTH_CAP, CodeParams, ParamValidationError,
+                           _check_degree_sequence, _node_degree_sequence,
+                           _repair_full_rank, all_one_diagonalize,
+                           assemble_compound, build_compound_code,
+                           design_poisson_generator, empirical_fractions,
+                           load_code, peg_generate, save_code, validate_params)
 from wzkit.degrees import DegreeDistribution
-from wzkit.gf2 import BitMatrix, BitVector, mat_mul, mul_vec, permute, rank
+from wzkit.gf2 import (BitMatrix, BitVector, _bit_indices, mat_mul, mul_vec,
+                       permute, rank)
 
 
 def degree_multisets(a):
@@ -66,6 +69,114 @@ class TestPegGenerate:
         a = peg_generate(20, 40, tiny_dist(), seed=1)
         for sup in a.row_support:
             assert len(sup) == len(set(sup))
+
+
+# code3 at n = 2000: the geometry of the perfbench cli-code3-p05 workload
+CLI_PARAMS = CodeParams(n=2000, m=1914, k1=400, k2=1200, zeta=10,
+                        poisson_lam=71.495, poisson_imax=160)
+
+
+def digest(a):
+    return hashlib.sha256(repr(a.row_support).encode()).hexdigest()[:16]
+
+
+def reference_peg(n_checks, n_vars, dist, seed):
+    """peg_generate written plainly: adjacency as Python-int bitmasks, one
+    BFS level at a time, bit by bit.  Same RNG calls, so same output."""
+    rng = random.Random(seed)
+    var_degs = _node_degree_sequence(dist.lambda_terms, n_vars)
+    n_edges = sum(var_degs)
+    design = round(n_edges * sum(f / d for d, f in dist.rho_terms))
+    chk_degs = _check_degree_sequence(dist.rho_terms, max(design, n_checks),
+                                      n_edges)
+    gen_checks = len(chk_degs)
+    rng.shuffle(var_degs)
+    rng.shuffle(chk_degs)
+    deg = [0] * gen_checks
+    adj_var = [0] * n_vars
+    adj_check = [0] * gen_checks
+    every = (1 << gen_checks) - 1
+    under = every
+
+    for v in sorted(range(n_vars), key=lambda v: (var_degs[v], v)):
+        for k in range(var_degs[v]):
+            pool = under & ~adj_var[v] or every & ~adj_var[v]
+            cand = pool
+            if k:
+                seen_c, seen_v, wave, depth = adj_var[v], 1 << v, adj_var[v], 0
+                while pool & ~seen_c and wave and depth < BFS_DEPTH_CAP:
+                    depth += 1
+                    new_v = 0
+                    for c in _bit_indices(wave):
+                        new_v |= adj_check[c]
+                    new_v &= ~seen_v
+                    seen_v |= new_v
+                    wave = 0
+                    for u in _bit_indices(new_v):
+                        wave |= adj_var[u]
+                    wave &= ~seen_c
+                    seen_c |= wave
+                cand = pool & ~seen_c or wave & pool or pool
+            c = min(_bit_indices(cand), key=lambda c: (deg[c], c))
+            adj_var[v] |= 1 << c
+            adj_check[c] |= 1 << v
+            deg[c] += 1
+            if deg[c] == chk_degs[c]:
+                under &= ~(1 << c)
+    rows = adj_check
+    if gen_checks > n_checks:
+        rows = [rows[i] for i in sorted(rng.sample(range(gen_checks), n_checks))]
+    rows = _repair_full_rank(rows, n_vars, rng)
+    return BitMatrix.from_bitrows(n_checks, n_vars, rows)
+
+
+class TestPegGolden:
+    """PEG output pinned bit for bit, so a faster growth loop cannot drift."""
+
+    def test_tiny_profile(self):
+        assert digest(peg_generate(20, 40, tiny_dist(), seed=1)) == "2a5c6ef1ffe071a5"
+
+    def test_code3_fallback_branches(self, catalog):
+        # 12 capacity spills, 31 BFS exits at BFS_DEPTH_CAP, 3 trimmed rows
+        a = peg_generate(85, 100, catalog["code3"].dist, seed=11)
+        assert digest(a) == "cb8efaec6a83bbbf"
+
+    def test_code11_profile(self, catalog):
+        a = peg_generate(59, 200, catalog["code11"].dist, seed=11)
+        assert digest(a) == "e318492f9a292515"
+
+    def test_spill_past_widest_check(self, catalog):
+        # every capacity is 5, so a spill grows a check past the widest one
+        dist = DegreeDistribution(catalog["code3"].dist.lambda_terms, ((5, 1.0),))
+        a = peg_generate(76, 100, dist, seed=11)
+        assert max(len(sup) for sup in a.row_support) == 6
+        assert digest(a) == "279cbcbba833d5c5"
+
+    def test_matches_plain_reference(self, catalog):
+        rng = random.Random(2024)
+        for cid in ("code1", "code3", "code11", "code13", "code14",
+                    "regular-3-10"):
+            dist = catalog[cid].dist
+            done = 0
+            while done < 2:
+                n_vars = rng.randrange(100, 220)
+                var_degs = _node_degree_sequence(dist.lambda_terms, n_vars)
+                design = round(sum(var_degs)
+                               * sum(f / d for d, f in dist.rho_terms))
+                low = max(max(var_degs), design // 2)
+                if low > design:
+                    continue
+                done += 1
+                n_checks = rng.randrange(low, design + 1)
+                seed = rng.randrange(1000)
+                assert peg_generate(n_checks, n_vars, dist, seed) == \
+                    reference_peg(n_checks, n_vars, dist, seed), (cid, seed)
+
+    def test_cli_geometry_build(self, catalog):
+        code = build_compound_code(CLI_PARAMS, catalog["code3"].dist,
+                                   seed=20260815, dist_id="code3")
+        assert (digest(code.h), digest(code.g1)) == (
+            "6423cbf341a46fe5", "3eecf8c4d5f52781")
 
 
 class TestAllOneDiagonalize:
@@ -168,6 +279,17 @@ class TestBuildRoundtrip:
         assert loaded.params == tiny_code.params
         assert (loaded.h, loaded.h1, loaded.h2, loaded.g1) == \
             (tiny_code.h, tiny_code.h1, tiny_code.h2, tiny_code.g1)
+
+    def test_load_rejects_outer_matrix_that_disagrees(self, tiny_code, tmp_path):
+        save_code(tiny_code, tmp_path / "code")
+        path = tmp_path / "code" / "h.txt"
+        lines = path.read_text().split("\n")
+        row = [int(tok) for tok in lines[1].split()]
+        free = next(c for c in range(1, TINY_PARAMS.n + 1) if c not in row)
+        lines[1] = " ".join(str(c) for c in sorted(row[1:] + [free]))
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match="do not stack"):
+            load_code(tmp_path / "code")
 
     def test_rates(self, tiny_code):
         r1, r2, rt = tiny_code.rates

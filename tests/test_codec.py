@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import TINY_PARAMS
+from wzkit import quantizer
 from wzkit.builder import CodeParams
 from wzkit.codec import (CSV_COLUMNS, CompoundQuantizer, ExperimentConfig,
                          binary_convolve, binary_entropy, bound_curve, decode,
@@ -245,6 +246,18 @@ class TestRunExperiment:
         a = run_experiment(tiny_code, self.config(), workers=1)
         b = run_experiment(tiny_code, self.config(), workers=1)
         assert a == b
+
+    def test_four_cycle_search_runs_once(self, tiny_code, monkeypatch):
+        calls = []
+        real = quantizer.has_four_cycle
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(quantizer, "has_four_cycle", counting)
+        run_experiment(tiny_code, self.config(trials=3), workers=1)
+        assert len(calls) == 1
 
     def test_result_fields(self, tiny_code):
         res = run_experiment(tiny_code, self.config(), workers=1)
