@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, asdict
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -615,6 +616,13 @@ class CompoundCode:
     @property
     def rates(self) -> tuple[float, float, float]:
         return self.params.rates
+
+    @cached_property
+    def quantizer(self):
+        """The code's CompoundQuantizer, built on first use and kept; it
+        pickles with the code, so process-pool workers receive it built."""
+        from .codec import CompoundQuantizer  # codec imports this module
+        return CompoundQuantizer(self)
 
 
 def _verify_generator(code: CompoundCode) -> None:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
@@ -236,17 +237,6 @@ class CompoundQuantizer:
         return BitVector(self.g1.rows, u)
 
 
-_QUANT_CACHE: dict[int, tuple[CompoundCode, CompoundQuantizer]] = {}
-
-
-def _quantizer_for(code: CompoundCode) -> CompoundQuantizer:
-    hit = _QUANT_CACHE.get(id(code))
-    if hit is None or hit[0] is not code:
-        hit = (code, CompoundQuantizer(code))
-        _QUANT_CACHE[id(code)] = hit
-    return hit[1]
-
-
 @dataclass(frozen=True)
 class EncodeResult:
     u: BitVector             # generator coefficients
@@ -259,7 +249,7 @@ class EncodeResult:
 def encode(code: CompoundCode, source: BitVector,
            bip: BipParams = BipParams()) -> EncodeResult:
     """Quantize the source and emit the short syndrome of the quantized word."""
-    qz = _quantizer_for(code)
+    qz = code.quantizer
     q = qz.quantize(source, bip)
     z2 = mul_vec(code.h2, q.word)
     return EncodeResult(qz.coefficients(q.word), q.word, z2, q.distortion, q.rounds)
@@ -357,15 +347,15 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _encode_trial(code: CompoundCode, qz: CompoundQuantizer, trial: int,
-                  seed: int, p: float, bip: BipParams) -> _EncodeOut:
+def _encode_trial(code: CompoundCode, trial: int, seed: int, p: float,
+                  bip: BipParams) -> _EncodeOut:
     n = code.params.n
     rng = _trial_rng(seed, trial)
     s_arr = rng.integers(0, 2, size=n, dtype=np.int64)
     flips = (rng.random(n) < p).astype(np.int64)
     s_bits = _pack_bits(s_arr)
     j_bits = s_bits ^ _pack_bits(flips)
-    res = qz.quantize(BitVector(n, s_bits), bip)
+    res = code.quantizer.quantize(BitVector(n, s_bits), bip)
     z2 = mul_vec(code.h2, res.word)
     return _EncodeOut(trial, s_bits, j_bits, res.word.bits, z2.bits,
                       res.distortion)
@@ -382,25 +372,23 @@ def _decode_trial(code: CompoundCode, trial: int, side_bits: int,
 
 
 _WORKER_CODE: CompoundCode | None = None
-_WORKER_QUANTIZER: CompoundQuantizer | None = None
 
 
-def _worker_init(code: CompoundCode,
-                 quantizer: CompoundQuantizer | None = None) -> None:
-    global _WORKER_CODE, _WORKER_QUANTIZER
+def _worker_init(code: CompoundCode) -> None:
+    global _WORKER_CODE
     _WORKER_CODE = code
-    _WORKER_QUANTIZER = quantizer
 
 
-def _encode_task(task) -> _EncodeOut:
-    trial, seed, p, bip = task
-    return _encode_trial(_WORKER_CODE, _WORKER_QUANTIZER, trial, seed, p, bip)
+def _call_in_worker(fn, args):
+    return fn(_WORKER_CODE, *args)
 
 
-def _decode_task(task) -> _DecodeOut:
-    trial, side_bits, syndrome_bits, crossover, max_iter = task
-    return _decode_trial(_WORKER_CODE, trial, side_bits, syndrome_bits,
-                         crossover, max_iter)
+def _map_trials(pool: ProcessPoolExecutor | None, fn, code: CompoundCode,
+                tasks: list[tuple]) -> list:
+    """fn(code, *task) for every task, in order, here or on the pool."""
+    if pool is None:
+        return [fn(code, *t) for t in tasks]
+    return list(pool.map(partial(_call_in_worker, fn), tasks, chunksize=1))
 
 
 def _clamp_crossover(q: float) -> float:
@@ -422,32 +410,23 @@ def run_experiment(code: CompoundCode, config: ExperimentConfig,
         raise ValueError("config parameters do not match the supplied code")
     n = code.params.n
     bip = config.bip_params()
-    qz = CompoundQuantizer(code)
-
-    enc_tasks = [(t, config.seed, config.p, bip) for t in range(config.trials)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
-                                 initargs=(code, qz)) as pool:
-            encoded = list(pool.map(_encode_task, enc_tasks, chunksize=1))
-    else:
-        encoded = [_encode_trial(code, qz, *t) for t in enc_tasks]
-
-    running = 0.0
-    dec_tasks = []
-    for out in encoded:
-        running += out.distortion
-        if config.crossover is not None:
-            q = config.crossover
-        else:
-            q = binary_convolve(running / (out.trial + 1), config.p)
-        dec_tasks.append((out.trial, out.side_bits, out.syndrome_bits,
-                          _clamp_crossover(q), config.max_iter))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
-                                 initargs=(code,)) as pool:
-            decoded = list(pool.map(_decode_task, dec_tasks, chunksize=1))
-    else:
-        decoded = [_decode_trial(code, *t) for t in dec_tasks]
+    code.quantizer  # built here, a pool's workers receive it with the code
+    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
+                                initargs=(code,)) if workers > 1 else None)
+    with pool or nullcontext():
+        encoded = _map_trials(pool, _encode_trial, code, [
+            (t, config.seed, config.p, bip) for t in range(config.trials)])
+        running = 0.0
+        dec_tasks = []
+        for out in encoded:
+            running += out.distortion
+            if config.crossover is not None:
+                q = config.crossover
+            else:
+                q = binary_convolve(running / (out.trial + 1), config.p)
+            dec_tasks.append((out.trial, out.side_bits, out.syndrome_bits,
+                              _clamp_crossover(q), config.max_iter))
+        decoded = _map_trials(pool, _decode_trial, code, dec_tasks)
 
     d1 = sum(out.distortion for out in encoded) / config.trials
     d2 = 0.0

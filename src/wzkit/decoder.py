@@ -41,82 +41,93 @@ class DecodeResult:
     iterations: int
 
 
-class _TannerArrays:
-    """Flat edge arrays for one parity-check matrix, grouped by check row."""
-
-    def __init__(self, h: BitMatrix):
-        degs = [len(s) for s in h.row_support]
-        self.rows = h.rows
-        self.cols = h.cols
-        self.edge_check = np.repeat(np.arange(h.rows), degs)
-        self.edge_var = np.fromiter(
-            (c for sup in h.row_support for c in sup), dtype=np.int64,
-            count=sum(degs))
-
-
-def _check_pass(theta: np.ndarray, edge_check: np.ndarray, n_checks: int) -> np.ndarray:
+def _check_product(theta: np.ndarray, edge_check: np.ndarray,
+                   n_checks: int) -> np.ndarray:
     """Per-edge product of the other incoming values on the same check.
 
-    Exact leave-one-out via log-magnitude sums with explicit zero counting, so
-    a zero message poisons every other edge of its check but not its own.
+    The check update that sp_decode and bip_quantize share.  Edges may come
+    in any order and a check may have none.  The result equals the plain
+    log-magnitude leave-one-out product bit for bit: the sign is the parity
+    of the check's integer count of negative inputs XOR the edge's own sign,
+    with no float remainder, and the magnitude is exp(log_sum - log|theta|)
+    with log_sum summed by bincount in edge order.  Only when the input holds
+    an exact zero (of either sign) do zeros count as log 1, and every edge
+    that sees another zero on its check gets +0.0.
     """
     zero = theta == 0.0
-    safe = np.where(zero, 1.0, theta)
+    has_zero = bool(zero.any())
+    safe = np.where(zero, 1.0, theta) if has_zero else theta
     log_abs = np.log(np.abs(safe))
-    neg = (theta < 0.0).astype(np.float64)
     log_sum = np.bincount(edge_check, weights=log_abs, minlength=n_checks)
-    neg_sum = np.bincount(edge_check, weights=neg, minlength=n_checks)
-    zero_sum = np.bincount(edge_check, weights=zero.astype(np.float64), minlength=n_checks)
-
-    others_zero = zero_sum[edge_check] - zero
-    log_others = log_sum[edge_check] - np.where(zero, 0.0, log_abs)
-    sign_others = 1.0 - 2.0 * ((neg_sum[edge_check] - neg) % 2)
-    prod = sign_others * np.exp(log_others)
-    return np.where(others_zero > 0, 0.0, prod)
+    negs = np.bincount(edge_check[np.flatnonzero(theta < 0.0)],
+                       minlength=n_checks)
+    check_sign = 1.0 - 2.0 * (negs & 1)
+    prod = log_sum[edge_check]
+    prod -= log_abs
+    np.exp(prod, out=prod)
+    np.copysign(prod, safe, out=prod)
+    prod *= check_sign[edge_check]
+    if has_zero:
+        zeros = np.bincount(edge_check, weights=zero, minlength=n_checks)
+        prod[zeros[edge_check] - zero > 0] = 0.0
+    return prod
 
 
 def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
               params: SpParams) -> DecodeResult:
     """Find the member of the syndrome coset of h closest to the side information.
 
-    Messages follow the tanh product rule; a set syndrome bit flips the sign of
-    its check's outgoing messages.  Hard decisions are re-checked against the
-    syndrome every iteration and the first match returns early.  Without
-    convergence the final hard decision comes back with converged=False.
+    Messages follow the tanh product rule (the check update bip_quantize also
+    runs, _check_product); a set syndrome bit flips the sign of its check's
+    outgoing messages.  Hard decisions are re-checked against the syndrome
+    every iteration by an integer parity count, and the first match returns
+    early.  Without convergence the final hard decision comes back with
+    converged=False.
     """
     if h.rows != syndrome.length:
         raise ShapeError(f"syndrome length {syndrome.length} != rows {h.rows}")
     if h.cols != side_info.length:
         raise ShapeError(f"side info length {side_info.length} != cols {h.cols}")
-    g = _TannerArrays(h)
+    edge_check, edge_var = h.edges()
     syn = np.array(syndrome.to_list(), dtype=np.int64)
-    syn_sign = 1.0 - 2.0 * syn[g.edge_check]
+    syn_scale = 2.0 - 4.0 * syn[edge_check]  # 2 artanh, sign set by syndrome
     llr0 = float(np.log((1.0 - params.crossover) / params.crossover))
     j_bits = np.array(side_info.to_list(), dtype=np.int64)
     channel = llr0 * (1.0 - 2.0 * j_bits)
+    lo, hi = -params.llr_clip, params.llr_clip
+
+    # integer parity per check, updated through the variables that flipped
+    parity = np.zeros(h.rows, dtype=np.int64)
+    last = np.zeros(h.cols, dtype=bool)
 
     def syndrome_ok(bits: np.ndarray) -> bool:
-        par = np.bincount(g.edge_check, weights=bits[g.edge_var], minlength=g.rows)
-        return bool(np.all(par.astype(np.int64) % 2 == syn))
+        moved = bits != last
+        if moved.any():
+            flips = np.bincount(edge_check[np.flatnonzero(moved[edge_var])],
+                                minlength=h.rows)
+            np.bitwise_xor(parity, flips & 1, out=parity)
+            last[:] = bits
+        return bool(np.array_equal(parity, syn))
 
-    hard = j_bits.copy()
-    if syndrome_ok(hard):
-        return DecodeResult(BitVector.from_bits_list(hard.tolist()), True, 0)
+    if syndrome_ok(j_bits.astype(bool)):
+        return DecodeResult(side_info, True, 0)
 
-    msg_vc = channel[g.edge_var].astype(np.float64)
+    msg_vc = channel[edge_var]
     for it in range(1, params.max_iter + 1):
         t = np.tanh(msg_vc / 2.0)
-        prod = _check_pass(t, g.edge_check, g.rows)
-        prod = np.clip(prod, -1.0 + 1e-15, 1.0 - 1e-15)
-        msg_cv = syn_sign * 2.0 * np.arctanh(prod)
-        msg_cv = np.clip(msg_cv, -params.llr_clip, params.llr_clip)
+        prod = _check_product(t, edge_check, h.rows)
+        np.clip(prod, -1.0 + 1e-15, 1.0 - 1e-15, out=prod)
+        msg_cv = np.arctanh(prod, out=prod)
+        msg_cv *= syn_scale
+        np.clip(msg_cv, lo, hi, out=msg_cv)
 
-        sum_cv = np.bincount(g.edge_var, weights=msg_cv, minlength=g.cols)
-        posterior = channel + sum_cv
-        msg_vc = posterior[g.edge_var] - msg_cv
-        msg_vc = np.clip(msg_vc, -params.llr_clip, params.llr_clip)
+        posterior = channel + np.bincount(edge_var, weights=msg_cv,
+                                          minlength=h.cols)
+        msg_vc = posterior[edge_var]
+        msg_vc -= msg_cv
+        np.clip(msg_vc, lo, hi, out=msg_vc)
 
-        hard = (posterior < 0.0).astype(np.int64)
+        hard = posterior < 0.0
         if syndrome_ok(hard):
             return DecodeResult(BitVector.from_bits_list(hard.tolist()), True, it)
     return DecodeResult(BitVector.from_bits_list(hard.tolist()), False, params.max_iter)

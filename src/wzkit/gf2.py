@@ -14,7 +14,10 @@ sees reproducible results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence, TextIO
+
+import numpy as np
 
 __all__ = [
     "BitVector",
@@ -81,12 +84,7 @@ class BitVector:
 
     @property
     def support(self) -> tuple[int, ...]:
-        out, bits = [], self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        return tuple(_bit_indices(self.bits))
 
     def to_list(self) -> list[int]:
         return [(self.bits >> i) & 1 for i in range(self.length)]
@@ -117,7 +115,7 @@ class BitMatrix:
     representable; every other constructor path produces rows >= 1.
     """
 
-    __slots__ = ("rows", "cols", "row_support", "_bitrows")
+    __slots__ = ("rows", "cols", "row_support", "_bitrows", "_edges")
 
     def __init__(self, rows: int, cols: int, row_support: Iterable[Iterable[int]]):
         if rows < 0 or cols < 1:
@@ -137,6 +135,7 @@ class BitMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "row_support", tuple(supports))
         object.__setattr__(self, "_bitrows", None)
+        object.__setattr__(self, "_edges", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BitMatrix is immutable")
@@ -161,6 +160,20 @@ class BitMatrix:
         if cached is None:
             cached = tuple(sum(1 << c for c in sup) for sup in self.row_support)
             object.__setattr__(self, "_bitrows", cached)
+        return cached
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, column) index of every entry in row-major order, as read-only
+        int64 arrays; the Tanner graph view, built on first use and cached."""
+        cached = object.__getattribute__(self, "_edges")
+        if cached is None:
+            degs = [len(s) for s in self.row_support]
+            rows = np.repeat(np.arange(self.rows, dtype=np.int64), degs)
+            cols = np.fromiter(chain.from_iterable(self.row_support),
+                               dtype=np.int64, count=rows.size)
+            rows.flags.writeable = cols.flags.writeable = False
+            cached = (rows, cols)
+            object.__setattr__(self, "_edges", cached)
         return cached
 
     def row(self, i: int) -> BitVector:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decoder import _check_product
 from .gf2 import BitMatrix, BitVector, ShapeError
 
 __all__ = [
@@ -109,8 +110,9 @@ def bip_quantize(g: BitMatrix, source: BitVector, params: BipParams = BipParams(
 
     Variables are the generator rows, checks the code bits; every check also
     hears a source term of sign (-1)^{s_a} and magnitude tanh(gamma).  A check
-    sends each neighbor the product of its other incoming values; a variable
-    replies with tanh of the sum of arctanh of the others.  After
+    sends each neighbor the product of its other incoming values (the check
+    update sp_decode shares); a variable replies with tanh of the sum of
+    arctanh of the others.  After
     iters_per_round sweeps the per-variable bias (same sum, nothing excluded)
     fixes every variable beyond the threshold, or the single largest-bias
     variable when none clears it; positive biases fix to 0, negative to 1, and
@@ -126,10 +128,7 @@ def bip_quantize(g: BitMatrix, source: BitVector, params: BipParams = BipParams(
     src_mag = float(np.tanh(gamma))
 
     n_var, n_chk = g.rows, g.cols
-    degs = [len(s) for s in g.row_support]
-    edge_var = np.repeat(np.arange(n_var, dtype=np.int64), degs)
-    edge_check = np.fromiter((c for sup in g.row_support for c in sup),
-                             dtype=np.int64, count=sum(degs))
+    edge_var, edge_check = g.edges()
 
     s_arr = np.array(source.to_list(), dtype=np.int64)
     sign_eff = 1.0 - 2.0 * s_arr.astype(np.float64)
@@ -143,21 +142,11 @@ def bip_quantize(g: BitMatrix, source: BitVector, params: BipParams = BipParams(
         if not params.warm_start:
             theta = np.ones(edge_var.size, dtype=np.float64)
         bias_sum = np.zeros(n_var, dtype=np.float64)
+        src_term = src_mag * sign_eff[edge_check]
         for _ in range(params.iters_per_round):
-            # check pass: leave-one-out product of theta plus the source term
-            zero = theta == 0.0
-            safe = np.where(zero, 1.0, theta)
-            log_abs = np.log(np.abs(safe))
-            neg = (theta < 0.0).astype(np.float64)
-            log_sum = np.bincount(edge_check, weights=log_abs, minlength=n_chk)
-            neg_sum = np.bincount(edge_check, weights=neg, minlength=n_chk)
-            zero_sum = np.bincount(edge_check, weights=zero.astype(np.float64),
-                                   minlength=n_chk)
-            others_zero = zero_sum[edge_check] - zero
-            log_others = log_sum[edge_check] - np.where(zero, 0.0, log_abs)
-            sign_others = 1.0 - 2.0 * ((neg_sum[edge_check] - neg) % 2)
-            phi = np.where(others_zero > 0, 0.0, sign_others * np.exp(log_others))
-            phi *= src_mag * sign_eff[edge_check]
+            # check pass: leave-one-out product of theta times the source term
+            phi = _check_product(theta, edge_check, n_chk)
+            phi *= src_term
 
             # variable pass in the arctanh domain
             sat_pos = phi >= _SAT

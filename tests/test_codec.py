@@ -1,6 +1,8 @@
 """End-to-end pipeline, analytic bound, and the experiment harness."""
 
+import dataclasses
 import io
+import pickle
 import random
 
 import pytest
@@ -247,7 +249,8 @@ class TestRunExperiment:
         b = run_experiment(tiny_code, self.config(), workers=1)
         assert a == b
 
-    def test_four_cycle_search_runs_once(self, tiny_code, monkeypatch):
+    @staticmethod
+    def count_four_cycle_searches(monkeypatch) -> list:
         calls = []
         real = quantizer.has_four_cycle
 
@@ -256,8 +259,44 @@ class TestRunExperiment:
             return real(g)
 
         monkeypatch.setattr(quantizer, "has_four_cycle", counting)
-        run_experiment(tiny_code, self.config(trials=3), workers=1)
+        return calls
+
+    def test_four_cycle_search_runs_once(self, tiny_code, monkeypatch):
+        code = dataclasses.replace(tiny_code)  # no quantizer built yet
+        calls = self.count_four_cycle_searches(monkeypatch)
+        run_experiment(code, self.config(trials=3), workers=1)
         assert len(calls) == 1
+
+    def test_one_quantizer_per_code(self, tiny_code, monkeypatch):
+        code = dataclasses.replace(tiny_code)
+        calls = self.count_four_cycle_searches(monkeypatch)
+        run_experiment(code, self.config(trials=2), workers=1)
+        run_experiment(code, self.config(trials=2), workers=1)
+        encode(code, BitVector(TINY_PARAMS.n, 12345))
+        assert len(calls) == 1
+        # the built quantizer travels with a pickled code
+        copy = pickle.loads(pickle.dumps(code))
+        assert copy.__dict__["quantizer"].g_sub == code.quantizer.g_sub
+
+    def test_pinned_results(self, tiny_code):
+        """Exact results, derived before the message passers shared their
+        check update.  The second configuration pins the decoder's crossover
+        so that no decode converges: every trial runs all 100 iterations,
+        where floating-point drift in the messages would show in d2 and Dt."""
+        converging = ExperimentConfig(code_id="tiny", params=TINY_PARAMS,
+                                      p=0.05, trials=4, seed=3)
+        assert repr(run_experiment(tiny_code, converging)) == (
+            "ExperimentResult(code_id='tiny', n=96, m=92, k1=20, k2=60, "
+            "zeta=4, p=0.05, r1=0.75, r2=0.125, rt=0.625, d1=0.0859375, "
+            "d2=0.0, dt=0.0859375, dt_pred=0.0859375, dwz=0.0, "
+            "gap=0.0859375, trials=4, failures=0, seed=3)")
+        stuck = dataclasses.replace(converging, p=0.25, crossover=0.45)
+        assert repr(run_experiment(tiny_code, stuck)) == (
+            "ExperimentResult(code_id='tiny', n=96, m=92, k1=20, k2=60, "
+            "zeta=4, p=0.25, r1=0.75, r2=0.125, rt=0.625, d1=0.0859375, "
+            "d2=0.2708333333333333, dt=0.25260416666666663, "
+            "dt_pred=0.31022135416666663, dwz=0.03352693608030677, "
+            "gap=0.21907723058635986, trials=4, failures=4, seed=3)")
 
     def test_result_fields(self, tiny_code):
         res = run_experiment(tiny_code, self.config(), workers=1)

@@ -3,10 +3,11 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from wzkit.decoder import (COSET_ENUM_LIMIT, SpParams, coset_members,
-                           coset_nearest, sp_decode)
+from wzkit.decoder import (COSET_ENUM_LIMIT, SpParams, _check_product,
+                           coset_members, coset_nearest, sp_decode)
 from wzkit.gf2 import BitMatrix, BitVector, mul_vec, rank
 
 ROW_PAIRS = list(combinations(range(6), 2))
@@ -34,6 +35,101 @@ def girth_six_check(rng):
     cols = rng.sample(ROW_PAIRS, 12)
     return BitMatrix(6, 12, [[c for c, pair in enumerate(cols) if r in pair]
                              for r in range(6)])
+
+
+def reference_check_pass(theta, edge_check, n_checks):
+    """The leave-one-out check product as the plain log-magnitude formula:
+    float sign counts, a float remainder for parity, and explicit zero counts
+    on every call.  _check_product must match it bit for bit."""
+    zero = theta == 0.0
+    safe = np.where(zero, 1.0, theta)
+    log_abs = np.log(np.abs(safe))
+    neg = (theta < 0.0).astype(np.float64)
+    log_sum = np.bincount(edge_check, weights=log_abs, minlength=n_checks)
+    neg_sum = np.bincount(edge_check, weights=neg, minlength=n_checks)
+    zero_sum = np.bincount(edge_check, weights=zero.astype(np.float64),
+                           minlength=n_checks)
+    others_zero = zero_sum[edge_check] - zero
+    log_others = log_sum[edge_check] - np.where(zero, 0.0, log_abs)
+    sign_others = 1.0 - 2.0 * ((neg_sum[edge_check] - neg) % 2)
+    prod = sign_others * np.exp(log_others)
+    return np.where(others_zero > 0, 0.0, prod)
+
+
+class TestCheckProduct:
+    """Bit-for-bit agreement with the reference; the uint64 view tells -0.0
+    from 0.0."""
+
+    @staticmethod
+    def assert_same(theta, edge_check, n_checks):
+        got = _check_product(theta, edge_check, n_checks)
+        want = reference_check_pass(theta, edge_check, n_checks)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        return got
+
+    @staticmethod
+    def shuffled(n_checks, degree, rng):
+        """Edge-to-check map with every check at `degree`, in random order."""
+        return rng.permutation(np.repeat(np.arange(n_checks), degree))
+
+    def test_random_inputs_without_zeros(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            edge_check = rng.integers(0, 40, size=300)
+            theta = rng.uniform(-1.0, 1.0, size=300)
+            self.assert_same(theta, edge_check, 45)  # checks 40..44 are empty
+
+    def test_tanh_of_large_messages(self):
+        rng = np.random.default_rng(2)
+        edge_check = self.shuffled(50, 7, rng)
+        theta = np.tanh(rng.normal(0.0, 15.0, size=edge_check.size) / 2.0)
+        self.assert_same(theta, edge_check, 50)
+
+    def test_one_zero_in_a_check(self):
+        rng = np.random.default_rng(3)
+        edge_check = self.shuffled(10, 5, rng)
+        theta = rng.uniform(-1.0, 1.0, size=50)
+        own = np.flatnonzero(edge_check == 4)
+        theta[own[2]] = 0.0
+        got = self.assert_same(theta, edge_check, 10)
+        others = own[own != own[2]]
+        assert np.all(got[others] == 0.0) and got[own[2]] != 0.0
+
+    def test_two_zeros_in_a_check(self):
+        rng = np.random.default_rng(4)
+        edge_check = self.shuffled(10, 5, rng)
+        theta = rng.uniform(-1.0, 1.0, size=50)
+        own = np.flatnonzero(edge_check == 7)
+        theta[own[:2]] = 0.0
+        got = self.assert_same(theta, edge_check, 10)
+        assert np.all(got[own] == 0.0)
+
+    def test_negative_zero_entries(self):
+        rng = np.random.default_rng(5)
+        edge_check = self.shuffled(12, 4, rng)
+        theta = rng.uniform(-1.0, 1.0, size=48)
+        theta[np.flatnonzero(edge_check == 0)[0]] = -0.0
+        theta[np.flatnonzero(edge_check == 5)[:2]] = [-0.0, 0.0]
+        theta[np.flatnonzero(edge_check == 9)[:2]] = -0.0
+        self.assert_same(theta, edge_check, 12)
+
+    def test_all_negative_check(self):
+        rng = np.random.default_rng(6)
+        for degree in (3, 4):
+            edge_check = self.shuffled(8, degree, rng)
+            theta = -rng.uniform(0.1, 1.0, size=edge_check.size)
+            got = self.assert_same(theta, edge_check, 8)
+            assert np.all(np.sign(got) == (-1.0) ** (degree - 1))
+
+    def test_degree_one_checks(self):
+        rng = np.random.default_rng(7)
+        edge_check = rng.permutation(np.concatenate(
+            [np.arange(6), np.repeat(np.arange(6, 10), 3)]))
+        theta = rng.uniform(-1.0, 1.0, size=edge_check.size)
+        theta[np.flatnonzero(edge_check == 2)] = 0.0
+        got = self.assert_same(theta, edge_check, 10)
+        # a lone edge hears the empty product
+        assert np.all(got[edge_check < 6] == 1.0)
 
 
 class TestSpParams:
@@ -146,6 +242,28 @@ class TestSpDecode:
         res = sp_decode(h, mul_vec(h, truth), side,
                         SpParams(crossover=0.1, max_iter=3))
         assert res.iterations <= 3
+
+    def test_empty_check_row(self):
+        """Rows 3 and 7 have no edges.  With their syndrome bits at 0 the
+        decode matches the one without those rows (values pinned from the
+        earlier decoder); a set bit on an empty row is never satisfied."""
+        rng = random.Random(2024)
+        h6 = girth_six_check(rng)
+        rows = list(h6.row_support)
+        h = BitMatrix(8, 12, rows[:3] + [()] + rows[3:] + [()])
+        truth = BitVector(12, rng.getrandbits(12))
+        side = truth ^ BitVector(12, 0b100000100)
+        params = SpParams(crossover=0.1, max_iter=20)
+        syn6 = mul_vec(h6, truth)
+        syn = BitVector(8, (syn6.bits & 0b111) | (syn6.bits >> 3) << 4)
+        res = sp_decode(h, syn, side, params)
+        assert (syn.bits, side.bits) == (71, 1955)
+        assert (res.bits.bits, res.converged, res.iterations) == (1827, True, 2)
+        assert res == sp_decode(h6, syn6, side, params)
+        for row in (3, 7):
+            res = sp_decode(h, BitVector(8, syn.bits | 1 << row), side, params)
+            assert (res.bits.bits, res.converged, res.iterations) == (
+                1827, False, 20)
 
     def test_deterministic(self):
         rng = random.Random(63)

@@ -3,6 +3,7 @@
 import io
 import random
 
+import numpy as np
 import pytest
 
 from wzkit.gf2 import (BitMatrix, BitVector, RankDeficiencyError, ShapeError,
@@ -63,6 +64,16 @@ class TestBitMatrix:
     def test_bitrows_match_support(self):
         m = BitMatrix(2, 6, [[0, 3], [5]])
         assert m.bitrows() == (0b001001, 0b100000)
+
+    def test_edges_row_major_and_cached(self):
+        a = BitMatrix(4, 6, [[5, 1], [], [0, 2, 3], [4]])
+        rows, cols = a.edges()
+        assert rows.tolist() == [0, 0, 2, 2, 2, 3]
+        assert cols.tolist() == [1, 5, 0, 2, 3, 4]
+        assert rows.dtype == cols.dtype == np.int64
+        assert a.edges()[0] is rows
+        with pytest.raises(ValueError):
+            cols[0] = 2
 
     def test_pickle_roundtrip(self):
         import pickle
