@@ -6,10 +6,10 @@ carries just enough of the quantized word for a decoder holding correlated
 side information to recover it.
 """
 
-from .gf2 import (BitMatrix, BitVector, RankDeficiencyError, ShapeError,
-                  identity, invert, mat_mul, mul_vec, null_space_basis,
-                  permute, rank, read_matrix, systematic_form, transpose,
-                  write_matrix)
+from .gf2 import (BitMatrix, BitVector, EchelonBasis, RankDeficiencyError,
+                  ShapeError, identity, invert, mat_mul, mul_vec,
+                  null_space_basis, permute, rank, read_matrix,
+                  systematic_form, transpose, write_matrix)
 from .degrees import (CatalogEntry, DegreeDistribution, PoissonCounts,
                       PoissonWeightSpec, design_rate, load_catalog,
                       parse_catalog, parse_distribution, parse_polynomial,
@@ -26,19 +26,20 @@ from .quantizer import (BipParams, QuantizeResult, bip_quantize,
 from .decoder import (DecodeResult, SpParams, coset_members, coset_nearest,
                       sp_decode)
 from .codec import (CompoundQuantizer, ExperimentConfig, ExperimentResult,
-                    QuantizedWord, RatePlan, binary_convolve, binary_entropy,
-                    bound_curve, decode, encode, invert_bound, plan_rates,
-                    run_experiment, time_share, write_curve_csv,
-                    write_results_csv, wz_boundary, wz_rate)
+                    QuantizedWord, binary_convolve, binary_entropy,
+                    bound_curve, decode, encode, invert_bound,
+                    run_experiment, write_curve_csv, write_results_csv,
+                    wz_boundary, wz_rate)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     # gf2
-    "BitMatrix", "BitVector", "RankDeficiencyError", "ShapeError", "identity",
-    "invert", "mat_mul", "mul_vec", "null_space_basis", "permute", "rank",
-    "read_matrix", "systematic_form", "transpose", "write_matrix",
+    "BitMatrix", "BitVector", "EchelonBasis", "RankDeficiencyError",
+    "ShapeError", "identity", "invert", "mat_mul", "mul_vec",
+    "null_space_basis", "permute", "rank", "read_matrix", "systematic_form",
+    "transpose", "write_matrix",
     # degrees
     "CatalogEntry", "DegreeDistribution", "PoissonCounts", "PoissonWeightSpec",
     "design_rate", "load_catalog", "parse_catalog", "parse_distribution",
@@ -56,8 +57,7 @@ __all__ = [
     "DecodeResult", "SpParams", "coset_members", "coset_nearest", "sp_decode",
     # codec
     "CompoundQuantizer", "ExperimentConfig", "ExperimentResult",
-    "QuantizedWord", "RatePlan", "binary_convolve", "binary_entropy",
-    "bound_curve", "decode", "encode", "invert_bound", "plan_rates",
-    "run_experiment", "time_share", "write_curve_csv", "write_results_csv",
-    "wz_boundary", "wz_rate",
+    "QuantizedWord", "binary_convolve", "binary_entropy", "bound_curve",
+    "decode", "encode", "invert_bound", "run_experiment", "write_curve_csv",
+    "write_results_csv", "wz_boundary", "wz_rate",
 ]

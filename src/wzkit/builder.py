@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .degrees import DegreeDistribution, PoissonWeightSpec, poisson_counts
-from .gf2 import (BitMatrix, RankDeficiencyError, _bit_indices, permute,
-                  read_matrix, write_matrix)
+from .gf2 import (BitMatrix, EchelonBasis, RankDeficiencyError, _bit_indices,
+                  permute, read_matrix, write_matrix)
 
 __all__ = [
     "CodeParams",
@@ -323,39 +323,20 @@ def peg_generate(n_checks: int, n_vars: int, dist: DegreeDistribution,
     return BitMatrix.from_bitrows(n_checks, n_vars, rows)
 
 
-def _independent_row_set(rows: list[int]) -> tuple[dict[int, int], list[int]]:
-    """Incremental elimination: returns (pivot basis, dependent row indices)."""
-    basis: dict[int, int] = {}
-    dependent = []
-    for idx, bits in enumerate(rows):
-        cur = bits
-        while cur:
-            p = cur.bit_length() - 1
-            if p in basis:
-                cur ^= basis[p]
-            else:
-                basis[p] = cur
-                break
-        else:
-            dependent.append(idx)
-    return basis, dependent
-
-
 def _repair_full_rank(rows: list[int], n_vars: int, rng: random.Random) -> list[int]:
-    for _ in range(PEG_REPAIR_ATTEMPTS):
-        basis, dependent = _independent_row_set(rows)
+    for attempt in range(PEG_REPAIR_ATTEMPTS + 1):
+        basis = EchelonBasis()
+        dependent = [i for i, bits in enumerate(rows) if not basis.insert(bits)]
         if not dependent:
             return rows
+        if attempt == PEG_REPAIR_ATTEMPTS:
+            raise RankDeficiencyError(
+                f"full-rank repair failed: rank {len(basis)} of {len(rows)}",
+                len(basis))
         for idx in dependent:
             weight = max(rows[idx].bit_count(), 1)
             fresh = sum(1 << c for c in rng.sample(range(n_vars), weight))
             rows[idx] = fresh
-    basis, dependent = _independent_row_set(rows)
-    if dependent:
-        raise RankDeficiencyError(
-            f"full-rank repair failed: rank {len(rows) - len(dependent)} of {len(rows)}",
-            len(rows) - len(dependent))
-    return rows
 
 
 def empirical_fractions(a: BitMatrix) -> tuple[dict[int, float], dict[int, float]]:
@@ -434,23 +415,12 @@ def all_one_diagonalize(a: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]
     """
     if a.rows > a.cols:
         raise ValueError(f"need rows <= cols, got {a.rows}x{a.cols}")
-    bitrows = list(a.bitrows())
-    basis: dict[int, int] = {}
-    pivot_cols: list[int] = []
-    for bits in bitrows:
-        cur = bits
-        while cur:
-            p = cur.bit_length() - 1
-            if p in basis:
-                cur ^= basis[p]
-            else:
-                basis[p] = cur
-                pivot_cols.append(p)
-                break
-        else:
+    basis = EchelonBasis()
+    for bits in a.bitrows():
+        if not basis.insert(bits):
             raise RankDeficiencyError(
-                f"matrix {a.rows}x{a.cols} is rank deficient", len(pivot_cols))
-    pivot_cols.sort()
+                f"matrix {a.rows}x{a.cols} is rank deficient", len(basis))
+    pivot_cols = basis.pivots()
     col_pos = {c: i for i, c in enumerate(pivot_cols)}
     adjacency = [[col_pos[c] for c in sup if c in col_pos] for sup in a.row_support]
     matching = hopcroft_karp(adjacency, a.rows, len(pivot_cols))
@@ -488,6 +458,29 @@ def assemble_compound(a: BitMatrix, params: CodeParams
     return h, h1, h2
 
 
+def _b_columns(h1: BitMatrix, params: CodeParams) -> list[int]:
+    """Columns of B, packed over h1's rows, after checking that the
+    quantization check h1 has the (identity | zeros | B) shape the mirrored
+    construction produces; raises ValueError when it does not."""
+    r = h1.rows
+    o_width = params.info_rows - params.n // 2
+    if o_width < 0:
+        raise ValueError("middle segment has negative width: n//2 > m - k1")
+    o_end = r + o_width
+    for i, sup in enumerate(h1.row_support):
+        head = [c for c in sup if c < r]
+        if head != [i]:
+            raise ValueError(f"row {i}: leading block is not the identity")
+        if any(r <= c < o_end for c in sup):
+            raise ValueError(f"row {i}: middle zero block is populated")
+    bcols = [0] * (h1.cols - o_end)
+    for i, sup in enumerate(h1.row_support):
+        for c in sup:
+            if c >= o_end:
+                bcols[c - o_end] |= 1 << i
+    return bcols
+
+
 def design_poisson_generator(h1: BitMatrix, params: CodeParams,
                              seed: int) -> BitMatrix:
     """Rows spanning the null space of h1 with Poisson-profiled weights.
@@ -510,22 +503,10 @@ def design_poisson_generator(h1: BitMatrix, params: CodeParams,
     r = h1.rows
     n = h1.cols
     info = params.info_rows
+    bcols = _b_columns(h1, params)
     o_width = info - params.n // 2
-    if o_width < 0:
-        raise ValueError("middle segment has negative width: n//2 > m - k1")
     o_end = r + o_width
     b_width = n - o_end
-    for i, sup in enumerate(h1.row_support):
-        head = [c for c in sup if c < r]
-        if head != [i]:
-            raise ValueError(f"row {i}: leading block is not the identity")
-        if any(r <= c < o_end for c in sup):
-            raise ValueError(f"row {i}: middle zero block is populated")
-    bcols = [0] * b_width
-    for i, sup in enumerate(h1.row_support):
-        for c in sup:
-            if c >= o_end:
-                bcols[c - o_end] |= 1 << i
 
     if o_width > 0:
         if params.poisson_lam is None or params.poisson_imax is None:
@@ -551,19 +532,7 @@ def design_poisson_generator(h1: BitMatrix, params: CodeParams,
         draws.append((w_parity, j, tail, parity))
     draws.sort(key=lambda t: (t[0], t[1]))
 
-    basis: dict[int, int] = {}
-
-    def try_add(m_bits: int) -> bool:
-        cur = m_bits
-        while cur:
-            p = cur.bit_length() - 1
-            if p in basis:
-                cur ^= basis[p]
-            else:
-                basis[p] = cur
-                return True
-        return False
-
+    basis = EchelonBasis()
     imax = params.poisson_imax if params.poisson_imax is not None else n
 
     def place(slot: int, w_parity: int, tail: list[int], parity: int,
@@ -583,7 +552,7 @@ def design_poisson_generator(h1: BitMatrix, params: CodeParams,
                     m_bits |= 1 << c
                 for c in tail:
                     m_bits |= 1 << (o_width + c)
-                if try_add(m_bits):
+                if basis.insert(m_bits):
                     return (_bit_indices(parity)
                             + sorted(r + c for c in pad)
                             + sorted(o_end + c for c in tail))
@@ -626,15 +595,12 @@ class CompoundCode:
 
 
 def _verify_generator(code: CompoundCode) -> None:
-    """Exact orthogonality: every generator row's head must equal B m2."""
+    """Shape of the quantization check, and exact orthogonality: every
+    generator row's head must equal B m2."""
     p = code.params
     r = p.quant_checks
     o_end = r + (p.info_rows - p.n // 2)
-    bcols = [0] * (p.n - o_end)
-    for i, sup in enumerate(code.h1.row_support):
-        for c in sup:
-            if c >= o_end:
-                bcols[c - o_end] |= 1 << i
+    bcols = _b_columns(code.h1, p)
     for j, sup in enumerate(code.g1.row_support):
         head = 0
         parity = 0

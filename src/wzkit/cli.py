@@ -116,11 +116,12 @@ def _cmd_build(args) -> int:
 def _cmd_quantize(args) -> int:
     code = load_code(args.code)
     words = _read_words(args.infile, code.params.n)
+    qz = code.quantizer
     out = []
     total = 0.0
     for w in words:
-        res = encode(code, w, _bip_from_args(args))
-        out.append(res.u)
+        res = qz.quantize(w, _bip_from_args(args))
+        out.append(qz.coefficients(res.word))
         total += res.distortion
     _write_words(args.out, out)
     print(f"quantized {len(words)} words, mean distortion {total / len(words):.6f}")

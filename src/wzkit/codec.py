@@ -20,9 +20,10 @@ from typing import Iterable, NamedTuple, TextIO
 import numpy as np
 from scipy.optimize import brentq
 
-from .builder import CodeParams, CompoundCode
+from .builder import CodeParams, CompoundCode, _b_columns
 from .decoder import SpParams, sp_decode
-from .gf2 import BitMatrix, BitVector, ShapeError, _invert_rows, mul_vec
+from .gf2 import (BitMatrix, BitVector, EchelonBasis, ShapeError, _bit_indices,
+                  mul_vec)
 from .quantizer import BipParams, _resolve, bip_quantize, generator_codeword
 
 __all__ = [
@@ -31,9 +32,6 @@ __all__ = [
     "wz_rate",
     "wz_boundary",
     "invert_bound",
-    "RatePlan",
-    "plan_rates",
-    "time_share",
     "bound_curve",
     "CompoundQuantizer",
     "QuantizedWord",
@@ -119,35 +117,6 @@ def invert_bound(rate: float, p: float, tol: float = 1e-9) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class RatePlan:
-    """Nesting targets for quantizing at distortion d1 against crossover p."""
-
-    crossover: float
-    quant_distortion: float
-    quant_rate_min: float    # at least 1 - h(d1) to hit distortion d1
-    code_rate_max: float     # at most 1 - h(d1 (*) p) to survive the channel
-    wz_rate_min: float       # their gap: the transmitted rate floor
-
-
-def plan_rates(p: float, d1: float) -> RatePlan:
-    if not 0.0 < p < 0.5:
-        raise ValueError(f"crossover must lie in (0, 0.5), got {p}")
-    if not 0.0 <= d1 <= 0.5:
-        raise ValueError(f"distortion must lie in [0, 0.5], got {d1}")
-    hq = binary_entropy(d1)
-    hc = binary_entropy(binary_convolve(d1, p))
-    return RatePlan(p, d1, 1.0 - hq, 1.0 - hc, hc - hq)
-
-
-def time_share(rate: float, distortion: float, p: float,
-               alpha: float) -> tuple[float, float]:
-    """Operate the code a fraction alpha of the time, side info only otherwise."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha * rate, alpha * distortion + (1.0 - alpha) * p
-
-
 def bound_curve(p: float, points: int = 200) -> list[tuple[float, float]]:
     if points < 2:
         raise ValueError("need at least two points")
@@ -181,11 +150,7 @@ class CompoundQuantizer:
         params = code.params
         r = code.h1.rows
         mid = params.info_rows - params.n // 2
-        sub_cols: list[list[int]] = [[] for _ in range(params.n // 2)]
-        for i, sup in enumerate(code.h1.row_support):
-            for c in sup:
-                if c >= r + mid:
-                    sub_cols[c - r - mid].append(i)
+        sub_cols = [_bit_indices(bits) for bits in _b_columns(code.h1, params)]
         self.g1 = code.g1
         self.n = params.n
         self.parity_width = r
@@ -194,7 +159,7 @@ class CompoundQuantizer:
                                [cols + [r + j] for j, cols in enumerate(sub_cols)])
         # default damping is a fact of g_sub: search it for 4-cycles once
         self._damping = _resolve(BipParams(), self.g_sub)[1]
-        self._coeff_rows: list[int] | None = None
+        self._coeff_basis: EchelonBasis | None = None
 
     def quantize(self, source: BitVector,
                  bip: BipParams = BipParams()) -> QuantizedWord:
@@ -220,26 +185,20 @@ class CompoundQuantizer:
         """Coefficients u over the designed generator's rows with u @ g1 == word.
 
         The map from coefficients to the free blocks of a codeword is square
-        and invertible; its inverse is computed on first use and cached, so
-        the first call on a fresh quantizer is the expensive one.
+        and invertible.  The first call builds a basis of the generator's
+        free blocks, tagged by row; every call then solves for u on it.
         """
         if word.length != self.n:
             raise ShapeError(f"word length {word.length} != n {self.n}")
-        if self._coeff_rows is None:
-            msg = [bits >> self.parity_width for bits in self.g1.bitrows()]
-            self._coeff_rows = _invert_rows(msg, self.n - self.parity_width)
-        u = 0
-        rem = word.bits >> self.parity_width
-        while rem:
-            low = rem & -rem
-            u ^= self._coeff_rows[low.bit_length() - 1]
-            rem ^= low
-        return BitVector(self.g1.rows, u)
+        if self._coeff_basis is None:
+            self._coeff_basis = EchelonBasis.tagged(
+                [bits >> self.parity_width for bits in self.g1.bitrows()])
+        return BitVector(self.g1.rows,
+                         self._coeff_basis.solve(word.bits >> self.parity_width))
 
 
 @dataclass(frozen=True)
 class EncodeResult:
-    u: BitVector             # generator coefficients
     word: BitVector          # quantized word
     syndrome: BitVector      # transmitted bits
     distortion: float        # source-to-word Hamming fraction
@@ -249,10 +208,9 @@ class EncodeResult:
 def encode(code: CompoundCode, source: BitVector,
            bip: BipParams = BipParams()) -> EncodeResult:
     """Quantize the source and emit the short syndrome of the quantized word."""
-    qz = code.quantizer
-    q = qz.quantize(source, bip)
+    q = code.quantizer.quantize(source, bip)
     z2 = mul_vec(code.h2, q.word)
-    return EncodeResult(qz.coefficients(q.word), q.word, z2, q.distortion, q.rounds)
+    return EncodeResult(q.word, z2, q.distortion, q.rounds)
 
 
 def decode(code: CompoundCode, side_info: BitVector, syndrome: BitVector,

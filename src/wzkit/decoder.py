@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVector, ShapeError, null_space_basis
+from .gf2 import BitMatrix, BitVector, ShapeError, _column_basis
 
 __all__ = [
     "SpParams",
@@ -133,36 +133,6 @@ def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
     return DecodeResult(BitVector.from_bits_list(hard.tolist()), False, params.max_iter)
 
 
-def _particular_solution(h: BitMatrix, syndrome: BitVector) -> int:
-    """One solution of h x = syndrome, or raise if the coset is empty."""
-    aug_col = h.cols
-    rows = [bits | (1 << aug_col) if syndrome[i] else bits
-            for i, bits in enumerate(h.bitrows())]
-    pivots: dict[int, int] = {}
-    for bits in rows:
-        for col in range(h.cols):
-            if not bits >> col & 1:
-                continue
-            if col in pivots:
-                bits ^= pivots[col]
-            else:
-                pivots[col] = bits
-                bits = 0
-                break
-        if bits:
-            raise ValueError("empty coset: syndrome outside the row space image")
-    solution = 0
-    # back substitution over the echelon rows, free columns left at zero
-    for col in sorted(pivots, reverse=True):
-        row = pivots[col]
-        acc = (row >> aug_col) & 1
-        rest = row & ~(1 << col) & ((1 << h.cols) - 1)
-        acc ^= (rest & solution).bit_count() & 1
-        if acc:
-            solution |= 1 << col
-    return solution
-
-
 def _lex_key(bits: int, length: int) -> tuple[int, ...]:
     return tuple((bits >> i) & 1 for i in range(length))
 
@@ -170,17 +140,18 @@ def _lex_key(bits: int, length: int) -> tuple[int, ...]:
 def _coset_iter(h: BitMatrix, syndrome: BitVector):
     if h.rows != syndrome.length:
         raise ShapeError(f"syndrome length {syndrome.length} != rows {h.rows}")
-    basis = null_space_basis(h)
-    if basis.rows > COSET_ENUM_LIMIT:
+    basis, _, null = _column_basis(h)
+    if len(null) > COSET_ENUM_LIMIT:
         raise ValueError(
-            f"coset has 2^{basis.rows} members, beyond the 2^{COSET_ENUM_LIMIT} search limit")
-    start = _particular_solution(h, syndrome)
-    basis_bits = basis.bitrows()
-    current = start
+            f"coset has 2^{len(null)} members, beyond the 2^{COSET_ENUM_LIMIT} search limit")
+    try:
+        current = basis.solve(syndrome.bits)
+    except ValueError:
+        raise ValueError("empty coset: syndrome outside the row space image") from None
     yield current
-    # Gray-code walk: one basis XOR per member
-    for k in range(1, 1 << basis.rows):
-        current ^= basis_bits[(k & -k).bit_length() - 1]
+    # Gray-code walk: one null-space XOR per member
+    for k in range(1, 1 << len(null)):
+        current ^= null[(k & -k).bit_length() - 1]
         yield current
 
 

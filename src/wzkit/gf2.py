@@ -1,14 +1,27 @@
-"""GF(2) vectors and sparse matrices with packed-bitset elimination kernels.
+"""GF(2) vectors and sparse matrices, with one elimination core.
 
 Matrices are stored as sorted per-row column supports (the canonical form) plus a
 lazily built packed view: one Python int per row, bit c = entry in column c.  The
-packed view makes elimination-heavy operations word-parallel, so dimensions of a
-few times 10^5 per axis stay workable; memory is O(nnz) for storage and about
-rows*cols/8 bytes while an elimination runs.
+packed view makes elimination word-parallel, so dimensions of a few times 10^5
+per axis stay workable; memory is O(nnz) for storage and about rows*cols/8 bytes
+while an elimination runs.
 
-All operations are pure functions and all values are immutable after construction.
-Pivoting is deterministic (columns left to right, rows top down), so every caller
-sees reproducible results.
+All values are immutable after construction.  Every GF(2) elimination in the
+package goes through EchelonBasis, an incremental row-echelon basis that keys
+each packed row by its highest set bit.  Reducing a row then takes one dict
+lookup per step, from the top bit down, and rows inserted in a fixed order
+always produce the same pivots and the same dependent rows.  Optional tag bits
+below the row part record which inserted rows a reduction combined, so the
+same basis solves linear systems and inverts matrices.
+
+The results of rank, invert, systematic_form and null_space_basis do not
+depend on the pivot order.  The rank and the inverse are unique.
+systematic_form and null_space_basis come from one pass over the columns, left
+to right, each column tagged with its own index.  A column that is independent
+of the columns before it is a pivot of the reduced row echelon form (RREF).  A
+dependent column's leftover tag is its unique expression over the earlier
+pivot columns, which is also what the RREF records in that column.  Both
+outputs are therefore the canonical RREF, whatever order elimination runs in.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ __all__ = [
     "BitMatrix",
     "ShapeError",
     "RankDeficiencyError",
+    "EchelonBasis",
     "mat_mul",
     "mul_vec",
     "rank",
@@ -145,12 +159,6 @@ class BitMatrix:
         return (BitMatrix, (self.rows, self.cols, self.row_support))
 
     @classmethod
-    def from_dense(cls, dense: Sequence[Sequence[int]]) -> "BitMatrix":
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 1
-        return cls(rows, cols, [[j for j, v in enumerate(r) if v] for r in dense])
-
-    @classmethod
     def from_bitrows(cls, rows: int, cols: int, bitrows: Sequence[int]) -> "BitMatrix":
         return cls(rows, cols, [_bit_indices(b) for b in bitrows])
 
@@ -178,14 +186,6 @@ class BitMatrix:
 
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self.bitrows()[i])
-
-    def to_dense(self) -> list[list[int]]:
-        return [[1 if c in set(sup) else 0 for c in range(self.cols)]
-                for sup in self.row_support]
-
-    def density(self) -> float:
-        nnz = sum(len(s) for s in self.row_support)
-        return nnz / (self.rows * self.cols) if self.rows else 0.0
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BitMatrix) and self.rows == other.rows
@@ -246,63 +246,105 @@ def transpose(a: BitMatrix) -> BitMatrix:
     return BitMatrix(a.cols, a.rows, cols)
 
 
-def _row_reduce(bitrows: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """In-place RREF on packed rows.  Returns (reduced rows, pivot columns).
+class EchelonBasis:
+    """Incremental row-echelon basis of packed rows, each keyed by its
+    highest set bit.
 
-    Deterministic: scans columns left to right, picks the topmost unused row with
-    a one in the pivot column, eliminates above and below.
+    With tag_bits = t, the low t bits of every row are a tag rather than part
+    of the row: insert ``row << t | tag``, and a reduction accumulates the
+    tags of the rows it combines.  While the row part is non-zero its highest
+    bit lies above the tag, so a pivot never falls in the tag bits.
     """
-    rows = list(bitrows)
-    pivot_cols: list[int] = []
-    pivot_rows: list[int] = []
-    next_row = 0
-    for col in range(cols):
-        mask = 1 << col
-        pivot = None
-        for r in range(next_row, len(rows)):
-            if rows[r] & mask:
-                pivot = r
+
+    __slots__ = ("tag_bits", "_rows")
+
+    def __init__(self, tag_bits: int = 0):
+        self.tag_bits = tag_bits
+        self._rows: dict[int, int] = {}   # pivot bit -> row
+
+    @classmethod
+    def tagged(cls, rows: Sequence[int]) -> "EchelonBasis":
+        """Basis of `rows`, row i tagged 1 << i, so that solve(target) returns
+        the set of rows summing to target."""
+        basis = cls(len(rows))
+        for i, bits in enumerate(rows):
+            basis.insert(bits << len(rows) | 1 << i)
+        return basis
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def reduce(self, bits: int) -> int:
+        """bits minus basis rows, from the top, until its row part is zero or
+        its highest bit is not a pivot."""
+        rows, t = self._rows, self.tag_bits
+        while (top := bits.bit_length() - 1) >= t:
+            row = rows.get(top)
+            if row is None:
                 break
-        if pivot is None:
-            continue
-        rows[next_row], rows[pivot] = rows[pivot], rows[next_row]
-        prow = rows[next_row]
-        for r in range(len(rows)):
-            if r != next_row and rows[r] & mask:
-                rows[r] ^= prow
-        pivot_cols.append(col)
-        pivot_rows.append(next_row)
-        next_row += 1
-        if next_row == len(rows):
-            break
-    return rows, pivot_cols
+            bits ^= row
+        return bits
+
+    def insert(self, bits: int) -> bool:
+        """Add a row; False, leaving the basis unchanged, when its row part is
+        already in the span."""
+        bits = self.reduce(bits)
+        if bits.bit_length() <= self.tag_bits:
+            return False
+        self._rows[bits.bit_length() - 1] = bits
+        return True
+
+    def solve(self, target: int) -> int:
+        """Tag of inserted rows whose row parts sum to target; ValueError when
+        target lies outside their span."""
+        bits = self.reduce(target << self.tag_bits)
+        if bits.bit_length() > self.tag_bits:
+            raise ValueError("target lies outside the span of the basis")
+        return bits
+
+    def pivots(self) -> list[int]:
+        """Pivot positions within the row part, ascending."""
+        return sorted(p - self.tag_bits for p in self._rows)
+
+
+def _column_basis(a: BitMatrix) -> tuple[EchelonBasis, list[int], list[int]]:
+    """One pass over a's columns, left to right, column c tagged 1 << c.
+
+    Returns (basis, pivot columns, null vectors).  The basis solves a x = y
+    for x.  Each dependent column f yields the null vector made of f and the
+    earlier pivot columns that sum to it, in ascending order of f.
+    """
+    cols = [0] * a.cols
+    for i, sup in enumerate(a.row_support):
+        for c in sup:
+            cols[c] |= 1 << i
+    basis = EchelonBasis(a.cols)
+    pivots, null = [], []
+    for c, bits in enumerate(cols):
+        left = basis.reduce(bits << a.cols | 1 << c)
+        if basis.insert(left):
+            pivots.append(c)
+        else:
+            null.append(left)
+    return basis, pivots, null
 
 
 def rank(a: BitMatrix) -> int:
-    _, pivots = _row_reduce(list(a.bitrows()), a.cols)
-    return len(pivots)
-
-
-def _invert_rows(bitrows: Sequence[int], n: int) -> list[int]:
-    """Packed rows of the inverse of the n x n matrix given as packed rows.
-
-    Works on raw row ints so that dense inverses of large matrices never
-    materialize per-row supports.  Raises RankDeficiencyError (carrying the
-    computed rank) when the matrix is singular.
-    """
-    aug = [bits | 1 << (n + i) for i, bits in enumerate(bitrows)]
-    reduced, pivots = _row_reduce(aug, n)
-    if len(pivots) < n:
-        raise RankDeficiencyError(
-            f"matrix {n}x{n} has rank {len(pivots)} < {n}", len(pivots))
-    return [bits >> n for bits in reduced[:n]]
+    basis = EchelonBasis()
+    return sum(basis.insert(bits) for bits in a.bitrows())
 
 
 def invert(a: BitMatrix) -> BitMatrix:
-    """Inverse of a square full-rank matrix over GF(2)."""
+    """Inverse of a square full-rank matrix over GF(2).  Raises
+    RankDeficiencyError (carrying the computed rank) when a is singular."""
     if a.rows != a.cols:
         raise ShapeError(f"cannot invert non-square {a.rows}x{a.cols}")
-    return BitMatrix.from_bitrows(a.rows, a.cols, _invert_rows(a.bitrows(), a.rows))
+    n = a.rows
+    basis = EchelonBasis.tagged(a.bitrows())
+    if len(basis) < n:
+        raise RankDeficiencyError(
+            f"matrix {n}x{n} has rank {len(basis)} < {n}", len(basis))
+    return BitMatrix.from_bitrows(n, n, [basis.solve(1 << j) for j in range(n)])
 
 
 def systematic_form(a: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
@@ -314,37 +356,24 @@ def systematic_form(a: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     the result equals the row space of permute(a, identity, col_perm).
     Raises RankDeficiencyError (carrying the computed rank) on rank < rows.
     """
-    reduced, pivots = _row_reduce(list(a.bitrows()), a.cols)
+    _, pivots, null = _column_basis(a)
     if len(pivots) < a.rows:
         raise RankDeficiencyError(
             f"matrix {a.rows}x{a.cols} has rank {len(pivots)} < {a.rows}", len(pivots))
-    pivot_set = set(pivots)
-    col_perm = tuple(pivots) + tuple(c for c in range(a.cols) if c not in pivot_set)
-    out = []
-    for bits in reduced[: a.rows]:
-        permuted = 0
-        for new_c, old_c in enumerate(col_perm):
-            if bits >> old_c & 1:
-                permuted |= 1 << new_c
-        out.append(permuted)
-    return BitMatrix.from_bitrows(a.rows, a.cols, out), col_perm
+    # RREF row j holds a one in free column f when f's null vector uses pivot j
+    row_of = {c: j for j, c in enumerate(pivots)}
+    rows = [[j] for j in range(a.rows)]
+    for k, vec in enumerate(null):
+        for c in _bit_indices(vec)[:-1]:
+            rows[row_of[c]].append(a.rows + k)
+    free = tuple(vec.bit_length() - 1 for vec in null)
+    return BitMatrix(a.rows, a.cols, rows), tuple(pivots) + free
 
 
 def null_space_basis(a: BitMatrix) -> BitMatrix:
     """Basis of {v : a v^T = 0} as rows; cols - rank(a) rows (possibly zero)."""
-    reduced, pivots = _row_reduce(list(a.bitrows()), a.cols)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(a.cols) if c not in pivot_set]
-    basis = []
-    for free in free_cols:
-        vec = 1 << free
-        # pivot row r has its pivot at pivots[r]; coefficient is that row's entry
-        # in the free column.
-        for r, pc in enumerate(pivots):
-            if reduced[r] >> free & 1:
-                vec |= 1 << pc
-        basis.append(vec)
-    return BitMatrix.from_bitrows(len(basis), a.cols, basis)
+    null = _column_basis(a)[2]
+    return BitMatrix.from_bitrows(len(null), a.cols, null)
 
 
 def permute(a: BitMatrix, row_perm: Sequence[int], col_perm: Sequence[int]) -> BitMatrix:

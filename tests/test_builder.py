@@ -291,6 +291,20 @@ class TestBuildRoundtrip:
         with pytest.raises(ValueError, match="do not stack"):
             load_code(tmp_path / "code")
 
+    def test_load_rejects_populated_middle_block(self, tiny_code, tmp_path):
+        save_code(tiny_code, tmp_path / "code")
+        # column 26 (1-based) lies in the quantization check's zero middle
+        # block; adding it to both saved copies of row 0 keeps them stacked
+        for name in ("h.txt", "h1.txt"):
+            path = tmp_path / "code" / name
+            lines = path.read_text().split("\n")
+            row = [int(tok) for tok in lines[1].split()]
+            assert 26 not in row
+            lines[1] = " ".join(str(c) for c in sorted(row + [26]))
+            path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match="middle zero block"):
+            load_code(tmp_path / "code")
+
     def test_rates(self, tiny_code):
         r1, r2, rt = tiny_code.rates
         assert r1 == TINY_PARAMS.info_rows / TINY_PARAMS.n

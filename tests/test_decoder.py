@@ -162,6 +162,11 @@ class TestCosetMembers:
         members = coset_members(h, BitVector(3, 0))
         assert any(m.bits == 0 for m in members)
 
+    def test_empty_coset_raises(self):
+        h = BitMatrix(2, 3, [[0, 1], [0, 1]])  # equal rows, unequal syndrome
+        with pytest.raises(ValueError, match="empty coset"):
+            coset_members(h, BitVector(2, 0b01))
+
     def test_enumeration_limit(self):
         cols = COSET_ENUM_LIMIT + 2
         h = BitMatrix(1, cols, [[0]])

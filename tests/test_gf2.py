@@ -2,14 +2,15 @@
 
 import io
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from wzkit.gf2 import (BitMatrix, BitVector, RankDeficiencyError, ShapeError,
-                       identity, invert, mat_mul, mul_vec, null_space_basis,
-                       permute, rank, read_matrix, systematic_form, transpose,
-                       write_matrix)
+from wzkit.gf2 import (BitMatrix, BitVector, EchelonBasis, RankDeficiencyError,
+                       ShapeError, identity, invert, mat_mul, mul_vec,
+                       null_space_basis, permute, rank, read_matrix,
+                       systematic_form, transpose, write_matrix)
 
 
 def random_matrix(rng, rows, cols, density=0.5):
@@ -20,6 +21,164 @@ def random_matrix(rng, rows, cols, density=0.5):
 
 def dense(a):
     return [[(bits >> c) & 1 for c in range(a.cols)] for bits in a.bitrows()]
+
+
+def reference_row_reduce(bitrows, cols):
+    """The RREF that rank, invert, systematic_form and null_space_basis used
+    before they moved onto EchelonBasis; kept as their reference.  Scans
+    columns left to right, picks the topmost unused row with a one in the
+    pivot column, eliminates above and below."""
+    rows = list(bitrows)
+    pivot_cols = []
+    next_row = 0
+    for col in range(cols):
+        mask = 1 << col
+        pivot = None
+        for r in range(next_row, len(rows)):
+            if rows[r] & mask:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[next_row], rows[pivot] = rows[pivot], rows[next_row]
+        prow = rows[next_row]
+        for r in range(len(rows)):
+            if r != next_row and rows[r] & mask:
+                rows[r] ^= prow
+        pivot_cols.append(col)
+        next_row += 1
+        if next_row == len(rows):
+            break
+    return rows, pivot_cols
+
+
+def reference_rank(a):
+    return len(reference_row_reduce(a.bitrows(), a.cols)[1])
+
+
+def reference_invert(a):
+    n = a.rows
+    aug = [bits | 1 << (n + i) for i, bits in enumerate(a.bitrows())]
+    reduced, pivots = reference_row_reduce(aug, n)
+    if len(pivots) < n:
+        raise RankDeficiencyError("singular", len(pivots))
+    return BitMatrix.from_bitrows(n, n, [bits >> n for bits in reduced[:n]])
+
+
+def reference_systematic_form(a):
+    reduced, pivots = reference_row_reduce(a.bitrows(), a.cols)
+    if len(pivots) < a.rows:
+        raise RankDeficiencyError("rank deficient", len(pivots))
+    col_perm = tuple(pivots) + tuple(c for c in range(a.cols) if c not in pivots)
+    out = []
+    for bits in reduced[:a.rows]:
+        out.append(sum(1 << new_c for new_c, old_c in enumerate(col_perm)
+                       if bits >> old_c & 1))
+    return BitMatrix.from_bitrows(a.rows, a.cols, out), col_perm
+
+
+def reference_null_space_basis(a):
+    reduced, pivots = reference_row_reduce(a.bitrows(), a.cols)
+    basis = []
+    for free in (c for c in range(a.cols) if c not in pivots):
+        vec = 1 << free
+        for r, pc in enumerate(pivots):
+            if reduced[r] >> free & 1:
+                vec |= 1 << pc
+        basis.append(vec)
+    return BitMatrix.from_bitrows(len(basis), a.cols, basis)
+
+
+def elimination_cases():
+    """Random square, tall and wide matrices, a third of them with a row
+    forced to be the sum of two others, plus edge shapes."""
+    rng = random.Random(2718)
+    cases = [BitMatrix(0, 1, []), BitMatrix(0, 5, []), BitMatrix(1, 1, [[0]]),
+             BitMatrix(1, 1, [[]]), BitMatrix(4, 1, [[0], [], [0], [0]]),
+             BitMatrix(3, 1, [[], [], []]), identity(7),
+             BitMatrix(3, 3, [[0, 1], [1, 2], [0, 2]])]
+    for _ in range(400):
+        rows = rng.randint(1, 12)
+        cols = rng.choice([rows, rng.randint(1, rows), rng.randint(rows, 14)])
+        a = random_matrix(rng, rows, cols, density=rng.choice([0.2, 0.5, 0.8]))
+        if rows > 2 and rng.random() < 0.3:
+            bits = list(a.bitrows())
+            i, j, k = rng.sample(range(rows), 3)
+            bits[k] = bits[i] ^ bits[j]
+            a = BitMatrix.from_bitrows(rows, cols, bits)
+        cases.append(a)
+    return cases
+
+
+def outcome(fn, a):
+    try:
+        return "solved", fn(a)
+    except RankDeficiencyError as e:
+        return "rank deficient", e.rank
+
+
+@pytest.mark.parametrize("fn, reference", [
+    (rank, reference_rank),
+    (invert, reference_invert),
+    (systematic_form, reference_systematic_form),
+    (null_space_basis, reference_null_space_basis),
+], ids=["rank", "invert", "systematic_form", "null_space_basis"])
+def test_elimination_matches_reference(fn, reference):
+    kinds = Counter()
+    for a in elimination_cases():
+        if fn is invert and a.rows != a.cols:
+            continue
+        got = outcome(fn, a)
+        assert got == outcome(reference, a), a.row_support
+        kinds[got[0]] += 1
+    assert kinds["solved"] > 20
+    if fn in (invert, systematic_form):
+        assert kinds["rank deficient"] > 20
+
+
+def test_null_space_basis_of_empty_matrix_is_identity():
+    assert null_space_basis(BitMatrix(0, 5, [])) == identity(5)
+
+
+class TestEchelonBasis:
+    def test_dependent_insert_leaves_basis_unchanged(self):
+        basis = EchelonBasis()
+        assert basis.insert(0b1100) and basis.insert(0b0110)
+        state = [basis.reduce(x) for x in range(16)]
+        assert not basis.insert(0b1010)
+        assert not basis.insert(0)
+        assert len(basis) == 2 and basis.pivots() == [2, 3]
+        assert [basis.reduce(x) for x in range(16)] == state
+
+    def test_pivots_on_highest_bit(self):
+        basis = EchelonBasis(2)
+        assert basis.insert(0b101 << 2 | 0b01)
+        assert basis.insert(0b001 << 2 | 0b10)
+        assert basis.pivots() == [0, 2]
+        # the row part clears; the tag left over names both rows
+        assert basis.reduce(0b100 << 2) == 0b11
+
+    def test_solve_recovers_tag_combination(self):
+        rng = random.Random(5)
+        rows = [rng.getrandbits(20) for _ in range(8)]
+        basis = EchelonBasis.tagged(rows)
+        assert len(basis) == 8
+        for _ in range(50):
+            combo = rng.getrandbits(8)
+            target = 0
+            for i in range(8):
+                if combo >> i & 1:
+                    target ^= rows[i]
+            assert basis.solve(target) == combo
+
+    def test_solve_raises_outside_span(self):
+        basis = EchelonBasis.tagged([0b011, 0b110])
+        assert basis.solve(0b101) == 0b11
+        assert basis.solve(0) == 0
+        with pytest.raises(ValueError):
+            basis.solve(0b001)
+        with pytest.raises(ValueError):
+            basis.solve(0b1000)
 
 
 def dense_mul(a, b):
