@@ -12,9 +12,7 @@ from .gf2 import (BitMatrix, BitVector, EchelonBasis, RankDeficiencyError,
                   systematic_form, transpose, write_matrix)
 from .degrees import (CatalogEntry, DegreeDistribution, PoissonCounts,
                       PoissonWeightSpec, design_rate, load_catalog,
-                      parse_catalog, parse_distribution, parse_polynomial,
-                      poisson_counts, serialize_distribution,
-                      serialize_polynomial)
+                      parse_catalog, parse_polynomial, poisson_counts)
 from .builder import (CodeParams, CompoundCode, ParamValidationError,
                       ValidationReport, all_one_diagonalize, assemble_compound,
                       build_compound_code, design_poisson_generator,
@@ -42,9 +40,8 @@ __all__ = [
     "transpose", "write_matrix",
     # degrees
     "CatalogEntry", "DegreeDistribution", "PoissonCounts", "PoissonWeightSpec",
-    "design_rate", "load_catalog", "parse_catalog", "parse_distribution",
-    "parse_polynomial", "poisson_counts", "serialize_distribution",
-    "serialize_polynomial",
+    "design_rate", "load_catalog", "parse_catalog", "parse_polynomial",
+    "poisson_counts",
     # builder
     "CodeParams", "CompoundCode", "ParamValidationError", "ValidationReport",
     "all_one_diagonalize", "assemble_compound", "build_compound_code",

@@ -433,8 +433,7 @@ def all_one_diagonalize(a: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]
     return tuple(range(a.rows)), col_perm
 
 
-def assemble_compound(a: BitMatrix, params: CodeParams
-                      ) -> tuple[BitMatrix, BitMatrix, BitMatrix]:
+def assemble_compound(a: BitMatrix, params: CodeParams) -> BitMatrix:
     """Mirror the all-one-diagonal half into the full outer matrix.
 
     Output rows i < half_rows read (e_i | a0_i), the rest (a0_j | e_j), where
@@ -450,47 +449,43 @@ def assemble_compound(a: BitMatrix, params: CodeParams
     a0 = [tuple(c for c in sup if c != i) for i, sup in enumerate(a.row_support)]
     top = [(i,) + tuple(hc + c for c in a0[i]) for i in range(hr)]
     bottom = [a0[j] + (hc + j,) for j in range(hr)]
-    rows = top + bottom
-    h = BitMatrix(2 * hr, 2 * hc, rows)
-    split = params.quant_checks
-    h1 = BitMatrix(split, 2 * hc, rows[:split])
-    h2 = BitMatrix(2 * hr - split, 2 * hc, rows[split:])
-    return h, h1, h2
+    return BitMatrix(2 * hr, 2 * hc, top + bottom)
 
 
-def _b_columns(h1: BitMatrix, params: CodeParams) -> list[int]:
-    """Columns of B, packed over h1's rows, after checking that the
-    quantization check h1 has the (identity | zeros | B) shape the mirrored
-    construction produces; raises ValueError when it does not."""
-    r = h1.rows
+def _b_columns(h: BitMatrix, params: CodeParams) -> list[int]:
+    """Columns of B, packed over the quantization rows (the top quant_checks
+    rows of h), after checking that those rows have the (identity | zeros | B)
+    shape the mirrored construction produces; raises ValueError when they do
+    not."""
+    r = params.quant_checks
     o_width = params.info_rows - params.n // 2
     if o_width < 0:
         raise ValueError("middle segment has negative width: n//2 > m - k1")
     o_end = r + o_width
-    for i, sup in enumerate(h1.row_support):
-        head = [c for c in sup if c < r]
-        if head != [i]:
+    bcols = [0] * (h.cols - o_end)
+    for i, sup in zip(range(r), h.row_support):
+        if [c for c in sup if c < r] != [i]:
             raise ValueError(f"row {i}: leading block is not the identity")
-        if any(r <= c < o_end for c in sup):
-            raise ValueError(f"row {i}: middle zero block is populated")
-    bcols = [0] * (h1.cols - o_end)
-    for i, sup in enumerate(h1.row_support):
         for c in sup:
             if c >= o_end:
                 bcols[c - o_end] |= 1 << i
+            elif c >= r:
+                raise ValueError(f"row {i}: middle zero block is populated")
     return bcols
 
 
-def design_poisson_generator(h1: BitMatrix, params: CodeParams,
+def design_poisson_generator(h: BitMatrix, params: CodeParams,
                              seed: int) -> BitMatrix:
-    """Rows spanning the null space of h1 with Poisson-profiled weights.
+    """Rows spanning the null space of the quantization check with
+    Poisson-profiled weights.
 
-    h1 must have the (identity | zeros | B) shape the mirrored construction
-    produces.  Each row takes zeta ones in the tail segment, the induced
-    parity pattern B m2 up front, and padding ones in the middle segment that
-    lift the total weight to its slot in the sorted Poisson sequence (slots and
-    rows are both weight-sorted before pairing; a padding weight of
-    max(0, a - parity - zeta) keeps every row at or under poisson_imax).
+    The quantization rows of h must have the (identity | zeros | B) shape the
+    mirrored construction produces.  Each row takes zeta ones in the tail
+    segment, the induced parity pattern B m2 up front, and padding ones in the
+    middle segment that lift the total weight to its slot in the sorted
+    Poisson sequence (slots and rows are both weight-sorted before pairing; a
+    padding weight of max(0, a - parity - zeta) keeps every row at or under
+    poisson_imax).
     Dependent or overweight candidates redraw the padding positions up to
     M1_REDRAWS times, then the tail segment up to M2_REDRAWS times.
 
@@ -500,10 +495,10 @@ def design_poisson_generator(h1: BitMatrix, params: CodeParams,
     therefore retries with a tail of weight zeta - 1, which restores the
     missing odd-parity dimension while keeping the row weight on target.
     """
-    r = h1.rows
-    n = h1.cols
+    r = params.quant_checks
+    n = h.cols
     info = params.info_rows
-    bcols = _b_columns(h1, params)
+    bcols = _b_columns(h, params)
     o_width = info - params.n // 2
     o_end = r + o_width
     b_width = n - o_end
@@ -574,13 +569,26 @@ def design_poisson_generator(h1: BitMatrix, params: CodeParams,
 
 @dataclass(frozen=True)
 class CompoundCode:
+    """A built code: the outer check h and the generator g1 spanning the null
+    space of its quantization rows."""
+
     params: CodeParams
     h: BitMatrix
-    h1: BitMatrix
-    h2: BitMatrix
     g1: BitMatrix
     seed: int
     dist_id: str = ""
+
+    @cached_property
+    def h1(self) -> BitMatrix:
+        """The quantization check: the top quant_checks rows of h."""
+        return BitMatrix(self.params.quant_checks, self.h.cols,
+                         self.h.row_support[:self.params.quant_checks])
+
+    @cached_property
+    def h2(self) -> BitMatrix:
+        """The syndrome check: the k2 rows of h below h1."""
+        return BitMatrix(self.params.k2, self.h.cols,
+                         self.h.row_support[self.params.quant_checks:])
 
     @property
     def rates(self) -> tuple[float, float, float]:
@@ -600,7 +608,7 @@ def _verify_generator(code: CompoundCode) -> None:
     p = code.params
     r = p.quant_checks
     o_end = r + (p.info_rows - p.n // 2)
-    bcols = _b_columns(code.h1, p)
+    bcols = _b_columns(code.h, p)
     for j, sup in enumerate(code.g1.row_support):
         head = 0
         parity = 0
@@ -627,18 +635,18 @@ def build_compound_code(params: CodeParams, dist: DegreeDistribution, seed: int,
     half = peg_generate(params.half_rows, params.half_cols, dist, seed_peg)
     row_perm, col_perm = all_one_diagonalize(half)
     half = permute(half, row_perm, col_perm)
-    h, h1, h2 = assemble_compound(half, params)
-    g1 = design_poisson_generator(h1, params, seed_gen)
-    code = CompoundCode(params, h, h1, h2, g1, seed, dist_id)
+    h = assemble_compound(half, params)
+    g1 = design_poisson_generator(h, params, seed_gen)
+    code = CompoundCode(params, h, g1, seed, dist_id)
     _verify_generator(code)
     return code
 
 
 def save_code(code: CompoundCode, directory: str | Path) -> None:
+    """Write manifest.json, h.txt and g1.txt into directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for name, mat in (("h", code.h), ("h1", code.h1), ("h2", code.h2),
-                      ("g1", code.g1)):
+    for name, mat in (("h", code.h), ("g1", code.g1)):
         with open(directory / f"{name}.txt", "w", encoding="utf-8") as f:
             write_matrix(f, mat)
     r1, r2, rt = code.rates
@@ -652,17 +660,25 @@ def save_code(code: CompoundCode, directory: str | Path) -> None:
 
 
 def load_code(directory: str | Path) -> CompoundCode:
+    """Read a directory written by save_code, checking it as thoroughly as a
+    fresh build: the geometry, both matrix shapes, the quantization check's
+    block shape and the generator's orthogonality to it.  The h1.txt and
+    h2.txt files of older directories, copies of h's rows, are not read."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     params = CodeParams(**manifest["params"])
+    report = validate_params(params)
+    if not report.ok:
+        raise ParamValidationError(report)
     mats = {}
-    for name in ("h", "h1", "h2", "g1"):
+    for name, rows in (("h", params.outer_checks), ("g1", params.info_rows)):
         with open(directory / f"{name}.txt", encoding="utf-8") as f:
-            mats[name] = read_matrix(f)
-    code = CompoundCode(params, mats["h"], mats["h1"], mats["h2"], mats["g1"],
-                        manifest["seed"], manifest.get("dist_id", ""))
-    if (code.h.row_support != code.h1.row_support + code.h2.row_support
-            or not code.h.cols == code.h1.cols == code.h2.cols):
-        raise ValueError("loaded halves do not stack to the outer matrix")
+            mat = read_matrix(f)
+        if (mat.rows, mat.cols) != (rows, params.n):
+            raise ValueError(f"{name}.txt is {mat.rows}x{mat.cols}, "
+                             f"expected {rows}x{params.n}")
+        mats[name] = mat
+    code = CompoundCode(params, mats["h"], mats["g1"], manifest["seed"],
+                        manifest.get("dist_id", ""))
     _verify_generator(code)
     return code

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from argparse import SUPPRESS
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -77,20 +79,21 @@ def _resolve_dist(args) -> CatalogEntry:
     return catalog[args.dist]
 
 
-def _bip_from_args(args) -> BipParams:
-    return BipParams(gamma=args.gamma, threshold=args.threshold,
-                     iters_per_round=args.iters_per_round,
-                     damping=args.damping, warm_start=args.warm_start)
+def _given(source: dict, cls) -> dict:
+    """The fields of dataclass cls that source holds; the rest keep cls's
+    own defaults."""
+    return {f.name: source[f.name] for f in fields(cls) if f.name in source}
 
 
 def _add_bip_args(sub) -> None:
-    sub.add_argument("--gamma", type=float, default=None,
+    # flags left out stay out of the namespace, so BipParams supplies them
+    sub.add_argument("--gamma", type=float, default=SUPPRESS,
                      help="source confidence (default: twice the generator rate)")
-    sub.add_argument("--threshold", type=float, default=0.8)
-    sub.add_argument("--iters-per-round", type=int, default=25)
-    sub.add_argument("--damping", type=float, default=None,
+    sub.add_argument("--threshold", type=float, default=SUPPRESS)
+    sub.add_argument("--iters-per-round", type=int, default=SUPPRESS)
+    sub.add_argument("--damping", type=float, default=SUPPRESS,
                      help="message damping (default: 0.5 with 4-cycles, else 0)")
-    sub.add_argument("--warm-start", action="store_true",
+    sub.add_argument("--warm-start", action="store_true", default=SUPPRESS,
                      help="carry messages across decimation rounds")
 
 
@@ -117,10 +120,11 @@ def _cmd_quantize(args) -> int:
     code = load_code(args.code)
     words = _read_words(args.infile, code.params.n)
     qz = code.quantizer
+    bip = BipParams(**_given(vars(args), BipParams))
     out = []
     total = 0.0
     for w in words:
-        res = qz.quantize(w, _bip_from_args(args))
+        res = qz.quantize(w, bip)
         out.append(qz.coefficients(res.word))
         total += res.distortion
     _write_words(args.out, out)
@@ -131,10 +135,11 @@ def _cmd_quantize(args) -> int:
 def _cmd_encode(args) -> int:
     code = load_code(args.code)
     words = _read_words(args.infile, code.params.n)
+    bip = BipParams(**_given(vars(args), BipParams))
     syndromes = []
     total = 0.0
     for w in words:
-        res = encode(code, w, _bip_from_args(args))
+        res = encode(code, w, bip)
         syndromes.append(res.syndrome)
         total += res.distortion
     _write_words(args.out, syndromes)
@@ -147,7 +152,7 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     code = load_code(args.code)
     side = _read_words(args.side, code.params.n)
-    syndromes = _read_words(args.syndrome, code.h2.rows)
+    syndromes = _read_words(args.syndrome, code.params.k2)
     if len(side) != len(syndromes):
         raise UsageError(f"{len(side)} side words vs {len(syndromes)} syndromes")
     out = []
@@ -174,12 +179,8 @@ def _experiment_from(entry: dict, index: int) -> tuple[ExperimentConfig, str, in
     config = ExperimentConfig(
         code_id=entry["code_id"], params=params, p=entry["p"],
         trials=entry["trials"], seed=entry["seed"],
-        gamma=entry.get("gamma"), threshold=entry.get("threshold", 0.8),
-        iters_per_round=entry.get("iters_per_round", 25),
-        damping=entry.get("damping"),
-        warm_start=entry.get("warm_start", False),
-        max_iter=entry.get("max_iter", 100),
-        crossover=entry.get("crossover"))
+        bip=BipParams(**_given(entry, BipParams)),
+        **{k: entry[k] for k in ("max_iter", "crossover") if k in entry})
     return config, entry["dist"], entry.get("build_seed", entry["seed"])
 
 

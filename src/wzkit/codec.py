@@ -22,8 +22,8 @@ from scipy.optimize import brentq
 
 from .builder import CodeParams, CompoundCode, _b_columns
 from .decoder import SpParams, sp_decode
-from .gf2 import (BitMatrix, BitVector, EchelonBasis, ShapeError, _bit_indices,
-                  mul_vec)
+from .gf2 import (BitMatrix, BitVector, EchelonBasis, RankDeficiencyError,
+                  ShapeError, _bit_indices, mul_vec)
 from .quantizer import BipParams, _resolve, bip_quantize, generator_codeword
 
 __all__ = [
@@ -148,9 +148,9 @@ class CompoundQuantizer:
 
     def __init__(self, code: CompoundCode):
         params = code.params
-        r = code.h1.rows
+        r = params.quant_checks
         mid = params.info_rows - params.n // 2
-        sub_cols = [_bit_indices(bits) for bits in _b_columns(code.h1, params)]
+        sub_cols = [_bit_indices(bits) for bits in _b_columns(code.h, params)]
         self.g1 = code.g1
         self.n = params.n
         self.parity_width = r
@@ -186,13 +186,19 @@ class CompoundQuantizer:
 
         The map from coefficients to the free blocks of a codeword is square
         and invertible.  The first call builds a basis of the generator's
-        free blocks, tagged by row; every call then solves for u on it.
+        free blocks, tagged by row, and raises RankDeficiencyError when the
+        rows are dependent; every call then solves for u on it.
         """
         if word.length != self.n:
             raise ShapeError(f"word length {word.length} != n {self.n}")
         if self._coeff_basis is None:
-            self._coeff_basis = EchelonBasis.tagged(
+            basis = EchelonBasis.tagged(
                 [bits >> self.parity_width for bits in self.g1.bitrows()])
+            if len(basis) < self.g1.rows:
+                raise RankDeficiencyError(
+                    f"generator rows are dependent: rank {len(basis)} "
+                    f"of {self.g1.rows}", len(basis))
+            self._coeff_basis = basis
         return BitVector(self.g1.rows,
                          self._coeff_basis.solve(word.bits >> self.parity_width))
 
@@ -222,9 +228,10 @@ def decode(code: CompoundCode, side_info: BitVector, syndrome: BitVector,
     full syndrome is the transmitted part prefixed by zeros, the quantization
     checks being satisfied by construction.
     """
-    if syndrome.length != code.h2.rows:
-        raise ValueError(f"syndrome must have {code.h2.rows} bits")
-    full = BitVector(code.h.rows, syndrome.bits << code.h1.rows)
+    p = code.params
+    if syndrome.length != p.k2:
+        raise ValueError(f"syndrome must have {p.k2} bits")
+    full = BitVector(code.h.rows, syndrome.bits << p.quant_checks)
     params = sp if sp is not None else SpParams(crossover=crossover)
     return sp_decode(code.h, full, side_info, params)
 
@@ -238,12 +245,8 @@ class ExperimentConfig:
     p: float
     trials: int
     seed: int
-    gamma: float | None = None
-    threshold: float = 0.8
-    iters_per_round: int = 25
-    damping: float | None = None
-    warm_start: bool = False
-    max_iter: int = 100
+    bip: BipParams = BipParams()
+    max_iter: int = SpParams.max_iter
     crossover: float | None = None   # decoder estimate override
 
     def __post_init__(self):
@@ -251,11 +254,6 @@ class ExperimentConfig:
             raise ValueError(f"p must lie in (0, 0.5), got {self.p}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-
-    def bip_params(self) -> BipParams:
-        return BipParams(gamma=self.gamma, threshold=self.threshold,
-                         iters_per_round=self.iters_per_round,
-                         damping=self.damping, warm_start=self.warm_start)
 
 
 @dataclass(frozen=True)
@@ -324,7 +322,7 @@ def _decode_trial(code: CompoundCode, trial: int, side_bits: int,
                   max_iter: int) -> _DecodeOut:
     n = code.params.n
     res = decode(code, BitVector(n, side_bits),
-                 BitVector(code.h2.rows, syndrome_bits),
+                 BitVector(code.params.k2, syndrome_bits),
                  crossover, SpParams(crossover=crossover, max_iter=max_iter))
     return _DecodeOut(trial, res.bits.bits, res.converged)
 
@@ -367,13 +365,13 @@ def run_experiment(code: CompoundCode, config: ExperimentConfig,
     if code.params != config.params:
         raise ValueError("config parameters do not match the supplied code")
     n = code.params.n
-    bip = config.bip_params()
     code.quantizer  # built here, a pool's workers receive it with the code
     pool = (ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                                 initargs=(code,)) if workers > 1 else None)
     with pool or nullcontext():
         encoded = _map_trials(pool, _encode_trial, code, [
-            (t, config.seed, config.p, bip) for t in range(config.trials)])
+            (t, config.seed, config.p, config.bip)
+            for t in range(config.trials)])
         running = 0.0
         dec_tasks = []
         for out in encoded:

@@ -16,9 +16,6 @@ __all__ = [
     "PoissonWeightSpec",
     "PoissonCounts",
     "parse_polynomial",
-    "serialize_polynomial",
-    "parse_distribution",
-    "serialize_distribution",
     "design_rate",
     "poisson_counts",
     "parse_catalog",
@@ -35,7 +32,7 @@ class DegreeDistribution:
     """Variable (lambda) and check (rho) edge fractions keyed by node degree.
 
     Terms are (node_degree, fraction) pairs with node_degree = exponent + 1;
-    the serialized text keeps the exponent convention.  Fractions on each side
+    the catalog text keeps the exponent convention.  Fractions on each side
     sum to one (renormalized at parse time when within tolerance).
     """
 
@@ -99,24 +96,6 @@ def parse_polynomial(text: str) -> tuple[tuple[int, float], ...]:
     if not terms:
         raise ValueError("empty polynomial")
     return tuple(sorted(terms))
-
-
-def serialize_polynomial(terms: tuple[tuple[int, float], ...]) -> str:
-    return " + ".join(f"{f:.10g} x^{d - 1}" for d, f in terms)
-
-
-def parse_distribution(text: str) -> DegreeDistribution:
-    """Parse the one-line "<lambda poly> | <rho poly>" form."""
-    parts = text.split("|")
-    if len(parts) != 2:
-        raise ValueError("expected '<lambda poly> | <rho poly>'")
-    lam = _normalized(list(parse_polynomial(parts[0])), "lambda")
-    rho = _normalized(list(parse_polynomial(parts[1])), "rho")
-    return DegreeDistribution(lam, rho)
-
-
-def serialize_distribution(dist: DegreeDistribution) -> str:
-    return f"{serialize_polynomial(dist.lambda_terms)} | {serialize_polynomial(dist.rho_terms)}"
 
 
 def design_rate(dist: DegreeDistribution) -> float:

@@ -1,18 +1,20 @@
 """Graph growth, diagonalization, mirroring, and generator design."""
 
 import hashlib
+import json
 import random
 from collections import Counter
 
 import pytest
 
 from conftest import SMALL_PARAMS, TINY_PARAMS, tiny_dist
-from wzkit.builder import (BFS_DEPTH_CAP, CodeParams, ParamValidationError,
-                           _check_degree_sequence, _node_degree_sequence,
-                           _repair_full_rank, all_one_diagonalize,
-                           assemble_compound, build_compound_code,
-                           design_poisson_generator, empirical_fractions,
-                           load_code, peg_generate, save_code, validate_params)
+from wzkit.builder import (BFS_DEPTH_CAP, CodeParams, CompoundCode,
+                           ParamValidationError, _check_degree_sequence,
+                           _node_degree_sequence, _repair_full_rank,
+                           all_one_diagonalize, assemble_compound,
+                           build_compound_code, design_poisson_generator,
+                           empirical_fractions, load_code, peg_generate,
+                           save_code, validate_params)
 from wzkit.degrees import DegreeDistribution
 from wzkit.gf2 import (BitMatrix, BitVector, _bit_indices, mat_mul, mul_vec,
                        permute, rank)
@@ -212,10 +214,14 @@ class TestAssembleCompound:
         half = BitMatrix(2, 3, [[0, 1], [1, 2]])
         params = CodeParams(n=6, m=5, k1=1, k2=2, zeta=1, poisson_lam=2.0,
                             poisson_imax=6)
-        h, h1, h2 = assemble_compound(half, params)
+        h = assemble_compound(half, params)
         assert h.row_support == ((0, 4), (1, 5), (1, 3), (2, 4))
-        assert h1.row_support == h.row_support[:2]
-        assert h2.row_support == h.row_support[2:]
+        # the quantization check is the top n - m + k1 = 2 rows
+        g1 = design_poisson_generator(h, params, seed=0)
+        code = CompoundCode(params, h, g1, seed=0)
+        assert code.h1.row_support == ((0, 4), (1, 5))
+        assert code.h2.row_support == ((1, 3), (2, 4))
+        assert code.h1.cols == code.h2.cols == 6
 
     def test_degree_multisets_doubled(self, small_code):
         half_rows = SMALL_PARAMS.half_rows
@@ -275,10 +281,43 @@ class TestBuildRoundtrip:
 
     def test_save_load_roundtrip(self, tiny_code, tmp_path):
         save_code(tiny_code, tmp_path / "code")
+        assert {f.name for f in (tmp_path / "code").iterdir()} == {
+            "manifest.json", "h.txt", "g1.txt"}
         loaded = load_code(tmp_path / "code")
         assert loaded.params == tiny_code.params
         assert (loaded.h, loaded.h1, loaded.h2, loaded.g1) == \
             (tiny_code.h, tiny_code.h1, tiny_code.h2, tiny_code.g1)
+
+    def test_load_ignores_stale_row_slice_files(self, tiny_code, tmp_path):
+        # older directories also hold h1.txt and h2.txt; even when they no
+        # longer match h, the code loads from h.txt and g1.txt alone
+        save_code(tiny_code, tmp_path / "code")
+        for name in ("h1.txt", "h2.txt"):
+            (tmp_path / "code" / name).write_text("1 96\n1\n\n")
+        assert load_code(tmp_path / "code") == tiny_code
+
+    @pytest.mark.parametrize("name", ["h", "g1"])
+    def test_load_rejects_matrix_missing_a_row(self, tiny_code, tmp_path,
+                                               name):
+        save_code(tiny_code, tmp_path / "code")
+        path = tmp_path / "code" / f"{name}.txt"
+        lines = path.read_text().split("\n")
+        rows, cols = map(int, lines[0].split())
+        lines[0] = f"{rows - 1} {cols}"
+        del lines[rows]
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=f"{name}.txt is {rows - 1}x96, "
+                           f"expected {rows}x96"):
+            load_code(tmp_path / "code")
+
+    def test_load_validates_manifest_geometry(self, tiny_code, tmp_path):
+        save_code(tiny_code, tmp_path / "code")
+        path = tmp_path / "code" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["params"]["n"] = 95
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ParamValidationError, match="n_even"):
+            load_code(tmp_path / "code")
 
     def test_load_rejects_outer_matrix_that_disagrees(self, tiny_code, tmp_path):
         save_code(tiny_code, tmp_path / "code")
@@ -288,20 +327,19 @@ class TestBuildRoundtrip:
         free = next(c for c in range(1, TINY_PARAMS.n + 1) if c not in row)
         lines[1] = " ".join(str(c) for c in sorted(row[1:] + [free]))
         path.write_text("\n".join(lines))
-        with pytest.raises(ValueError, match="do not stack"):
+        with pytest.raises(ValueError,
+                           match="leading block is not the identity"):
             load_code(tmp_path / "code")
 
     def test_load_rejects_populated_middle_block(self, tiny_code, tmp_path):
         save_code(tiny_code, tmp_path / "code")
-        # column 26 (1-based) lies in the quantization check's zero middle
-        # block; adding it to both saved copies of row 0 keeps them stacked
-        for name in ("h.txt", "h1.txt"):
-            path = tmp_path / "code" / name
-            lines = path.read_text().split("\n")
-            row = [int(tok) for tok in lines[1].split()]
-            assert 26 not in row
-            lines[1] = " ".join(str(c) for c in sorted(row + [26]))
-            path.write_text("\n".join(lines))
+        # column 26 (1-based) lies in the quantization check's zero middle block
+        path = tmp_path / "code" / "h.txt"
+        lines = path.read_text().split("\n")
+        row = [int(tok) for tok in lines[1].split()]
+        assert 26 not in row
+        lines[1] = " ".join(str(c) for c in sorted(row + [26]))
+        path.write_text("\n".join(lines))
         with pytest.raises(ValueError, match="middle zero block"):
             load_code(tmp_path / "code")
 

@@ -3,12 +3,13 @@
 import csv
 import json
 import random
+import shutil
 import time
 
 import pytest
 
 from conftest import TINY_CATALOG_TEXT, TINY_PARAMS
-from wzkit import cli
+from wzkit import cli, codec
 from wzkit.builder import load_code
 from wzkit.codec import CSV_COLUMNS, encode
 from wzkit.gf2 import BitVector
@@ -134,6 +135,34 @@ class TestQuantizeEncodeDecode:
                        "--in", str(bad), "--out", str(tmp_path / "o.txt")])
         assert rc == 1
 
+    def test_invalid_manifest_geometry_exits_two(self, workdir, tmp_path,
+                                                 capsys):
+        code_dir = tmp_path / "code"
+        shutil.copytree(workdir / "tiny-code", code_dir)
+        manifest = json.loads((code_dir / "manifest.json").read_text())
+        manifest["params"]["n"] = 95
+        (code_dir / "manifest.json").write_text(json.dumps(manifest))
+        rc = cli.main(["quantize", "--code", str(code_dir),
+                       "--in", str(workdir / "sources.txt"),
+                       "--out", str(tmp_path / "o.txt")])
+        assert rc == 2
+        assert "invalid: n_even" in capsys.readouterr().err
+
+    def test_dependent_generator_rows_named(self, workdir, tmp_path, capsys):
+        # a repeated row keeps g1's shape and its orthogonality to h1
+        code_dir = tmp_path / "code"
+        shutil.copytree(workdir / "tiny-code", code_dir)
+        path = code_dir / "g1.txt"
+        lines = path.read_text().split("\n")
+        lines[2] = lines[1]
+        path.write_text("\n".join(lines))
+        rc = cli.main(["quantize", "--code", str(code_dir),
+                       "--in", str(workdir / "sources.txt"),
+                       "--out", str(tmp_path / "o.txt")])
+        assert rc == 3
+        assert (f"rank {TINY_PARAMS.info_rows - 1} of {TINY_PARAMS.info_rows}"
+                in capsys.readouterr().err)
+
     def test_missing_code_dir_exits_three(self, workdir, tmp_path):
         rc = cli.main(["quantize", "--code", str(tmp_path / "nowhere"),
                        "--in", str(workdir / "sources.txt"),
@@ -192,6 +221,42 @@ class TestRun:
                        "--out", str(tmp_path / "o.csv")])
         assert rc == 1
         assert "seed" in capsys.readouterr().err
+
+    def test_quantizer_keys_reach_bip_quantize(self, workdir, tmp_path,
+                                               monkeypatch):
+        seen = []
+        real = codec.bip_quantize
+
+        def recording(g, source, params):
+            seen.append(params)
+            return real(g, source, params)
+
+        monkeypatch.setattr(codec, "bip_quantize", recording)
+        entry = dict(self.experiment(), threshold=0.6, iters_per_round=7)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiments": [entry]}))
+        rc = cli.main(["run", "--config", str(config),
+                       "--catalog", str(workdir / "catalog.txt"),
+                       "--out", str(tmp_path / "o.csv")])
+        assert rc == 0
+        assert len(seen) == entry["trials"]
+        assert {(p.threshold, p.iters_per_round, p.warm_start)
+                for p in seen} == {(0.6, 7, False)}
+
+    def test_invalid_quantizer_key_fails_before_build(self, workdir, tmp_path,
+                                                      monkeypatch, capsys):
+        builds = []
+        monkeypatch.setattr(cli, "build_compound_code",
+                            lambda *a, **k: builds.append(a))
+        entry = dict(self.experiment(), threshold=1.5)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiments": [entry]}))
+        rc = cli.main(["run", "--config", str(config),
+                       "--catalog", str(workdir / "catalog.txt"),
+                       "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert "threshold" in capsys.readouterr().err
+        assert builds == []
 
     def test_missing_config_file_exits_three(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "absent.json"),
