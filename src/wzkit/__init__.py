@@ -19,13 +19,13 @@ from .builder import (CodeParams, CompoundCode, ParamValidationError,
                       empirical_fractions, load_code, peg_generate, save_code,
                       validate_params)
 from .quantizer import (BipParams, QuantizeResult, bip_quantize,
-                        exhaustive_quantize, generator_codeword,
-                        has_four_cycle)
+                        bip_quantize_all, exhaustive_quantize,
+                        generator_codeword, has_four_cycle)
 from .decoder import (DecodeResult, SpParams, coset_members, coset_nearest,
                       sp_decode)
 from .codec import (CompoundQuantizer, ExperimentConfig, ExperimentResult,
                     QuantizedWord, binary_convolve, binary_entropy,
-                    bound_curve, decode, encode, invert_bound,
+                    bound_curve, decode, encode, encode_all, invert_bound,
                     run_experiment, write_curve_csv, write_results_csv,
                     wz_boundary, wz_rate)
 
@@ -48,13 +48,13 @@ __all__ = [
     "design_poisson_generator", "empirical_fractions", "load_code",
     "peg_generate", "save_code", "validate_params",
     # quantizer
-    "BipParams", "QuantizeResult", "bip_quantize", "exhaustive_quantize",
-    "generator_codeword", "has_four_cycle",
+    "BipParams", "QuantizeResult", "bip_quantize", "bip_quantize_all",
+    "exhaustive_quantize", "generator_codeword", "has_four_cycle",
     # decoder
     "DecodeResult", "SpParams", "coset_members", "coset_nearest", "sp_decode",
     # codec
     "CompoundQuantizer", "ExperimentConfig", "ExperimentResult",
     "QuantizedWord", "binary_convolve", "binary_entropy", "bound_curve",
-    "decode", "encode", "invert_bound", "run_experiment", "write_curve_csv",
-    "write_results_csv", "wz_boundary", "wz_rate",
+    "decode", "encode", "encode_all", "invert_bound", "run_experiment",
+    "write_curve_csv", "write_results_csv", "wz_boundary", "wz_rate",
 ]

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .builder import (CodeParams, ParamValidationError, build_compound_code,
                       load_code, save_code, validate_params)
-from .codec import (ExperimentConfig, decode, encode, invert_bound,
+from .codec import (ExperimentConfig, decode, encode_all, invert_bound,
                     run_experiment, write_curve_csv, write_results_csv,
                     wz_boundary, wz_rate)
 from .degrees import CatalogEntry, load_catalog, parse_catalog
@@ -123,8 +123,7 @@ def _cmd_quantize(args) -> int:
     bip = BipParams(**_given(vars(args), BipParams))
     out = []
     total = 0.0
-    for w in words:
-        res = qz.quantize(w, bip)
+    for res in qz.quantize_all(words, bip):
         out.append(qz.coefficients(res.word))
         total += res.distortion
     _write_words(args.out, out)
@@ -138,8 +137,7 @@ def _cmd_encode(args) -> int:
     bip = BipParams(**_given(vars(args), BipParams))
     syndromes = []
     total = 0.0
-    for w in words:
-        res = encode(code, w, bip)
+    for res in encode_all(code, words, bip):
         syndromes.append(res.syndrome)
         total += res.distortion
     _write_words(args.out, syndromes)
@@ -172,15 +170,17 @@ def _experiment_from(entry: dict, index: int) -> tuple[ExperimentConfig, str, in
     for key in required:
         if key not in entry:
             raise UsageError(f"experiment {index}: missing key {key!r}")
-    params = CodeParams(n=entry["n"], m=entry["m"], k1=entry["k1"],
-                        k2=entry["k2"], zeta=entry["zeta"],
-                        poisson_lam=entry.get("poisson_lam"),
-                        poisson_imax=entry.get("poisson_imax"))
+    # params and bip come from the flat keys of their own dataclasses; dist
+    # and build_seed name no field
+    known = {f.name for cls in (CodeParams, BipParams, ExperimentConfig)
+             for f in fields(cls)} - {"params", "bip"} | {"dist", "build_seed"}
+    for key in entry:
+        if key not in known:
+            raise UsageError(f"experiment {index}: unknown key {key!r}")
     config = ExperimentConfig(
-        code_id=entry["code_id"], params=params, p=entry["p"],
-        trials=entry["trials"], seed=entry["seed"],
+        params=CodeParams(**_given(entry, CodeParams)),
         bip=BipParams(**_given(entry, BipParams)),
-        **{k: entry[k] for k in ("max_iter", "crossover") if k in entry})
+        **_given(entry, ExperimentConfig))
     return config, entry["dist"], entry.get("build_seed", entry["seed"])
 
 
@@ -194,17 +194,20 @@ def _cmd_run(args) -> int:
         raise UsageError(f"{args.config}: expected an object with an "
                          f"'experiments' array")
     catalog = _resolve_catalog(args.catalog)
-    results = []
-    for index, entry in enumerate(doc["experiments"]):
-        config, dist_id, build_seed = _experiment_from(entry, index)
+    # every entry is checked before the first build, which can take hours
+    entries = [_experiment_from(entry, index)
+               for index, entry in enumerate(doc["experiments"])]
+    for index, (_, dist_id, _) in enumerate(entries):
         if dist_id not in catalog:
             raise UsageError(f"experiment {index}: unknown degree profile "
                              f"{dist_id!r}")
-        print(f"[{index + 1}/{len(doc['experiments'])}] building {config.code_id} "
+    results = []
+    for index, (config, dist_id, build_seed) in enumerate(entries):
+        print(f"[{index + 1}/{len(entries)}] building {config.code_id} "
               f"(n={config.params.n})", flush=True)
         code = build_compound_code(config.params, catalog[dist_id].dist,
                                    build_seed, dist_id=dist_id)
-        print(f"[{index + 1}/{len(doc['experiments'])}] running {config.trials} "
+        print(f"[{index + 1}/{len(entries)}] running {config.trials} "
               f"trials at p={config.p}", flush=True)
         result = run_experiment(code, config, workers=args.workers)
         print(f"  d1={result.d1:.4f} d2={result.d2:.4f} Dt={result.dt:.4f} "

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 from scipy.optimize import brentq
@@ -24,7 +24,8 @@ from .builder import CodeParams, CompoundCode, _b_columns
 from .decoder import SpParams, sp_decode
 from .gf2 import (BitMatrix, BitVector, EchelonBasis, RankDeficiencyError,
                   ShapeError, _bit_indices, mul_vec)
-from .quantizer import BipParams, _resolve, bip_quantize, generator_codeword
+from .quantizer import (BipParams, _resolve, bip_quantize_all,
+                        generator_codeword)
 
 __all__ = [
     "binary_entropy",
@@ -37,6 +38,7 @@ __all__ = [
     "QuantizedWord",
     "EncodeResult",
     "encode",
+    "encode_all",
     "decode",
     "ExperimentConfig",
     "ExperimentResult",
@@ -164,22 +166,32 @@ class CompoundQuantizer:
     def quantize(self, source: BitVector,
                  bip: BipParams = BipParams()) -> QuantizedWord:
         """Codeword of the quantization check close to source in Hamming distance."""
-        if source.length != self.n:
-            raise ShapeError(f"source length {source.length} != n {self.n}")
+        return self.quantize_all([source], bip)[0]
+
+    def quantize_all(self, sources: Sequence[BitVector],
+                     bip: BipParams = BipParams()) -> list[QuantizedWord]:
+        """quantize for every source, all through one bip_quantize_all call."""
+        for source in sources:
+            if source.length != self.n:
+                raise ShapeError(f"source length {source.length} != n {self.n}")
         r, mid = self.parity_width, self.mid_width
         parity_mask = (1 << r) - 1
-        local = BitVector(self.g_sub.cols,
-                          source.bits & parity_mask | source.bits >> (r + mid) << r)
+        local = [BitVector(self.g_sub.cols,
+                           s.bits & parity_mask | s.bits >> (r + mid) << r)
+                 for s in sources]
         if bip.damping is None:
             bip = replace(bip, damping=self._damping)
-        res = bip_quantize(self.g_sub, local, bip)
-        sub_word = generator_codeword(self.g_sub, res.u)
-        word = BitVector(self.n,
-                         sub_word.bits & parity_mask
-                         | (source.bits >> r & (1 << mid) - 1) << r
-                         | sub_word.bits >> r << (r + mid))
-        distortion = (word ^ source).weight() / self.n
-        return QuantizedWord(word, distortion, res.rounds, res.conflict_events)
+        out = []
+        for source, res in zip(sources, bip_quantize_all(self.g_sub, local, bip)):
+            sub_word = generator_codeword(self.g_sub, res.u)
+            word = BitVector(self.n,
+                             sub_word.bits & parity_mask
+                             | (source.bits >> r & (1 << mid) - 1) << r
+                             | sub_word.bits >> r << (r + mid))
+            distortion = (word ^ source).weight() / self.n
+            out.append(QuantizedWord(word, distortion, res.rounds,
+                                     res.conflict_events))
+        return out
 
     def coefficients(self, word: BitVector) -> BitVector:
         """Coefficients u over the designed generator's rows with u @ g1 == word.
@@ -214,9 +226,15 @@ class EncodeResult:
 def encode(code: CompoundCode, source: BitVector,
            bip: BipParams = BipParams()) -> EncodeResult:
     """Quantize the source and emit the short syndrome of the quantized word."""
-    q = code.quantizer.quantize(source, bip)
-    z2 = mul_vec(code.h2, q.word)
-    return EncodeResult(q.word, z2, q.distortion, q.rounds)
+    return encode_all(code, [source], bip)[0]
+
+
+def encode_all(code: CompoundCode, sources: Sequence[BitVector],
+               bip: BipParams = BipParams()) -> list[EncodeResult]:
+    """encode for every source, quantized together."""
+    return [EncodeResult(q.word, mul_vec(code.h2, q.word), q.distortion,
+                         q.rounds)
+            for q in code.quantizer.quantize_all(sources, bip)]
 
 
 def decode(code: CompoundCode, side_info: BitVector, syndrome: BitVector,
@@ -254,6 +272,8 @@ class ExperimentConfig:
             raise ValueError(f"p must lie in (0, 0.5), got {self.p}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -303,18 +323,22 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _encode_trial(code: CompoundCode, trial: int, seed: int, p: float,
-                  bip: BipParams) -> _EncodeOut:
+def _encode_trials(code: CompoundCode, first: int, stop: int, seed: int,
+                   p: float, bip: BipParams) -> list[_EncodeOut]:
+    """Trials first..stop-1, their sources encoded together."""
     n = code.params.n
-    rng = _trial_rng(seed, trial)
-    s_arr = rng.integers(0, 2, size=n, dtype=np.int64)
-    flips = (rng.random(n) < p).astype(np.int64)
-    s_bits = _pack_bits(s_arr)
-    j_bits = s_bits ^ _pack_bits(flips)
-    res = code.quantizer.quantize(BitVector(n, s_bits), bip)
-    z2 = mul_vec(code.h2, res.word)
-    return _EncodeOut(trial, s_bits, j_bits, res.word.bits, z2.bits,
-                      res.distortion)
+    sources, side_bits = [], []
+    for trial in range(first, stop):
+        rng = _trial_rng(seed, trial)
+        s_arr = rng.integers(0, 2, size=n, dtype=np.int64)
+        flips = (rng.random(n) < p).astype(np.int64)
+        sources.append(BitVector(n, _pack_bits(s_arr)))
+        side_bits.append(sources[-1].bits ^ _pack_bits(flips))
+    return [_EncodeOut(trial, s.bits, j_bits, enc.word.bits,
+                       enc.syndrome.bits, enc.distortion)
+            for trial, s, j_bits, enc in zip(range(first, stop), sources,
+                                              side_bits,
+                                              encode_all(code, sources, bip))]
 
 
 def _decode_trial(code: CompoundCode, trial: int, side_bits: int,
@@ -355,8 +379,9 @@ def run_experiment(code: CompoundCode, config: ExperimentConfig,
                    workers: int = 1) -> ExperimentResult:
     """Measured operating point of `code` over `config.trials` sources.
 
-    Per-trial randomness comes from (seed, trial index), so results do not
-    depend on the worker count.  All sources are quantized first; each decode
+    Per-trial randomness comes from (seed, trial index), and quantizing a
+    source gives the same result in any batch, so results do not depend on
+    the worker count.  All sources are quantized first; each decode
     then estimates its channel from the running mean quantization distortion
     over trials up to and including its own, unless config.crossover pins it.
     Failures are trials whose decoder never matched the syndrome; their
@@ -368,10 +393,12 @@ def run_experiment(code: CompoundCode, config: ExperimentConfig,
     code.quantizer  # built here, a pool's workers receive it with the code
     pool = (ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                                 initargs=(code,)) if workers > 1 else None)
+    # one contiguous chunk of trials per worker, quantized as one batch
+    chunk = -(-config.trials // max(workers, 1))
     with pool or nullcontext():
-        encoded = _map_trials(pool, _encode_trial, code, [
-            (t, config.seed, config.p, config.bip)
-            for t in range(config.trials)])
+        encoded = [out for outs in _map_trials(pool, _encode_trials, code, [
+            (t, min(t + chunk, config.trials), config.seed, config.p, config.bip)
+            for t in range(0, config.trials, chunk)]) for out in outs]
         running = 0.0
         dec_tasks = []
         for out in encoded:

@@ -58,7 +58,9 @@ def _check_product(theta: np.ndarray, edge_check: np.ndarray,
     has_zero = bool(zero.any())
     safe = np.where(zero, 1.0, theta) if has_zero else theta
     log_abs = np.log(np.abs(safe))
-    log_sum = np.bincount(edge_check, weights=log_abs, minlength=n_checks)
+    # bincount returns integers when there are no edges at all
+    log_sum = np.bincount(edge_check, weights=log_abs,
+                          minlength=n_checks).astype(np.float64, copy=False)
     negs = np.bincount(edge_check[np.flatnonzero(theta < 0.0)],
                        minlength=n_checks)
     check_sign = 1.0 - 2.0 * (negs & 1)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -13,6 +15,7 @@ __all__ = [
     "BipParams",
     "QuantizeResult",
     "bip_quantize",
+    "bip_quantize_all",
     "exhaustive_quantize",
     "generator_codeword",
     "has_four_cycle",
@@ -21,6 +24,9 @@ __all__ = [
 EXHAUSTIVE_LIMIT = 24
 _SAT = 1.0 - 1e-15
 _FOUR_CYCLE_PAIR_BUDGET = 50_000_000
+# bip_quantize_all runs at most this many edges of per-word graphs at once:
+# about 8 MiB per float64 edge array
+_BATCH_EDGE_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -76,21 +82,21 @@ def has_four_cycle(g: BitMatrix) -> bool:
     """True when two rows share two columns.  Row profiles whose pair count
     exceeds the enumeration budget are assumed cyclic (dense rows essentially
     guarantee a shared column pair)."""
-    total_pairs = sum(len(s) * (len(s) - 1) // 2 for s in g.row_support)
+    lengths = np.fromiter(map(len, g.row_support), dtype=np.int64,
+                          count=g.rows)
+    total_pairs = int((lengths * (lengths - 1) // 2).sum())
     if total_pairs > _FOUR_CYCLE_PAIR_BUDGET:
         return True
-    keys = np.empty(total_pairs, dtype=np.int64)
-    pos = 0
-    ncols = g.cols
-    for sup in g.row_support:
-        arr = np.array(sup, dtype=np.int64)
-        if arr.size < 2:
-            continue
-        ii, jj = np.triu_indices(arr.size, k=1)
-        block = arr[ii] * ncols + arr[jj]
-        keys[pos:pos + block.size] = block
-        pos += block.size
-    keys = keys[:pos]
+    flat = np.fromiter(chain.from_iterable(g.row_support), dtype=np.int64,
+                       count=int(lengths.sum()))
+    starts = np.cumsum(lengths) - lengths
+    # one (rows x length) block of supports, and one pair index, per length
+    blocks = [np.empty(0, dtype=np.int64)]
+    for size in np.unique(lengths[lengths >= 2]).tolist():
+        sup = flat[starts[lengths == size, None] + np.arange(size)]
+        ii, jj = np.triu_indices(size, k=1)
+        blocks.append((sup[:, ii] * g.cols + sup[:, jj]).ravel())
+    keys = np.concatenate(blocks)
     keys.sort()
     return bool(np.any(keys[1:] == keys[:-1]))
 
@@ -106,7 +112,14 @@ def _resolve(params: BipParams, g: BitMatrix) -> tuple[float, float]:
 
 def bip_quantize(g: BitMatrix, source: BitVector, params: BipParams = BipParams()
                  ) -> QuantizeResult:
-    """Pick an information word u whose codeword u @ g sits close to source.
+    """Pick an information word u whose codeword u @ g sits close to source;
+    bip_quantize_all on one word."""
+    return bip_quantize_all(g, [source], params)[0]
+
+
+def bip_quantize_all(g: BitMatrix, sources: Sequence[BitVector],
+                     params: BipParams = BipParams()) -> list[QuantizeResult]:
+    """Quantize every source onto the codebook of g, one result per source.
 
     Variables are the generator rows, checks the code bits; every check also
     hears a source term of sign (-1)^{s_a} and magnitude tanh(gamma).  A check
@@ -119,69 +132,116 @@ def bip_quantize(g: BitMatrix, source: BitVector, params: BipParams = BipParams(
     first index wins ties.  Fixed ones fold into the source signs of their
     checks and the loop repeats on the shrunken graph until everything is
     pinned.
+
+    The sources run together, in batches of at most _BATCH_EDGE_BUDGET edges,
+    as one graph made of a disjoint copy of g per source.  Every sum in the
+    sweep is taken per copy in the same order as for that source alone and
+    every other step is elementwise, and decimation decides per copy, so each
+    result is bit-identical to quantizing its source by itself.
     """
-    if source.length != g.cols:
-        raise ShapeError(f"source length {source.length} != generator cols {g.cols}")
+    for source in sources:
+        if source.length != g.cols:
+            raise ShapeError(f"source length {source.length} != generator "
+                             f"cols {g.cols}")
     if g.rows < 1:
         raise ShapeError("generator needs at least one row")
     gamma, damping = _resolve(params, g)
     src_mag = float(np.tanh(gamma))
+    per_batch = max(1, _BATCH_EDGE_BUDGET // max(1, g.edges()[0].size))
+    results: list[QuantizeResult] = []
+    for at in range(0, len(sources), per_batch):
+        results += _decimate(g, sources[at:at + per_batch], params, src_mag,
+                             damping)
+    return results
 
-    n_var, n_chk = g.rows, g.cols
-    edge_var, edge_check = g.edges()
 
-    s_arr = np.array(source.to_list(), dtype=np.int64)
+def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
+              src_mag: float, damping: float) -> list[QuantizeResult]:
+    """The decimation loop of bip_quantize_all on one batch of sources."""
+    words, n_var, n_chk = len(sources), g.rows, g.cols
+    n_vars, n_chks = words * n_var, words * n_chk
+    # word w owns variables w*n_var.. and checks w*n_chk.., in word order
+    ev, ec = g.edges()
+    shift = np.arange(words, dtype=np.int64)[:, None]
+    edge_var = (ev + shift * n_var).ravel()
+    edge_check = (ec + shift * n_chk).ravel()
+
+    s_arr = np.array([s.to_list() for s in sources], dtype=np.int64).ravel()
     sign_eff = 1.0 - 2.0 * s_arr.astype(np.float64)
-    fixed = np.full(n_var, -1, dtype=np.int64)  # -1 unfixed, else 0/1
+    fixed = np.full(n_vars, -1, dtype=np.int64)  # -1 unfixed, else 0/1
     theta = np.ones(edge_var.size, dtype=np.float64)
-    conflicts = 0
-    rounds = 0
+    conflicts = np.zeros(words, dtype=np.int64)
+    rounds = np.zeros(words, dtype=np.int64)
 
-    while np.any(fixed < 0):
-        rounds += 1
+    while True:
+        active = (fixed < 0).reshape(words, n_var).any(axis=1)
+        if not active.any():
+            break
+        rounds += active
         if not params.warm_start:
             theta = np.ones(edge_var.size, dtype=np.float64)
-        bias_sum = np.zeros(n_var, dtype=np.float64)
         src_term = src_mag * sign_eff[edge_check]
+        # the sweeps' sums run over the variables and checks that still have
+        # edges, numbered 0.. in order: every bin keeps its addends in order
+        var_live, sweep_var = _renumber(edge_var, n_vars)
+        chk_live, sweep_check = _renumber(edge_check, n_chks)
+        n_live_var = np.count_nonzero(var_live)
+        n_live_chk = np.count_nonzero(chk_live)
         for _ in range(params.iters_per_round):
             # check pass: leave-one-out product of theta times the source term
-            phi = _check_product(theta, edge_check, n_chk)
+            phi = _check_product(theta, sweep_check, n_live_chk)
             phi *= src_term
 
             # variable pass in the arctanh domain
             sat_pos = phi >= _SAT
             sat_neg = phi <= -_SAT
             if sat_pos.any() and sat_neg.any():
-                both = (np.bincount(edge_var[sat_pos], minlength=n_var) > 0) & (
-                    np.bincount(edge_var[sat_neg], minlength=n_var) > 0)
-                conflicts += int(both.sum())
-            w = np.arctanh(np.clip(phi, -_SAT, _SAT))
-            bias_sum = np.bincount(edge_var, weights=w, minlength=n_var)
-            theta_new = np.tanh(bias_sum[edge_var] - w)
+                both = (np.bincount(sweep_var[sat_pos], minlength=n_live_var) > 0) & (
+                    np.bincount(sweep_var[sat_neg], minlength=n_live_var) > 0)
+                conflicts += np.bincount(np.flatnonzero(var_live)[both] // n_var,
+                                         minlength=words)
+            # clip to +-_SAT in place (np.clip costs more on short arrays)
+            w = np.arctanh(np.minimum(np.maximum(phi, -_SAT, out=phi), _SAT,
+                                      out=phi), out=phi)
+            bias_sum = np.bincount(sweep_var, weights=w, minlength=n_live_var)
+            theta_new = np.tanh(bias_sum[sweep_var] - w)
             theta = damping * theta + (1.0 - damping) * theta_new
 
-        bias = np.tanh(bias_sum)
-        bias[fixed >= 0] = 0.0  # already decided, never re-fixed
+        # fixed variables and those without edges keep bias 0: never fixed
+        # by the threshold
+        bias = np.zeros(n_vars, dtype=np.float64)
+        bias[var_live] = np.tanh(bias_sum)
         over = np.abs(bias) > params.threshold
-        if not over.any():
-            unfixed = fixed < 0
-            cand = np.where(unfixed, np.abs(bias), -1.0)
-            over[int(np.argmax(cand))] = True
+        stalled = np.flatnonzero(active & ~over.reshape(words, n_var).any(axis=1))
+        if stalled.size:
+            cand = np.where(fixed < 0, np.abs(bias), -1.0).reshape(words, n_var)
+            over[stalled * n_var + np.argmax(cand[stalled], axis=1)] = True
         values = (bias[over] < 0.0).astype(np.int64)
         fixed[over] = values
 
         # fold fixed ones into the source signs and drop the settled edges
         on_fixed = over[edge_var]
         ones_edges = edge_check[on_fixed & (fixed[edge_var] == 1)]
-        flips = np.bincount(ones_edges, minlength=n_chk) % 2
+        flips = np.bincount(ones_edges, minlength=n_chks) % 2
         sign_eff *= 1.0 - 2.0 * flips
         keep = ~on_fixed
         edge_var, edge_check, theta = edge_var[keep], edge_check[keep], theta[keep]
 
-    u = BitVector.from_bits_list(fixed.tolist())
-    word = generator_codeword(g, u)
-    distortion = word.hamming(source) / g.cols
-    return QuantizeResult(u, distortion, rounds, conflicts)
+    results = []
+    for k, source in enumerate(sources):
+        u = BitVector.from_bits_list(fixed[k * n_var:(k + 1) * n_var].tolist())
+        distortion = generator_codeword(g, u).hamming(source) / g.cols
+        results.append(QuantizeResult(u, distortion, int(rounds[k]),
+                                      int(conflicts[k])))
+    return results
+
+
+def _renumber(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which of 0..size-1 occur in ids, and ids renumbered 0.. over those,
+    in increasing order."""
+    live = np.zeros(size, dtype=bool)
+    live[ids] = True
+    return live, np.cumsum(live)[ids] - 1
 
 
 def exhaustive_quantize(g: BitMatrix, source: BitVector) -> tuple[BitVector, float]:

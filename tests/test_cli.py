@@ -5,6 +5,7 @@ import json
 import random
 import shutil
 import time
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +103,34 @@ class TestQuantizeEncodeDecode:
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert all(len(l) == TINY_PARAMS.k2 for l in lines)
+
+    def test_commands_quantize_all_words_in_one_call(self, workdir, tmp_path,
+                                                     monkeypatch):
+        calls = []
+        real = codec.bip_quantize_all
+
+        def recording(g, sources, params):
+            calls.append(len(sources))
+            return real(g, sources, params)
+
+        monkeypatch.setattr(codec, "bip_quantize_all", recording)
+        code = load_code(workdir / "tiny-code")
+        sources = [BitVector.from_bits_list([int(c) for c in line]) for line in
+                   (workdir / "sources.txt").read_text().splitlines()]
+        words = [code.quantizer.quantize(s).word for s in sources]
+        expected = {
+            "quantize": [code.quantizer.coefficients(w) for w in words],
+            "encode": [encode(code, s).syndrome for s in sources]}
+        calls.clear()
+        for cmd, vectors in expected.items():
+            out = tmp_path / f"{cmd}.txt"
+            rc = cli.main([cmd, "--code", str(workdir / "tiny-code"),
+                           "--in", str(workdir / "sources.txt"),
+                           "--out", str(out)])
+            assert rc == 0
+            assert out.read_text().splitlines() == [word_line(v)
+                                                    for v in vectors]
+        assert calls == [len(sources)] * 2
 
     def test_decode_recovers_quantized_word(self, workdir, tmp_path):
         code = load_code(workdir / "tiny-code")
@@ -225,13 +254,13 @@ class TestRun:
     def test_quantizer_keys_reach_bip_quantize(self, workdir, tmp_path,
                                                monkeypatch):
         seen = []
-        real = codec.bip_quantize
+        real = codec.bip_quantize_all
 
-        def recording(g, source, params):
-            seen.append(params)
-            return real(g, source, params)
+        def recording(g, sources, params):
+            seen.extend([params] * len(sources))
+            return real(g, sources, params)
 
-        monkeypatch.setattr(codec, "bip_quantize", recording)
+        monkeypatch.setattr(codec, "bip_quantize_all", recording)
         entry = dict(self.experiment(), threshold=0.6, iters_per_round=7)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"experiments": [entry]}))
@@ -245,18 +274,59 @@ class TestRun:
 
     def test_invalid_quantizer_key_fails_before_build(self, workdir, tmp_path,
                                                       monkeypatch, capsys):
+        entry = dict(self.experiment(), threshold=1.5)
+        rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
+        assert rc == 3
+        assert "threshold" in capsys.readouterr().err
+
+    def run_without_build(self, workdir, tmp_path, monkeypatch, entry):
+        """Run a config whose second experiment is entry; nothing may be
+        built, the first experiment included."""
         builds = []
         monkeypatch.setattr(cli, "build_compound_code",
                             lambda *a, **k: builds.append(a))
-        entry = dict(self.experiment(), threshold=1.5)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"experiments": [entry]}))
+        config.write_text(json.dumps({"experiments": [self.experiment(),
+                                                      entry]}))
         rc = cli.main(["run", "--config", str(config),
                        "--catalog", str(workdir / "catalog.txt"),
                        "--out", str(tmp_path / "o.csv")])
-        assert rc == 3
-        assert "threshold" in capsys.readouterr().err
         assert builds == []
+        return rc
+
+    def test_unknown_experiment_key_is_usage_error(self, workdir, tmp_path,
+                                                   monkeypatch, capsys):
+        entry = dict(self.experiment(), treshold=0.5)
+        rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
+        assert rc == 1
+        assert "unknown key 'treshold'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["params", "bip"])
+    def test_nested_dataclass_keys_are_unknown(self, workdir, tmp_path,
+                                               monkeypatch, capsys, key):
+        entry = dict(self.experiment(), **{key: {}})
+        rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
+        assert rc == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    def test_zero_max_iter_fails_before_build(self, workdir, tmp_path,
+                                              monkeypatch, capsys):
+        entry = dict(self.experiment(), max_iter=0)
+        rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert "max_iter" in err and "building" not in out
+
+    def test_shipped_configs_use_known_keys(self):
+        configs = sorted(
+            (Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+        assert configs
+        for path in configs:
+            for index, entry in enumerate(
+                    json.loads(path.read_text())["experiments"]):
+                config, dist, _ = cli._experiment_from(entry, index)
+                assert (config.code_id, dist) == (entry["code_id"],
+                                                  entry["dist"])
 
     def test_missing_config_file_exits_three(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "absent.json"),

@@ -8,14 +8,15 @@ import random
 import pytest
 
 from conftest import TINY_PARAMS
-from wzkit import quantizer
+from wzkit import codec, quantizer
 from wzkit.builder import CodeParams
 from wzkit.codec import (CSV_COLUMNS, CompoundQuantizer, ExperimentConfig,
                          binary_convolve, binary_entropy, bound_curve, decode,
-                         encode, invert_bound, run_experiment, write_curve_csv,
-                         write_results_csv, wz_boundary, wz_rate)
+                         encode, encode_all, invert_bound, run_experiment,
+                         write_curve_csv, write_results_csv, wz_boundary,
+                         wz_rate)
 from wzkit.gf2 import BitVector, ShapeError, mul_vec
-from wzkit.quantizer import generator_codeword
+from wzkit.quantizer import BipParams, generator_codeword
 
 
 class TestBinaryEntropy:
@@ -166,10 +167,24 @@ class TestCompoundQuantizer:
             assert u.length == TINY_PARAMS.info_rows
             assert generator_codeword(tiny_code.g1, u) == word
 
+    @pytest.mark.parametrize("bip", [BipParams(), BipParams(warm_start=True),
+                                     BipParams(damping=0.5, threshold=0.6)])
+    def test_quantize_all_matches_quantize(self, tiny_code, bip):
+        qz = tiny_code.quantizer
+        rng = random.Random(45)
+        sources = [BitVector(TINY_PARAMS.n, rng.getrandbits(TINY_PARAMS.n))
+                   for _ in range(4)]
+        sources.insert(2, sources[0])
+        assert qz.quantize_all(sources, bip) == [qz.quantize(s, bip)
+                                                 for s in sources]
+
     def test_shape_errors(self, tiny_code):
         qz = CompoundQuantizer(tiny_code)
         with pytest.raises(ShapeError):
             qz.quantize(BitVector(TINY_PARAMS.n + 1, 0))
+        with pytest.raises(ShapeError):
+            qz.quantize_all([BitVector(TINY_PARAMS.n, 0),
+                             BitVector(TINY_PARAMS.n - 1, 0)])
         with pytest.raises(ShapeError):
             qz.coefficients(BitVector(TINY_PARAMS.n - 1, 0))
 
@@ -183,6 +198,13 @@ class TestEncodeDecode:
         assert mul_vec(tiny_code.h2, enc.word) == enc.syndrome
         assert 0.0 <= enc.distortion <= 0.5
         assert enc.rounds >= 1
+
+    def test_encode_all_matches_encode(self, tiny_code):
+        rng = random.Random(52)
+        sources = [BitVector(TINY_PARAMS.n, rng.getrandbits(TINY_PARAMS.n))
+                   for _ in range(3)]
+        assert encode_all(tiny_code, sources) == [encode(tiny_code, s)
+                                                  for s in sources]
 
     def test_decode_recovers_word_from_clean_side(self, tiny_code):
         rng = random.Random(51)
@@ -207,6 +229,22 @@ class TestRunExperiment:
         serial = run_experiment(tiny_code, self.config(), workers=1)
         parallel = run_experiment(tiny_code, self.config(), workers=2)
         assert serial == parallel
+
+    def test_pool_tasks_are_contiguous_trial_chunks(self, tiny_code,
+                                                    monkeypatch):
+        tasks = []
+        real = codec._map_trials
+
+        def recording(pool, fn, code, fn_tasks):
+            tasks.append((fn.__name__, [t[:2] for t in fn_tasks]))
+            return real(pool, fn, code, fn_tasks)
+
+        monkeypatch.setattr(codec, "_map_trials", recording)
+        serial = run_experiment(tiny_code, self.config(trials=5), workers=1)
+        parallel = run_experiment(tiny_code, self.config(trials=5), workers=3)
+        assert serial == parallel
+        assert tasks[0] == ("_encode_trials", [(0, 5)])
+        assert tasks[2] == ("_encode_trials", [(0, 2), (2, 4), (4, 5)])
 
     def test_repeatable(self, tiny_code):
         a = run_experiment(tiny_code, self.config(), workers=1)
@@ -261,6 +299,11 @@ class TestRunExperiment:
             "d2=0.2708333333333333, dt=0.25260416666666663, "
             "dt_pred=0.31022135416666663, dwz=0.03352693608030677, "
             "gap=0.21907723058635986, trials=4, failures=4, seed=3)")
+
+    def test_max_iter_validated_up_front(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            ExperimentConfig(code_id="x", params=TINY_PARAMS, p=0.25,
+                             trials=1, seed=0, max_iter=0)
 
     def test_result_fields(self, tiny_code):
         res = run_experiment(tiny_code, self.config(), workers=1)

@@ -3,12 +3,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from wzkit import quantizer
 from wzkit.gf2 import BitMatrix, BitVector, ShapeError
 from wzkit.quantizer import (EXHAUSTIVE_LIMIT, BipParams, bip_quantize,
-                             exhaustive_quantize, generator_codeword,
-                             has_four_cycle)
+                             bip_quantize_all, exhaustive_quantize,
+                             generator_codeword, has_four_cycle)
 
 
 def random_generator(rng, rows, cols, density=0.35):
@@ -68,6 +70,26 @@ class TestExhaustive:
             exhaustive_quantize(g, BitVector(5, 0))
 
 
+def reference_has_four_cycle(g):
+    """The row-by-row pair enumeration has_four_cycle replaced."""
+    total_pairs = sum(len(s) * (len(s) - 1) // 2 for s in g.row_support)
+    if total_pairs > quantizer._FOUR_CYCLE_PAIR_BUDGET:
+        return True
+    keys = np.empty(total_pairs, dtype=np.int64)
+    pos = 0
+    for sup in g.row_support:
+        arr = np.array(sup, dtype=np.int64)
+        if arr.size < 2:
+            continue
+        ii, jj = np.triu_indices(arr.size, k=1)
+        block = arr[ii] * g.cols + arr[jj]
+        keys[pos:pos + block.size] = block
+        pos += block.size
+    keys = keys[:pos]
+    keys.sort()
+    return bool(np.any(keys[1:] == keys[:-1]))
+
+
 class TestHasFourCycle:
     def test_positive(self):
         # rows 0 and 1 share columns 0 and 1
@@ -76,6 +98,40 @@ class TestHasFourCycle:
 
     def test_negative(self):
         g = BitMatrix(3, 6, [[0, 1], [1, 2], [3, 4]])
+        assert not has_four_cycle(g)
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([], False),
+        ([[], [3], [], [5]], False),                 # lengths 0 and 1 only
+        ([[0, 1], [], [0, 2, 5], [4], [1, 2, 3]], False),
+        ([[0, 1], [], [0, 2, 5], [4], [1, 2, 3], [2, 5]], True),
+        ([[0, 3, 6, 9], [3], [6, 9]], True),         # shared pair, mixed lengths
+    ])
+    def test_short_and_mixed_rows(self, rows, expected):
+        g = BitMatrix(len(rows), 10, rows)
+        assert has_four_cycle(g) is reference_has_four_cycle(g) is expected
+
+    def test_matches_reference_on_random_generators(self):
+        rng = random.Random(0xC7C1)
+        seen = set()
+        for _ in range(300):
+            rows = rng.randrange(1, 30)
+            cols = rng.randrange(2, 60)
+            density = rng.choice([0.02, 0.05, 0.1, 0.3])
+            g = BitMatrix(rows, cols, [
+                [c for c in range(cols) if rng.random() < density]
+                for _ in range(rows)])
+            answer = has_four_cycle(g)
+            assert answer == reference_has_four_cycle(g)
+            seen.add(answer)
+        assert seen == {True, False}
+
+    def test_over_budget_assumed_cyclic(self, monkeypatch):
+        g = BitMatrix(3, 12, [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]])  # 12 pairs
+        assert not has_four_cycle(g)
+        monkeypatch.setattr(quantizer, "_FOUR_CYCLE_PAIR_BUDGET", 11)
+        assert has_four_cycle(g) and reference_has_four_cycle(g)
+        monkeypatch.setattr(quantizer, "_FOUR_CYCLE_PAIR_BUDGET", 12)
         assert not has_four_cycle(g)
 
 
@@ -152,6 +208,96 @@ class TestBipQuantize:
         res = bip_quantize(g, src, BipParams(warm_start=True))
         word = generator_codeword(g, res.u)
         assert res.distortion == pytest.approx((word ^ src).weight() / 24)
+
+
+class TestBipQuantizeAll:
+    """Every word of a batch gets exactly the result it gets alone."""
+
+    @staticmethod
+    def alone(g, sources, params):
+        return [bip_quantize(g, s, params) for s in sources]
+
+    @staticmethod
+    def case(seed, rows, cols, count, density=0.2):
+        rng = random.Random(seed)
+        g = random_generator(rng, rows, cols, density)
+        return g, [BitVector(cols, rng.getrandbits(cols)) for _ in range(count)]
+
+    @pytest.mark.parametrize("params", [
+        BipParams(),
+        BipParams(damping=0.0),
+        BipParams(damping=0.5),
+        BipParams(warm_start=True),
+        BipParams(warm_start=True, damping=0.5, threshold=0.6,
+                  iters_per_round=4),
+    ])
+    def test_equals_each_word_alone(self, params):
+        g, sources = self.case(21, 30, 70, 5)
+        sources.append(sources[1])  # a duplicate word
+        expected = self.alone(g, sources, params)
+        assert bip_quantize_all(g, sources, params) == expected
+        # every position and every composition gives the same per-word result
+        rng = random.Random(5)
+        for _ in range(4):
+            order = rng.sample(range(len(sources)), len(sources))
+            got = bip_quantize_all(g, [sources[i] for i in order], params)
+            assert got == [expected[i] for i in order]
+        for lo, hi in ((0, 2), (2, 6), (3, 4)):
+            assert bip_quantize_all(g, sources[lo:hi], params) == expected[lo:hi]
+
+    def test_words_finishing_far_apart(self):
+        """A codeword source settles in a few rounds; at a high threshold a
+        random one goes one variable per round."""
+        rng = random.Random(8)
+        g = random_generator(rng, 24, 48, 0.15)
+        params = BipParams(threshold=0.99, iters_per_round=3)
+        sources = [generator_codeword(g, BitVector(24, rng.getrandbits(24))),
+                   BitVector(48, rng.getrandbits(48)),
+                   BitVector(48, 0)]
+        expected = self.alone(g, sources, params)
+        rounds = [r.rounds for r in expected]
+        assert max(rounds) >= 4 * min(rounds)
+        assert bip_quantize_all(g, sources, params) == expected
+        assert bip_quantize_all(g, sources[::-1], params) == expected[::-1]
+
+    def test_conflict_events_counted_per_word(self):
+        params = BipParams(gamma=20.0, damping=0.0)
+        g, sources = self.case(4, 12, 30, 6, density=0.3)
+        expected = self.alone(g, sources, params)
+        conflicts = [r.conflict_events for r in expected]
+        assert max(conflicts) > 0 and len(set(conflicts)) > 1
+        assert bip_quantize_all(g, sources, params) == expected
+
+    def test_edge_budget_split_equals_one_batch(self, monkeypatch):
+        g, sources = self.case(17, 20, 50, 7)
+        whole = bip_quantize_all(g, sources)
+        batches = []
+        real = quantizer._decimate
+
+        def recording(g, batch, *args):
+            batches.append(len(batch))
+            return real(g, batch, *args)
+
+        monkeypatch.setattr(quantizer, "_decimate", recording)
+        monkeypatch.setattr(quantizer, "_BATCH_EDGE_BUDGET",
+                            3 * g.edges()[0].size)
+        assert bip_quantize_all(g, sources) == whole
+        assert batches == [3, 3, 1]
+
+    def test_generator_with_an_empty_row(self):
+        """The edgeless variable is fixed to 0 by the largest-bias fallback,
+        also once no edges are left in the whole batch."""
+        g = BitMatrix(3, 5, [[0, 1], [], [2, 3]])
+        sources = [BitVector(5, bits) for bits in (0b00000, 0b11111, 0b01101)]
+        expected = self.alone(g, sources, BipParams())
+        assert all(r.u.bits >> 1 & 1 == 0 for r in expected)
+        assert bip_quantize_all(g, sources) == expected
+
+    def test_empty_and_shape_checks(self):
+        g, sources = self.case(2, 6, 16, 2)
+        assert bip_quantize_all(g, []) == []
+        with pytest.raises(ShapeError):
+            bip_quantize_all(g, [sources[0], BitVector(15, 0)])
 
 
 def test_ratio_form_matches_atanh_sum():
