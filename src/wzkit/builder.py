@@ -673,7 +673,10 @@ def load_code(directory: str | Path) -> CompoundCode:
     mats = {}
     for name, rows in (("h", params.outer_checks), ("g1", params.info_rows)):
         with open(directory / f"{name}.txt", encoding="utf-8") as f:
-            mat = read_matrix(f)
+            try:
+                mat = read_matrix(f)
+            except ValueError as e:
+                raise ValueError(f"{name}.txt: {e}") from None
         if (mat.rows, mat.cols) != (rows, params.n):
             raise ValueError(f"{name}.txt is {mat.rows}x{mat.cols}, "
                              f"expected {rows}x{params.n}")

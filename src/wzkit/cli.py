@@ -21,6 +21,7 @@ from .builder import (CodeParams, ParamValidationError, build_compound_code,
 from .codec import (ExperimentConfig, decode, encode_all, invert_bound,
                     run_experiment, write_curve_csv, write_results_csv,
                     wz_boundary, wz_rate)
+from .decoder import SpParams
 from .degrees import CatalogEntry, load_catalog, parse_catalog
 from .gf2 import BitVector
 from .quantizer import BipParams
@@ -117,10 +118,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_quantize(args) -> int:
+    bip = BipParams(**_given(vars(args), BipParams))
     code = load_code(args.code)
     words = _read_words(args.infile, code.params.n)
     qz = code.quantizer
-    bip = BipParams(**_given(vars(args), BipParams))
     out = []
     total = 0.0
     for res in qz.quantize_all(words, bip):
@@ -132,9 +133,9 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    bip = BipParams(**_given(vars(args), BipParams))
     code = load_code(args.code)
     words = _read_words(args.infile, code.params.n)
-    bip = BipParams(**_given(vars(args), BipParams))
     syndromes = []
     total = 0.0
     for res in encode_all(code, words, bip):
@@ -148,6 +149,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    sp = SpParams(crossover=args.crossover)
     code = load_code(args.code)
     side = _read_words(args.side, code.params.n)
     syndromes = _read_words(args.syndrome, code.params.k2)
@@ -156,7 +158,7 @@ def _cmd_decode(args) -> int:
     out = []
     converged = 0
     for s, z in zip(side, syndromes):
-        res = decode(code, s, z, args.crossover)
+        res = decode(code, s, z, args.crossover, sp)
         out.append(res.bits)
         converged += res.converged
     _write_words(args.out, out)

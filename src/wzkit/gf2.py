@@ -400,6 +400,8 @@ def write_matrix(f: TextIO, a: BitMatrix) -> None:
 
 
 def read_matrix(f: TextIO) -> BitMatrix:
+    """Inverse of write_matrix.  Blank lines may follow the declared rows;
+    any other line there is an error."""
     header = f.readline()
     parts = header.split()
     if len(parts) != 2:
@@ -411,4 +413,8 @@ def read_matrix(f: TextIO) -> BitMatrix:
         if line == "":
             raise ValueError(f"unexpected end of file at row {i}")
         supports.append([int(tok) - 1 for tok in line.split()])
+    for lineno, line in enumerate(f, start=rows + 2):
+        if line.strip():
+            raise ValueError(f"line {lineno}: row beyond the {rows} rows "
+                             f"the header declares: {line.strip()!r}")
     return BitMatrix(rows, cols, supports)

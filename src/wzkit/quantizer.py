@@ -137,7 +137,11 @@ def bip_quantize_all(g: BitMatrix, sources: Sequence[BitVector],
     as one graph made of a disjoint copy of g per source.  Every sum in the
     sweep is taken per copy in the same order as for that source alone and
     every other step is elementwise, and decimation decides per copy, so each
-    result is bit-identical to quantizing its source by itself.
+    result is bit-identical to quantizing its source by itself.  After the
+    first round, a round re-sweeps only the components of the live graph that
+    the last round's fixed variables touched (all of it with warm_start); the
+    rest keep the biases their sweeps would reproduce bit for bit, so the
+    results are those of sweeping every live edge each round.
     """
     for source in sources:
         if source.length != g.cols:
@@ -157,7 +161,17 @@ def bip_quantize_all(g: BitMatrix, sources: Sequence[BitVector],
 
 def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
               src_mag: float, damping: float) -> list[QuantizeResult]:
-    """The decimation loop of bip_quantize_all on one batch of sources."""
+    """The decimation loop of bip_quantize_all on one batch of sources.
+
+    A round sweeps only the live edges of the components that hold a check of
+    a variable fixed in the round before: all of them in the first round, and
+    in every round with warm_start, whose messages carry over.  Any other
+    component would replay its last sweeps bit for bit, since its messages
+    restart at ones, its source terms are unchanged and every sum runs per
+    check or variable inside it in edge order.  So its variables keep their
+    cached bias and per-round conflict count, and none of them is over the
+    threshold: it would have been fixed, and its component touched.
+    """
     words, n_var, n_chk = len(sources), g.rows, g.cols
     n_vars, n_chks = words * n_var, words * n_chk
     # word w owns variables w*n_var.. and checks w*n_chk.., in word order
@@ -169,48 +183,57 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
     s_arr = np.array([s.to_list() for s in sources], dtype=np.int64).ravel()
     sign_eff = 1.0 - 2.0 * s_arr.astype(np.float64)
     fixed = np.full(n_vars, -1, dtype=np.int64)  # -1 unfixed, else 0/1
-    theta = np.ones(edge_var.size, dtype=np.float64)
+    theta = np.ones(edge_var.size, dtype=np.float64)  # kept for warm_start
+    # per variable, from the last sweep of its component; 0 once fixed, and
+    # for variables without edges
+    bias = np.zeros(n_vars, dtype=np.float64)
+    clashes = np.zeros(n_vars, dtype=np.int64)
     conflicts = np.zeros(words, dtype=np.int64)
     rounds = np.zeros(words, dtype=np.int64)
+    touched = np.ones(edge_var.size, dtype=bool)
 
     while True:
         active = (fixed < 0).reshape(words, n_var).any(axis=1)
         if not active.any():
             break
         rounds += active
-        if not params.warm_start:
-            theta = np.ones(edge_var.size, dtype=np.float64)
-        src_term = src_mag * sign_eff[edge_check]
-        # the sweeps' sums run over the variables and checks that still have
-        # edges, numbered 0.. in order: every bin keeps its addends in order
-        var_live, sweep_var = _renumber(edge_var, n_vars)
-        chk_live, sweep_check = _renumber(edge_check, n_chks)
-        n_live_var = np.count_nonzero(var_live)
-        n_live_chk = np.count_nonzero(chk_live)
-        for _ in range(params.iters_per_round):
-            # check pass: leave-one-out product of theta times the source term
-            phi = _check_product(theta, sweep_check, n_live_chk)
-            phi *= src_term
+        if touched.any():
+            sweep_vars, sweep_checks = edge_var[touched], edge_check[touched]
+            t = theta if params.warm_start else np.ones(sweep_vars.size)
+            src_term = src_mag * sign_eff[sweep_checks]
+            # the sweeps' sums run over the variables and checks that they
+            # reach, numbered 0.. in order: every bin keeps its addends in order
+            var_live, sweep_var = _renumber(sweep_vars, n_vars)
+            chk_live, sweep_check = _renumber(sweep_checks, n_chks)
+            n_live_var = np.count_nonzero(var_live)
+            n_live_chk = np.count_nonzero(chk_live)
+            clash = np.zeros(n_live_var, dtype=np.int64)
+            for _ in range(params.iters_per_round):
+                # check pass: leave-one-out product of theta times the source term
+                phi = _check_product(t, sweep_check, n_live_chk)
+                phi *= src_term
 
-            # variable pass in the arctanh domain
-            sat_pos = phi >= _SAT
-            sat_neg = phi <= -_SAT
-            if sat_pos.any() and sat_neg.any():
-                both = (np.bincount(sweep_var[sat_pos], minlength=n_live_var) > 0) & (
-                    np.bincount(sweep_var[sat_neg], minlength=n_live_var) > 0)
-                conflicts += np.bincount(np.flatnonzero(var_live)[both] // n_var,
-                                         minlength=words)
-            # clip to +-_SAT in place (np.clip costs more on short arrays)
-            w = np.arctanh(np.minimum(np.maximum(phi, -_SAT, out=phi), _SAT,
-                                      out=phi), out=phi)
-            bias_sum = np.bincount(sweep_var, weights=w, minlength=n_live_var)
-            theta_new = np.tanh(bias_sum[sweep_var] - w)
-            theta = damping * theta + (1.0 - damping) * theta_new
+                # variable pass in the arctanh domain
+                sat_pos = phi >= _SAT
+                sat_neg = phi <= -_SAT
+                if sat_pos.any() and sat_neg.any():
+                    clash += (
+                        (np.bincount(sweep_var[sat_pos], minlength=n_live_var) > 0)
+                        & (np.bincount(sweep_var[sat_neg], minlength=n_live_var) > 0))
+                # clip to +-_SAT in place (np.clip costs more on short arrays)
+                w = np.arctanh(np.minimum(np.maximum(phi, -_SAT, out=phi), _SAT,
+                                          out=phi), out=phi)
+                bias_sum = np.bincount(sweep_var, weights=w, minlength=n_live_var)
+                theta_new = np.tanh(bias_sum[sweep_var] - w)
+                t = damping * t + (1.0 - damping) * theta_new
+            if params.warm_start:
+                theta = t
+            bias[var_live] = np.tanh(bias_sum)
+            clashes[var_live] = clash
+        conflicts += clashes.reshape(words, n_var).sum(axis=1)
 
-        # fixed variables and those without edges keep bias 0: never fixed
+        # fixed variables and those without edges have bias 0: never fixed
         # by the threshold
-        bias = np.zeros(n_vars, dtype=np.float64)
-        bias[var_live] = np.tanh(bias_sum)
         over = np.abs(bias) > params.threshold
         stalled = np.flatnonzero(active & ~over.reshape(words, n_var).any(axis=1))
         if stalled.size:
@@ -218,14 +241,23 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
             over[stalled * n_var + np.argmax(cand[stalled], axis=1)] = True
         values = (bias[over] < 0.0).astype(np.int64)
         fixed[over] = values
+        bias[over] = 0.0
+        clashes[over] = 0
 
         # fold fixed ones into the source signs and drop the settled edges
         on_fixed = over[edge_var]
         ones_edges = edge_check[on_fixed & (fixed[edge_var] == 1)]
         flips = np.bincount(ones_edges, minlength=n_chks) % 2
         sign_eff *= 1.0 - 2.0 * flips
+        seeds = edge_check[on_fixed]
         keep = ~on_fixed
-        edge_var, edge_check, theta = edge_var[keep], edge_check[keep], theta[keep]
+        edge_var, edge_check = edge_var[keep], edge_check[keep]
+        if params.warm_start:
+            theta = theta[keep]
+            touched = np.ones(edge_var.size, dtype=bool)
+        else:
+            touched = _component_edges(edge_var, edge_check, seeds, n_vars,
+                                       n_chks)
 
     results = []
     for k, source in enumerate(sources):
@@ -234,6 +266,23 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
         results.append(QuantizeResult(u, distortion, int(rounds[k]),
                                       int(conflicts[k])))
     return results
+
+
+def _component_edges(edge_var: np.ndarray, edge_check: np.ndarray,
+                     seeds: np.ndarray, n_vars: int, n_chks: int) -> np.ndarray:
+    """Mask of the edges in the components that hold one of the seed checks,
+    grown through variables then checks until nothing is added."""
+    chk = np.zeros(n_chks, dtype=bool)
+    chk[seeds] = True
+    var = np.zeros(n_vars, dtype=bool)
+    mask = chk[edge_check]
+    while True:
+        var[edge_var[mask]] = True
+        grown = var[edge_var]
+        if np.count_nonzero(grown) == np.count_nonzero(mask):
+            return mask
+        chk[edge_check[grown]] = True
+        mask = chk[edge_check]
 
 
 def _renumber(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -310,6 +310,18 @@ class TestBuildRoundtrip:
                            f"expected {rows}x96"):
             load_code(tmp_path / "code")
 
+    @pytest.mark.parametrize("name", ["h", "g1"])
+    def test_load_rejects_matrix_with_an_extra_row(self, tiny_code, tmp_path,
+                                                   name):
+        save_code(tiny_code, tmp_path / "code")
+        path = tmp_path / "code" / f"{name}.txt"
+        text = path.read_text()
+        rows = int(text.split()[0])
+        path.write_text(text.rstrip("\n") + "\n5 17\n\n")
+        with pytest.raises(ValueError,
+                           match=f"{name}.txt: line {rows + 2}: row beyond"):
+            load_code(tmp_path / "code")
+
     def test_load_validates_manifest_geometry(self, tiny_code, tmp_path):
         save_code(tiny_code, tmp_path / "code")
         path = tmp_path / "code" / "manifest.json"

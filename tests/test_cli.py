@@ -192,6 +192,24 @@ class TestQuantizeEncodeDecode:
         assert (f"rank {TINY_PARAMS.info_rows - 1} of {TINY_PARAMS.info_rows}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command, flag, message", [
+        ("quantize", ["--threshold", "1.5"], "threshold must lie in (0, 1)"),
+        ("encode", ["--damping", "1.0"], "damping must lie in [0, 1)"),
+        ("decode", ["--crossover", "0.7"], "crossover must lie in (0, 0.5)"),
+    ])
+    def test_bad_flags_fail_before_loading_the_code(
+            self, workdir, tmp_path, capsys, command, flag, message):
+        """The code directory is missing, yet the flag's error is the one
+        reported."""
+        words = str(workdir / "sources.txt")
+        inputs = (["--side", words, "--syndrome", words]
+                  if command == "decode" else ["--in", words])
+        rc = cli.main([command, "--code", str(tmp_path / "nowhere"), *inputs,
+                       *flag, "--out", str(tmp_path / "o.txt")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert message in err and "nowhere" not in err
+
     def test_missing_code_dir_exits_three(self, workdir, tmp_path):
         rc = cli.main(["quantize", "--code", str(tmp_path / "nowhere"),
                        "--in", str(workdir / "sources.txt"),

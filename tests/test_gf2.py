@@ -352,3 +352,17 @@ def test_read_write_roundtrip():
     write_matrix(buf, a)
     buf.seek(0)
     assert read_matrix(buf) == a
+
+
+@pytest.mark.parametrize("text", ["2 5\n1 3\n2 4\n", "2 5\n1 3\n2 4\n\n",
+                                  "2 5\n1 3\n2 4\n\n  \n\n"])
+def test_read_matrix_allows_trailing_blank_lines(text):
+    assert read_matrix(io.StringIO(text)) == BitMatrix(2, 5, [[0, 2], [1, 3]])
+
+
+@pytest.mark.parametrize("text, lineno", [("2 5\n1 3\n2 4\n5\n\n", 4),
+                                          ("2 5\n1 3\n2 4\n\n\n5\n", 6)])
+def test_read_matrix_rejects_rows_beyond_header(text, lineno):
+    with pytest.raises(ValueError, match=f"line {lineno}: row beyond the 2 rows "
+                       "the header declares: '5'"):
+        read_matrix(io.StringIO(text))

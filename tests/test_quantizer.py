@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from wzkit import quantizer
+from wzkit.decoder import _check_product
 from wzkit.gf2 import BitMatrix, BitVector, ShapeError
-from wzkit.quantizer import (EXHAUSTIVE_LIMIT, BipParams, bip_quantize,
-                             bip_quantize_all, exhaustive_quantize,
-                             generator_codeword, has_four_cycle)
+from wzkit.quantizer import (EXHAUSTIVE_LIMIT, BipParams, QuantizeResult,
+                             bip_quantize, bip_quantize_all,
+                             exhaustive_quantize, generator_codeword,
+                             has_four_cycle)
 
 
 def random_generator(rng, rows, cols, density=0.35):
@@ -311,3 +313,171 @@ def test_ratio_form_matches_atanh_sum():
         ratio = (plus - minus) / (plus + minus)
         hyper = math.tanh(sum(math.atanh(v) for v in vals))
         assert abs(ratio - hyper) <= 1e-10
+
+
+def reference_decimate(g, sources, params, src_mag, damping):
+    """The decimation loop before it skipped untouched components: every
+    round sweeps every live edge.  quantizer._decimate must match it."""
+    words, n_var, n_chk = len(sources), g.rows, g.cols
+    n_vars, n_chks = words * n_var, words * n_chk
+    ev, ec = g.edges()
+    shift = np.arange(words, dtype=np.int64)[:, None]
+    edge_var = (ev + shift * n_var).ravel()
+    edge_check = (ec + shift * n_chk).ravel()
+
+    s_arr = np.array([s.to_list() for s in sources], dtype=np.int64).ravel()
+    sign_eff = 1.0 - 2.0 * s_arr.astype(np.float64)
+    fixed = np.full(n_vars, -1, dtype=np.int64)
+    theta = np.ones(edge_var.size, dtype=np.float64)
+    conflicts = np.zeros(words, dtype=np.int64)
+    rounds = np.zeros(words, dtype=np.int64)
+
+    while True:
+        active = (fixed < 0).reshape(words, n_var).any(axis=1)
+        if not active.any():
+            break
+        rounds += active
+        if not params.warm_start:
+            theta = np.ones(edge_var.size, dtype=np.float64)
+        src_term = src_mag * sign_eff[edge_check]
+        var_live, sweep_var = quantizer._renumber(edge_var, n_vars)
+        chk_live, sweep_check = quantizer._renumber(edge_check, n_chks)
+        n_live_var = np.count_nonzero(var_live)
+        n_live_chk = np.count_nonzero(chk_live)
+        for _ in range(params.iters_per_round):
+            phi = _check_product(theta, sweep_check, n_live_chk)
+            phi *= src_term
+            sat_pos = phi >= quantizer._SAT
+            sat_neg = phi <= -quantizer._SAT
+            if sat_pos.any() and sat_neg.any():
+                both = (np.bincount(sweep_var[sat_pos], minlength=n_live_var) > 0) & (
+                    np.bincount(sweep_var[sat_neg], minlength=n_live_var) > 0)
+                conflicts += np.bincount(np.flatnonzero(var_live)[both] // n_var,
+                                         minlength=words)
+            w = np.arctanh(np.minimum(np.maximum(phi, -quantizer._SAT, out=phi),
+                                      quantizer._SAT, out=phi), out=phi)
+            bias_sum = np.bincount(sweep_var, weights=w, minlength=n_live_var)
+            theta_new = np.tanh(bias_sum[sweep_var] - w)
+            theta = damping * theta + (1.0 - damping) * theta_new
+
+        bias = np.zeros(n_vars, dtype=np.float64)
+        bias[var_live] = np.tanh(bias_sum)
+        over = np.abs(bias) > params.threshold
+        stalled = np.flatnonzero(active & ~over.reshape(words, n_var).any(axis=1))
+        if stalled.size:
+            cand = np.where(fixed < 0, np.abs(bias), -1.0).reshape(words, n_var)
+            over[stalled * n_var + np.argmax(cand[stalled], axis=1)] = True
+        fixed[over] = (bias[over] < 0.0).astype(np.int64)
+
+        on_fixed = over[edge_var]
+        ones_edges = edge_check[on_fixed & (fixed[edge_var] == 1)]
+        flips = np.bincount(ones_edges, minlength=n_chks) % 2
+        sign_eff *= 1.0 - 2.0 * flips
+        keep = ~on_fixed
+        edge_var, edge_check, theta = edge_var[keep], edge_check[keep], theta[keep]
+
+    results = []
+    for k, source in enumerate(sources):
+        u = BitVector.from_bits_list(fixed[k * n_var:(k + 1) * n_var].tolist())
+        distortion = generator_codeword(g, u).hamming(source) / g.cols
+        results.append(QuantizeResult(u, distortion, int(rounds[k]),
+                                      int(conflicts[k])))
+    return results
+
+
+def quantize_with_reference(monkeypatch, g, sources, params=BipParams()):
+    with monkeypatch.context() as patch:
+        patch.setattr(quantizer, "_decimate", reference_decimate)
+        return bip_quantize_all(g, sources, params)
+
+
+class TestSkipsUntouchedComponents:
+    """A round sweeps only the components next to the variables fixed in the
+    round before, and the results stay those of sweeping everything."""
+
+    PARAMS = [
+        BipParams(),
+        BipParams(gamma=20.0, damping=0.0),
+        BipParams(damping=0.0),
+        BipParams(damping=0.5),
+        BipParams(threshold=0.5),
+        BipParams(iters_per_round=3),
+        BipParams(warm_start=True),
+        BipParams(warm_start=True, damping=0.5, threshold=0.6,
+                  iters_per_round=4),
+    ]
+
+    # rows that share no column: every variable is its own component
+    DISJOINT = (BitMatrix(6, 16, [[0, 1, 2], [3], [4, 5], [6, 7, 8, 9],
+                                  [10, 11], [12, 13, 14, 15]]),
+                BitVector(16, 0b1011_0110_1001_1100))
+
+    @pytest.fixture
+    def sweep_sizes(self, monkeypatch):
+        """Edge count of every sweep the quantizer runs."""
+        sizes = []
+        real = quantizer._check_product
+
+        def recording(theta, edge_check, n_checks):
+            sizes.append(theta.size)
+            return real(theta, edge_check, n_checks)
+
+        monkeypatch.setattr(quantizer, "_check_product", recording)
+        return sizes
+
+    def test_matches_reference_on_random_generators(self, monkeypatch):
+        rng = random.Random(0xDEC1)
+        seen = {"conflicts": 0, "empty rows": 0, "warm": 0}
+        for case in range(300):
+            rows = rng.randrange(1, 25)
+            cols = rng.randrange(2, 50)
+            density = rng.choice([0.05, 0.1, 0.2, 0.35])
+            g = BitMatrix(rows, cols, [
+                [c for c in range(cols) if rng.random() < density]
+                for _ in range(rows)])
+            sources = [BitVector(cols, rng.getrandbits(cols))
+                       for _ in range(rng.randrange(1, 6))]
+            params = self.PARAMS[case % len(self.PARAMS)]
+            got = bip_quantize_all(g, sources, params)
+            assert got == quantize_with_reference(monkeypatch, g, sources,
+                                                  params)
+            seen["conflicts"] += sum(r.conflict_events > 0 for r in got)
+            seen["empty rows"] += any(not sup for sup in g.row_support)
+            seen["warm"] += params.warm_start
+        assert min(seen.values()) >= 20
+
+    def test_rows_sharing_no_column_sweep_once(self, sweep_sizes,
+                                               monkeypatch):
+        """After the first round, the checks of a fixed variable reach no
+        live edge."""
+        g, source = self.DISJOINT
+        params = BipParams(threshold=0.99, iters_per_round=5)
+        res = bip_quantize(g, source, params)
+        assert res.rounds > 1
+        assert sweep_sizes == [16] * 5
+        assert [res] == quantize_with_reference(monkeypatch, g, [source],
+                                                params)
+
+    def test_untouched_block_is_not_swept(self, sweep_sizes, monkeypatch):
+        """Block A has rows of weight 4; block B is one row of weight 2 whose
+        source bits differ, so its bias is 0 and it is fixed last.  No sweep
+        after the first round reaches B: each edge count is a multiple of 4."""
+        block_a = [[0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7], [6, 7, 8, 9],
+                   [8, 9, 0, 1], [0, 4, 8, 10]]
+        g = BitMatrix(7, 13, block_a + [[11, 12]])
+        source = BitVector(13, 0b01_001_1010_0110)
+        params = BipParams(iters_per_round=5)
+        res = bip_quantize(g, source, params)
+        assert res.rounds >= 3
+        assert sweep_sizes[:5] == [26] * 5
+        later = sweep_sizes[5:]
+        assert later and all(size % 4 == 0 for size in later)
+        assert [res] == quantize_with_reference(monkeypatch, g, [source],
+                                                params)
+
+    def test_warm_start_sweeps_every_round(self, sweep_sizes):
+        g, source = self.DISJOINT
+        params = BipParams(threshold=0.99, iters_per_round=5, warm_start=True)
+        res = bip_quantize(g, source, params)
+        assert res.rounds > 1
+        assert len(sweep_sizes) == 5 * res.rounds
