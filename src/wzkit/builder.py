@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, asdict
+from array import array
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -452,26 +453,37 @@ def assemble_compound(a: BitMatrix, params: CodeParams) -> BitMatrix:
     return BitMatrix(2 * hr, 2 * hc, top + bottom)
 
 
-def _b_columns(h: BitMatrix, params: CodeParams) -> list[int]:
-    """Columns of B, packed over the quantization rows (the top quant_checks
-    rows of h), after checking that those rows have the (identity | zeros | B)
-    shape the mirrored construction produces; raises ValueError when they do
-    not."""
+def _b_columns(h: BitMatrix, params: CodeParams) -> BitMatrix:
+    """Columns of B over the quantization rows (the top quant_checks rows of
+    h): row c of the result holds the rows where column c of B has a one.
+    First checks that those rows have the (identity | zeros | B) shape the
+    mirrored construction produces, and raises ValueError naming the lowest
+    row that does not."""
     r = params.quant_checks
     o_width = params.info_rows - params.n // 2
     if o_width < 0:
         raise ValueError("middle segment has negative width: n//2 > m - k1")
     o_end = r + o_width
-    bcols = [0] * (h.cols - o_end)
-    for i, sup in zip(range(r), h.row_support):
-        if [c for c in sup if c < r] != [i]:
+    top = min(r, h.rows)
+    rows, cols = h.edges()
+    stop = int(h.row_lengths()[:top].sum())
+    rows, cols = rows[:stop], cols[:stop]
+    lead = cols < r
+    not_identity = ((np.bincount(rows[lead], minlength=top) != 1)
+                    | (np.bincount(rows[lead & (cols != rows)],
+                                   minlength=top) > 0))
+    in_middle = np.bincount(rows[~lead & (cols < o_end)], minlength=top) > 0
+    bad = np.flatnonzero(not_identity | in_middle)
+    if bad.size:
+        i = bad[0]
+        if not_identity[i]:
             raise ValueError(f"row {i}: leading block is not the identity")
-        for c in sup:
-            if c >= o_end:
-                bcols[c - o_end] |= 1 << i
-            elif c >= r:
-                raise ValueError(f"row {i}: middle zero block is populated")
-    return bcols
+        raise ValueError(f"row {i}: middle zero block is populated")
+    tail = cols >= o_end
+    width = max(h.cols - o_end, 0)
+    return BitMatrix.from_arrays(
+        width, r, np.bincount(cols[tail] - o_end, minlength=width),
+        rows[tail][np.argsort(cols[tail], kind="stable")])
 
 
 def design_poisson_generator(h: BitMatrix, params: CodeParams,
@@ -498,7 +510,7 @@ def design_poisson_generator(h: BitMatrix, params: CodeParams,
     r = params.quant_checks
     n = h.cols
     info = params.info_rows
-    bcols = _b_columns(h, params)
+    bcols = _b_columns(h, params).bitrows()
     o_width = info - params.n // 2
     o_end = r + o_width
     b_width = n - o_end
@@ -553,7 +565,8 @@ def design_poisson_generator(h: BitMatrix, params: CodeParams,
                             + sorted(o_end + c for c in tail))
         return None
 
-    rows = []
+    # each row's weight, and the columns of all rows in a flat int64 array
+    weights, columns = [], array("q")
     for slot, (w_parity, _, tail, parity) in enumerate(draws):
         support = place(slot, w_parity, tail, parity, params.zeta)
         if support is None and params.zeta % 2 == 0:
@@ -562,9 +575,10 @@ def design_poisson_generator(h: BitMatrix, params: CodeParams,
         if support is None:
             raise RankDeficiencyError(
                 f"generator design stalled at row {slot}: "
-                f"achieved rank {len(rows)} of {info}", len(rows))
-        rows.append(support)
-    return BitMatrix(info, n, rows)
+                f"achieved rank {len(weights)} of {info}", len(weights))
+        weights.append(len(support))
+        columns.extend(support)
+    return BitMatrix.from_arrays(info, n, weights, columns)
 
 
 @dataclass(frozen=True)
@@ -581,14 +595,12 @@ class CompoundCode:
     @cached_property
     def h1(self) -> BitMatrix:
         """The quantization check: the top quant_checks rows of h."""
-        return BitMatrix(self.params.quant_checks, self.h.cols,
-                         self.h.row_support[:self.params.quant_checks])
+        return self.h.row_block(0, self.params.quant_checks)
 
     @cached_property
     def h2(self) -> BitMatrix:
         """The syndrome check: the k2 rows of h below h1."""
-        return BitMatrix(self.params.k2, self.h.cols,
-                         self.h.row_support[self.params.quant_checks:])
+        return self.h.row_block(self.params.quant_checks, self.h.rows)
 
     @property
     def rates(self) -> tuple[float, float, float]:
@@ -603,24 +615,60 @@ class CompoundCode:
 
 
 def _verify_generator(code: CompoundCode) -> None:
-    """Shape of the quantization check, and exact orthogonality: every
-    generator row's head must equal B m2."""
+    """Shape of the quantization check, exact orthogonality (every generator
+    row's head must equal B m2) and the i_max row weight cap; raises
+    AssertionError naming the lowest row that fails, orthogonality first."""
     p = code.params
-    r = p.quant_checks
-    o_end = r + (p.info_rows - p.n // 2)
-    bcols = _b_columns(code.h, p)
-    for j, sup in enumerate(code.g1.row_support):
-        head = 0
-        parity = 0
-        for c in sup:
-            if c < r:
-                head |= 1 << c
-            elif c >= o_end:
-                parity ^= bcols[c - o_end]
-        if head != parity:
-            raise AssertionError(f"generator row {j} violates the quant check")
-        if p.poisson_imax is not None and len(sup) > p.poisson_imax:
-            raise AssertionError(f"generator row {j} weight {len(sup)} > i_max")
+    g1 = code.g1
+    bad_q = _first_non_orthogonal_row(g1, _b_columns(code.h, p), p)
+    weights = g1.row_lengths()
+    over = (np.flatnonzero(weights > p.poisson_imax)
+            if p.poisson_imax is not None else [])
+    bad_w = int(over[0]) if len(over) else g1.rows
+    if bad_q < g1.rows and bad_q <= bad_w:
+        raise AssertionError(f"generator row {bad_q} violates the quant check")
+    if bad_w < g1.rows:
+        raise AssertionError(f"generator row {bad_w} weight {weights[bad_w]} "
+                             f"> i_max")
+
+
+# _first_non_orthogonal_row checks this many generator rows at a time
+_VERIFY_ROWS = 256
+
+
+def _first_non_orthogonal_row(g1: BitMatrix, b: BitMatrix,
+                              params: CodeParams) -> int:
+    """Lowest row of g1 whose head differs from B times its tail (b holds
+    B's columns as rows, as _b_columns returns them), or g1.rows.
+
+    Each head entry (j, i) of a row j, and each pair (j, i) with
+    B[i, c] = 1 for a tail entry (j, c), makes one key j * r + i.  Row j is
+    orthogonal exactly when each of its keys occurs an even number of times,
+    so a block of rows takes one sort of its O(nnz) keys.
+    """
+    r = params.quant_checks
+    o_end = r + (params.info_rows - params.n // 2)
+    b_lengths = b.row_lengths()
+    b_starts = np.cumsum(b_lengths) - b_lengths
+    b_rows = b.edges()[1]
+    for at in range(0, g1.rows, _VERIFY_ROWS):
+        rows, cols = g1.row_block(at, min(at + _VERIFY_ROWS, g1.rows)).edges()
+        head = cols < r
+        tail = np.flatnonzero(cols >= o_end)
+        # for every tail entry, the quantization rows its column of B reaches
+        reach = b_lengths[cols[tail] - o_end]
+        first = np.cumsum(reach) - reach
+        picks = (np.repeat(b_starts[cols[tail] - o_end] - first, reach)
+                 + np.arange(int(reach.sum())))
+        keys = np.concatenate((rows[head] * r + cols[head],
+                               np.repeat(rows[tail], reach) * r
+                               + b_rows[picks]))
+        keys.sort()
+        runs = np.flatnonzero(np.diff(keys, prepend=-1, append=-1))
+        odd = np.flatnonzero(np.diff(runs) & 1)
+        if odd.size:
+            return at + int(keys[runs[odd[0]]] // r)
+    return g1.rows
 
 
 def build_compound_code(params: CodeParams, dist: DegreeDistribution, seed: int,
@@ -659,14 +707,40 @@ def save_code(code: CompoundCode, directory: str | Path) -> None:
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
+def _read_manifest(path: Path) -> dict:
+    """manifest.json as save_code writes it, with "params" made a
+    CodeParams; ValueError("manifest.json: ...") when it is not."""
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"manifest.json: {e}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest.json: expected a JSON object")
+    for key in ("params", "seed"):
+        if key not in manifest:
+            raise ValueError(f"manifest.json: missing key {key!r}")
+    given = manifest["params"]
+    if not isinstance(given, dict):
+        raise ValueError("manifest.json: 'params' must be an object")
+    known = [f.name for f in fields(CodeParams)]
+    for key in given:
+        if key not in known:
+            raise ValueError(f"manifest.json: unknown params key {key!r}")
+    try:
+        params = CodeParams(**given)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"manifest.json: params: {e}") from None
+    return {**manifest, "params": params}
+
+
 def load_code(directory: str | Path) -> CompoundCode:
     """Read a directory written by save_code, checking it as thoroughly as a
     fresh build: the geometry, both matrix shapes, the quantization check's
     block shape and the generator's orthogonality to it.  The h1.txt and
     h2.txt files of older directories, copies of h's rows, are not read."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    params = CodeParams(**manifest["params"])
+    manifest = _read_manifest(directory / "manifest.json")
+    params = manifest["params"]
     report = validate_params(params)
     if not report.ok:
         raise ParamValidationError(report)

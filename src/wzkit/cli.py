@@ -15,6 +15,8 @@ from argparse import SUPPRESS
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .builder import (CodeParams, ParamValidationError, build_compound_code,
                       load_code, save_code, validate_params)
@@ -50,11 +52,12 @@ def _read_words(path: str, length: int | None = None) -> list[BitVector]:
         line = raw.strip()
         if not line:
             continue
-        if set(line) - {"0", "1"}:
+        bits = np.frombuffer(line.encode(), dtype=np.uint8) - ord("0")
+        if (bits > 1).any():
             raise UsageError(f"{path}:{lineno}: word lines must be 0/1 only")
-        if length is not None and len(line) != length:
-            raise UsageError(f"{path}:{lineno}: expected {length} bits, got {len(line)}")
-        words.append(BitVector.from_bits_list([int(c) for c in line]))
+        if length is not None and bits.size != length:
+            raise UsageError(f"{path}:{lineno}: expected {length} bits, got {bits.size}")
+        words.append(BitVector.from_array(bits))
     if not words:
         raise UsageError(f"{path}: no words found")
     return words
@@ -62,8 +65,8 @@ def _read_words(path: str, length: int | None = None) -> list[BitVector]:
 
 def _write_words(path: str, words: list[BitVector]) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for w in words:
-            f.write("".join(str(b) for b in w.to_list()) + "\n")
+        f.write("".join((w.to_array() + ord("0")).tobytes().decode() + "\n"
+                        for w in words))
 
 
 def _resolve_catalog(path: str | None) -> dict[str, CatalogEntry]:

@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 from .builder import CodeParams, CompoundCode, _b_columns
 from .decoder import SpParams, sp_decode
 from .gf2 import (BitMatrix, BitVector, EchelonBasis, RankDeficiencyError,
-                  ShapeError, _bit_indices, mul_vec)
+                  ShapeError, mul_vec)
 from .quantizer import (BipParams, _resolve, bip_quantize_all,
                         generator_codeword)
 
@@ -152,13 +152,13 @@ class CompoundQuantizer:
         params = code.params
         r = params.quant_checks
         mid = params.info_rows - params.n // 2
-        sub_cols = [_bit_indices(bits) for bits in _b_columns(code.h, params)]
+        sub_cols = _b_columns(code.h, params).row_support
         self.g1 = code.g1
         self.n = params.n
         self.parity_width = r
         self.mid_width = mid
         self.g_sub = BitMatrix(len(sub_cols), r + len(sub_cols),
-                               [cols + [r + j] for j, cols in enumerate(sub_cols)])
+                               [cols + (r + j,) for j, cols in enumerate(sub_cols)])
         # default damping is a fact of g_sub: search it for 4-cycles once
         self._damping = _resolve(BipParams(), self.g_sub)[1]
         self._coeff_basis: EchelonBasis | None = None
@@ -314,11 +314,6 @@ class _DecodeOut(NamedTuple):
     converged: bool
 
 
-def _pack_bits(arr: np.ndarray) -> int:
-    packed = np.packbits(arr.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
@@ -330,10 +325,10 @@ def _encode_trials(code: CompoundCode, first: int, stop: int, seed: int,
     sources, side_bits = [], []
     for trial in range(first, stop):
         rng = _trial_rng(seed, trial)
-        s_arr = rng.integers(0, 2, size=n, dtype=np.int64)
-        flips = (rng.random(n) < p).astype(np.int64)
-        sources.append(BitVector(n, _pack_bits(s_arr)))
-        side_bits.append(sources[-1].bits ^ _pack_bits(flips))
+        sources.append(BitVector.from_array(
+            rng.integers(0, 2, size=n, dtype=np.int64)))
+        side_bits.append(sources[-1].bits
+                         ^ BitVector.from_array(rng.random(n) < p).bits)
     return [_EncodeOut(trial, s.bits, j_bits, enc.word.bits,
                        enc.syndrome.bits, enc.distortion)
             for trial, s, j_bits, enc in zip(range(first, stop), sources,

@@ -91,10 +91,10 @@ def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
     if h.cols != side_info.length:
         raise ShapeError(f"side info length {side_info.length} != cols {h.cols}")
     edge_check, edge_var = h.edges()
-    syn = np.array(syndrome.to_list(), dtype=np.int64)
+    syn = syndrome.to_array().astype(np.int64)
     syn_scale = 2.0 - 4.0 * syn[edge_check]  # 2 artanh, sign set by syndrome
     llr0 = float(np.log((1.0 - params.crossover) / params.crossover))
-    j_bits = np.array(side_info.to_list(), dtype=np.int64)
+    j_bits = side_info.to_array().astype(np.int64)
     channel = llr0 * (1.0 - 2.0 * j_bits)
     lo, hi = -params.llr_clip, params.llr_clip
 
@@ -131,8 +131,8 @@ def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
 
         hard = posterior < 0.0
         if syndrome_ok(hard):
-            return DecodeResult(BitVector.from_bits_list(hard.tolist()), True, it)
-    return DecodeResult(BitVector.from_bits_list(hard.tolist()), False, params.max_iter)
+            return DecodeResult(BitVector.from_array(hard), True, it)
+    return DecodeResult(BitVector.from_array(hard), False, params.max_iter)
 
 
 def _lex_key(bits: int, length: int) -> tuple[int, ...]:

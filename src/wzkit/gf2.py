@@ -1,10 +1,16 @@
 """GF(2) vectors and sparse matrices, with one elimination core.
 
-Matrices are stored as sorted per-row column supports (the canonical form) plus a
-lazily built packed view: one Python int per row, bit c = entry in column c.  The
-packed view makes elimination word-parallel, so dimensions of a few times 10^5
-per axis stay workable; memory is O(nnz) for storage and about rows*cols/8 bytes
+Matrices are stored as two int64 arrays (the canonical form): the column of
+every entry, row by row with each row sorted, and where each row starts.  One
+vectorized check validates every constructor's input.  The Tanner-graph edge
+arrays, the per-row supports as tuples and a packed view of one Python int per
+row (bit c = entry in column c) are built on first use and cached.  The packed
+view makes elimination word-parallel, so dimensions of a few times 10^5 per
+axis stay workable; memory is O(nnz) for storage and about rows*cols/8 bytes
 while an elimination runs.
+
+Bits cross between packed ints and numpy arrays through np.packbits and
+np.unpackbits with little-endian bit order, so every such crossing is O(n).
 
 All values are immutable after construction.  Every GF(2) elimination in the
 package goes through EchelonBasis, an incremental row-echelon basis that keys
@@ -87,21 +93,33 @@ class BitVector:
         return cls(length, bits)
 
     @classmethod
-    def from_bits_list(cls, values: Sequence[int]) -> "BitVector":
-        if any(v not in (0, 1) for v in values):
+    def from_array(cls, values) -> "BitVector":
+        """Vector whose entry i is values[i]; values is a 1-D array-like of
+        0/1 (ints, bools or floats)."""
+        arr = np.asarray(values)
+        if arr.ndim != 1:
+            raise ShapeError(f"expected a 1-D array of bits, got shape {arr.shape}")
+        if arr.dtype != np.bool_ and not ((arr == 0) | (arr == 1)).all():
             raise ValueError("entries must be 0 or 1")
-        bits = 0
-        for i, v in enumerate(values):
-            if v:
-                bits |= 1 << i
-        return cls(len(values), bits)
+        packed = np.packbits(arr.astype(bool, copy=False), bitorder="little")
+        return cls(arr.size, int.from_bytes(packed.tobytes(), "little"))
+
+    @classmethod
+    def from_bits_list(cls, values: Sequence[int]) -> "BitVector":
+        return cls.from_array(values)
 
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(_bit_indices(self.bits))
 
+    def to_array(self) -> np.ndarray:
+        """The entries as a new uint8 array of 0/1, entry i from bit i."""
+        packed = self.bits.to_bytes((self.length + 7) // 8, "little")
+        return np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
+                             count=self.length, bitorder="little")
+
     def to_list(self) -> list[int]:
-        return [(self.bits >> i) & 1 for i in range(self.length)]
+        return self.to_array().tolist()
 
     def weight(self) -> int:
         return self.bits.bit_count()
@@ -129,25 +147,69 @@ class BitMatrix:
     representable; every other constructor path produces rows >= 1.
     """
 
-    __slots__ = ("rows", "cols", "row_support", "_bitrows", "_edges")
+    __slots__ = ("rows", "cols", "_starts", "_columns", "_row_support",
+                 "_bitrows", "_edges")
 
     def __init__(self, rows: int, cols: int, row_support: Iterable[Iterable[int]]):
+        supports = [sup if isinstance(sup, (tuple, list)) else tuple(sup)
+                    for sup in row_support]
+        lengths = np.fromiter(map(len, supports), dtype=np.int64,
+                              count=len(supports))
+        columns = np.fromiter(chain.from_iterable(supports), dtype=np.int64,
+                              count=int(lengths.sum()))
+        self._init(rows, cols, lengths, columns)
+
+    @classmethod
+    def from_arrays(cls, rows: int, cols: int, lengths, columns) -> "BitMatrix":
+        """Matrix whose row i holds the next lengths[i] entries of columns;
+        a row may come in any order, and is sorted."""
+        return cls._adopt(rows, cols, np.asarray(lengths, dtype=np.int64),
+                          np.array(columns, dtype=np.int64))
+
+    @classmethod
+    def _adopt(cls, rows: int, cols: int, lengths: np.ndarray,
+               columns: np.ndarray) -> "BitMatrix":
+        """from_arrays without the copy: columns must be an int64 array that
+        nothing else holds."""
+        self = object.__new__(cls)
+        self._init(rows, cols, lengths, columns)
+        return self
+
+    def _init(self, rows: int, cols: int, lengths: np.ndarray,
+              columns: np.ndarray) -> None:
+        """The one check every constructor runs, on a fresh columns array:
+        the shape, then per row (lowest row first) duplicate columns and
+        columns outside [0, cols), then the row count."""
         if rows < 0 or cols < 1:
             raise ShapeError(f"bad shape {rows}x{cols}")
-        supports = []
-        for i, sup in enumerate(row_support):
-            tup = tuple(sorted(sup))
-            for a, b in zip(tup, tup[1:]):
-                if a == b:
-                    raise ShapeError(f"row {i} has duplicate column {a}")
-            if tup and (tup[0] < 0 or tup[-1] >= cols):
-                raise ShapeError(f"row {i} support outside [0, {cols})")
-            supports.append(tup)
-        if len(supports) != rows:
-            raise ShapeError(f"expected {rows} rows, got {len(supports)}")
+        if lengths.ndim != 1 or lengths.size and lengths.min() < 0:
+            raise ShapeError("row lengths must be a 1-D array of counts >= 0")
+        if int(lengths.sum()) != columns.size:
+            raise ShapeError(f"row lengths sum to {int(lengths.sum())}, "
+                             f"but {columns.size} columns are given")
+        row_of = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+        same_row = row_of[1:] == row_of[:-1]
+        if (same_row & (columns[1:] < columns[:-1])).any():
+            columns = columns[np.lexsort((columns, row_of))]
+        dup = np.flatnonzero(same_row & (columns[1:] == columns[:-1]))
+        outside = np.flatnonzero((columns < 0) | (columns >= cols))
+        dup_row = row_of[dup[0]] if dup.size else lengths.size
+        outside_row = row_of[outside[0]] if outside.size else lengths.size
+        if dup_row < lengths.size and dup_row <= outside_row:
+            raise ShapeError(f"row {dup_row} has duplicate column "
+                             f"{columns[dup[0]]}")
+        if outside_row < lengths.size:
+            raise ShapeError(f"row {outside_row} support outside [0, {cols})")
+        if lengths.size != rows:
+            raise ShapeError(f"expected {rows} rows, got {lengths.size}")
+        starts = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        starts.flags.writeable = columns.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "row_support", tuple(supports))
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_row_support", None)
         object.__setattr__(self, "_bitrows", None)
         object.__setattr__(self, "_edges", None)
 
@@ -156,17 +218,78 @@ class BitMatrix:
 
     def __reduce__(self):
         # the blocked __setattr__ defeats slot-state unpickling
-        return (BitMatrix, (self.rows, self.cols, self.row_support))
+        return (BitMatrix.from_arrays, (self.rows, self.cols,
+                                        self.row_lengths(), self._columns))
 
     @classmethod
     def from_bitrows(cls, rows: int, cols: int, bitrows: Sequence[int]) -> "BitMatrix":
-        return cls(rows, cols, [_bit_indices(b) for b in bitrows])
+        bitrows = list(bitrows)
+        # bits beyond cols are unpacked too, so that the check reports them
+        width = max([cols, *(b.bit_length() for b in bitrows)])
+        nbytes = (width + 7) // 8
+        step = _chunk_rows(width)
+        lengths = [np.zeros(0, dtype=np.int64)]
+        columns = [np.zeros(0, dtype=np.int64)]
+        for at in range(0, len(bitrows), step):
+            chunk = bitrows[at:at + step]
+            packed = np.frombuffer(
+                b"".join(b.to_bytes(nbytes, "little") for b in chunk),
+                dtype=np.uint8).reshape(len(chunk), nbytes)
+            row, col = np.nonzero(np.unpackbits(packed, axis=1,
+                                                bitorder="little"))
+            lengths.append(np.bincount(row, minlength=len(chunk)))
+            columns.append(col)
+        return cls._adopt(rows, cols, np.concatenate(lengths),
+                          np.concatenate(columns))
+
+    @property
+    def row_support(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted column support of every row, built on first use and cached."""
+        cached = object.__getattribute__(self, "_row_support")
+        if cached is None:
+            # all rows share one int object per column
+            ints = list(range(self.cols))
+            out = []
+            for bounds, block in _row_blocks(self):
+                flat = list(map(ints.__getitem__, block.tolist()))
+                out.extend(tuple(flat[lo:hi])
+                           for lo, hi in zip(bounds, bounds[1:]))
+            cached = tuple(out)
+            object.__setattr__(self, "_row_support", cached)
+        return cached
+
+    def row_lengths(self) -> np.ndarray:
+        """Number of entries in each row, as a new int64 array."""
+        return np.diff(self._starts)
+
+    def row_block(self, start: int, stop: int) -> "BitMatrix":
+        """Rows start..stop-1 as a matrix of their own."""
+        if not 0 <= start <= stop <= self.rows:
+            raise ShapeError(f"rows {start}..{stop - 1} of a {self.rows}-row "
+                             f"matrix")
+        return BitMatrix.from_arrays(
+            stop - start, self.cols, np.diff(self._starts[start:stop + 1]),
+            self._columns[self._starts[start]:self._starts[stop]])
 
     def bitrows(self) -> tuple[int, ...]:
         """Packed view, built on first use and cached."""
         cached = object.__getattribute__(self, "_bitrows")
         if cached is None:
-            cached = tuple(sum(1 << c for c in sup) for sup in self.row_support)
+            nbytes = (self.cols + 7) // 8
+            width = 8 * nbytes
+            step = _chunk_rows(width)
+            out = []
+            for at in range(0, self.rows, step):
+                stop = min(at + step, self.rows)
+                lo, hi = self._starts[at], self._starts[stop]
+                rows = np.repeat(np.arange(stop - at) * width,
+                                 np.diff(self._starts[at:stop + 1]))
+                dense = np.zeros((stop - at) * width, dtype=bool)
+                dense[rows + self._columns[lo:hi]] = True
+                packed = np.packbits(dense, bitorder="little").tobytes()
+                out.extend(int.from_bytes(packed[k:k + nbytes], "little")
+                           for k in range(0, len(packed), nbytes))
+            cached = tuple(out)
             object.__setattr__(self, "_bitrows", cached)
         return cached
 
@@ -175,12 +298,10 @@ class BitMatrix:
         int64 arrays; the Tanner graph view, built on first use and cached."""
         cached = object.__getattribute__(self, "_edges")
         if cached is None:
-            degs = [len(s) for s in self.row_support]
-            rows = np.repeat(np.arange(self.rows, dtype=np.int64), degs)
-            cols = np.fromiter(chain.from_iterable(self.row_support),
-                               dtype=np.int64, count=rows.size)
-            rows.flags.writeable = cols.flags.writeable = False
-            cached = (rows, cols)
+            rows = np.repeat(np.arange(self.rows, dtype=np.int64),
+                             self.row_lengths())
+            rows.flags.writeable = False
+            cached = (rows, self._columns)
             object.__setattr__(self, "_edges", cached)
         return cached
 
@@ -189,13 +310,38 @@ class BitMatrix:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BitMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.row_support == other.row_support)
+                and self.cols == other.cols
+                and np.array_equal(self._starts, other._starts)
+                and np.array_equal(self._columns, other._columns))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.row_support))
+        return hash((self.rows, self.cols, self._starts.tobytes(),
+                     self._columns.tobytes()))
 
     def __repr__(self) -> str:
-        return f"BitMatrix({self.rows}x{self.cols}, nnz={sum(map(len, self.row_support))})"
+        return f"BitMatrix({self.rows}x{self.cols}, nnz={self._columns.size})"
+
+
+# packing a matrix unpacks at most about this many bits of it at once
+_CHUNK_BITS = 1 << 16
+# row_support and write_matrix turn this many rows at a time into Python
+# objects
+_ROW_BLOCK = 64
+
+
+def _chunk_rows(width: int) -> int:
+    return max(1, _CHUNK_BITS // max(width, 1))
+
+
+def _row_blocks(a: BitMatrix):
+    """For each block of _ROW_BLOCK rows of a, in order: where each of its
+    rows starts within the block, then where the block ends, and the
+    block's columns."""
+    starts = a._starts.tolist()
+    for at in range(0, a.rows, _ROW_BLOCK):
+        bounds = starts[at:at + _ROW_BLOCK + 1]
+        yield ([b - bounds[0] for b in bounds],
+               a._columns[bounds[0]:bounds[-1]])
 
 
 def _bit_indices(bits: int) -> list[int]:
@@ -229,11 +375,9 @@ def mul_vec(a: BitMatrix, v: BitVector) -> BitVector:
     """Matrix-vector product over GF(2): entry i is the parity of row i AND v."""
     if a.cols != v.length:
         raise ShapeError(f"cannot apply {a.rows}x{a.cols} to length-{v.length} vector")
-    bits = 0
-    for i, row in enumerate(a.bitrows()):
-        if (row & v.bits).bit_count() & 1:
-            bits |= 1 << i
-    return BitVector(a.rows, bits)
+    rows, cols = a.edges()
+    hit = v.to_array().view(bool)[cols]
+    return BitVector.from_array(np.bincount(rows[hit], minlength=a.rows) & 1)
 
 
 def transpose(a: BitMatrix) -> BitMatrix:
@@ -394,27 +538,88 @@ def write_matrix(f: TextIO, a: BitMatrix) -> None:
     """Interchange format: "rows cols" header, one line of 1-based column indices
     per row, and a terminating blank line."""
     f.write(f"{a.rows} {a.cols}\n")
-    for sup in a.row_support:
-        f.write(" ".join(str(c + 1) for c in sup) + "\n")
+    for bounds, block in _row_blocks(a):
+        tokens = list(map(str, (block + 1).tolist()))
+        f.write("".join(" ".join(tokens[lo:hi]) + "\n"
+                        for lo, hi in zip(bounds, bounds[1:])))
     f.write("\n")
+
+
+# read_matrix parses this many row lines at a time, which bounds its
+# temporaries whatever the size of the matrix
+_PARSE_LINES = 256
+# byte classes of the matrix format: 1 ASCII whitespace, 2 digit, 3 sign,
+# 0 anything else
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t\n\v\f\r")] = 1
+_BYTE_CLASS[list(b"0123456789")] = 2
+_BYTE_CLASS[list(b"+-")] = 3
 
 
 def read_matrix(f: TextIO) -> BitMatrix:
     """Inverse of write_matrix.  Blank lines may follow the declared rows;
-    any other line there is an error."""
+    any other line there is an error.  Indices are decimal integers, an
+    optional sign then ASCII digits, separated by ASCII whitespace."""
     header = f.readline()
     parts = header.split()
     if len(parts) != 2:
         raise ValueError(f"bad header line: {header!r}")
     rows, cols = int(parts[0]), int(parts[1])
-    supports = []
-    for i in range(rows):
-        line = f.readline()
-        if line == "":
-            raise ValueError(f"unexpected end of file at row {i}")
-        supports.append([int(tok) - 1 for tok in line.split()])
-    for lineno, line in enumerate(f, start=rows + 2):
+    lines = f.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the text ends in a newline, or is empty
+    body = max(rows, 0)
+    if len(lines) < body:
+        raise ValueError(f"unexpected end of file at row {len(lines)}")
+    for lineno, line in enumerate(lines[body:], start=rows + 2):
         if line.strip():
             raise ValueError(f"line {lineno}: row beyond the {rows} rows "
                              f"the header declares: {line.strip()!r}")
-    return BitMatrix(rows, cols, supports)
+    lengths = [np.zeros(0, dtype=np.int64)]
+    columns = [np.zeros(0, dtype=np.int64)]
+    for at in range(0, body, _PARSE_LINES):
+        count, found = _parse_rows(lines[at:min(at + _PARSE_LINES, body)],
+                                   first_lineno=at + 2)
+        lengths.append(count)
+        columns.append(found)
+    return BitMatrix._adopt(rows, cols, np.concatenate(lengths),
+                            np.concatenate(columns))
+
+
+def _parse_rows(lines: list[str], first_lineno: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """How many indices each line holds, and all of them in order, 0-based,
+    parsed from the lines' bytes at once.  The first malformed index raises
+    ValueError, in int()'s words where int() rejects it too."""
+    text = "\n".join(lines).encode()
+    raw = np.frombuffer(text, dtype=np.uint8)
+    kind = _BYTE_CLASS[raw]
+    space = kind == 1
+    first = ~space
+    first[1:] &= space[:-1]
+    # a sign must open an index and be followed by a digit
+    signs = np.flatnonzero(kind == 3)
+    misplaced = signs[~first[signs]
+                      | (kind[np.minimum(signs + 1, raw.size - 1)] != 2)
+                      | (signs + 1 == raw.size)]
+    other = np.flatnonzero(kind == 0)
+    if misplaced.size or other.size:
+        at = int(min(misplaced[:1].tolist() + other[:1].tolist()))
+        lo = int(np.flatnonzero(first[:at + 1])[-1])
+        hi = at + int(np.argmax(np.append(space[at:], True)))
+        token = text[lo:hi].decode()
+        int(token)  # int()'s own ValueError where it rejects the token too
+        lineno = first_lineno + text.count(b"\n", 0, at)
+        raise ValueError(f"line {lineno}: {token!r} is not a decimal integer")
+    starts = np.flatnonzero(first)
+    # tokens before each line break, and so per line
+    ends = np.searchsorted(starts, np.flatnonzero(raw == ord("\n")))
+    lengths = np.diff(ends, prepend=0, append=starts.size)
+    # fromstring reads whitespace alone as one 0; without indices, skip it
+    indices = (np.fromstring(text, dtype=np.int64, sep=" ") if starts.size
+               else np.zeros(0, dtype=np.int64))
+    if indices.size != starts.size:
+        raise ValueError(f"read {indices.size} indices from {starts.size} "
+                         f"tokens")
+    indices -= 1
+    return lengths, indices

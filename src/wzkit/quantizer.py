@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -82,13 +81,11 @@ def has_four_cycle(g: BitMatrix) -> bool:
     """True when two rows share two columns.  Row profiles whose pair count
     exceeds the enumeration budget are assumed cyclic (dense rows essentially
     guarantee a shared column pair)."""
-    lengths = np.fromiter(map(len, g.row_support), dtype=np.int64,
-                          count=g.rows)
+    lengths = g.row_lengths()
     total_pairs = int((lengths * (lengths - 1) // 2).sum())
     if total_pairs > _FOUR_CYCLE_PAIR_BUDGET:
         return True
-    flat = np.fromiter(chain.from_iterable(g.row_support), dtype=np.int64,
-                       count=int(lengths.sum()))
+    flat = g.edges()[1]
     starts = np.cumsum(lengths) - lengths
     # one (rows x length) block of supports, and one pair index, per length
     blocks = [np.empty(0, dtype=np.int64)]
@@ -180,7 +177,7 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
     edge_var = (ev + shift * n_var).ravel()
     edge_check = (ec + shift * n_chk).ravel()
 
-    s_arr = np.array([s.to_list() for s in sources], dtype=np.int64).ravel()
+    s_arr = np.concatenate([s.to_array() for s in sources])
     sign_eff = 1.0 - 2.0 * s_arr.astype(np.float64)
     fixed = np.full(n_vars, -1, dtype=np.int64)  # -1 unfixed, else 0/1
     theta = np.ones(edge_var.size, dtype=np.float64)  # kept for warm_start
@@ -261,7 +258,7 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
 
     results = []
     for k, source in enumerate(sources):
-        u = BitVector.from_bits_list(fixed[k * n_var:(k + 1) * n_var].tolist())
+        u = BitVector.from_array(fixed[k * n_var:(k + 1) * n_var])
         distortion = generator_codeword(g, u).hamming(source) / g.cols
         results.append(QuantizeResult(u, distortion, int(rounds[k]),
                                       int(conflicts[k])))

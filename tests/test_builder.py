@@ -8,9 +8,11 @@ from collections import Counter
 import pytest
 
 from conftest import SMALL_PARAMS, TINY_PARAMS, tiny_dist
+from wzkit import builder
 from wzkit.builder import (BFS_DEPTH_CAP, CodeParams, CompoundCode,
                            ParamValidationError, _check_degree_sequence,
                            _node_degree_sequence, _repair_full_rank,
+                           _verify_generator,
                            all_one_diagonalize, assemble_compound,
                            build_compound_code, design_poisson_generator,
                            empirical_fractions, load_code, peg_generate,
@@ -372,3 +374,151 @@ def test_quantization_check_annihilates_generator(tiny_code):
     for bits in tiny_code.g1.bitrows():
         word = BitVector(tiny_code.g1.cols, bits)
         assert mul_vec(tiny_code.h1, word).weight() == 0
+
+
+def reference_verify_generator(code):
+    """_verify_generator as a loop over g1's rows, with B's columns packed
+    into ints; the reference for the sort-based check."""
+    p = code.params
+    r = p.quant_checks
+    o_end = r + (p.info_rows - p.n // 2)
+    bcols = [0] * (code.h.cols - o_end)
+    for i, sup in zip(range(r), code.h.row_support):
+        for c in sup:
+            if c >= o_end:
+                bcols[c - o_end] |= 1 << i
+    for j, sup in enumerate(code.g1.row_support):
+        head = parity = 0
+        for c in sup:
+            if c < r:
+                head |= 1 << c
+            elif c >= o_end:
+                parity ^= bcols[c - o_end]
+        if head != parity:
+            raise AssertionError(f"generator row {j} violates the quant check")
+        if p.poisson_imax is not None and len(sup) > p.poisson_imax:
+            raise AssertionError(f"generator row {j} weight {len(sup)} > i_max")
+
+
+def with_g1_rows(code, edits):
+    """code with g1 row j's support replaced by edits[j](support)."""
+    rows = [edits[j](set(sup)) if j in edits else sup
+            for j, sup in enumerate(code.g1.row_support)]
+    return CompoundCode(code.params, code.h, BitMatrix(code.g1.rows,
+                                                       code.g1.cols, rows),
+                        code.seed, code.dist_id)
+
+
+def toggle(*cols):
+    return lambda sup: sup ^ set(cols)
+
+
+def overweight(code, j):
+    """Edit that pads row j with middle-block columns, which leave it
+    orthogonal, until it is one over i_max."""
+    p = code.params
+    middle = range(p.quant_checks, p.quant_checks + p.info_rows - p.n // 2)
+    free = [c for c in middle if c not in code.g1.row_support[j]]
+    need = p.poisson_imax + 1 - len(code.g1.row_support[j])
+    assert 0 < need <= len(free)
+    return lambda sup: sup | set(free[:need])
+
+
+def verify_outcome(check, code):
+    try:
+        check(code)
+        return "ok"
+    except AssertionError as e:
+        return str(e)
+
+
+class TestVerifyGenerator:
+    # tiny code: head columns 0..23, middle 24..47, tail 48..95
+    def test_flipped_head_bit_names_lowest_row(self, tiny_code):
+        code = with_g1_rows(tiny_code, {7: toggle(5), 3: toggle(0)})
+        with pytest.raises(AssertionError,
+                           match="generator row 3 violates the quant check"):
+            _verify_generator(code)
+
+    def test_flipped_tail_bit_is_caught(self, tiny_code):
+        code = with_g1_rows(tiny_code, {9: toggle(60)})
+        with pytest.raises(AssertionError, match="generator row 9 violates"):
+            _verify_generator(code)
+
+    def test_row_over_imax(self, tiny_code):
+        code = with_g1_rows(tiny_code, {4: overweight(tiny_code, 4)})
+        weight = TINY_PARAMS.poisson_imax + 1
+        with pytest.raises(AssertionError,
+                           match=f"generator row 4 weight {weight} > i_max"):
+            _verify_generator(code)
+
+    def test_lowest_failing_row_wins(self, tiny_code):
+        code = with_g1_rows(tiny_code, {2: overweight(tiny_code, 2),
+                                        5: toggle(1)})
+        assert verify_outcome(_verify_generator, code).startswith(
+            "generator row 2 weight")
+        both = with_g1_rows(code, {2: toggle(1)})
+        assert verify_outcome(_verify_generator, both) == (
+            "generator row 2 violates the quant check")
+
+    @pytest.mark.parametrize("block_rows", [1, 5, 256])
+    def test_matches_reference_on_random_edits(self, tiny_code, small_code,
+                                               block_rows, monkeypatch):
+        monkeypatch.setattr(builder, "_VERIFY_ROWS", block_rows)
+        rng = random.Random(3)
+        outcomes = Counter()
+        for code in (tiny_code, small_code):
+            assert verify_outcome(_verify_generator, code) == "ok"
+            for _ in range(60):
+                rows = rng.sample(range(code.g1.rows), rng.randint(1, 3))
+                edits = {j: toggle(*rng.sample(range(code.g1.cols),
+                                               rng.randint(1, 3)))
+                         for j in rows}
+                if rng.random() < 0.3:
+                    j = rng.randrange(code.g1.rows)
+                    need = code.params.poisson_imax + 1 - len(
+                        code.g1.row_support[j])
+                    if need <= 8:
+                        edits[j] = overweight(code, j)
+                edited = with_g1_rows(code, edits)
+                got = verify_outcome(_verify_generator, edited)
+                assert got == verify_outcome(reference_verify_generator, edited)
+                outcomes[got.split(" ")[-1]] += 1
+        assert outcomes["check"] > 20 and outcomes["ok"] > 0
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda code: {6: toggle(2)}, "generator row 6 violates the quant check"),
+        (lambda code: {1: overweight(code, 1)}, "generator row 1 weight 21 > i_max"),
+    ], ids=["quant-check", "i-max"])
+    def test_load_code_runs_the_check(self, tiny_code, tmp_path, edit, message):
+        save_code(with_g1_rows(tiny_code, edit(tiny_code)), tmp_path / "code")
+        with pytest.raises(AssertionError, match=message):
+            load_code(tmp_path / "code")
+
+
+class TestManifest:
+    @pytest.mark.parametrize("change, message", [
+        (lambda m: m.pop("seed"), "missing key 'seed'"),
+        (lambda m: m.pop("params"), "missing key 'params'"),
+        (lambda m: m["params"].update(colour=3), "unknown params key 'colour'"),
+        (lambda m: m["params"].pop("k2"), "params: .*'k2'"),
+        (lambda m: m["params"].update(n="96"), "params: "),
+        (lambda m: m.update(params=[96]), "'params' must be an object"),
+    ], ids=["no-seed", "no-params", "unknown-key", "missing-field",
+            "bad-value", "params-not-object"])
+    def test_malformed_manifest_is_value_error(self, tiny_code, tmp_path,
+                                               change, message):
+        save_code(tiny_code, tmp_path / "code")
+        path = tmp_path / "code" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        change(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"^manifest.json: {message}"):
+            load_code(tmp_path / "code")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "{", ""])
+    def test_manifest_that_is_not_an_object(self, tiny_code, tmp_path, text):
+        save_code(tiny_code, tmp_path / "code")
+        (tmp_path / "code" / "manifest.json").write_text(text)
+        with pytest.raises(ValueError, match="^manifest.json: "):
+            load_code(tmp_path / "code")

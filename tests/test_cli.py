@@ -210,11 +210,115 @@ class TestQuantizeEncodeDecode:
         err = capsys.readouterr().err
         assert message in err and "nowhere" not in err
 
+    @pytest.mark.parametrize("change", [
+        lambda m: m.pop("seed"),
+        lambda m: m.pop("params"),
+        lambda m: m["params"].update(colour=3),
+        lambda m: [1, 2],
+    ], ids=["no-seed", "no-params", "unknown-params-key", "not-an-object"])
+    @pytest.mark.parametrize("command", ["quantize", "encode", "decode"])
+    def test_malformed_manifest_exits_three(self, workdir, tmp_path, capsys,
+                                            command, change):
+        code_dir = tmp_path / "code"
+        shutil.copytree(workdir / "tiny-code", code_dir)
+        path = code_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        replaced = change(manifest)
+        path.write_text(json.dumps(replaced if isinstance(replaced, list)
+                                   else manifest))
+        words = str(workdir / "sources.txt")
+        inputs = (["--side", words, "--syndrome", words, "--crossover", "0.1"]
+                  if command == "decode" else ["--in", words])
+        rc = cli.main([command, "--code", str(code_dir), *inputs,
+                       "--out", str(tmp_path / "o.txt")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: manifest.json: ")
+
+    @pytest.mark.parametrize("edit, message", [
+        ("head", "generator row 2 violates the quant check"),
+        ("weight", f"generator row 2 weight {TINY_PARAMS.poisson_imax + 1} "
+                   f"> i_max"),
+    ])
+    def test_generator_check_failure_exits_three(self, workdir, tmp_path,
+                                                 capsys, edit, message):
+        code_dir = tmp_path / "code"
+        shutil.copytree(workdir / "tiny-code", code_dir)
+        path = code_dir / "g1.txt"
+        lines = path.read_text().split("\n")
+        row = {int(tok) for tok in lines[3].split()}       # g1 row 2
+        if edit == "head":
+            row ^= {1}
+        else:
+            p = TINY_PARAMS
+            middle = range(p.quant_checks + 1,
+                           p.quant_checks + p.info_rows - p.n // 2 + 1)
+            free = [c for c in middle if c not in row]
+            row |= set(free[:p.poisson_imax + 1 - len(row)])
+        lines[3] = " ".join(map(str, sorted(row)))
+        path.write_text("\n".join(lines))
+        rc = cli.main(["encode", "--code", str(code_dir),
+                       "--in", str(workdir / "sources.txt"),
+                       "--out", str(tmp_path / "o.txt")])
+        assert rc == 3
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_missing_code_dir_exits_three(self, workdir, tmp_path):
         rc = cli.main(["quantize", "--code", str(tmp_path / "nowhere"),
                        "--in", str(workdir / "sources.txt"),
                        "--out", str(tmp_path / "o.txt")])
         assert rc == 3
+
+
+def reference_write_words(path, words):
+    """_write_words as a loop over each word's bits; its output is the
+    reference for the array writer."""
+    with open(path, "w", encoding="utf-8") as f:
+        for w in words:
+            f.write("".join(str(b) for b in w.to_list()) + "\n")
+
+
+class TestWordFiles:
+    WORDS = ["0110100", "1111111", "0000000"]
+
+    def vectors(self):
+        return [BitVector.from_bits_list([int(c) for c in w])
+                for w in self.WORDS]
+
+    @pytest.mark.parametrize("text", [
+        "0110100\r\n1111111\r\n0000000\r\n",
+        "  0110100\t\n1111111  \n \t0000000",
+        "\n0110100\n\n\n1111111\n   \n0000000\n\n",
+    ], ids=["crlf", "surrounding-whitespace", "blank-lines"])
+    def test_accepts_loose_layout(self, tmp_path, text):
+        path = tmp_path / "words.txt"
+        path.write_bytes(text.encode())
+        assert cli._read_words(str(path), 7) == self.vectors()
+
+    @pytest.mark.parametrize("text, message", [
+        ("0110100\n\n01101x0\n", ":3: word lines must be 0/1 only"),
+        ("0110100\n0110 100\n", ":2: word lines must be 0/1 only"),
+        ("0110100\n011012\n", ":2: word lines must be 0/1 only"),
+        ("0110100\n0110\u00b9100\n", ":2: word lines must be 0/1 only"),
+        ("0110100\n1111111\n01101\n", ":3: expected 7 bits, got 5"),
+        ("\n \n", ": no words found"),
+    ])
+    def test_rejects_naming_the_line(self, tmp_path, text, message):
+        path = tmp_path / "words.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(cli.UsageError) as e:
+            cli._read_words(str(path), 7)
+        assert str(e.value) == f"{path}{message}"
+
+    def test_write_matches_reference_bytes(self, tmp_path):
+        rng = random.Random(4)
+        words = [BitVector(n, rng.getrandbits(n))
+                 for n in (1, 7, 8, 9, 64, 65, 2000, 2000)]
+        words.append(BitVector(70, (1 << 70) - 1))
+        cli._write_words(str(tmp_path / "a.txt"), words)
+        reference_write_words(tmp_path / "b.txt", words)
+        assert (tmp_path / "a.txt").read_bytes() == \
+            (tmp_path / "b.txt").read_bytes()
+        assert cli._read_words(str(tmp_path / "a.txt")) == words
 
 
 class TestRun:

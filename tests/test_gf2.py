@@ -7,9 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from wzkit import gf2
 from wzkit.gf2 import (BitMatrix, BitVector, EchelonBasis, RankDeficiencyError,
-                       ShapeError, identity, invert, mat_mul, mul_vec,
-                       null_space_basis, permute, rank, read_matrix,
+                       ShapeError, _bit_indices, identity, invert, mat_mul,
+                       mul_vec, null_space_basis, permute, rank, read_matrix,
                        systematic_form, transpose, write_matrix)
 
 
@@ -191,6 +192,70 @@ def dense_mul(a, b):
     return out
 
 
+def reference_to_list(v):
+    """BitVector.to_list as a loop over the bits; the reference for the
+    packbits conversion."""
+    return [(v.bits >> i) & 1 for i in range(v.length)]
+
+
+def reference_from_bits_list(values):
+    """BitVector.from_bits_list as a loop over the entries; the reference
+    for the packbits conversion."""
+    if any(v not in (0, 1) for v in values):
+        raise ValueError("entries must be 0 or 1")
+    bits = 0
+    for i, v in enumerate(values):
+        if v:
+            bits |= 1 << i
+    return BitVector(len(values), bits)
+
+
+def bit_patterns():
+    rng = random.Random(77)
+    for length in (1, 7, 8, 9, 63, 64, 65, 2000):
+        yield length, "random", [rng.getrandbits(1) for _ in range(length)]
+        yield length, "zeros", [0] * length
+        yield length, "ones", [1] * length
+
+
+class TestBitVectorConversions:
+    @pytest.mark.parametrize("length, kind, values", bit_patterns())
+    def test_to_list_matches_reference(self, length, kind, values):
+        v = reference_from_bits_list(values)
+        assert v.to_list() == reference_to_list(v) == values
+        arr = v.to_array()
+        assert arr.dtype == np.uint8 and arr.tolist() == values
+
+    @pytest.mark.parametrize("length, kind, values", bit_patterns())
+    @pytest.mark.parametrize("form", [list, tuple,
+                                      lambda v: np.array(v, dtype=bool),
+                                      lambda v: np.array(v, dtype=np.int64)],
+                             ids=["list", "tuple", "bool", "int64"])
+    def test_from_bits_list_matches_reference(self, length, kind, values,
+                                              form):
+        expected = reference_from_bits_list(values)
+        assert BitVector.from_bits_list(form(values)) == expected
+        assert BitVector.from_array(form(values)) == expected
+
+    @pytest.mark.parametrize("values", [[0, 2], [1, -1], [2], [-1, 0, 1]])
+    def test_rejects_entries_other_than_zero_and_one(self, values):
+        for convert in (BitVector.from_bits_list, reference_from_bits_list,
+                        lambda v: BitVector.from_array(np.array(v))):
+            with pytest.raises(ValueError, match="entries must be 0 or 1"):
+                convert(values)
+
+    @pytest.mark.parametrize("empty", [[], (), np.zeros(0, dtype=bool)])
+    def test_rejects_empty_input(self, empty):
+        with pytest.raises(ShapeError):
+            BitVector.from_bits_list(empty)
+
+    def test_to_array_is_a_fresh_array(self):
+        v = BitVector.from_bits_list([1, 0, 1])
+        arr = v.to_array()
+        arr[0] = 0
+        assert v.to_list() == [1, 0, 1]
+
+
 class TestBitVector:
     def test_xor_and_weight(self):
         a = BitVector.from_bits_list([1, 0, 1, 1])
@@ -238,6 +303,53 @@ class TestBitMatrix:
         import pickle
         m = BitMatrix(2, 4, [[0, 2], [3]])
         assert pickle.loads(pickle.dumps(m)) == m
+
+    def test_from_arrays_equals_init(self):
+        a = BitMatrix.from_arrays(4, 6, [2, 0, 3, 1], [5, 1, 3, 0, 2, 4])
+        assert a == BitMatrix(4, 6, [[5, 1], [], [3, 0, 2], [4]])
+        assert a.row_support == ((1, 5), (), (0, 2, 3), (4,))
+        assert a.row_lengths().tolist() == [2, 0, 3, 1]
+
+    @pytest.mark.parametrize("rows, supports, message", [
+        (3, [[0, 2], [3, 1, 3], [5]], "row 1 has duplicate column 3"),
+        (3, [[0, 2], [1, 6], [6, 6]], "row 1 support outside \\[0, 6\\)"),
+        (2, [[0, -1], [1]], "row 0 support outside \\[0, 6\\)"),
+        (2, [[7, 7], [1]], "row 0 has duplicate column 7"),
+        (3, [[0], [1]], "expected 3 rows, got 2"),
+        (-1, [], "bad shape -1x6"),
+    ])
+    def test_constructors_share_one_check(self, rows, supports, message):
+        lengths = [len(s) for s in supports]
+        flat = [c for s in supports for c in s]
+        with pytest.raises(ShapeError, match=message):
+            BitMatrix(rows, 6, supports)
+        with pytest.raises(ShapeError, match=message):
+            BitMatrix.from_arrays(rows, 6, lengths, flat)
+
+    def test_row_block(self):
+        a = BitMatrix(4, 6, [[5, 1], [], [0, 2, 3], [4]])
+        assert a.row_block(1, 3) == BitMatrix(2, 6, [[], [0, 2, 3]])
+        assert a.row_block(2, 4).edges()[0].tolist() == [0, 0, 0, 1]
+
+    @pytest.mark.parametrize("chunk_bits", [1, 64, 1 << 16])
+    def test_packing_matches_reference_across_chunks(self, chunk_bits,
+                                                     monkeypatch):
+        monkeypatch.setattr(gf2, "_CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(gf2, "_ROW_BLOCK", 1 + chunk_bits % 7)
+        rng = random.Random(chunk_bits)
+        for _ in range(30):
+            a = random_matrix(rng, rng.randint(1, 40), rng.randint(1, 130),
+                              density=rng.choice([0.05, 0.5, 0.95]))
+            expected = tuple(sum(1 << c for c in sup) for sup in a.row_support)
+            assert a.bitrows() == expected
+            back = BitMatrix.from_bitrows(a.rows, a.cols, expected)
+            assert back == a
+            assert back.row_support == tuple(
+                tuple(_bit_indices(bits)) for bits in expected)
+
+    def test_from_bitrows_rejects_bits_beyond_cols(self):
+        with pytest.raises(ShapeError, match="row 1 support outside"):
+            BitMatrix.from_bitrows(2, 3, [0b101, 0b1001])
 
 
 def test_mat_mul_matches_dense_oracle():
@@ -343,6 +455,98 @@ def test_permute_moves_entries():
     a = BitMatrix(2, 3, [[0], [2]])
     b = permute(a, [1, 0], [2, 1, 0])
     assert dense(b) == [[1, 0, 0], [0, 0, 1]]
+
+
+def reference_write_matrix(f, a):
+    """write_matrix as a loop over the rows' supports; its output is the
+    reference for the array writer."""
+    f.write(f"{a.rows} {a.cols}\n")
+    for sup in a.row_support:
+        f.write(" ".join(str(c + 1) for c in sup) + "\n")
+    f.write("\n")
+
+
+def reference_read_matrix(f):
+    """read_matrix as a loop over lines and int(); the reference for the
+    array parser."""
+    header = f.readline()
+    parts = header.split()
+    if len(parts) != 2:
+        raise ValueError(f"bad header line: {header!r}")
+    rows, cols = int(parts[0]), int(parts[1])
+    supports = []
+    for i in range(rows):
+        line = f.readline()
+        if line == "":
+            raise ValueError(f"unexpected end of file at row {i}")
+        supports.append([int(tok) - 1 for tok in line.split()])
+    for lineno, line in enumerate(f, start=rows + 2):
+        if line.strip():
+            raise ValueError(f"line {lineno}: row beyond the {rows} rows "
+                             f"the header declares: {line.strip()!r}")
+    return BitMatrix(rows, cols, supports)
+
+
+def read_outcome(reader, text):
+    try:
+        return "loaded", reader(io.StringIO(text))
+    except ValueError as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("text", [
+    "2 5\n1 x\n2\n",                  # a token that is not a number
+    "2 5\n1 3\n1.5\n",                # a fractional index
+    "2 5\n1 3\n-\n",                  # a lone sign
+    "2 5\n0 3\n2\n",                  # index 0
+    "2 5\n1 6\n2\n",                  # an index above cols
+    "2 5\n1 -2\n2\n",                 # a negative index
+    "2 5\n1 3 3\n2\n",                # a duplicate index
+    "2 5\n4 1 3\n5 2\n",              # unsorted rows: sorted on load
+    "2 5\n\n2 4\n",                    # an empty row line
+    "3 5\n1 3\n\n\n",                   # empty rows at the end
+    "2 5\n 1\t3 \n2\t\t 4\n",          # tabs and runs of spaces
+    "2 5\n1    3\n   2   4   \n\n",     # runs of spaces
+    "2 5\r\n1 3\r\n2 4\r\n",            # CRLF line ends
+    "2 5\n+1 003\n2\n",               # a plus sign and leading zeros
+    "2 5\n1 3\n2",                     # no newline after the last row
+    "2 5\n1 3\n",                      # a row missing
+    "0 5\n",
+    "2 5\n1 3\n2\n4\n",               # a row beyond the header's count
+    "2 x\n1\n2\n",                     # a bad header
+    "2 5 1\n1\n2\n",
+])
+@pytest.mark.parametrize("parse_lines", [1, 2, 256])
+def test_read_matrix_matches_line_parser(text, parse_lines, monkeypatch):
+    monkeypatch.setattr(gf2, "_PARSE_LINES", parse_lines)
+    got = read_outcome(read_matrix, text)
+    assert got == read_outcome(reference_read_matrix, text)
+    if text.startswith("2 5\n4 1 3"):
+        assert got[1].row_support == ((0, 2, 3), (1, 4))
+
+
+@pytest.mark.parametrize("text", ["3 5\n1\n2\n1 1_0\n", "3 5\n1\n2\n1 \u0663\n"])
+@pytest.mark.parametrize("parse_lines", [1, 2, 256])
+def test_read_matrix_rejects_indices_int_would_read(text, parse_lines,
+                                                    monkeypatch):
+    # int() reads "1_0" and Arabic-Indic digits; the format holds ASCII
+    # decimal integers only
+    monkeypatch.setattr(gf2, "_PARSE_LINES", parse_lines)
+    with pytest.raises(ValueError, match="line 4: .* is not a decimal integer"):
+        read_matrix(io.StringIO(text))
+
+
+def test_write_matrix_matches_row_writer(monkeypatch):
+    monkeypatch.setattr(gf2, "_ROW_BLOCK", 3)
+    rng = random.Random(8)
+    for _ in range(20):
+        a = random_matrix(rng, rng.randint(1, 12), rng.randint(1, 30),
+                          density=rng.choice([0.0, 0.1, 0.6]))
+        got, want = io.StringIO(), io.StringIO()
+        write_matrix(got, a)
+        reference_write_matrix(want, a)
+        assert got.getvalue() == want.getvalue()
+        assert read_matrix(io.StringIO(got.getvalue())) == a
 
 
 def test_read_write_roundtrip():
