@@ -501,6 +501,16 @@ def design_poisson_generator(h: BitMatrix, params: CodeParams,
     Dependent or overweight candidates redraw the padding positions up to
     M1_REDRAWS times, then the tail segment up to M2_REDRAWS times.
 
+    Candidates go into one EchelonBasis of message bits (padding, then tail).
+    Once the dependent candidates since the last accepted row reach the
+    co-rank (info minus the rank so far), the design takes the complement of
+    the span, one vector per missing dimension, and from then on tests each
+    candidate by parity against it instead of reducing it; a candidate with
+    an odd overlap is inserted and the complement dropped.  Building the
+    complement costs about as much as co-rank reductions, so it never costs
+    more than the reductions it replaces.  The insert decisions and the RNG
+    draws are those of plain insertion.
+
     When zeta is even, every weight-zeta tail lies in the even-weight subspace
     of the tail segment, so rows of that form span at most one dimension short
     of the full message space.  The first slot that exhausts its redraw budget
@@ -541,6 +551,26 @@ def design_poisson_generator(h: BitMatrix, params: CodeParams,
 
     basis = EchelonBasis()
     imax = params.poisson_imax if params.poisson_imax is not None else n
+    failed = 0     # dependent candidates since the last accepted row
+    dual = None    # basis.complement(info) once failed reaches the co-rank
+
+    def accept(m_bits: int) -> bool:
+        """basis.insert(m_bits), deciding by parity against the complement
+        while there is one."""
+        nonlocal failed, dual
+        if dual is None:
+            independent = basis.insert(m_bits)
+        else:
+            independent = any((m_bits & vec).bit_count() & 1 for vec in dual)
+            if independent:
+                basis.insert(m_bits)
+        if independent:
+            failed, dual = 0, None
+        else:
+            failed += 1
+            if dual is None and failed >= info - len(basis):
+                dual = basis.complement(info)
+        return independent
 
     def place(slot: int, w_parity: int, tail: list[int], parity: int,
               w_tail: int) -> list[int] | None:
@@ -559,7 +589,7 @@ def design_poisson_generator(h: BitMatrix, params: CodeParams,
                     m_bits |= 1 << c
                 for c in tail:
                     m_bits |= 1 << (o_width + c)
-                if basis.insert(m_bits):
+                if accept(m_bits):
                     return (_bit_indices(parity)
                             + sorted(r + c for c in pad)
                             + sorted(o_end + c for c in tail))

@@ -18,7 +18,6 @@ from functools import lru_cache, partial
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .builder import CodeParams, CompoundCode, _b_columns
 from .decoder import SpParams, sp_decode
@@ -81,6 +80,8 @@ def wz_boundary(p: float) -> tuple[float, float]:
     """
     if not 0.0 < p < 0.5:
         raise ValueError(f"crossover must lie in (0, 0.5), got {p}")
+
+    from scipy.optimize import brentq  # slow to import; only bounds need it
 
     def f(d: float) -> float:
         return _curve_slope(d, p) * (p - d) + _curve(d, p)

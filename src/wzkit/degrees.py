@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.stats import poisson as _poisson
 
 __all__ = [
     "DegreeDistribution",
@@ -186,8 +185,9 @@ def poisson_counts(spec: PoissonWeightSpec) -> PoissonCounts:
     sequence is padded by replicating the fullest bucket (smallest such weight
     on ties); a long one is trimmed from the largest weight downward.
     """
+    from scipy.stats import poisson  # slow to import; only design needs it
     support = np.arange(1, spec.i_max + 1)
-    pmf = _poisson.pmf(support, spec.lam)
+    pmf = poisson.pmf(support, spec.lam)
     counts = [_nearest_int(p * spec.count) for p in pmf]
     total = sum(counts)
     if total == 0:

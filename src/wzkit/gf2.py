@@ -14,11 +14,14 @@ np.unpackbits with little-endian bit order, so every such crossing is O(n).
 
 All values are immutable after construction.  Every GF(2) elimination in the
 package goes through EchelonBasis, an incremental row-echelon basis that keys
-each packed row by its highest set bit.  Reducing a row then takes one dict
+each packed row by its highest set bit.  Reducing a row then takes one list
 lookup per step, from the top bit down, and rows inserted in a fixed order
 always produce the same pivots and the same dependent rows.  Optional tag bits
 below the row part record which inserted rows a reduction combined, so the
-same basis solves linear systems and inverts matrices.
+same basis solves linear systems and inverts matrices.  An untagged basis also
+yields its span's complement: a row lies in the span exactly when its overlap
+with each complement vector is even, a test cheaper than a reduction when the
+basis is close to full rank.
 
 The results of rank, invert, systematic_form and null_space_basis do not
 depend on the pivot order.  The rank and the inverse are unique.
@@ -400,11 +403,14 @@ class EchelonBasis:
     bit lies above the tag, so a pivot never falls in the tag bits.
     """
 
-    __slots__ = ("tag_bits", "_rows")
+    __slots__ = ("tag_bits", "_rows", "_count")
 
     def __init__(self, tag_bits: int = 0):
         self.tag_bits = tag_bits
-        self._rows: dict[int, int] = {}   # pivot bit -> row
+        # entry p is the row whose pivot is bit p, 0 where bit p is no pivot;
+        # the list is as long as the widest row inserted
+        self._rows: list[int] = []
+        self._count = 0
 
     @classmethod
     def tagged(cls, rows: Sequence[int]) -> "EchelonBasis":
@@ -416,26 +422,32 @@ class EchelonBasis:
         return basis
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._count
 
     def reduce(self, bits: int) -> int:
         """bits minus basis rows, from the top, until its row part is zero or
         its highest bit is not a pivot."""
         rows, t = self._rows, self.tag_bits
-        while (top := bits.bit_length() - 1) >= t:
-            row = rows.get(top)
-            if row is None:
-                break
+        top = bits.bit_length() - 1
+        if top >= len(rows):
+            return bits     # above every pivot
+        while top >= t and (row := rows[top]):
             bits ^= row
+            top = bits.bit_length() - 1
         return bits
 
     def insert(self, bits: int) -> bool:
         """Add a row; False, leaving the basis unchanged, when its row part is
         already in the span."""
         bits = self.reduce(bits)
-        if bits.bit_length() <= self.tag_bits:
+        top = bits.bit_length() - 1
+        if top < self.tag_bits:
             return False
-        self._rows[bits.bit_length() - 1] = bits
+        rows = self._rows
+        if top >= len(rows):
+            rows.extend([0] * (top + 1 - len(rows)))
+        rows[top] = bits
+        self._count += 1
         return True
 
     def solve(self, target: int) -> int:
@@ -448,7 +460,38 @@ class EchelonBasis:
 
     def pivots(self) -> list[int]:
         """Pivot positions within the row part, ascending."""
-        return sorted(p - self.tag_bits for p in self._rows)
+        t = self.tag_bits
+        return [p - t for p, row in enumerate(self._rows) if row]
+
+    def complement(self, width: int) -> list[int]:
+        """A basis of the vectors of `width` bits whose overlap with every
+        inserted row is even, for an untagged basis of rows no wider.
+
+        One vector per non-pivot position f below width, ascending in f: bit
+        f set, no other non-pivot bit, and each pivot bit p, from the lowest
+        up, set exactly when row p's overlap with the vector so far is odd.
+        Row p has no bit above p, so later pivots leave its overlap even.  A
+        row of at most `width` bits lies in the span exactly when its overlap
+        with every vector is even, which takes width - len(self) parity tests
+        instead of a reduction.
+        """
+        if self.tag_bits:
+            raise ValueError("complement of a tagged basis")
+        rows = self._rows
+        if len(rows) > width:
+            raise ValueError(f"basis rows are {len(rows)} bits wide, "
+                             f"more than width {width}")
+        pivot_rows = [(p, row) for p, row in enumerate(rows) if row]
+        out = []
+        for f in range(width):
+            if f < len(rows) and rows[f]:
+                continue
+            vec = 1 << f
+            for p, row in pivot_rows:
+                if (row & vec).bit_count() & 1:
+                    vec |= 1 << p
+            out.append(vec)
+        return out
 
 
 def _column_basis(a: BitMatrix) -> tuple[EchelonBasis, list[int], list[int]]:

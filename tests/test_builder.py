@@ -18,8 +18,8 @@ from wzkit.builder import (BFS_DEPTH_CAP, CodeParams, CompoundCode,
                            empirical_fractions, load_code, peg_generate,
                            save_code, validate_params)
 from wzkit.degrees import DegreeDistribution
-from wzkit.gf2 import (BitMatrix, BitVector, _bit_indices, mat_mul, mul_vec,
-                       permute, rank)
+from wzkit.gf2 import (BitMatrix, BitVector, EchelonBasis, _bit_indices,
+                       mat_mul, mul_vec, permute, rank)
 
 
 def degree_multisets(a):
@@ -268,6 +268,48 @@ class TestGeneratorDesign:
     def test_row_weights_capped(self, small_code):
         assert all(len(sup) <= SMALL_PARAMS.poisson_imax
                    for sup in small_code.g1.row_support)
+
+    @pytest.fixture
+    def complements(self, monkeypatch):
+        """(rank, width) of every span complement the design builds; each
+        must come after as many failed inserts at that rank as it has
+        vectors, so it never costs more than the reductions it replaces."""
+        built, failed = [], [0]
+        insert, complement = EchelonBasis.insert, EchelonBasis.complement
+
+        def insert_spy(basis, bits):
+            ok = insert(basis, bits)
+            failed[0] = 0 if ok else failed[0] + 1
+            return ok
+
+        def complement_spy(basis, width):
+            assert failed[0] == width - len(basis)
+            built.append((len(basis), width))
+            return complement(basis, width)
+
+        monkeypatch.setattr(EchelonBasis, "insert", insert_spy)
+        monkeypatch.setattr(EchelonBasis, "complement", complement_spy)
+        return built
+
+    def test_stalled_slot_pinned(self, small_code, complements):
+        # even tails leave the last slot one dimension short: its doomed
+        # candidates meet a complement of one vector; digest derived with
+        # every candidate reduced in full
+        g1 = design_poisson_generator(small_code.h, SMALL_PARAMS, seed=11)
+        info = SMALL_PARAMS.info_rows
+        assert complements == [(info - 1, info)]
+        assert digest(g1) == "cb2e84da072a31d0"
+
+    def test_tiny_designs_pinned(self, tiny_code, complements):
+        # twenty seeds on the 96-bit code, where complements of many vectors
+        # are built and then dropped at an accepted row; digest derived with
+        # every candidate reduced in full
+        digests = [digest(design_poisson_generator(tiny_code.h, TINY_PARAMS,
+                                                   seed=s))
+                   for s in range(20)]
+        assert hashlib.sha256(" ".join(digests).encode()).hexdigest()[:16] \
+            == "8454552a0bdc24d0"
+        assert max(width - r for r, width in complements) > 1
 
     def test_rejects_malformed_check(self):
         bad = BitMatrix(2, 8, [[0, 1, 6], [1, 7]])  # leading block not identity

@@ -2,8 +2,11 @@
 
 import csv
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -508,3 +511,16 @@ class TestParser:
             cli.main(["--version"])
         assert exc.value.code == 0
         assert "0.1.0" in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
+    """`wzkit.cli` alone imports neither; each costs a CLI call most of a
+    second, and only generator design and the rate bounds need them."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wzkit.cli; print(sorted(m for m in sys.modules "
+         "if m in ('scipy.stats', 'scipy.optimize')))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"

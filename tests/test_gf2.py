@@ -182,6 +182,178 @@ class TestEchelonBasis:
             basis.solve(0b1000)
 
 
+class ReferenceEchelonBasis:
+    """EchelonBasis with its pivot rows in a dict keyed by pivot bit, as it
+    stood before the list-indexed pivots; kept as their reference."""
+
+    def __init__(self, tag_bits=0):
+        self.tag_bits = tag_bits
+        self._rows = {}
+
+    @classmethod
+    def tagged(cls, rows):
+        basis = cls(len(rows))
+        for i, bits in enumerate(rows):
+            basis.insert(bits << len(rows) | 1 << i)
+        return basis
+
+    def __len__(self):
+        return len(self._rows)
+
+    def reduce(self, bits):
+        rows, t = self._rows, self.tag_bits
+        while (top := bits.bit_length() - 1) >= t:
+            row = rows.get(top)
+            if row is None:
+                break
+            bits ^= row
+        return bits
+
+    def insert(self, bits):
+        bits = self.reduce(bits)
+        if bits.bit_length() <= self.tag_bits:
+            return False
+        self._rows[bits.bit_length() - 1] = bits
+        return True
+
+    def solve(self, target):
+        bits = self.reduce(target << self.tag_bits)
+        if bits.bit_length() > self.tag_bits:
+            raise ValueError("target lies outside the span of the basis")
+        return bits
+
+    def pivots(self):
+        return sorted(p - self.tag_bits for p in self._rows)
+
+
+def random_row(rng, width, sparse):
+    """A non-zero row of `width` bits: 1 to 3 ones, or uniformly dense."""
+    if sparse:
+        return sum(1 << c for c in rng.sample(range(width),
+                                              min(width, rng.randint(1, 3))))
+    return rng.getrandbits(width) or 1
+
+
+def fill_to_corank(rng, width, corank, sparse):
+    """An EchelonBasis and its reference fed the same rows, with sums of
+    earlier rows mixed in, until the rank is width - corank; checks that
+    every insert agrees.  Returns both and the rows offered."""
+    basis, ref, offered = EchelonBasis(), ReferenceEchelonBasis(), []
+    while len(ref) < width - corank:
+        row = random_row(rng, width, sparse)
+        if offered and rng.random() < 0.3:
+            row = 0
+            for old in rng.sample(offered, min(len(offered), 3)):
+                row ^= old
+        offered.append(row)
+        assert basis.insert(row) == ref.insert(row)
+        assert len(basis) == len(ref)
+    return basis, ref, offered
+
+
+def in_complement_span(vectors, row):
+    return not any((row & vec).bit_count() & 1 for vec in vectors)
+
+
+BASIS_CASES = [(width, corank, sparse)
+               for width in (1, 63, 64, 65, 200)
+               for corank in sorted({0, 1, 2, 5, width} & set(range(width + 1)))
+               for sparse in (True, False)]
+
+
+class TestEchelonBasisAgainstReference:
+    @pytest.mark.parametrize("width, corank, sparse", BASIS_CASES)
+    def test_same_pivots_and_reductions(self, width, corank, sparse):
+        rng = random.Random(width * 100 + corank * 2 + sparse)
+        basis, ref, _ = fill_to_corank(rng, width, corank, sparse)
+        assert basis.pivots() == ref.pivots() == sorted(basis.pivots())
+        for _ in range(100):
+            row = rng.getrandbits(width + 2)   # sometimes above every pivot
+            assert basis.reduce(row) == ref.reduce(row)
+
+    @pytest.mark.parametrize("width, corank, sparse", BASIS_CASES)
+    def test_complement_tests_membership(self, width, corank, sparse):
+        rng = random.Random(width * 100 + corank * 2 + sparse + 7)
+        basis, ref, offered = fill_to_corank(rng, width, corank, sparse)
+        vectors = basis.complement(width)
+        assert len(vectors) == width - len(basis) == corank
+        assert all(in_complement_span(vectors, row) for row in offered)
+        # one non-pivot bit each, its own, ascending; the rest on pivots
+        free = [f for f in range(width) if f not in set(basis.pivots())]
+        pivot_mask = sum(1 << p for p in basis.pivots())
+        assert [(vec & ~pivot_mask).bit_length() - 1 for vec in vectors] == free
+        assert all((vec & ~pivot_mask).bit_count() == 1 for vec in vectors)
+        # the parity test decides each insert until the basis is full
+        while len(basis) < width:
+            row = random_row(rng, width, sparse)
+            if rng.random() < 0.5:
+                row = 0
+                for old in rng.sample(offered, min(len(offered), 2)):
+                    row ^= old
+            offered.append(row)
+            outside = not in_complement_span(vectors, row)
+            assert outside == (ref.reduce(row) != 0)
+            assert basis.insert(row) == outside == ref.insert(row)
+            if outside:
+                vectors = basis.complement(width)
+                assert len(vectors) == width - len(basis)
+        assert basis.complement(width) == []
+
+    def test_empty_basis_and_zero_row(self):
+        basis = EchelonBasis()
+        assert not basis.insert(0)
+        assert len(basis) == 0 and basis.pivots() == []
+        assert basis.reduce(0b1011) == 0b1011
+        assert basis.complement(5) == [1 << f for f in range(5)]
+        assert basis.complement(0) == []
+        tagged = EchelonBasis(3)
+        assert not tagged.insert(0b101)   # a tag with no row part
+        assert len(tagged) == 0
+
+    def test_row_wider_than_any_before(self):
+        basis = EchelonBasis()
+        assert basis.insert(0b11) and basis.insert(1 << 100 | 1)
+        assert basis.pivots() == [1, 100]
+        assert basis.reduce(1 << 100) == 1
+        assert basis.reduce(1 << 200 | 1 << 100) == 1 << 200 | 1 << 100
+        assert basis.insert(1 << 200 | 1 << 100)
+        assert basis.pivots() == [1, 100, 200]
+        vectors = basis.complement(201)
+        assert len(vectors) == 198
+        assert in_complement_span(vectors, 1 << 200 | 1 << 100 | 0b11)
+        assert not in_complement_span(vectors, 1 << 200)
+        with pytest.raises(ValueError):
+            basis.complement(200)
+
+    def test_complement_of_tagged_basis_is_refused(self):
+        with pytest.raises(ValueError):
+            EchelonBasis.tagged([0b011, 0b110]).complement(3)
+
+    @pytest.mark.parametrize("n_rows, width", [(1, 1), (8, 8), (12, 20),
+                                               (30, 20), (70, 65)])
+    def test_tagged_solve(self, n_rows, width):
+        rng = random.Random(n_rows * 1000 + width)
+        rows = [rng.getrandbits(width) for _ in range(n_rows)]
+        basis = EchelonBasis.tagged(rows)
+        ref = ReferenceEchelonBasis.tagged(rows)
+        assert len(basis) == len(ref) and basis.pivots() == ref.pivots()
+        for _ in range(50):
+            target = rng.getrandbits(width + 1)
+            try:
+                want = ref.solve(target)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    basis.solve(target)
+                continue
+            got = basis.solve(target)
+            assert got == want
+            total = 0
+            for i in range(n_rows):
+                if got >> i & 1:
+                    total ^= rows[i]
+            assert total == target
+
+
 def dense_mul(a, b):
     out = [[0] * len(b[0]) for _ in range(len(a))]
     for i, row in enumerate(a):
