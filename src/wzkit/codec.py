@@ -275,6 +275,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.crossover is not None and not 0.0 < self.crossover < 0.5:
+            raise ValueError(f"crossover must lie in (0, 0.5), got "
+                             f"{self.crossover}")
 
 
 @dataclass(frozen=True)

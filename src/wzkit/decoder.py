@@ -45,14 +45,15 @@ def _check_product(theta: np.ndarray, edge_check: np.ndarray,
                    n_checks: int) -> np.ndarray:
     """Per-edge product of the other incoming values on the same check.
 
-    The check update that sp_decode and bip_quantize share.  Edges may come
-    in any order and a check may have none.  The result equals the plain
-    log-magnitude leave-one-out product bit for bit: the sign is the parity
-    of the check's integer count of negative inputs XOR the edge's own sign,
-    with no float remainder, and the magnitude is exp(log_sum - log|theta|)
-    with log_sum summed by bincount in edge order.  Only when the input holds
-    an exact zero (of either sign) do zeros count as log 1, and every edge
-    that sees another zero on its check gets +0.0.
+    The check update on an edge list, as bip_quantize runs it on its live
+    subgraph; _slot_check_product is the same formula on sp_decode's padded
+    check slots.  Edges may come in any order and a check may have none.  The
+    result equals the plain log-magnitude leave-one-out product bit for bit:
+    the sign is the parity of the check's integer count of negative inputs
+    XOR the edge's own sign, with no float remainder, and the magnitude is
+    exp(log_sum - log|theta|) with log_sum summed by bincount in edge order.
+    Only when the input holds an exact zero (of either sign) do zeros count
+    as log 1, and every edge that sees another zero on its check gets +0.0.
     """
     zero = theta == 0.0
     has_zero = bool(zero.any())
@@ -75,12 +76,36 @@ def _check_product(theta: np.ndarray, edge_check: np.ndarray,
     return prod
 
 
+def _slot_check_product(theta: np.ndarray) -> np.ndarray:
+    """_check_product on the check-slot layout of BitMatrix.slots.
+
+    theta is (slots x checks): column c holds check c's inputs in edge order,
+    and its padding holds 1.0, which adds log 1 = +0.0 to the check's sum
+    after its last edge and is never negative or zero.  The sum down each
+    column runs in slot order, as bincount's does in edge order, so every
+    real slot gets the value _check_product gives its edge, bit for bit.
+    """
+    zero = theta == 0.0
+    has_zero = bool(zero.any())
+    safe = np.where(zero, 1.0, theta) if has_zero else theta
+    prod = np.log(np.abs(safe))
+    log_sum = np.add.reduce(prod, axis=0)
+    check_sign = 1.0 - 2.0 * np.logical_xor.reduce(theta < 0.0, axis=0)
+    np.subtract(log_sum, prod, out=prod)
+    np.exp(prod, out=prod)
+    np.copysign(prod, safe, out=prod)
+    prod *= check_sign
+    if has_zero:
+        prod[zero.sum(axis=0) - zero > 0] = 0.0
+    return prod
+
+
 def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
               params: SpParams) -> DecodeResult:
     """Find the member of the syndrome coset of h closest to the side information.
 
-    Messages follow the tanh product rule (the check update bip_quantize also
-    runs, _check_product); a set syndrome bit flips the sign of its check's
+    Messages follow the tanh product rule (_slot_check_product, on the
+    check-slot view of h); a set syndrome bit flips the sign of its check's
     outgoing messages.  Hard decisions are re-checked against the syndrome
     every iteration by an integer parity count, and the first match returns
     early.  Without convergence the final hard decision comes back with
@@ -91,11 +116,18 @@ def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
     if h.cols != side_info.length:
         raise ShapeError(f"side info length {side_info.length} != cols {h.cols}")
     edge_check, edge_var = h.edges()
+    # check c's k-th edge sits in slot (k, c); empty slots name variable
+    # h.cols, whose posterior is +inf, so that their messages stay +inf and
+    # their tanh is exactly 1.0
+    slots, pos = h.slots()
+    empty = np.flatnonzero(slots.ravel() == h.cols)
     syn = syndrome.to_array().astype(np.int64)
-    syn_scale = 2.0 - 4.0 * syn[edge_check]  # 2 artanh, sign set by syndrome
+    syn_scale = 2.0 - 4.0 * syn  # 2 artanh, sign set by syndrome
     llr0 = float(np.log((1.0 - params.crossover) / params.crossover))
     j_bits = side_info.to_array().astype(np.int64)
     channel = llr0 * (1.0 - 2.0 * j_bits)
+    posterior = np.append(channel, np.inf)  # one past the end: empty slots
+    var_posterior = posterior[:-1]
     lo, hi = -params.llr_clip, params.llr_clip
 
     # integer parity per check, updated through the variables that flipped
@@ -114,22 +146,23 @@ def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
     if syndrome_ok(j_bits.astype(bool)):
         return DecodeResult(side_info, True, 0)
 
-    msg_vc = channel[edge_var]
+    msg_vc = posterior[slots]
     for it in range(1, params.max_iter + 1):
         t = np.tanh(msg_vc / 2.0)
-        prod = _check_product(t, edge_check, h.rows)
+        prod = _slot_check_product(t)
         np.clip(prod, -1.0 + 1e-15, 1.0 - 1e-15, out=prod)
         msg_cv = np.arctanh(prod, out=prod)
         msg_cv *= syn_scale
         np.clip(msg_cv, lo, hi, out=msg_cv)
 
-        posterior = channel + np.bincount(edge_var, weights=msg_cv,
-                                          minlength=h.cols)
-        msg_vc = posterior[edge_var]
+        np.add(channel, np.bincount(edge_var, weights=msg_cv.ravel()[pos],
+                                    minlength=h.cols), out=var_posterior)
+        msg_vc = posterior[slots]
         msg_vc -= msg_cv
         np.clip(msg_vc, lo, hi, out=msg_vc)
+        msg_vc.ravel()[empty] = np.inf
 
-        hard = posterior < 0.0
+        hard = var_posterior < 0.0
         if syndrome_ok(hard):
             return DecodeResult(BitVector.from_array(hard), True, it)
     return DecodeResult(BitVector.from_array(hard), False, params.max_iter)

@@ -7,8 +7,6 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
 __all__ = [
     "DegreeDistribution",
     "CatalogEntry",
@@ -185,10 +183,10 @@ def poisson_counts(spec: PoissonWeightSpec) -> PoissonCounts:
     sequence is padded by replicating the fullest bucket (smallest such weight
     on ties); a long one is trimmed from the largest weight downward.
     """
-    from scipy.stats import poisson  # slow to import; only design needs it
-    support = np.arange(1, spec.i_max + 1)
-    pmf = poisson.pmf(support, spec.lam)
-    counts = [_nearest_int(p * spec.count) for p in pmf]
+    log_lam = math.log(spec.lam)
+    counts = [_nearest_int(math.exp(k * log_lam - spec.lam - math.lgamma(k + 1))
+                           * spec.count)
+              for k in range(1, spec.i_max + 1)]
     total = sum(counts)
     if total == 0:
         raise ValueError(

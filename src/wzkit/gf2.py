@@ -151,7 +151,7 @@ class BitMatrix:
     """
 
     __slots__ = ("rows", "cols", "_starts", "_columns", "_row_support",
-                 "_bitrows", "_edges")
+                 "_bitrows", "_edges", "_slots")
 
     def __init__(self, rows: int, cols: int, row_support: Iterable[Iterable[int]]):
         supports = [sup if isinstance(sup, (tuple, list)) else tuple(sup)
@@ -215,6 +215,7 @@ class BitMatrix:
         object.__setattr__(self, "_row_support", None)
         object.__setattr__(self, "_bitrows", None)
         object.__setattr__(self, "_edges", None)
+        object.__setattr__(self, "_slots", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BitMatrix is immutable")
@@ -306,6 +307,29 @@ class BitMatrix:
             rows.flags.writeable = False
             cached = (rows, self._columns)
             object.__setattr__(self, "_edges", cached)
+        return cached
+
+    def slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(slots, pos): the check-slot view, built on first use and cached.
+
+        slots is a read-only (max row length x rows) int64 array whose column
+        i lists row i's columns in order, padded below with the sentinel
+        cols; pos is the read-only flat index into slots of every entry of
+        edges(), so that slots.ravel()[pos] equals edges()[1].
+        """
+        cached = object.__getattribute__(self, "_slots")
+        if cached is None:
+            lengths = self.row_lengths()
+            rows, columns = self.edges()
+            width = int(lengths.max()) if lengths.size else 0
+            rank = (np.arange(columns.size, dtype=np.int64)
+                    - np.repeat(self._starts[:-1], lengths))
+            pos = rank * self.rows + rows
+            slots = np.full((width, self.rows), self.cols, dtype=np.int64)
+            slots.ravel()[pos] = columns
+            slots.flags.writeable = pos.flags.writeable = False
+            cached = (slots, pos)
+            object.__setattr__(self, "_slots", cached)
         return cached
 
     def row(self, i: int) -> BitVector:

@@ -120,8 +120,8 @@ def bip_quantize_all(g: BitMatrix, sources: Sequence[BitVector],
 
     Variables are the generator rows, checks the code bits; every check also
     hears a source term of sign (-1)^{s_a} and magnitude tanh(gamma).  A check
-    sends each neighbor the product of its other incoming values (the check
-    update sp_decode shares); a variable replies with tanh of the sum of
+    sends each neighbor the product of its other incoming values (sp_decode's
+    check update, on an edge list); a variable replies with tanh of the sum of
     arctanh of the others.  After
     iters_per_round sweeps the per-variable bias (same sum, nothing excluded)
     fixes every variable beyond the threshold, or the single largest-bias
@@ -171,6 +171,10 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
     """
     words, n_var, n_chk = len(sources), g.rows, g.cols
     n_vars, n_chks = words * n_var, words * n_chk
+    # |theta| <= 1, so the float sum of a check's logs is at most any one of
+    # them, every leave-one-out magnitude is at most 1 and |phi| <= src_mag:
+    # below _SAT nothing saturates and the clip changes nothing
+    saturates = src_mag >= _SAT
     # word w owns variables w*n_var.. and checks w*n_chk.., in word order
     ev, ec = g.edges()
     shift = np.arange(words, dtype=np.int64)[:, None]
@@ -211,15 +215,19 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
                 phi *= src_term
 
                 # variable pass in the arctanh domain
-                sat_pos = phi >= _SAT
-                sat_neg = phi <= -_SAT
-                if sat_pos.any() and sat_neg.any():
-                    clash += (
-                        (np.bincount(sweep_var[sat_pos], minlength=n_live_var) > 0)
-                        & (np.bincount(sweep_var[sat_neg], minlength=n_live_var) > 0))
-                # clip to +-_SAT in place (np.clip costs more on short arrays)
-                w = np.arctanh(np.minimum(np.maximum(phi, -_SAT, out=phi), _SAT,
-                                          out=phi), out=phi)
+                if saturates:
+                    sat_pos = phi >= _SAT
+                    sat_neg = phi <= -_SAT
+                    if sat_pos.any() and sat_neg.any():
+                        clash += (
+                            (np.bincount(sweep_var[sat_pos],
+                                         minlength=n_live_var) > 0)
+                            & (np.bincount(sweep_var[sat_neg],
+                                           minlength=n_live_var) > 0))
+                    # clip to +-_SAT in place (np.clip costs more on short
+                    # arrays)
+                    np.minimum(np.maximum(phi, -_SAT, out=phi), _SAT, out=phi)
+                w = np.arctanh(phi, out=phi)
                 bias_sum = np.bincount(sweep_var, weights=w, minlength=n_live_var)
                 theta_new = np.tanh(bias_sum[sweep_var] - w)
                 t = damping * t + (1.0 - damping) * theta_new

@@ -442,6 +442,15 @@ class TestRun:
         out, err = capsys.readouterr()
         assert "max_iter" in err and "building" not in out
 
+    def test_crossover_out_of_range_fails_before_build(self, workdir,
+                                                       tmp_path, monkeypatch,
+                                                       capsys):
+        entry = dict(self.experiment(), crossover=0.9)
+        rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert "crossover" in err and "building" not in out
+
     def test_shipped_configs_use_known_keys(self):
         configs = sorted(
             (Path(__file__).resolve().parent.parent / "configs").glob("*.json"))

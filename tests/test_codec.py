@@ -305,6 +305,17 @@ class TestRunExperiment:
             ExperimentConfig(code_id="x", params=TINY_PARAMS, p=0.25,
                              trials=1, seed=0, max_iter=0)
 
+    @pytest.mark.parametrize("crossover", [0.0, 0.5, 0.9, -1.0, float("nan")])
+    def test_crossover_validated_up_front(self, crossover):
+        with pytest.raises(ValueError, match="crossover"):
+            ExperimentConfig(code_id="x", params=TINY_PARAMS, p=0.25,
+                             trials=1, seed=0, crossover=crossover)
+
+    def test_crossover_inside_the_interval_accepted(self):
+        for crossover in (None, 1e-9, 0.25, 0.5 - 1e-9):
+            ExperimentConfig(code_id="x", params=TINY_PARAMS, p=0.25,
+                             trials=1, seed=0, crossover=crossover)
+
     def test_result_fields(self, tiny_code):
         res = run_experiment(tiny_code, self.config(), workers=1)
         assert res.code_id == "tiny"

@@ -6,8 +6,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from wzkit.decoder import (COSET_ENUM_LIMIT, SpParams, _check_product,
-                           coset_members, coset_nearest, sp_decode)
+from wzkit.decoder import (COSET_ENUM_LIMIT, DecodeResult, SpParams,
+                           _check_product, _slot_check_product, coset_members,
+                           coset_nearest, sp_decode)
 from wzkit.gf2 import BitMatrix, BitVector, mul_vec, rank
 
 ROW_PAIRS = list(combinations(range(6), 2))
@@ -54,6 +55,60 @@ def reference_check_pass(theta, edge_check, n_checks):
     sign_others = 1.0 - 2.0 * ((neg_sum[edge_check] - neg) % 2)
     prod = sign_others * np.exp(log_others)
     return np.where(others_zero > 0, 0.0, prod)
+
+
+def reference_sp_decode(h, syndrome, side_info, params):
+    """sp_decode as it ran on the edge list before the check-slot layout, with
+    the reference check pass; sp_decode must match it bit for bit."""
+    edge_check, edge_var = h.edges()
+    syn = syndrome.to_array().astype(np.int64)
+    syn_scale = 2.0 - 4.0 * syn[edge_check]
+    llr0 = float(np.log((1.0 - params.crossover) / params.crossover))
+    j_bits = side_info.to_array().astype(np.int64)
+    channel = llr0 * (1.0 - 2.0 * j_bits)
+    lo, hi = -params.llr_clip, params.llr_clip
+
+    def syndrome_ok(bits):
+        counts = np.bincount(edge_check[bits[edge_var]], minlength=h.rows)
+        return bool(np.array_equal(counts % 2, syn))
+
+    if syndrome_ok(j_bits.astype(bool)):
+        return DecodeResult(side_info, True, 0)
+    msg_vc = channel[edge_var]
+    for it in range(1, params.max_iter + 1):
+        t = np.tanh(msg_vc / 2.0)
+        prod = reference_check_pass(t, edge_check, h.rows)
+        np.clip(prod, -1.0 + 1e-15, 1.0 - 1e-15, out=prod)
+        msg_cv = np.arctanh(prod, out=prod)
+        msg_cv *= syn_scale
+        np.clip(msg_cv, lo, hi, out=msg_cv)
+        posterior = channel + np.bincount(edge_var, weights=msg_cv,
+                                          minlength=h.cols)
+        msg_vc = posterior[edge_var]
+        msg_vc -= msg_cv
+        np.clip(msg_vc, lo, hi, out=msg_vc)
+        hard = posterior < 0.0
+        if syndrome_ok(hard):
+            return DecodeResult(BitVector.from_array(hard), True, it)
+    return DecodeResult(BitVector.from_array(hard), False, params.max_iter)
+
+
+def slot_pass(h, theta):
+    """_slot_check_product on h's check slots, with theta (one value per
+    edge, row-major) placed in them and the padding at 1.0, read back per
+    edge."""
+    slots, pos = h.slots()
+    padded = np.ones(slots.shape)
+    padded.ravel()[pos] = theta
+    return _slot_check_product(padded).ravel()[pos]
+
+
+def random_check_matrix(rng, rows, cols, max_len):
+    """Rows of random length 0..max_len (at most cols), so that slots are
+    padded, some rows are empty and some have one entry."""
+    return BitMatrix(rows, cols, [
+        rng.sample(range(cols), rng.randint(0, min(cols, max_len)))
+        for _ in range(rows)])
 
 
 class TestCheckProduct:
@@ -130,6 +185,73 @@ class TestCheckProduct:
         got = self.assert_same(theta, edge_check, 10)
         # a lone edge hears the empty product
         assert np.all(got[edge_check < 6] == 1.0)
+
+
+class TestSlotCheckProduct:
+    """The check pass on the slot layout against the one reference; the
+    uint64 view tells -0.0 from 0.0."""
+
+    @staticmethod
+    def assert_same(h, theta):
+        got = slot_pass(h, theta)
+        want = reference_check_pass(theta, h.edges()[0], h.rows)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        return got
+
+    def test_random_inputs_with_padded_slots(self):
+        rng = random.Random(11)
+        nrng = np.random.default_rng(11)
+        for _ in range(40):
+            h = random_check_matrix(rng, rng.randint(1, 30), 40, 12)
+            n_edges = h.edges()[0].size
+            theta = nrng.uniform(-1.0, 1.0, size=n_edges)
+            self.assert_same(h, theta)
+            self.assert_same(h, np.tanh(nrng.normal(0.0, 15.0, n_edges) / 2.0))
+
+    def test_zeros_and_negative_zeros(self):
+        h = BitMatrix(5, 9, [[0, 1, 2, 3], [4, 5], [6, 7, 8, 0], [1, 2, 3],
+                             [4]])
+        theta = np.array([0.3, 0.0, -0.5, 0.7,   # one zero
+                          -0.0, 0.0,             # two zeros, one of them -0.0
+                          -0.0, 0.2, -0.4, 0.9,  # one -0.0
+                          0.0, 0.0, -0.6,        # two zeros
+                          -0.0])                 # a lone -0.0
+        got = self.assert_same(h, theta)
+        assert got[[0, 2, 3]].tolist() == [0.0, 0.0, 0.0] and got[1] != 0.0
+
+    def test_all_negative_checks(self):
+        nrng = np.random.default_rng(6)
+        for degree in (1, 2, 3, 4, 7):
+            h = BitMatrix(6, 12, [list(range(r, r + degree)) for r in range(6)])
+            theta = -nrng.uniform(0.1, 1.0, size=6 * degree)
+            got = self.assert_same(h, theta)
+            assert np.all(np.sign(got) == (-1.0) ** (degree - 1))
+
+    def test_degree_one_checks_next_to_long_ones(self):
+        nrng = np.random.default_rng(7)
+        h = BitMatrix(6, 10, [[3], list(range(10)), [0], [], [9], [2, 5]])
+        theta = nrng.uniform(-1.0, 1.0, size=h.edges()[0].size)
+        got = self.assert_same(h, theta)
+        # a lone edge hears the empty product
+        lone = np.isin(h.edges()[0], [0, 2, 4])
+        assert np.all(got[lone] == 1.0)
+
+    def test_axis0_sum_equals_bincount(self):
+        """The slot pass sums each check down its column; that must add in
+        slot order exactly as bincount adds in edge order.  (np.add.reduceat
+        does not: it sums runs of 8 or more pairwise.)"""
+        rng = random.Random(12)
+        nrng = np.random.default_rng(12)
+        for _ in range(50):
+            h = random_check_matrix(rng, rng.randint(1, 20), 60, 40)
+            slots, pos = h.slots()
+            values = np.log(nrng.uniform(1e-3, 1.0, size=pos.size))
+            padded = np.zeros(slots.shape)
+            padded.ravel()[pos] = values
+            got = np.add.reduce(padded, axis=0)
+            want = np.bincount(h.edges()[0], weights=values, minlength=h.rows)
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
 
 
 class TestSpParams:
@@ -278,3 +400,50 @@ class TestSpDecode:
         a = sp_decode(h, mul_vec(h, truth), side, SpParams(crossover=0.07))
         b = sp_decode(h, mul_vec(h, truth), side, SpParams(crossover=0.07))
         assert a == b
+
+    def test_matches_reference_on_random_matrices(self):
+        """Empty rows, degree-1 checks, padded slots, set syndrome bits,
+        converging and stopped runs, and small LLR clips."""
+        rng = random.Random(0x5107)
+        seen = {"converged": 0, "stopped": 0, "empty row": 0,
+                "degree 1": 0, "padded": 0, "small clip": 0}
+        for case in range(150):
+            rows, cols = rng.randint(1, 24), rng.randint(2, 40)
+            h = random_check_matrix(rng, rows, cols, rng.choice([3, 6, 10]))
+            truth = BitVector(cols, rng.getrandbits(cols))
+            syndrome = (mul_vec(h, truth) if case % 3
+                        else BitVector(rows, rng.getrandbits(rows)))
+            p = rng.choice([0.02, 0.05, 0.1, 0.2])
+            noise = BitVector(cols, sum(1 << i for i in range(cols)
+                                        if rng.random() < p))
+            params = SpParams(crossover=rng.choice([0.03, 0.08, 0.15, 0.3]),
+                              max_iter=rng.choice([1, 5, 30]),
+                              llr_clip=rng.choice([30.0, 3.0, 0.5]))
+            got = sp_decode(h, syndrome, truth ^ noise, params)
+            assert got == reference_sp_decode(h, syndrome, truth ^ noise,
+                                              params), case
+            lengths = h.row_lengths()
+            seen["converged"] += got.converged and got.iterations > 0
+            seen["stopped"] += not got.converged
+            seen["empty row"] += bool((lengths == 0).any())
+            seen["degree 1"] += bool((lengths == 1).any())
+            seen["padded"] += bool((lengths < lengths.max()).any())
+            seen["small clip"] += params.llr_clip < 1.0
+        assert min(seen.values()) >= 10, seen
+
+    def test_matches_reference_on_a_built_code(self, small_code):
+        """The 200-bit code3 h at the benchmark's p = 0.05: converging and
+        stopped decodes."""
+        rng = random.Random(9)
+        h = small_code.h
+        outcomes = set()
+        for p in (0.02, 0.05, 0.1, 0.2):
+            truth = BitVector(h.cols, rng.getrandbits(h.cols))
+            noise = BitVector(h.cols, sum(1 << i for i in range(h.cols)
+                                          if rng.random() < p))
+            params = SpParams(crossover=p, max_iter=60)
+            got = sp_decode(h, mul_vec(h, truth), truth ^ noise, params)
+            assert got == reference_sp_decode(h, mul_vec(h, truth),
+                                              truth ^ noise, params)
+            outcomes.add(got.converged)
+        assert outcomes == {True, False}

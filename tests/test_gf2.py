@@ -476,6 +476,54 @@ class TestBitMatrix:
         m = BitMatrix(2, 4, [[0, 2], [3]])
         assert pickle.loads(pickle.dumps(m)) == m
 
+    def test_slots_pad_with_sentinel_and_cache(self):
+        a = BitMatrix(4, 6, [[5, 1], [], [0, 2, 3], [4]])
+        slots, pos = a.slots()
+        assert slots.tolist() == [[1, 6, 0, 4],
+                                  [5, 6, 2, 6],
+                                  [6, 6, 3, 6]]
+        assert pos.tolist() == [0, 4, 2, 6, 10, 3]
+        assert slots.dtype == pos.dtype == np.int64
+        assert a.slots()[0] is slots and a.slots()[1] is pos
+        for arr in (slots, pos):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_slots_pickle_drops_the_cache(self):
+        import pickle
+        a = BitMatrix(2, 4, [[0, 2], [3]])
+        a.slots()
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a
+        assert object.__getattribute__(copy, "_slots") is None
+        np.testing.assert_array_equal(copy.slots()[0], a.slots()[0])
+
+    def test_slots_invert_edges_on_random_matrices(self):
+        rng = random.Random(0x510)
+        for _ in range(60):
+            rows, cols = rng.randint(1, 30), rng.randint(1, 40)
+            a = BitMatrix(rows, cols, [
+                rng.sample(range(cols), rng.randint(0, min(cols, 9)))
+                for _ in range(rows)])
+            slots, pos = a.slots()
+            edge_row, edge_col = a.edges()
+            width = int(a.row_lengths().max())
+            assert slots.shape == (width, rows)
+            np.testing.assert_array_equal(slots.ravel()[pos], edge_col)
+            np.testing.assert_array_equal(pos % rows, edge_row)
+            # every slot that no edge fills holds the sentinel
+            filled = np.zeros(slots.size, dtype=bool)
+            filled[pos] = True
+            assert np.unique(pos).size == pos.size
+            assert np.all(slots.ravel()[~filled] == cols)
+            for row, sup in enumerate(a.row_support):
+                assert tuple(slots[:len(sup), row]) == sup
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_slots_of_a_matrix_without_entries(self, rows):
+        slots, pos = BitMatrix(rows, 5, [[]] * rows).slots()
+        assert slots.shape == (0, rows) and pos.size == 0
+
     def test_from_arrays_equals_init(self):
         a = BitMatrix.from_arrays(4, 6, [2, 0, 3, 1], [5, 1, 3, 0, 2, 4])
         assert a == BitMatrix(4, 6, [[5, 1], [], [3, 0, 2], [4]])

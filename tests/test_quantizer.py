@@ -446,6 +446,21 @@ class TestSkipsUntouchedComponents:
             seen["warm"] += params.warm_start
         assert min(seen.values()) >= 20
 
+    def test_matches_reference_at_default_gamma(self, small_code,
+                                                monkeypatch):
+        """At the default gamma tanh(gamma) < _SAT, so the sweep skips the
+        saturation test and the clip; the reference still runs both."""
+        g = small_code.quantizer.g_sub
+        gamma, _ = quantizer._resolve(BipParams(), g)
+        assert np.tanh(gamma) < quantizer._SAT
+        rng = random.Random(0x6A3)
+        sources = [BitVector(g.cols, rng.getrandbits(g.cols))
+                   for _ in range(4)]
+        for params in (BipParams(), BipParams(damping=0.5),
+                       BipParams(warm_start=True)):
+            assert bip_quantize_all(g, sources, params) == \
+                quantize_with_reference(monkeypatch, g, sources, params)
+
     def test_rows_sharing_no_column_sweep_once(self, sweep_sizes,
                                                monkeypatch):
         """After the first round, the checks of a fixed variable reach no
