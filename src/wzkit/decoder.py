@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class SpParams:
             raise ValueError(f"crossover must lie in (0, 0.5), got {self.crossover}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.llr_clip <= 0:
-            raise ValueError("llr_clip must be positive")
+        if not 0.0 < self.llr_clip < math.inf:
+            raise ValueError("llr_clip must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,8 +47,9 @@ class BipParams:
     warm_start: bool = False
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        # nan fails every comparison, so test for the good range
+        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and positive")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0, 1)")
         if self.iters_per_round < 1:
@@ -134,11 +137,12 @@ def bip_quantize_all(g: BitMatrix, sources: Sequence[BitVector],
     as one graph made of a disjoint copy of g per source.  Every sum in the
     sweep is taken per copy in the same order as for that source alone and
     every other step is elementwise, and decimation decides per copy, so each
-    result is bit-identical to quantizing its source by itself.  After the
-    first round, a round re-sweeps only the components of the live graph that
-    the last round's fixed variables touched (all of it with warm_start); the
-    rest keep the biases their sweeps would reproduce bit for bit, so the
-    results are those of sweeping every live edge each round.
+    result is bit-identical to quantizing its source by itself.  The loop
+    does not run round by round: without warm_start each of its steps sweeps
+    every live edge once and fires every component of the live graph at once
+    (see _decimate), which fixes the same bits in far fewer sweeps.  rounds
+    and conflict_events are still those of the round-by-round loop, replayed
+    per word from the log of fired components.
     """
     for source in sources:
         if source.length != g.cols:
@@ -160,14 +164,20 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
               src_mag: float, damping: float) -> list[QuantizeResult]:
     """The decimation loop of bip_quantize_all on one batch of sources.
 
-    A round sweeps only the live edges of the components that hold a check of
-    a variable fixed in the round before: all of them in the first round, and
-    in every round with warm_start, whose messages carry over.  Any other
-    component would replay its last sweeps bit for bit, since its messages
-    restart at ones, its source terms are unchanged and every sum runs per
-    check or variable inside it in edge order.  So its variables keep their
-    cached bias and per-round conflict count, and none of them is over the
-    threshold: it would have been fixed, and its component touched.
+    Without warm_start each component of a word's live graph evolves on its
+    own: its messages restart at ones every round and every sum runs per
+    check or variable inside it, so its biases change only when one of its
+    own variables is fixed.  In the round-by-round loop a component with a
+    variable over the threshold fixes all of them in the next round; any
+    other waits, biases unchanged, until its largest-bias variable is the
+    word's, and then fixes that one variable.  So a step here sweeps every
+    live edge once and fires every component at once: it fixes the
+    component's variables over the threshold, or else its largest-bias
+    variable (first index on ties).  The fixed bits are the round-by-round
+    loop's; its per-word rounds and conflict events are replayed from the
+    log of fired components (_Replay).  With warm_start messages carry over,
+    so a waiting component does change: there a step is one round, and the
+    same rule fires each word as one group.
     """
     words, n_var, n_chk = len(sources), g.rows, g.cols
     n_vars, n_chks = words * n_var, words * n_chk
@@ -185,30 +195,24 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
     sign_eff = 1.0 - 2.0 * s_arr.astype(np.float64)
     fixed = np.full(n_vars, -1, dtype=np.int64)  # -1 unfixed, else 0/1
     theta = np.ones(edge_var.size, dtype=np.float64)  # kept for warm_start
-    # per variable, from the last sweep of its component; 0 once fixed, and
-    # for variables without edges
-    bias = np.zeros(n_vars, dtype=np.float64)
-    clashes = np.zeros(n_vars, dtype=np.int64)
-    conflicts = np.zeros(words, dtype=np.int64)
-    rounds = np.zeros(words, dtype=np.int64)
-    touched = np.ones(edge_var.size, dtype=bool)
+    replay = _Replay(words, n_var)
 
     while True:
-        active = (fixed < 0).reshape(words, n_var).any(axis=1)
-        if not active.any():
+        unfixed = fixed < 0
+        free = np.flatnonzero(unfixed)
+        if not free.size:
             break
-        rounds += active
-        if touched.any():
-            sweep_vars, sweep_checks = edge_var[touched], edge_check[touched]
-            t = theta if params.warm_start else np.ones(sweep_vars.size)
-            src_term = src_mag * sign_eff[sweep_checks]
-            # the sweeps' sums run over the variables and checks that they
-            # reach, numbered 0.. in order: every bin keeps its addends in order
-            var_live, sweep_var = _renumber(sweep_vars, n_vars)
-            chk_live, sweep_check = _renumber(sweep_checks, n_chks)
-            n_live_var = np.count_nonzero(var_live)
-            n_live_chk = np.count_nonzero(chk_live)
-            clash = np.zeros(n_live_var, dtype=np.int64)
+        # the free variables and the live checks, numbered 0.. in order: every
+        # sum's bin keeps its addends in order, and a variable without edges
+        # gets bias tanh(0) = 0 and no clashes
+        sweep_var = (np.cumsum(unfixed) - 1)[edge_var]
+        chk_live, sweep_check = _renumber(edge_check, n_chks)
+        n_live_chk = np.count_nonzero(chk_live)
+        bias_sum = np.zeros(free.size, dtype=np.float64)
+        clash = np.zeros(free.size, dtype=np.int64)
+        if edge_var.size:
+            t = theta if params.warm_start else np.ones(edge_var.size)
+            src_term = src_mag * sign_eff[edge_check]
             for _ in range(params.iters_per_round):
                 # check pass: leave-one-out product of theta times the source term
                 phi = _check_product(t, sweep_check, n_live_chk)
@@ -221,73 +225,193 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
                     if sat_pos.any() and sat_neg.any():
                         clash += (
                             (np.bincount(sweep_var[sat_pos],
-                                         minlength=n_live_var) > 0)
+                                         minlength=free.size) > 0)
                             & (np.bincount(sweep_var[sat_neg],
-                                           minlength=n_live_var) > 0))
+                                           minlength=free.size) > 0))
                     # clip to +-_SAT in place (np.clip costs more on short
                     # arrays)
                     np.minimum(np.maximum(phi, -_SAT, out=phi), _SAT, out=phi)
                 w = np.arctanh(phi, out=phi)
-                bias_sum = np.bincount(sweep_var, weights=w, minlength=n_live_var)
+                bias_sum = np.bincount(sweep_var, weights=w,
+                                       minlength=free.size)
                 theta_new = np.tanh(bias_sum[sweep_var] - w)
                 t = damping * t + (1.0 - damping) * theta_new
             if params.warm_start:
                 theta = t
-            bias[var_live] = np.tanh(bias_sum)
-            clashes[var_live] = clash
-        conflicts += clashes.reshape(words, n_var).sum(axis=1)
+        bias = np.tanh(bias_sum)
 
-        # fixed variables and those without edges have bias 0: never fixed
-        # by the threshold
-        over = np.abs(bias) > params.threshold
-        stalled = np.flatnonzero(active & ~over.reshape(words, n_var).any(axis=1))
-        if stalled.size:
-            cand = np.where(fixed < 0, np.abs(bias), -1.0).reshape(words, n_var)
-            over[stalled * n_var + np.argmax(cand[stalled], axis=1)] = True
-        values = (bias[over] < 0.0).astype(np.int64)
-        fixed[over] = values
-        bias[over] = 0.0
-        clashes[over] = 0
+        if params.warm_start:
+            # one group per word, rooted at its first free variable
+            root = np.searchsorted(free, free - free % n_var)
+        else:
+            root = _component_roots(sweep_var, sweep_check, free.size,
+                                    n_live_chk)
+        pick = replay.fire(free, root, bias, clash, params.threshold)
+        fixed[free[pick]] = (bias[pick] < 0.0).astype(np.int64)
 
         # fold fixed ones into the source signs and drop the settled edges
-        on_fixed = over[edge_var]
+        on_fixed = fixed[edge_var] >= 0
         ones_edges = edge_check[on_fixed & (fixed[edge_var] == 1)]
         flips = np.bincount(ones_edges, minlength=n_chks) % 2
         sign_eff *= 1.0 - 2.0 * flips
-        seeds = edge_check[on_fixed]
         keep = ~on_fixed
         edge_var, edge_check = edge_var[keep], edge_check[keep]
         if params.warm_start:
             theta = theta[keep]
-            touched = np.ones(edge_var.size, dtype=bool)
-        else:
-            touched = _component_edges(edge_var, edge_check, seeds, n_vars,
-                                       n_chks)
 
+    rounds, conflicts = replay.counts()
     results = []
     for k, source in enumerate(sources):
         u = BitVector.from_array(fixed[k * n_var:(k + 1) * n_var])
         distortion = generator_codeword(g, u).hamming(source) / g.cols
-        results.append(QuantizeResult(u, distortion, int(rounds[k]),
-                                      int(conflicts[k])))
+        results.append(QuantizeResult(u, distortion, rounds[k], conflicts[k]))
     return results
 
 
-def _component_edges(edge_var: np.ndarray, edge_check: np.ndarray,
-                     seeds: np.ndarray, n_vars: int, n_chks: int) -> np.ndarray:
-    """Mask of the edges in the components that hold one of the seed checks,
-    grown through variables then checks until nothing is added."""
-    chk = np.zeros(n_chks, dtype=bool)
-    chk[seeds] = True
-    var = np.zeros(n_vars, dtype=bool)
-    mask = chk[edge_check]
-    while True:
-        var[edge_var[mask]] = True
-        grown = var[edge_var]
-        if np.count_nonzero(grown) == np.count_nonzero(mask):
-            return mask
-        chk[edge_check[grown]] = True
-        mask = chk[edge_check]
+class _Replay:
+    """The log of the groups that _decimate fires, and the round-by-round
+    loop's per-word rounds and conflict events replayed from it.
+
+    Each fired group is a node: a component of the live graph (a word with
+    warm_start) in one step.  It is a threshold node when some of its
+    variables are over the threshold, and otherwise a waiting node keyed by
+    its largest |bias| and the first variable that has it.  Its parent is the
+    node that held its variables in the step before, and its clash sum is
+    the conflict events it adds in every round that it is alive.
+
+    A round of the round-by-round loop fires every live threshold node of the
+    word or, when there is none, its live waiting node of largest key (lowest
+    variable on ties), and replaces what it fired by the children.  So a
+    threshold node lives one round, a fired node is followed by as many
+    threshold rounds as the longest chain of threshold nodes below it, and
+    only the order of the waiting nodes needs a heap: one push and one pop
+    per waiting node, in Python, while everything else is numpy.
+    """
+
+    def __init__(self, words: int, n_var: int):
+        self.words, self.n_var = words, n_var
+        # the node that last held each variable
+        self.node_of = np.full(words * n_var, -1, dtype=np.int64)
+        self.size = 0
+        self.steps: list[tuple[np.ndarray, ...]] = []
+
+    def fire(self, free: np.ndarray, root: np.ndarray, bias: np.ndarray,
+             clash: np.ndarray, threshold: float) -> np.ndarray:
+        """Log a node for every group of the free variables and return the
+        positions in free of the variables that the step fixes.
+
+        root gives, per free variable, the position of its group's first
+        member; bias and clash are per free variable.
+        """
+        at = np.arange(free.size)
+        rank = np.cumsum(root == at) - 1
+        group = rank[root]
+        n_groups = int(rank[-1]) + 1
+        mag = np.abs(bias)
+        over = mag > threshold
+        top = np.zeros(n_groups, dtype=np.float64)
+        np.maximum.at(top, group, mag)
+        at_top = np.flatnonzero(mag == top[group])
+        first = np.full(n_groups, free.size, dtype=np.int64)
+        np.minimum.at(first, group[at_top], at_top)
+        thr = np.zeros(n_groups, dtype=bool)
+        thr[group[over]] = True
+        lead = free[first]
+        self.steps.append((lead // self.n_var, thr, top, lead,
+                           np.bincount(group, weights=clash,
+                                       minlength=n_groups).astype(np.int64),
+                           self.node_of[lead]))
+        self.node_of[free] = self.size + group
+        self.size += n_groups
+        return np.flatnonzero(over | (~thr[group] & (first[group] == at)))
+
+    def counts(self) -> tuple[list[int], list[int]]:
+        """Rounds and conflict events of every word."""
+        words = self.words
+        word, thr, top, lead, clash, parent = (
+            np.concatenate(column) for column in zip(*self.steps))
+        offsets = np.cumsum([0] + [part[0].size for part in self.steps])
+        step = np.repeat(np.arange(len(self.steps)), np.diff(offsets))
+        # below: rounds of threshold nodes that follow a node's firing, the
+        # longest chain of them; bottom up, one step at a time
+        below = np.zeros(word.size, dtype=np.int64)
+        for lo, hi in zip(offsets[-2:0:-1], offsets[:0:-1]):
+            kids = lo + np.flatnonzero(thr[lo:hi])
+            np.maximum.at(below, parent[kids], below[kids] + 1)
+        # the threshold rounds that open each word
+        start = np.zeros(words, dtype=np.int64)
+        roots = np.flatnonzero(thr[:offsets[1]])
+        np.maximum.at(start, word[roots], below[roots] + 1)
+        # every node's nearest waiting ancestor (-1 for none), top down
+        anc = np.full(word.size, -1, dtype=np.int64)
+        for lo, hi in zip(offsets[1:-1], offsets[2:]):
+            up = parent[lo:hi]
+            anc[lo:hi] = np.where(thr[up], anc[up], up)
+
+        # from here on, only the waiting nodes, numbered 0.. in node order
+        waiting = np.flatnonzero(~thr)
+        index = np.full(word.size + 1, -1, dtype=np.int64)
+        index[waiting] = np.arange(waiting.size)
+        anc = index[anc[waiting]]  # anc -1 picks index[-1] == -1
+        # a waiting node enters the heap when its nearest waiting ancestor
+        # fires, or at the start
+        order = np.argsort(anc, kind="stable")
+        bounds = np.searchsorted(anc[order], np.arange(-1, waiting.size + 1))
+        enters, lo_of, hi_of = order.tolist(), bounds[1:-1].tolist(), \
+            bounds[2:].tolist()
+        key = list(zip((-top[waiting]).tolist(), lead[waiting].tolist(),
+                       range(waiting.size)))
+        after = (below[waiting] + 1).tolist()
+        heaps: list[list] = [[] for _ in range(words)]
+        top_level = order[:bounds[1]]
+        for x, w in zip(top_level.tolist(), word[waiting[top_level]].tolist()):
+            heaps[w].append(key[x])
+        fired = [0] * waiting.size
+        rounds = start.tolist()
+        for w, heap in enumerate(heaps):
+            heapq.heapify(heap)
+            now = rounds[w]
+            while heap:
+                x = heapq.heappop(heap)[2]
+                fired[x] = now + 1
+                now += after[x]
+                for c in enters[lo_of[x]:hi_of[x]]:
+                    heapq.heappush(heap, key[c])
+            rounds[w] = now
+
+        # a waiting node is alive from the round after its parent fires
+        fired = np.array(fired, dtype=np.int64)
+        step = step[waiting]
+        has = anc >= 0
+        born = step + 1
+        born[has] = fired[anc[has]] + step[has] - step[anc[has]]
+        lives = np.ones(word.size, dtype=np.int64)
+        lives[waiting] = fired - born + 1
+        conflicts = np.bincount(word, weights=clash * lives, minlength=words)
+        return rounds, conflicts.astype(np.int64).tolist()
+
+
+def _component_roots(edge_var: np.ndarray, edge_check: np.ndarray,
+                     n_vars: int, n_chks: int) -> np.ndarray:
+    """Least variable of every variable's component in the bipartite graph
+    of the given edges; a variable without edges is its own.  Each pass
+    hooks every variable's root to the least root on its checks, then
+    follows the roots up to the top."""
+    root = np.arange(n_vars)
+    while edge_var.size:
+        low = np.full(n_chks, n_vars)
+        np.minimum.at(low, edge_check, root[edge_var])
+        hooked = root.copy()
+        np.minimum.at(hooked, root[edge_var], low[edge_check])
+        while True:
+            up = hooked[hooked]
+            if np.array_equal(up, hooked):
+                break
+            hooked = up
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    return root
 
 
 def _renumber(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

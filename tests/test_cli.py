@@ -199,6 +199,8 @@ class TestQuantizeEncodeDecode:
         ("quantize", ["--threshold", "1.5"], "threshold must lie in (0, 1)"),
         ("encode", ["--damping", "1.0"], "damping must lie in [0, 1)"),
         ("decode", ["--crossover", "0.7"], "crossover must lie in (0, 0.5)"),
+        ("quantize", ["--gamma", "nan"], "gamma must be finite and positive"),
+        ("encode", ["--gamma", "inf"], "gamma must be finite and positive"),
     ])
     def test_bad_flags_fail_before_loading_the_code(
             self, workdir, tmp_path, capsys, command, flag, message):
@@ -530,6 +532,24 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded():
         [sys.executable, "-c",
          "import sys, wzkit.cli; print(sorted(m for m in sys.modules "
          "if m in ('scipy.stats', 'scipy.optimize')))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"
+
+
+def test_quantizing_leaves_scipy_sparse_unloaded():
+    """Labelling the components of the decimation graph takes numpy alone:
+    importing scipy.sparse.csgraph costs a CLI call about a third of a
+    second."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wzkit.cli\n"
+         "from wzkit.gf2 import BitMatrix, BitVector\n"
+         "from wzkit.quantizer import bip_quantize_all\n"
+         "g = BitMatrix(4, 6, [[0, 1], [1, 2], [3], [4, 5]])\n"
+         "bip_quantize_all(g, [BitVector(6, 0b101101), BitVector(6, 7)])\n"
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.strip() == "[]"

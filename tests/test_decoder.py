@@ -1,5 +1,6 @@
 """Syndrome sum-product decoding against exact coset search."""
 
+import math
 import random
 from itertools import combinations
 
@@ -261,6 +262,8 @@ class TestSpParams:
         {"crossover": -0.1},
         {"crossover": 0.1, "max_iter": 0},
         {"crossover": 0.1, "llr_clip": 0.0},
+        {"crossover": 0.1, "llr_clip": math.nan},
+        {"crossover": 0.1, "llr_clip": math.inf},
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):

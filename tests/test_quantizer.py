@@ -150,6 +150,9 @@ class TestBipParams:
         {"iters_per_round": 0},
         {"damping": 1.0},
         {"damping": -0.1},
+        {"gamma": math.nan},
+        {"gamma": math.inf},
+        {"gamma": -math.inf},
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
@@ -392,8 +395,9 @@ def quantize_with_reference(monkeypatch, g, sources, params=BipParams()):
 
 
 class TestSkipsUntouchedComponents:
-    """A round sweeps only the components next to the variables fixed in the
-    round before, and the results stay those of sweeping everything."""
+    """A step sweeps every live edge once and fires every component, so no
+    component is swept twice unchanged; the results, rounds and conflict
+    events stay those of sweeping everything each round."""
 
     PARAMS = [
         BipParams(),
@@ -445,6 +449,106 @@ class TestSkipsUntouchedComponents:
             seen["empty rows"] += any(not sup for sup in g.row_support)
             seen["warm"] += params.warm_start
         assert min(seen.values()) >= 20
+
+    @pytest.fixture
+    def fired(self, monkeypatch):
+        """Per step, the word, threshold flag and largest |bias| of every
+        group that _decimate fires."""
+        steps = []
+        real = quantizer._Replay.fire
+
+        def recording(replay, *args):
+            pick = real(replay, *args)
+            steps.append(replay.steps[-1][:3])
+            return pick
+
+        monkeypatch.setattr(quantizer._Replay, "fire", recording)
+        return steps
+
+    @staticmethod
+    def corner_case(rng, kind):
+        """A generator, sources and knobs that aim at one corner of the
+        round replay."""
+        rows, cols = rng.randrange(4, 20), rng.randrange(8, 40)
+        density = rng.choice([0.05, 0.1, 0.2])
+        mat = [[c for c in range(cols) if rng.random() < density]
+               for _ in range(rows)]
+        params = rng.choice([BipParams(), BipParams(damping=0.0),
+                             BipParams(threshold=0.6, iters_per_round=4)])
+        count = rng.randrange(1, 5)
+        if kind == "ties":
+            # rows of weight 2 on columns of their own: with opposite source
+            # bits the two messages cancel and the bias is exactly 0, with
+            # equal bits it is the same for every such row.  At gamma 20 the
+            # opposite pair clashes, so the order of ties moves the count
+            pairs = rng.randrange(2, 6)
+            if rng.random() < 0.5:
+                params = BipParams(gamma=20.0, damping=0.0)
+            mat += [[cols + 2 * i, cols + 2 * i + 1] for i in range(pairs)]
+            cols += 2 * pairs
+        elif kind == "empty rows":
+            for r in rng.sample(range(rows), rng.randrange(1, 3)):
+                mat[r] = []
+        elif kind == "far apart":
+            # the zero word (added below) often settles in a round or two,
+            # a random word takes many
+            rows, cols = rng.randrange(6, 20), rng.randrange(24, 60)
+            mat = [[c for c in range(cols) if rng.random() < density * 2]
+                   for _ in range(rows)]
+            params = BipParams()
+        elif kind == "conflicts":
+            params = rng.choice([BipParams(gamma=20.0, damping=0.0),
+                                 BipParams(gamma=20.0, damping=0.5)])
+            mat = [[c for c in range(cols) if rng.random() < 0.3]
+                   for _ in range(rows)]
+        g = BitMatrix(len(mat), cols, mat)
+        sources = [BitVector(cols, rng.getrandbits(cols))
+                   for _ in range(count)]
+        if kind in ("far apart", "plain"):
+            sources.append(BitVector(cols, 0))
+        return g, sources, params
+
+    def test_matches_reference_on_corner_cases(self, fired, monkeypatch):
+        rng = random.Random(0xC0DE)
+        kinds = ["ties", "empty rows", "conflicts", "far apart", "plain"]
+        seen = {"ties": 0, "threshold beside waiting": 0, "empty rows": 0,
+                "conflicts at gamma 20": 0, "far apart": 0}
+        for case in range(150):
+            g, sources, params = self.corner_case(rng, kinds[case % 5])
+            fired.clear()
+            got = bip_quantize_all(g, sources, params)
+            assert got == quantize_with_reference(monkeypatch, g, sources,
+                                                  params)
+            ties = beside = False
+            for word, thr, top in fired:
+                for w in np.unique(word):
+                    mine = word == w
+                    waiting = top[mine & ~thr]
+                    ties |= np.unique(waiting).size < waiting.size
+                    beside |= bool(thr[mine].any() and waiting.size)
+            seen["ties"] += ties
+            seen["threshold beside waiting"] += beside
+            seen["empty rows"] += any(not sup for sup in g.row_support)
+            seen["conflicts at gamma 20"] += (
+                params.gamma == 20.0 and any(r.conflict_events for r in got))
+            rounds = [r.rounds for r in got]
+            seen["far apart"] += max(rounds) >= 4 * min(rounds)
+        assert min(seen.values()) >= 20, seen
+
+    def test_steps_far_fewer_than_rounds(self, small_code, sweep_sizes,
+                                         monkeypatch):
+        """On small_code's quantizer, 12 words at threshold 0.95 take 91
+        rounds at most and 42 sweep batches; the round-by-round loop that
+        re-swept touched components took 61."""
+        g = small_code.quantizer.g_sub
+        rng = random.Random(0x6A3)
+        sources = [BitVector(g.cols, rng.getrandbits(g.cols))
+                   for _ in range(12)]
+        params = BipParams(threshold=0.95)
+        got = bip_quantize_all(g, sources, params)
+        batches = len(sweep_sizes) // params.iters_per_round
+        assert 2 * batches <= max(r.rounds for r in got)
+        assert got == quantize_with_reference(monkeypatch, g, sources, params)
 
     def test_matches_reference_at_default_gamma(self, small_code,
                                                 monkeypatch):
