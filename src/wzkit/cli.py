@@ -14,6 +14,7 @@ import sys
 from argparse import SUPPRESS
 from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -97,8 +98,6 @@ def _add_bip_args(sub) -> None:
     sub.add_argument("--iters-per-round", type=int, default=SUPPRESS)
     sub.add_argument("--damping", type=float, default=SUPPRESS,
                      help="message damping (default: 0.5 with 4-cycles, else 0)")
-    sub.add_argument("--warm-start", action="store_true", default=SUPPRESS,
-                     help="carry messages across decimation rounds")
 
 
 def _cmd_build(args) -> int:
@@ -161,7 +160,7 @@ def _cmd_decode(args) -> int:
     out = []
     converged = 0
     for s, z in zip(side, syndromes):
-        res = decode(code, s, z, args.crossover, sp)
+        res = decode(code, s, z, sp)
         out.append(res.bits)
         converged += res.converged
     _write_words(args.out, out)
@@ -170,18 +169,29 @@ def _cmd_decode(args) -> int:
 
 
 def _experiment_from(entry: dict, index: int) -> tuple[ExperimentConfig, str, int]:
+    if not isinstance(entry, dict):
+        raise UsageError(f"experiment {index}: expected an object, got "
+                         f"{json.dumps(entry)}")
     required = ("code_id", "dist", "n", "m", "k1", "k2", "zeta", "p",
                 "trials", "seed")
     for key in required:
         if key not in entry:
             raise UsageError(f"experiment {index}: missing key {key!r}")
-    # params and bip come from the flat keys of their own dataclasses; dist
-    # and build_seed name no field
-    known = {f.name for cls in (CodeParams, BipParams, ExperimentConfig)
-             for f in fields(cls)} - {"params", "bip"} | {"dist", "build_seed"}
-    for key in entry:
-        if key not in known:
+    # the type of every key: params and bip come from the flat keys of their
+    # own dataclasses; dist and build_seed name no field
+    types = {"dist": str, "build_seed": int}
+    for cls in (CodeParams, BipParams, ExperimentConfig):
+        types.update((k, t) for k, t in get_type_hints(cls).items()
+                     if k not in ("params", "bip"))
+    for key, value in entry.items():
+        if key not in types:
             raise UsageError(f"experiment {index}: unknown key {key!r}")
+        # true and false are no integers; a float field takes any number
+        kinds = get_args(types[key]) or (types[key],)
+        if not (type(value) in kinds or float in kinds and type(value) is int):
+            raise UsageError(f"experiment {index}: key {key!r} must be "
+                             f"{getattr(types[key], '__name__', types[key])}"
+                             f", got {json.dumps(value)}")
     config = ExperimentConfig(
         params=CodeParams(**_given(entry, CodeParams)),
         bip=BipParams(**_given(entry, BipParams)),

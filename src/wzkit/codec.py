@@ -23,8 +23,7 @@ from .builder import CodeParams, CompoundCode, _b_columns
 from .decoder import SpParams, sp_decode
 from .gf2 import (BitMatrix, BitVector, EchelonBasis, RankDeficiencyError,
                   ShapeError, mul_vec)
-from .quantizer import (BipParams, _resolve, bip_quantize_all,
-                        generator_codeword)
+from .quantizer import BipParams, _resolve, bip_quantize_all
 
 __all__ = [
     "binary_entropy",
@@ -184,7 +183,7 @@ class CompoundQuantizer:
             bip = replace(bip, damping=self._damping)
         out = []
         for source, res in zip(sources, bip_quantize_all(self.g_sub, local, bip)):
-            sub_word = generator_codeword(self.g_sub, res.u)
+            sub_word = res.codeword
             word = BitVector(self.n,
                              sub_word.bits & parity_mask
                              | (source.bits >> r & (1 << mid) - 1) << r
@@ -239,10 +238,10 @@ def encode_all(code: CompoundCode, sources: Sequence[BitVector],
 
 
 def decode(code: CompoundCode, side_info: BitVector, syndrome: BitVector,
-           crossover: float, sp: SpParams | None = None):
+           sp: SpParams):
     """Recover the quantized word from its syndrome and correlated side info.
 
-    crossover estimates P(word bit != side info bit); with quantization
+    sp.crossover estimates P(word bit != side info bit); with quantization
     distortion d1 over a pair channel p that is binary_convolve(d1, p).  The
     full syndrome is the transmitted part prefixed by zeros, the quantization
     checks being satisfied by construction.
@@ -251,8 +250,7 @@ def decode(code: CompoundCode, side_info: BitVector, syndrome: BitVector,
     if syndrome.length != p.k2:
         raise ValueError(f"syndrome must have {p.k2} bits")
     full = BitVector(code.h.rows, syndrome.bits << p.quant_checks)
-    params = sp if sp is not None else SpParams(crossover=crossover)
-    return sp_decode(code.h, full, side_info, params)
+    return sp_decode(code.h, full, side_info, sp)
 
 
 @dataclass(frozen=True)
@@ -346,7 +344,7 @@ def _decode_trial(code: CompoundCode, trial: int, side_bits: int,
     n = code.params.n
     res = decode(code, BitVector(n, side_bits),
                  BitVector(code.params.k2, syndrome_bits),
-                 crossover, SpParams(crossover=crossover, max_iter=max_iter))
+                 SpParams(crossover=crossover, max_iter=max_iter))
     return _DecodeOut(trial, res.bits.bits, res.converged)
 
 

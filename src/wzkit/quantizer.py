@@ -37,14 +37,13 @@ class BipParams:
     gamma defaults to twice the generator rate (rows/cols); damping defaults to
     0.5 when the generator graph contains a 4-cycle and 0 otherwise.  Each
     decimation round restarts messages from their initial value with the fixed
-    variables clamped; warm_start carries the surviving messages over instead.
+    variables clamped.
     """
 
     gamma: float | None = None
     threshold: float = 0.8
     iters_per_round: int = 25
     damping: float | None = None
-    warm_start: bool = False
 
     def __post_init__(self):
         # nan fails every comparison, so test for the good range
@@ -61,6 +60,7 @@ class BipParams:
 @dataclass(frozen=True)
 class QuantizeResult:
     u: BitVector
+    codeword: BitVector  # u @ g
     distortion: float
     rounds: int
     conflict_events: int  # opposing saturated messages met at a variable
@@ -138,11 +138,11 @@ def bip_quantize_all(g: BitMatrix, sources: Sequence[BitVector],
     sweep is taken per copy in the same order as for that source alone and
     every other step is elementwise, and decimation decides per copy, so each
     result is bit-identical to quantizing its source by itself.  The loop
-    does not run round by round: without warm_start each of its steps sweeps
-    every live edge once and fires every component of the live graph at once
-    (see _decimate), which fixes the same bits in far fewer sweeps.  rounds
-    and conflict_events are still those of the round-by-round loop, replayed
-    per word from the log of fired components.
+    does not run round by round: each of its steps sweeps every live edge
+    once and fires every component of the live graph at once (see
+    _decimate), which fixes the same bits in far fewer sweeps.  rounds and
+    conflict_events are still those of the round-by-round loop, replayed per
+    word from the log of fired components.
     """
     for source in sources:
         if source.length != g.cols:
@@ -164,20 +164,17 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
               src_mag: float, damping: float) -> list[QuantizeResult]:
     """The decimation loop of bip_quantize_all on one batch of sources.
 
-    Without warm_start each component of a word's live graph evolves on its
-    own: its messages restart at ones every round and every sum runs per
-    check or variable inside it, so its biases change only when one of its
-    own variables is fixed.  In the round-by-round loop a component with a
-    variable over the threshold fixes all of them in the next round; any
-    other waits, biases unchanged, until its largest-bias variable is the
-    word's, and then fixes that one variable.  So a step here sweeps every
-    live edge once and fires every component at once: it fixes the
-    component's variables over the threshold, or else its largest-bias
-    variable (first index on ties).  The fixed bits are the round-by-round
-    loop's; its per-word rounds and conflict events are replayed from the
-    log of fired components (_Replay).  With warm_start messages carry over,
-    so a waiting component does change: there a step is one round, and the
-    same rule fires each word as one group.
+    Each component of a word's live graph evolves on its own: its messages
+    restart at ones every round and every sum runs per check or variable
+    inside it, so its biases change only when one of its own variables is
+    fixed.  In the round-by-round loop a component with a variable over the
+    threshold fixes all of them in the next round; any other waits, biases
+    unchanged, until its largest-bias variable is the word's, and then fixes
+    that one variable.  So a step here sweeps every live edge once and fires
+    every component at once: it fixes the component's variables over the
+    threshold, or else its largest-bias variable (first index on ties).  The
+    fixed bits are the round-by-round loop's; its per-word rounds and
+    conflict events are replayed from the log of fired components (_Replay).
     """
     words, n_var, n_chk = len(sources), g.rows, g.cols
     n_vars, n_chks = words * n_var, words * n_chk
@@ -194,7 +191,6 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
     s_arr = np.concatenate([s.to_array() for s in sources])
     sign_eff = 1.0 - 2.0 * s_arr.astype(np.float64)
     fixed = np.full(n_vars, -1, dtype=np.int64)  # -1 unfixed, else 0/1
-    theta = np.ones(edge_var.size, dtype=np.float64)  # kept for warm_start
     replay = _Replay(words, n_var)
 
     while True:
@@ -211,11 +207,11 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
         bias_sum = np.zeros(free.size, dtype=np.float64)
         clash = np.zeros(free.size, dtype=np.int64)
         if edge_var.size:
-            t = theta if params.warm_start else np.ones(edge_var.size)
+            theta = np.ones(edge_var.size)
             src_term = src_mag * sign_eff[edge_check]
             for _ in range(params.iters_per_round):
                 # check pass: leave-one-out product of theta times the source term
-                phi = _check_product(t, sweep_check, n_live_chk)
+                phi = _check_product(theta, sweep_check, n_live_chk)
                 phi *= src_term
 
                 # variable pass in the arctanh domain
@@ -235,17 +231,10 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
                 bias_sum = np.bincount(sweep_var, weights=w,
                                        minlength=free.size)
                 theta_new = np.tanh(bias_sum[sweep_var] - w)
-                t = damping * t + (1.0 - damping) * theta_new
-            if params.warm_start:
-                theta = t
+                theta = damping * theta + (1.0 - damping) * theta_new
         bias = np.tanh(bias_sum)
 
-        if params.warm_start:
-            # one group per word, rooted at its first free variable
-            root = np.searchsorted(free, free - free % n_var)
-        else:
-            root = _component_roots(sweep_var, sweep_check, free.size,
-                                    n_live_chk)
+        root = _component_roots(sweep_var, sweep_check, free.size, n_live_chk)
         pick = replay.fire(free, root, bias, clash, params.threshold)
         fixed[free[pick]] = (bias[pick] < 0.0).astype(np.int64)
 
@@ -256,28 +245,27 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
         sign_eff *= 1.0 - 2.0 * flips
         keep = ~on_fixed
         edge_var, edge_check = edge_var[keep], edge_check[keep]
-        if params.warm_start:
-            theta = theta[keep]
 
     rounds, conflicts = replay.counts()
     results = []
     for k, source in enumerate(sources):
         u = BitVector.from_array(fixed[k * n_var:(k + 1) * n_var])
-        distortion = generator_codeword(g, u).hamming(source) / g.cols
-        results.append(QuantizeResult(u, distortion, rounds[k], conflicts[k]))
+        word = generator_codeword(g, u)
+        results.append(QuantizeResult(u, word, word.hamming(source) / g.cols,
+                                      rounds[k], conflicts[k]))
     return results
 
 
 class _Replay:
-    """The log of the groups that _decimate fires, and the round-by-round
+    """The log of the components that _decimate fires, and the round-by-round
     loop's per-word rounds and conflict events replayed from it.
 
-    Each fired group is a node: a component of the live graph (a word with
-    warm_start) in one step.  It is a threshold node when some of its
-    variables are over the threshold, and otherwise a waiting node keyed by
-    its largest |bias| and the first variable that has it.  Its parent is the
-    node that held its variables in the step before, and its clash sum is
-    the conflict events it adds in every round that it is alive.
+    Each fired component of the live graph in one step is a node.  It is a
+    threshold node when some of its variables are over the threshold, and
+    otherwise a waiting node keyed by its largest |bias| and the first
+    variable that has it.  Its parent is the node that held its variables in
+    the step before, and its clash sum is the conflict events it adds in
+    every round that it is alive.
 
     A round of the round-by-round loop fires every live threshold node of the
     word or, when there is none, its live waiting node of largest key (lowest
@@ -297,10 +285,10 @@ class _Replay:
 
     def fire(self, free: np.ndarray, root: np.ndarray, bias: np.ndarray,
              clash: np.ndarray, threshold: float) -> np.ndarray:
-        """Log a node for every group of the free variables and return the
-        positions in free of the variables that the step fixes.
+        """Log a node for every component of the free variables and return
+        the positions in free of the variables that the step fixes.
 
-        root gives, per free variable, the position of its group's first
+        root gives, per free variable, the position of its component's first
         member; bias and clash are per free variable.
         """
         at = np.arange(free.size)

@@ -194,7 +194,7 @@ def test_05_decoder_residual_error_scaled(scaled_code):
         noise = sum(1 << i for i in range(n) if rng.random() < 0.27)
         side = word ^ BitVector(n, noise)
         res = decode(scaled_code, side, mul_vec(scaled_code.h2, word),
-                     crossover=0.27)
+                     SpParams(crossover=0.27))
         errors += (res.bits ^ word).weight()
     d2 = errors / (trials * n)
     capacity = entropy_inverse(1.0 - params.rates[1])

@@ -151,6 +151,17 @@ class TestQuantizeEncodeDecode:
         assert rc == 0
         assert out.read_text().splitlines() == [word_line(enc.word)]
 
+    def test_removed_warm_start_flag_fails_before_load(self, workdir,
+                                                       tmp_path, monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "load_code", loads.append)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["encode", "--code", str(workdir / "tiny-code"),
+                      "--in", str(workdir / "sources.txt"),
+                      "--out", str(tmp_path / "o.txt"), "--warm-start"])
+        assert exc.value.code == 1
+        assert loads == []
+
     def test_malformed_word_file_is_usage_error(self, workdir, tmp_path,
                                                 capsys):
         bad = tmp_path / "bad.txt"
@@ -396,8 +407,8 @@ class TestRun:
                        "--out", str(tmp_path / "o.csv")])
         assert rc == 0
         assert len(seen) == entry["trials"]
-        assert {(p.threshold, p.iters_per_round, p.warm_start)
-                for p in seen} == {(0.6, 7, False)}
+        assert {(p.threshold, p.iters_per_round)
+                for p in seen} == {(0.6, 7)}
 
     def test_invalid_quantizer_key_fails_before_build(self, workdir, tmp_path,
                                                       monkeypatch, capsys):
@@ -427,6 +438,31 @@ class TestRun:
         rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
         assert rc == 1
         assert "unknown key 'treshold'" in capsys.readouterr().err
+
+    def test_removed_warm_start_key_is_unknown(self, workdir, tmp_path,
+                                               monkeypatch, capsys):
+        entry = dict(self.experiment(), warm_start=True)
+        rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
+        assert rc == 1
+        assert "unknown key 'warm_start'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", "200"), ("trials", 1.5), ("seed", 1.5), ("trials", True),
+        ("p", "0.25"), ("dist", ["code3"]), ("code_id", 3)])
+    def test_mistyped_value_is_usage_error(self, workdir, tmp_path,
+                                           monkeypatch, capsys, key, value):
+        entry = dict(self.experiment(), **{key: value})
+        rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert f"experiment 1: key {key!r} must be" in err
+        assert "building" not in out
+
+    def test_entry_that_is_not_an_object(self, workdir, tmp_path,
+                                         monkeypatch, capsys):
+        rc = self.run_without_build(workdir, tmp_path, monkeypatch, 5)
+        assert rc == 1
+        assert "experiment 1: expected an object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["params", "bip"])
     def test_nested_dataclass_keys_are_unknown(self, workdir, tmp_path,

@@ -15,6 +15,7 @@ from wzkit.codec import (CSV_COLUMNS, CompoundQuantizer, ExperimentConfig,
                          encode, encode_all, invert_bound, run_experiment,
                          write_curve_csv, write_results_csv, wz_boundary,
                          wz_rate)
+from wzkit.decoder import SpParams
 from wzkit.gf2 import BitVector, ShapeError, mul_vec
 from wzkit.quantizer import BipParams, generator_codeword
 
@@ -167,7 +168,8 @@ class TestCompoundQuantizer:
             assert u.length == TINY_PARAMS.info_rows
             assert generator_codeword(tiny_code.g1, u) == word
 
-    @pytest.mark.parametrize("bip", [BipParams(), BipParams(warm_start=True),
+    @pytest.mark.parametrize("bip", [BipParams(),
+                                     BipParams(gamma=20.0, damping=0.0),
                                      BipParams(damping=0.5, threshold=0.6)])
     def test_quantize_all_matches_quantize(self, tiny_code, bip):
         qz = tiny_code.quantizer
@@ -210,14 +212,15 @@ class TestEncodeDecode:
         rng = random.Random(51)
         src = BitVector(TINY_PARAMS.n, rng.getrandbits(TINY_PARAMS.n))
         enc = encode(tiny_code, src)
-        res = decode(tiny_code, enc.word, enc.syndrome, crossover=0.05)
+        res = decode(tiny_code, enc.word, enc.syndrome,
+                     SpParams(crossover=0.05))
         assert res.converged
         assert res.bits == enc.word
 
     def test_decode_rejects_wrong_syndrome_length(self, tiny_code):
         with pytest.raises(ValueError):
             decode(tiny_code, BitVector(TINY_PARAMS.n, 0),
-                   BitVector(TINY_PARAMS.k2 + 1, 0), crossover=0.1)
+                   BitVector(TINY_PARAMS.k2 + 1, 0), SpParams(crossover=0.1))
 
 
 class TestRunExperiment:

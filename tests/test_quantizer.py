@@ -172,6 +172,7 @@ class TestBipQuantize:
             _, d_min = exhaustive_quantize(g, src)
             assert res.distortion >= d_min - 1e-12
             word = generator_codeword(g, res.u)
+            assert res.codeword == word
             assert res.distortion == pytest.approx(
                 (word ^ src).weight() / cols)
 
@@ -206,14 +207,6 @@ class TestBipQuantize:
         b = bip_quantize(g, src)
         assert a == b
 
-    def test_warm_start_still_valid(self):
-        rng = random.Random(13)
-        g = random_generator(rng, 10, 24)
-        src = BitVector(24, rng.getrandbits(24))
-        res = bip_quantize(g, src, BipParams(warm_start=True))
-        word = generator_codeword(g, res.u)
-        assert res.distortion == pytest.approx((word ^ src).weight() / 24)
-
 
 class TestBipQuantizeAll:
     """Every word of a batch gets exactly the result it gets alone."""
@@ -232,9 +225,8 @@ class TestBipQuantizeAll:
         BipParams(),
         BipParams(damping=0.0),
         BipParams(damping=0.5),
-        BipParams(warm_start=True),
-        BipParams(warm_start=True, damping=0.5, threshold=0.6,
-                  iters_per_round=4),
+        BipParams(gamma=20.0, damping=0.0),
+        BipParams(damping=0.5, threshold=0.6, iters_per_round=4),
     ])
     def test_equals_each_word_alone(self, params):
         g, sources = self.case(21, 30, 70, 5)
@@ -320,7 +312,8 @@ def test_ratio_form_matches_atanh_sum():
 
 def reference_decimate(g, sources, params, src_mag, damping):
     """The decimation loop before it skipped untouched components: every
-    round sweeps every live edge.  quantizer._decimate must match it."""
+    round restarts the messages at ones and sweeps every live edge.
+    quantizer._decimate must match it."""
     words, n_var, n_chk = len(sources), g.rows, g.cols
     n_vars, n_chks = words * n_var, words * n_chk
     ev, ec = g.edges()
@@ -331,7 +324,6 @@ def reference_decimate(g, sources, params, src_mag, damping):
     s_arr = np.array([s.to_list() for s in sources], dtype=np.int64).ravel()
     sign_eff = 1.0 - 2.0 * s_arr.astype(np.float64)
     fixed = np.full(n_vars, -1, dtype=np.int64)
-    theta = np.ones(edge_var.size, dtype=np.float64)
     conflicts = np.zeros(words, dtype=np.int64)
     rounds = np.zeros(words, dtype=np.int64)
 
@@ -340,8 +332,7 @@ def reference_decimate(g, sources, params, src_mag, damping):
         if not active.any():
             break
         rounds += active
-        if not params.warm_start:
-            theta = np.ones(edge_var.size, dtype=np.float64)
+        theta = np.ones(edge_var.size, dtype=np.float64)
         src_term = src_mag * sign_eff[edge_check]
         var_live, sweep_var = quantizer._renumber(edge_var, n_vars)
         chk_live, sweep_check = quantizer._renumber(edge_check, n_chks)
@@ -377,14 +368,14 @@ def reference_decimate(g, sources, params, src_mag, damping):
         flips = np.bincount(ones_edges, minlength=n_chks) % 2
         sign_eff *= 1.0 - 2.0 * flips
         keep = ~on_fixed
-        edge_var, edge_check, theta = edge_var[keep], edge_check[keep], theta[keep]
+        edge_var, edge_check = edge_var[keep], edge_check[keep]
 
     results = []
     for k, source in enumerate(sources):
         u = BitVector.from_bits_list(fixed[k * n_var:(k + 1) * n_var].tolist())
-        distortion = generator_codeword(g, u).hamming(source) / g.cols
-        results.append(QuantizeResult(u, distortion, int(rounds[k]),
-                                      int(conflicts[k])))
+        word = generator_codeword(g, u)
+        results.append(QuantizeResult(u, word, word.hamming(source) / g.cols,
+                                      int(rounds[k]), int(conflicts[k])))
     return results
 
 
@@ -406,9 +397,6 @@ class TestSkipsUntouchedComponents:
         BipParams(damping=0.5),
         BipParams(threshold=0.5),
         BipParams(iters_per_round=3),
-        BipParams(warm_start=True),
-        BipParams(warm_start=True, damping=0.5, threshold=0.6,
-                  iters_per_round=4),
     ]
 
     # rows that share no column: every variable is its own component
@@ -431,7 +419,7 @@ class TestSkipsUntouchedComponents:
 
     def test_matches_reference_on_random_generators(self, monkeypatch):
         rng = random.Random(0xDEC1)
-        seen = {"conflicts": 0, "empty rows": 0, "warm": 0}
+        seen = {"conflicts": 0, "empty rows": 0}
         for case in range(300):
             rows = rng.randrange(1, 25)
             cols = rng.randrange(2, 50)
@@ -447,7 +435,6 @@ class TestSkipsUntouchedComponents:
                                                   params)
             seen["conflicts"] += sum(r.conflict_events > 0 for r in got)
             seen["empty rows"] += any(not sup for sup in g.row_support)
-            seen["warm"] += params.warm_start
         assert min(seen.values()) >= 20
 
     @pytest.fixture
@@ -560,8 +547,7 @@ class TestSkipsUntouchedComponents:
         rng = random.Random(0x6A3)
         sources = [BitVector(g.cols, rng.getrandbits(g.cols))
                    for _ in range(4)]
-        for params in (BipParams(), BipParams(damping=0.5),
-                       BipParams(warm_start=True)):
+        for params in (BipParams(), BipParams(damping=0.5)):
             assert bip_quantize_all(g, sources, params) == \
                 quantize_with_reference(monkeypatch, g, sources, params)
 
@@ -593,10 +579,3 @@ class TestSkipsUntouchedComponents:
         assert later and all(size % 4 == 0 for size in later)
         assert [res] == quantize_with_reference(monkeypatch, g, [source],
                                                 params)
-
-    def test_warm_start_sweeps_every_round(self, sweep_sizes):
-        g, source = self.DISJOINT
-        params = BipParams(threshold=0.99, iters_per_round=5, warm_start=True)
-        res = bip_quantize(g, source, params)
-        assert res.rounds > 1
-        assert len(sweep_sizes) == 5 * res.rounds
