@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from array import array
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .degrees import DegreeDistribution, PoissonWeightSpec, poisson_counts
 from .gf2 import (BitMatrix, EchelonBasis, RankDeficiencyError, _bit_indices,
-                  permute, read_matrix, write_matrix)
+                  _require_ints, permute, read_matrix, write_matrix)
 
 __all__ = [
     "CodeParams",
@@ -65,6 +65,7 @@ class CodeParams:
     poisson_imax: int | None = None
 
     def __post_init__(self):
+        _require_ints(self, "n", "m", "k1", "k2", "zeta", "poisson_imax")
         for name in ("n", "m", "k1", "k2", "zeta"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -611,16 +612,44 @@ def design_poisson_generator(h: BitMatrix, params: CodeParams,
     return BitMatrix.from_arrays(info, n, weights, columns)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompoundCode:
     """A built code: the outer check h and the generator g1 spanning the null
-    space of its quantization rows."""
+    space of its quantization rows.
+
+    Only the quantizer's coefficients and save_code read g1, so a code may
+    hold, in place of g1, where to get it: the seed to design it from h
+    with, or the path of a g1.txt to read.  The first read of g1 designs or
+    reads it, verifies it and keeps it.  A code pickles with g1 only once it
+    has been read."""
 
     params: CodeParams
     h: BitMatrix
-    g1: BitMatrix
+    _g1: BitMatrix | int | Path = field(repr=False)
     seed: int
     dist_id: str = ""
+
+    @property
+    def g1(self) -> BitMatrix:
+        g1 = self._g1
+        if not isinstance(g1, BitMatrix):
+            g1 = (_read_code_matrix(g1, self.params.info_rows, self.params.n)
+                  if isinstance(g1, Path)
+                  else design_poisson_generator(self.h, self.params, g1))
+            _verify_generator(self.params, self.h, g1)
+            object.__setattr__(self, "_g1", g1)
+        return g1
+
+    def __eq__(self, other):
+        if not isinstance(other, CompoundCode):
+            return NotImplemented
+        # g1 last: it is made only when everything else matches
+        return ((self.params, self.h, self.seed, self.dist_id)
+                == (other.params, other.h, other.seed, other.dist_id)
+                and self.g1 == other.g1)
+
+    def __hash__(self):
+        return hash((self.params, self.h, self.seed, self.dist_id))
 
     @cached_property
     def h1(self) -> BitMatrix:
@@ -644,16 +673,14 @@ class CompoundCode:
         return CompoundQuantizer(self)
 
 
-def _verify_generator(code: CompoundCode) -> None:
+def _verify_generator(params: CodeParams, h: BitMatrix, g1: BitMatrix) -> None:
     """Shape of the quantization check, exact orthogonality (every generator
     row's head must equal B m2) and the i_max row weight cap; raises
     AssertionError naming the lowest row that fails, orthogonality first."""
-    p = code.params
-    g1 = code.g1
-    bad_q = _first_non_orthogonal_row(g1, _b_columns(code.h, p), p)
+    bad_q = _first_non_orthogonal_row(g1, _b_columns(h, params), params)
     weights = g1.row_lengths()
-    over = (np.flatnonzero(weights > p.poisson_imax)
-            if p.poisson_imax is not None else [])
+    over = (np.flatnonzero(weights > params.poisson_imax)
+            if params.poisson_imax is not None else [])
     bad_w = int(over[0]) if len(over) else g1.rows
     if bad_q < g1.rows and bad_q <= bad_w:
         raise AssertionError(f"generator row {bad_q} violates the quant check")
@@ -703,7 +730,8 @@ def _first_non_orthogonal_row(g1: BitMatrix, b: BitMatrix,
 
 def build_compound_code(params: CodeParams, dist: DegreeDistribution, seed: int,
                         dist_id: str = "") -> CompoundCode:
-    """Full pipeline: validate, grow, diagonalize, mirror, span the null space."""
+    """Full pipeline: validate, grow, diagonalize, mirror.  The generator
+    spanning the null space is designed on the first read of code.g1."""
     report = validate_params(params)
     if not report.ok:
         raise ParamValidationError(report)
@@ -714,10 +742,7 @@ def build_compound_code(params: CodeParams, dist: DegreeDistribution, seed: int,
     row_perm, col_perm = all_one_diagonalize(half)
     half = permute(half, row_perm, col_perm)
     h = assemble_compound(half, params)
-    g1 = design_poisson_generator(h, params, seed_gen)
-    code = CompoundCode(params, h, g1, seed, dist_id)
-    _verify_generator(code)
-    return code
+    return CompoundCode(params, h, seed_gen, seed, dist_id)
 
 
 def save_code(code: CompoundCode, directory: str | Path) -> None:
@@ -763,29 +788,33 @@ def _read_manifest(path: Path) -> dict:
     return {**manifest, "params": params}
 
 
+def _read_code_matrix(path: Path, rows: int, cols: int) -> BitMatrix:
+    """The matrix in path, which must be rows x cols; ValueError naming the
+    file when it cannot be parsed or has another shape."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            mat = read_matrix(f)
+        except ValueError as e:
+            raise ValueError(f"{path.name}: {e}") from None
+    if (mat.rows, mat.cols) != (rows, cols):
+        raise ValueError(f"{path.name} is {mat.rows}x{mat.cols}, "
+                         f"expected {rows}x{cols}")
+    return mat
+
+
 def load_code(directory: str | Path) -> CompoundCode:
-    """Read a directory written by save_code, checking it as thoroughly as a
-    fresh build: the geometry, both matrix shapes, the quantization check's
-    block shape and the generator's orthogonality to it.  The h1.txt and
-    h2.txt files of older directories, copies of h's rows, are not read."""
+    """Read a directory written by save_code.  The geometry, h's shape and
+    the quantization check's block shape are checked here; g1.txt is read,
+    and checked as thoroughly as a fresh design, on the first read of
+    code.g1.  The h1.txt and h2.txt files of older directories, copies of
+    h's rows, are not read."""
     directory = Path(directory)
     manifest = _read_manifest(directory / "manifest.json")
     params = manifest["params"]
     report = validate_params(params)
     if not report.ok:
         raise ParamValidationError(report)
-    mats = {}
-    for name, rows in (("h", params.outer_checks), ("g1", params.info_rows)):
-        with open(directory / f"{name}.txt", encoding="utf-8") as f:
-            try:
-                mat = read_matrix(f)
-            except ValueError as e:
-                raise ValueError(f"{name}.txt: {e}") from None
-        if (mat.rows, mat.cols) != (rows, params.n):
-            raise ValueError(f"{name}.txt is {mat.rows}x{mat.cols}, "
-                             f"expected {rows}x{params.n}")
-        mats[name] = mat
-    code = CompoundCode(params, mats["h"], mats["g1"], manifest["seed"],
+    h = _read_code_matrix(directory / "h.txt", params.outer_checks, params.n)
+    _b_columns(h, params)  # raises unless h's top rows are (I | 0 | B)
+    return CompoundCode(params, h, directory / "g1.txt", manifest["seed"],
                         manifest.get("dist_id", ""))
-    _verify_generator(code)
-    return code

@@ -200,6 +200,8 @@ def _experiment_from(entry: dict, index: int) -> tuple[ExperimentConfig, str, in
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     text = Path(args.config).read_text()
     try:
         doc = json.loads(text)

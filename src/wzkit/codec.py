@@ -22,7 +22,7 @@ import numpy as np
 from .builder import CodeParams, CompoundCode, _b_columns
 from .decoder import SpParams, sp_decode
 from .gf2 import (BitMatrix, BitVector, EchelonBasis, RankDeficiencyError,
-                  ShapeError, mul_vec)
+                  ShapeError, _require_ints, mul_vec)
 from .quantizer import BipParams, _resolve, bip_quantize_all
 
 __all__ = [
@@ -153,7 +153,7 @@ class CompoundQuantizer:
         r = params.quant_checks
         mid = params.info_rows - params.n // 2
         sub_cols = _b_columns(code.h, params).row_support
-        self.g1 = code.g1
+        self._code = code  # coefficients reads code.g1, made on first read
         self.n = params.n
         self.parity_width = r
         self.mid_width = mid
@@ -203,15 +203,16 @@ class CompoundQuantizer:
         """
         if word.length != self.n:
             raise ShapeError(f"word length {word.length} != n {self.n}")
+        g1 = self._code.g1
         if self._coeff_basis is None:
             basis = EchelonBasis.tagged(
-                [bits >> self.parity_width for bits in self.g1.bitrows()])
-            if len(basis) < self.g1.rows:
+                [bits >> self.parity_width for bits in g1.bitrows()])
+            if len(basis) < g1.rows:
                 raise RankDeficiencyError(
                     f"generator rows are dependent: rank {len(basis)} "
-                    f"of {self.g1.rows}", len(basis))
+                    f"of {g1.rows}", len(basis))
             self._coeff_basis = basis
-        return BitVector(self.g1.rows,
+        return BitVector(g1.rows,
                          self._coeff_basis.solve(word.bits >> self.parity_width))
 
 
@@ -267,6 +268,7 @@ class ExperimentConfig:
     crossover: float | None = None   # decoder estimate override
 
     def __post_init__(self):
+        _require_ints(self, "trials", "seed", "max_iter")
         if not 0.0 < self.p < 0.5:
             raise ValueError(f"p must lie in (0, 0.5), got {self.p}")
         if self.trials < 1:
@@ -386,12 +388,14 @@ def run_experiment(code: CompoundCode, config: ExperimentConfig,
     """
     if code.params != config.params:
         raise ValueError("config parameters do not match the supplied code")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     n = code.params.n
     code.quantizer  # built here, a pool's workers receive it with the code
     pool = (ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                                 initargs=(code,)) if workers > 1 else None)
     # one contiguous chunk of trials per worker, quantized as one batch
-    chunk = -(-config.trials // max(workers, 1))
+    chunk = -(-config.trials // workers)
     with pool or nullcontext():
         encoded = [out for outs in _map_trials(pool, _encode_trials, code, [
             (t, min(t + chunk, config.trials), config.seed, config.p, config.bip)

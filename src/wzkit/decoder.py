@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVector, ShapeError, _column_basis
+from .gf2 import (BitMatrix, BitVector, ShapeError, _column_basis,
+                  _require_ints)
 
 __all__ = [
     "SpParams",
@@ -27,6 +28,7 @@ class SpParams:
     llr_clip: float = 30.0
 
     def __post_init__(self):
+        _require_ints(self, "max_iter")
         if not 0.0 < self.crossover < 0.5:
             raise ValueError(f"crossover must lie in (0, 0.5), got {self.crossover}")
         if self.max_iter < 1:

@@ -73,6 +73,18 @@ class RankDeficiencyError(ValueError):
         self.rank = computed_rank
 
 
+def _require_ints(owner, *names: str) -> None:
+    """TypeError unless each named attribute of owner (a parameter
+    dataclass) is None or an integer: a Python or numpy int, not a bool or a
+    float."""
+    for name in names:
+        value = getattr(owner, name)
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BitVector:
     """Immutable GF(2) vector: ``length`` bits packed into one Python int."""

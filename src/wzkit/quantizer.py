@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .decoder import _check_product
-from .gf2 import BitMatrix, BitVector, ShapeError
+from .gf2 import BitMatrix, BitVector, ShapeError, _require_ints
 
 __all__ = [
     "BipParams",
@@ -46,6 +46,7 @@ class BipParams:
     damping: float | None = None
 
     def __post_init__(self):
+        _require_ints(self, "iters_per_round")
         # nan fails every comparison, so test for the good range
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:
             raise ValueError("gamma must be finite and positive")

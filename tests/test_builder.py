@@ -1,10 +1,12 @@
 """Graph growth, diagonalization, mirroring, and generator design."""
 
+import dataclasses
 import hashlib
 import json
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import SMALL_PARAMS, TINY_PARAMS, tiny_dist
@@ -29,6 +31,29 @@ def degree_multisets(a):
         for c in sup:
             cols[c] += 1
     return rows, Counter(cols.values())
+
+
+class TestCodeParams:
+    @pytest.mark.parametrize("key, value", [
+        ("n", 96.0), ("m", 92.5), ("k2", True), ("zeta", 4.0),
+        ("poisson_imax", 20.5)])
+    def test_integer_fields_reject_other_numbers(self, key, value):
+        with pytest.raises(TypeError,
+                           match=f"{key} must be an integer, got {value}"):
+            dataclasses.replace(TINY_PARAMS, **{key: value})
+        same = np.int64(getattr(TINY_PARAMS, key))
+        assert dataclasses.replace(TINY_PARAMS, **{key: same}) == TINY_PARAMS
+
+    def test_manifest_with_a_float_count_fails_to_load(self, tiny_code,
+                                                       tmp_path):
+        save_code(tiny_code, tmp_path / "code")
+        path = tmp_path / "code" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["params"]["n"] = 96.0
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="^manifest.json: params: n must "
+                                             "be an integer, got 96.0$"):
+            load_code(tmp_path / "code")
 
 
 class TestValidateParams:
@@ -317,6 +342,15 @@ class TestGeneratorDesign:
             design_poisson_generator(bad, TINY_PARAMS, seed=0)
 
 
+def checking_read(directory, name):
+    """The read that checks name.txt of a saved code: load_code itself for
+    h, the first read of code.g1 for g1 (load_code must then succeed)."""
+    if name == "h":
+        return lambda: load_code(directory)
+    code = load_code(directory)
+    return lambda: code.g1
+
+
 class TestBuildRoundtrip:
     def test_seed_determinism(self):
         a = build_compound_code(TINY_PARAMS, tiny_dist(), seed=5)
@@ -352,7 +386,7 @@ class TestBuildRoundtrip:
         path.write_text("\n".join(lines))
         with pytest.raises(ValueError, match=f"{name}.txt is {rows - 1}x96, "
                            f"expected {rows}x96"):
-            load_code(tmp_path / "code")
+            checking_read(tmp_path / "code", name)()
 
     @pytest.mark.parametrize("name", ["h", "g1"])
     def test_load_rejects_matrix_with_an_extra_row(self, tiny_code, tmp_path,
@@ -364,7 +398,7 @@ class TestBuildRoundtrip:
         path.write_text(text.rstrip("\n") + "\n5 17\n\n")
         with pytest.raises(ValueError,
                            match=f"{name}.txt: line {rows + 2}: row beyond"):
-            load_code(tmp_path / "code")
+            checking_read(tmp_path / "code", name)()
 
     def test_load_validates_manifest_geometry(self, tiny_code, tmp_path):
         save_code(tiny_code, tmp_path / "code")
@@ -442,6 +476,10 @@ def reference_verify_generator(code):
             raise AssertionError(f"generator row {j} weight {len(sup)} > i_max")
 
 
+def verify_generator(code):
+    _verify_generator(code.params, code.h, code.g1)
+
+
 def with_g1_rows(code, edits):
     """code with g1 row j's support replaced by edits[j](support)."""
     rows = [edits[j](set(sup)) if j in edits else sup
@@ -480,27 +518,27 @@ class TestVerifyGenerator:
         code = with_g1_rows(tiny_code, {7: toggle(5), 3: toggle(0)})
         with pytest.raises(AssertionError,
                            match="generator row 3 violates the quant check"):
-            _verify_generator(code)
+            verify_generator(code)
 
     def test_flipped_tail_bit_is_caught(self, tiny_code):
         code = with_g1_rows(tiny_code, {9: toggle(60)})
         with pytest.raises(AssertionError, match="generator row 9 violates"):
-            _verify_generator(code)
+            verify_generator(code)
 
     def test_row_over_imax(self, tiny_code):
         code = with_g1_rows(tiny_code, {4: overweight(tiny_code, 4)})
         weight = TINY_PARAMS.poisson_imax + 1
         with pytest.raises(AssertionError,
                            match=f"generator row 4 weight {weight} > i_max"):
-            _verify_generator(code)
+            verify_generator(code)
 
     def test_lowest_failing_row_wins(self, tiny_code):
         code = with_g1_rows(tiny_code, {2: overweight(tiny_code, 2),
                                         5: toggle(1)})
-        assert verify_outcome(_verify_generator, code).startswith(
+        assert verify_outcome(verify_generator, code).startswith(
             "generator row 2 weight")
         both = with_g1_rows(code, {2: toggle(1)})
-        assert verify_outcome(_verify_generator, both) == (
+        assert verify_outcome(verify_generator, both) == (
             "generator row 2 violates the quant check")
 
     @pytest.mark.parametrize("block_rows", [1, 5, 256])
@@ -510,7 +548,7 @@ class TestVerifyGenerator:
         rng = random.Random(3)
         outcomes = Counter()
         for code in (tiny_code, small_code):
-            assert verify_outcome(_verify_generator, code) == "ok"
+            assert verify_outcome(verify_generator, code) == "ok"
             for _ in range(60):
                 rows = rng.sample(range(code.g1.rows), rng.randint(1, 3))
                 edits = {j: toggle(*rng.sample(range(code.g1.cols),
@@ -523,10 +561,20 @@ class TestVerifyGenerator:
                     if need <= 8:
                         edits[j] = overweight(code, j)
                 edited = with_g1_rows(code, edits)
-                got = verify_outcome(_verify_generator, edited)
+                got = verify_outcome(verify_generator, edited)
                 assert got == verify_outcome(reference_verify_generator, edited)
                 outcomes[got.split(" ")[-1]] += 1
         assert outcomes["check"] > 20 and outcomes["ok"] > 0
+
+    def test_designed_generator_is_checked_on_first_read(self, tiny_code,
+                                                        monkeypatch):
+        bad = with_g1_rows(tiny_code, {6: toggle(2)}).g1
+        monkeypatch.setattr(builder, "design_poisson_generator",
+                            lambda *args: bad)
+        code = build_compound_code(TINY_PARAMS, tiny_dist(), seed=5)
+        with pytest.raises(AssertionError,
+                           match="generator row 6 violates the quant check"):
+            code.g1
 
     @pytest.mark.parametrize("edit, message", [
         (lambda code: {6: toggle(2)}, "generator row 6 violates the quant check"),
@@ -534,8 +582,10 @@ class TestVerifyGenerator:
     ], ids=["quant-check", "i-max"])
     def test_load_code_runs_the_check(self, tiny_code, tmp_path, edit, message):
         save_code(with_g1_rows(tiny_code, edit(tiny_code)), tmp_path / "code")
-        with pytest.raises(AssertionError, match=message):
-            load_code(tmp_path / "code")
+        code = load_code(tmp_path / "code")  # g1.txt is checked on first read
+        for _ in range(2):                    # and a failed read keeps nothing
+            with pytest.raises(AssertionError, match=message):
+                code.g1
 
 
 class TestManifest:

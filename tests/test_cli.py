@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import TINY_CATALOG_TEXT, TINY_PARAMS
-from wzkit import cli, codec
+from wzkit import builder, cli, codec
 from wzkit.builder import load_code
 from wzkit.codec import CSV_COLUMNS, encode
 from wzkit.gf2 import BitVector
@@ -272,11 +272,86 @@ class TestQuantizeEncodeDecode:
             row |= set(free[:p.poisson_imax + 1 - len(row)])
         lines[3] = " ".join(map(str, sorted(row)))
         path.write_text("\n".join(lines))
-        rc = cli.main(["encode", "--code", str(code_dir),
+        rc = cli.main(["quantize", "--code", str(code_dir),
                        "--in", str(workdir / "sources.txt"),
                        "--out", str(tmp_path / "o.txt")])
         assert rc == 3
         assert f"error: {message}" in capsys.readouterr().err
+
+    @staticmethod
+    def spoil_g1(code_dir, how):
+        """Spoil code_dir/g1.txt; returns the error line of a command that
+        reads it."""
+        path = code_dir / "g1.txt"
+        lines = path.read_text().split("\n")
+        if how == "non-orthogonal":   # flip a head bit of g1 row 2
+            row = {int(tok) for tok in lines[3].split()} ^ {1}
+            lines[3] = " ".join(map(str, sorted(row)))
+            path.write_text("\n".join(lines))
+            return "error: generator row 2 violates the quant check"
+        if how == "truncated":
+            path.write_text("\n".join(lines[:4]))
+            return "error: g1.txt: unexpected end of file at row 3"
+        path.unlink()
+        return f"error: [Errno 2] No such file or directory: '{path}'"
+
+    @pytest.mark.parametrize("how", ["non-orthogonal", "truncated", "deleted"])
+    def test_only_quantize_reads_g1(self, workdir, tmp_path, capsys, how):
+        """encode and decode never read g1.txt, so a spoiled one changes
+        none of their output; quantize fails on it with exit 3."""
+        intact = workdir / "tiny-code"
+        spoiled = tmp_path / "code"
+        shutil.copytree(intact, spoiled)
+        error = self.spoil_g1(spoiled, how)
+        words = str(workdir / "sources.txt")
+        outputs = {}
+        for code_dir in (intact, spoiled):
+            syndromes = tmp_path / f"{code_dir.name}-syndromes.txt"
+            decoded = tmp_path / f"{code_dir.name}-decoded.txt"
+            rcs = (cli.main(["encode", "--code", str(code_dir), "--in", words,
+                             "--out", str(syndromes)]),
+                   cli.main(["decode", "--code", str(code_dir),
+                             "--side", words, "--syndrome", str(syndromes),
+                             "--crossover", "0.1", "--out", str(decoded)]))
+            outputs[code_dir] = (rcs, capsys.readouterr(),
+                                 syndromes.read_bytes(), decoded.read_bytes())
+        assert outputs[spoiled] == outputs[intact]
+        assert outputs[intact][0] == (0, 0)
+        rc = cli.main(["quantize", "--code", str(spoiled), "--in", words,
+                       "--out", str(tmp_path / "o.txt")])
+        assert rc == 3
+        assert capsys.readouterr().err == error + "\n"
+
+    @staticmethod
+    def record_matrix_reads(monkeypatch) -> list:
+        reads = []
+        real = builder.read_matrix
+
+        def recording(f):
+            reads.append(Path(f.name).name)
+            return real(f)
+
+        monkeypatch.setattr(builder, "read_matrix", recording)
+        return reads
+
+    @pytest.mark.parametrize("command, files", [
+        ("quantize", ["h.txt", "g1.txt"]),
+        ("encode", ["h.txt"]),
+        ("decode", ["h.txt"])])
+    def test_matrix_files_each_command_reads(self, workdir, tmp_path,
+                                             monkeypatch, command, files):
+        words = str(workdir / "sources.txt")
+        syndromes = tmp_path / "syndromes.txt"
+        syndromes.write_text("0" * TINY_PARAMS.k2 + "\n"
+                             + "1" * TINY_PARAMS.k2 + "\n")
+        inputs = (["--side", words, "--syndrome", str(syndromes),
+                   "--crossover", "0.1"] if command == "decode"
+                  else ["--in", words])
+        reads = self.record_matrix_reads(monkeypatch)
+        rc = cli.main([command, "--code", str(workdir / "tiny-code"), *inputs,
+                       "--out", str(tmp_path / "o.txt")])
+        assert rc == 0
+        assert reads == files
 
     def test_missing_code_dir_exits_three(self, workdir, tmp_path):
         rc = cli.main(["quantize", "--code", str(tmp_path / "nowhere"),
@@ -499,6 +574,22 @@ class TestRun:
                 config, dist, _ = cli._experiment_from(entry, index)
                 assert (config.code_id, dist) == (entry["code_id"],
                                                   entry["dist"])
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_fails_before_build(self, workdir, tmp_path,
+                                                  monkeypatch, capsys,
+                                                  workers):
+        builds = []
+        monkeypatch.setattr(cli, "build_compound_code",
+                            lambda *a, **k: builds.append(a))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiments": [self.experiment()]}))
+        rc = cli.main(["run", "--config", str(config),
+                       "--catalog", str(workdir / "catalog.txt"),
+                       "--workers", workers, "--out", str(tmp_path / "o.csv")])
+        assert (rc, builds) == (1, [])
+        assert (capsys.readouterr().err
+                == f"error: --workers must be >= 1, got {workers}\n")
 
     def test_missing_config_file_exits_three(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "absent.json"),

@@ -5,11 +5,12 @@ import io
 import pickle
 import random
 
+import numpy as np
 import pytest
 
-from conftest import TINY_PARAMS
-from wzkit import codec, quantizer
-from wzkit.builder import CodeParams
+from conftest import TINY_PARAMS, tiny_dist
+from wzkit import builder, codec, quantizer
+from wzkit.builder import CodeParams, build_compound_code, load_code, save_code
 from wzkit.codec import (CSV_COLUMNS, CompoundQuantizer, ExperimentConfig,
                          binary_convolve, binary_entropy, bound_curve, decode,
                          encode, encode_all, invert_bound, run_experiment,
@@ -341,6 +342,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(tiny_code, cfg, workers=1)
 
+    @pytest.mark.parametrize("key, value", [
+        ("trials", 1.5), ("trials", 2.0), ("max_iter", 2.5), ("seed", 1.0),
+        ("seed", True)])
+    def test_integer_fields_reject_other_numbers(self, key, value):
+        config = dict(code_id="x", params=TINY_PARAMS, p=0.25, trials=1,
+                      seed=0)
+        with pytest.raises(TypeError,
+                           match=f"{key} must be an integer, got {value}"):
+            ExperimentConfig(**{**config, key: value})
+        ExperimentConfig(**{**config, key: np.int64(3)})
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, tiny_code, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_experiment(tiny_code, self.config(), workers=workers)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(code_id="x", params=TINY_PARAMS, p=0.6,
@@ -348,6 +365,69 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(code_id="x", params=TINY_PARAMS, p=0.25,
                              trials=0, seed=0)
+
+
+class TestGeneratorTraffic:
+    """g1 is designed or read on its first read, and only the coefficients
+    of a quantized word read it."""
+
+    @staticmethod
+    def record_designs(monkeypatch, log):
+        """Append a line to the file log for every generator design, in
+        this process or in a pool worker."""
+        real = builder.design_poisson_generator
+
+        def recording(*args):
+            with open(log, "a") as f:
+                f.write("design\n")
+            return real(*args)
+
+        monkeypatch.setattr(builder, "design_poisson_generator", recording)
+        return lambda: len(log.read_text().split()) if log.exists() else 0
+
+    def test_build_and_run_design_no_generator(self, tiny_code, tmp_path,
+                                               monkeypatch):
+        expected = tiny_code.g1
+        designs = self.record_designs(monkeypatch, tmp_path / "designs")
+        code = build_compound_code(TINY_PARAMS, tiny_dist(), seed=5,
+                                   dist_id="tiny")
+        config = ExperimentConfig(code_id="tiny", params=TINY_PARAMS, p=0.25,
+                                  trials=3, seed=99)
+        results = [run_experiment(code, config, workers=workers)
+                   for workers in (1, 2)]
+        assert designs() == 0
+        assert results[0] == results[1] == run_experiment(tiny_code, config)
+        # the first read designs g1, verified and bit-identical, and keeps it
+        assert code.g1 == expected
+        code.g1
+        assert designs() == 1
+
+    def test_pickling_keeps_the_generator_unmade(self, tmp_path, monkeypatch):
+        designs = self.record_designs(monkeypatch, tmp_path / "designs")
+        code = build_compound_code(TINY_PARAMS, tiny_dist(), seed=5)
+        code.quantizer
+        blob = pickle.dumps(code)
+        assert designs() == 0
+        copy = pickle.loads(blob)
+        assert copy.g1 == code.g1
+        assert designs() == 2
+        assert len(pickle.dumps(code)) > len(blob)   # now it carries g1
+
+    def test_loaded_code_pickles_without_reading_g1(self, tiny_code,
+                                                    tmp_path, monkeypatch):
+        save_code(tiny_code, tmp_path / "code")
+        reads = []
+        real = builder.read_matrix
+        monkeypatch.setattr(builder, "read_matrix",
+                            lambda f: reads.append(f.name) or real(f))
+        code = load_code(tmp_path / "code")
+        copy = pickle.loads(pickle.dumps(code))
+        assert len(reads) == 1
+        word = copy.quantizer.quantize(BitVector(TINY_PARAMS.n, 12345)).word
+        assert generator_codeword(tiny_code.g1,
+                                  copy.quantizer.coefficients(word)) == word
+        assert len(reads) == 2 and reads[1].endswith("g1.txt")
+        assert copy == tiny_code
 
 
 class TestCsvOutput:

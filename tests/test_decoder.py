@@ -269,6 +269,13 @@ class TestSpParams:
         with pytest.raises(ValueError):
             SpParams(**kwargs)
 
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        with pytest.raises(TypeError,
+                           match=f"max_iter must be an integer, got {max_iter}"):
+            SpParams(0.1, max_iter=max_iter)
+        assert SpParams(0.1, max_iter=np.int64(3)).max_iter == 3
+
 
 class TestCosetMembers:
     def test_size_and_membership(self):

@@ -158,6 +158,13 @@ class TestBipParams:
         with pytest.raises(ValueError):
             BipParams(**kwargs)
 
+    @pytest.mark.parametrize("iters", [2.5, 25.0, False])
+    def test_iters_per_round_must_be_an_integer(self, iters):
+        with pytest.raises(TypeError, match="iters_per_round must be an "
+                                            f"integer, got {iters}"):
+            BipParams(iters_per_round=iters)
+        assert BipParams(iters_per_round=np.int32(7)).iters_per_round == 7
+
 
 class TestBipQuantize:
     def test_never_beats_exhaustive_oracle(self):
