@@ -58,9 +58,8 @@ def _check_product(theta: np.ndarray, edge_check: np.ndarray,
     Only when the input holds an exact zero (of either sign) do zeros count
     as log 1, and every edge that sees another zero on its check gets +0.0.
     """
-    zero = theta == 0.0
-    has_zero = bool(zero.any())
-    safe = np.where(zero, 1.0, theta) if has_zero else theta
+    zero = None if theta.all() else theta == 0.0
+    safe = theta if zero is None else np.where(zero, 1.0, theta)
     log_abs = np.log(np.abs(safe))
     # bincount returns integers when there are no edges at all
     log_sum = np.bincount(edge_check, weights=log_abs,
@@ -73,7 +72,7 @@ def _check_product(theta: np.ndarray, edge_check: np.ndarray,
     np.exp(prod, out=prod)
     np.copysign(prod, safe, out=prod)
     prod *= check_sign[edge_check]
-    if has_zero:
+    if zero is not None:
         zeros = np.bincount(edge_check, weights=zero, minlength=n_checks)
         prod[zeros[edge_check] - zero > 0] = 0.0
     return prod
@@ -88,87 +87,99 @@ def _slot_check_product(theta: np.ndarray) -> np.ndarray:
     column runs in slot order, as bincount's does in edge order, so every
     real slot gets the value _check_product gives its edge, bit for bit.
     """
-    zero = theta == 0.0
-    has_zero = bool(zero.any())
-    safe = np.where(zero, 1.0, theta) if has_zero else theta
-    prod = np.log(np.abs(safe))
-    log_sum = np.add.reduce(prod, axis=0)
-    check_sign = 1.0 - 2.0 * np.logical_xor.reduce(theta < 0.0, axis=0)
-    np.subtract(log_sum, prod, out=prod)
-    np.exp(prod, out=prod)
+    zero = None if theta.all() else theta == 0.0
+    safe = theta if zero is None else np.where(zero, 1.0, theta)
+    prod = np.empty_like(safe)
+    odd = _slot_magnitude(safe, prod)
     np.copysign(prod, safe, out=prod)
-    prod *= check_sign
-    if has_zero:
+    prod *= 1.0 - 2.0 * odd
+    if zero is not None:
         prod[zero.sum(axis=0) - zero > 0] = 0.0
     return prod
+
+
+def _slot_magnitude(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|leave-one-out product| for slot-layout theta without zeros, written
+    to out as exp(log_sum - log|theta|); returns per check whether an odd
+    number of its inputs is negative."""
+    np.abs(theta, out=out)
+    np.log(out, out=out)
+    log_sum = np.add.reduce(out, axis=0)
+    np.subtract(log_sum, out, out=out)
+    np.exp(out, out=out)
+    return np.logical_xor.reduce(theta < 0.0, axis=0)
 
 
 def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
               params: SpParams) -> DecodeResult:
     """Find the member of the syndrome coset of h closest to the side information.
 
-    Messages follow the tanh product rule (_slot_check_product, on the
-    check-slot view of h); a set syndrome bit flips the sign of its check's
-    outgoing messages.  Hard decisions are re-checked against the syndrome
-    every iteration by an integer parity count, and the first match returns
-    early.  Without convergence the final hard decision comes back with
-    converged=False.
+    Messages follow the tanh product rule on the check-slot view of h; a set
+    syndrome bit flips the sign of its check's outgoing messages.  While the
+    check inputs hold no exact zero, the leave-one-out magnitude goes through
+    arctanh before its sign is restored, by copysign from the input and one
+    multiply by a +-2 factor per check (sign parity times syndrome scale):
+    arctanh is odd and the clip bounds are exact negatives, so this equals
+    _slot_check_product followed by the clip and arctanh, bit for bit.
+    Every iteration XOR-reduces the signs of the posterior gathered into the
+    slots down each check and compares the parities with the syndrome; the
+    first match returns early.  Without convergence the final hard decision
+    comes back with converged=False.
     """
     if h.rows != syndrome.length:
         raise ShapeError(f"syndrome length {syndrome.length} != rows {h.rows}")
     if h.cols != side_info.length:
         raise ShapeError(f"side info length {side_info.length} != cols {h.cols}")
-    edge_check, edge_var = h.edges()
+    edge_var = h.edges()[1]
     # check c's k-th edge sits in slot (k, c); empty slots name variable
-    # h.cols, whose posterior is +inf, so that their messages stay +inf and
-    # their tanh is exactly 1.0
+    # h.cols, whose posterior is +inf, so that their messages stay +inf,
+    # their tanh is exactly 1.0 and they never count as a negative sign
     slots, pos = h.slots()
     empty = np.flatnonzero(slots.ravel() == h.cols)
-    syn = syndrome.to_array().astype(np.int64)
+    syn = syndrome.to_array().astype(bool)
     syn_scale = 2.0 - 4.0 * syn  # 2 artanh, sign set by syndrome
     llr0 = float(np.log((1.0 - params.crossover) / params.crossover))
-    j_bits = side_info.to_array().astype(np.int64)
+    j_bits = side_info.to_array().astype(bool)
     channel = llr0 * (1.0 - 2.0 * j_bits)
     posterior = np.append(channel, np.inf)  # one past the end: empty slots
     var_posterior = posterior[:-1]
     lo, hi = -params.llr_clip, params.llr_clip
 
-    # integer parity per check, updated through the variables that flipped
-    parity = np.zeros(h.rows, dtype=np.int64)
-    last = np.zeros(h.cols, dtype=bool)
-
-    def syndrome_ok(bits: np.ndarray) -> bool:
-        moved = bits != last
-        if moved.any():
-            flips = np.bincount(edge_check[np.flatnonzero(moved[edge_var])],
-                                minlength=h.rows)
-            np.bitwise_xor(parity, flips & 1, out=parity)
-            last[:] = bits
-        return bool(np.array_equal(parity, syn))
-
-    if syndrome_ok(j_bits.astype(bool)):
+    # the check parities of the side information, padding read as 0
+    if np.array_equal(np.logical_xor.reduce(
+            np.take(np.append(j_bits, False), slots), axis=0), syn):
         return DecodeResult(side_info, True, 0)
 
     msg_vc = posterior[slots]
+    work = np.empty_like(msg_vc)
     for it in range(1, params.max_iter + 1):
-        t = np.tanh(msg_vc / 2.0)
-        prod = _slot_check_product(t)
-        np.clip(prod, -1.0 + 1e-15, 1.0 - 1e-15, out=prod)
-        msg_cv = np.arctanh(prod, out=prod)
-        msg_cv *= syn_scale
+        msg_vc *= 0.5
+        t = np.tanh(msg_vc, out=msg_vc)
+        if t.all():
+            msg_cv = work
+            odd = _slot_magnitude(t, out=msg_cv)
+            np.minimum(msg_cv, 1.0 - 1e-15, out=msg_cv)
+            np.arctanh(msg_cv, out=msg_cv)
+            np.copysign(msg_cv, t, out=msg_cv)
+            msg_cv *= np.where(odd, -syn_scale, syn_scale)
+        else:
+            msg_cv = _slot_check_product(t)
+            np.clip(msg_cv, -1.0 + 1e-15, 1.0 - 1e-15, out=msg_cv)
+            np.arctanh(msg_cv, out=msg_cv)
+            msg_cv *= syn_scale
         np.clip(msg_cv, lo, hi, out=msg_cv)
 
         np.add(channel, np.bincount(edge_var, weights=msg_cv.ravel()[pos],
                                     minlength=h.cols), out=var_posterior)
         msg_vc = posterior[slots]
+        if np.array_equal(np.logical_xor.reduce(msg_vc < 0.0, axis=0), syn):
+            return DecodeResult(BitVector.from_array(var_posterior < 0.0),
+                                True, it)
         msg_vc -= msg_cv
         np.clip(msg_vc, lo, hi, out=msg_vc)
         msg_vc.ravel()[empty] = np.inf
-
-        hard = var_posterior < 0.0
-        if syndrome_ok(hard):
-            return DecodeResult(BitVector.from_array(hard), True, it)
-    return DecodeResult(BitVector.from_array(hard), False, params.max_iter)
+    return DecodeResult(BitVector.from_array(var_posterior < 0.0), False,
+                        params.max_iter)
 
 
 def _lex_key(bits: int, length: int) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
-"""Shared fixtures: two small compound codes sized for fast unit tests."""
+"""Shared fixtures: two small compound codes sized for fast unit tests, and
+the slow marker on every test that uses the n = 10^4 scaled_code build."""
 
 import pytest
 
@@ -39,3 +40,9 @@ def small_code(catalog):
     """200-bit compound code on the code3 profile, same shape ratios as the large runs."""
     return build_compound_code(SMALL_PARAMS, catalog["code3"].dist, seed=11,
                                dist_id="code3")
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if "scaled_code" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.slow)

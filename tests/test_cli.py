@@ -680,3 +680,23 @@ def test_quantizing_leaves_scipy_sparse_unloaded():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.strip() == "[]"
+
+
+def test_decoding_leaves_scipy_sparse_unloaded():
+    """The decoder's variable sums take numpy alone: importing scipy.sparse
+    for a CSR product would cost every CLI call 0.2 s and 19 MiB, more than
+    the decode work of a `wzkit decode`."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wzkit.cli\n"
+         "from wzkit.decoder import SpParams, sp_decode\n"
+         "from wzkit.gf2 import BitMatrix, BitVector\n"
+         "h = BitMatrix(3, 6, [[0, 1, 2], [2, 3, 4], [4, 5, 0]])\n"
+         "res = sp_decode(h, BitVector(3, 0b101), BitVector(6, 0b110100),\n"
+         "                SpParams(0.1, max_iter=5))\n"
+         "assert res.iterations > 0, res\n"
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"

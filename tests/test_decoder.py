@@ -255,6 +255,36 @@ class TestSlotCheckProduct:
                                           want.view(np.uint64))
 
 
+class TestSignFold:
+    """sp_decode takes arctanh of the leave-one-out magnitude and restores
+    the sign afterwards.  That equals clipping and taking arctanh of the
+    signed product only while arctanh is odd bit for bit and the lower clip
+    bound is the exact negative of the upper one.  numpy >= 1.24 is allowed,
+    so a build where either fails must fail here rather than change decodes."""
+
+    TOP = 1.0 - 1e-15
+
+    def test_arctanh_is_odd(self):
+        rng = np.random.default_rng(15)
+        top = self.TOP
+        x = np.concatenate([
+            rng.uniform(0.0, top, size=50_000),
+            top - rng.uniform(0.0, 1e-6, size=10_000),  # where arctanh is steep
+            [0.0, 5e-324, 1e-310, np.finfo(np.float64).tiny, top,
+             np.nextafter(top, 0.0), np.nextafter(top, 1.0)]])
+        odd = np.arctanh(-x)
+        even = np.arctanh(x)
+        np.negative(even, out=even)
+        np.testing.assert_array_equal(odd.view(np.uint64), even.view(np.uint64))
+        # in place, as the decoder calls it
+        np.negative(x, out=x)
+        np.arctanh(x, out=x)
+        np.testing.assert_array_equal(x.view(np.uint64), even.view(np.uint64))
+
+    def test_clip_bounds_are_exact_negatives(self):
+        assert -(1.0 - 1e-15) == -1.0 + 1e-15
+
+
 class TestSpParams:
     @pytest.mark.parametrize("kwargs", [
         {"crossover": 0.0},
@@ -370,6 +400,36 @@ class TestSpDecode:
                             SpParams(crossover=0.08))
             if res.converged:
                 assert mul_vec(h, res.bits) == mul_vec(h, truth)
+
+    def test_converged_exactly_when_syndrome_matches(self):
+        """converged holds if and only if the returned bits meet the
+        syndrome, on runs that converge and runs stopped at max_iter."""
+        rng = random.Random(0xC0FE)
+        seen = {"converged": 0, "stopped": 0, "stopped, reachable": 0,
+                "empty row": 0, "padded": 0, "set syndrome bits": 0}
+        for case in range(200):
+            rows, cols = rng.randint(1, 24), rng.randint(2, 40)
+            h = random_check_matrix(rng, rows, cols, rng.choice([3, 6, 10]))
+            truth = BitVector(cols, rng.getrandbits(cols))
+            reachable = case % 4 != 0
+            syndrome = (mul_vec(h, truth) if reachable
+                        else BitVector(rows, rng.getrandbits(rows)))
+            p = rng.choice([0.02, 0.05, 0.1, 0.2, 0.3])
+            noise = BitVector(cols, sum(1 << i for i in range(cols)
+                                        if rng.random() < p))
+            params = SpParams(crossover=rng.choice([0.03, 0.08, 0.15, 0.3]),
+                              max_iter=rng.choice([1, 2, 5, 30]))
+            res = sp_decode(h, syndrome, truth ^ noise, params)
+            assert res.converged == (mul_vec(h, res.bits) == syndrome), case
+            assert res.converged or res.iterations == params.max_iter, case
+            lengths = h.row_lengths()
+            seen["converged"] += res.converged and res.iterations > 0
+            seen["stopped"] += not res.converged
+            seen["stopped, reachable"] += not res.converged and reachable
+            seen["empty row"] += bool((lengths == 0).any())
+            seen["padded"] += bool((lengths < lengths.max()).any())
+            seen["set syndrome bits"] += syndrome.weight() > 0
+        assert min(seen.values()) >= 10, seen
 
     def test_max_iter_bounds_work(self):
         rng = random.Random(5)
