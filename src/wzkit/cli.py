@@ -214,10 +214,12 @@ def _cmd_run(args) -> int:
     # every entry is checked before the first build, which can take hours
     entries = [_experiment_from(entry, index)
                for index, entry in enumerate(doc["experiments"])]
-    for index, (_, dist_id, _) in enumerate(entries):
+    for index, (config, dist_id, _) in enumerate(entries):
         if dist_id not in catalog:
             raise UsageError(f"experiment {index}: unknown degree profile "
                              f"{dist_id!r}")
+        # a p whose bound has no value fails here, not after the build
+        invert_bound(config.params.rates[2], config.p)
     results = []
     for index, (config, dist_id, build_seed) in enumerate(entries):
         print(f"[{index + 1}/{len(entries)}] building {config.code_id} "

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -70,23 +71,93 @@ def _curve_slope(d: float, p: float) -> float:
             - math.log2((1.0 - d) / d))
 
 
-@lru_cache(maxsize=None)
+# Brent's root finder (Brent 1973, ch. 4) as scipy's brentq.c runs it, step
+# for step, so the tangency point matches scipy.optimize.brentq bit for bit.
+_BRENT_XTOL = 1e-12
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float) -> float | None:
+    """Root of f in [xa, xb]; None when f(xa) and f(xb) share a sign."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        return None
+    for _ in range(_BRENT_MAXITER):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            a, b = abs(spre), 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (a if a < b else b):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in "
+                       f"{_BRENT_MAXITER} iterations, value is {xcur}")
+
+
 def wz_boundary(p: float) -> tuple[float, float]:
     """Tangency point (d_c, rate) where the curve meets its chord to (p, 0).
 
     Below d_c the bound follows h(d (*) p) - h(d); above it time sharing with
-    the zero-rate point is better and the bound is the chord.
+    the zero-rate point is better and the bound is the chord.  The root is
+    searched on [1e-12, p - 1e-12], which in double precision brackets it
+    only for p from about 1.65e-6 to within about 1e-8 of 0.5; outside that
+    window this raises ValueError.
     """
     if not 0.0 < p < 0.5:
         raise ValueError(f"crossover must lie in (0, 0.5), got {p}")
 
-    from scipy.optimize import brentq  # slow to import; only bounds need it
-
     def f(d: float) -> float:
         return _curve_slope(d, p) * (p - d) + _curve(d, p)
 
-    d_c = float(brentq(f, 1e-12, p - 1e-12, xtol=1e-12))
+    lo, hi = 1e-12, p - 1e-12
+    d_c = _brentq(f, lo, hi) if lo < hi else None
+    if d_c is None:
+        raise ValueError(
+            f"crossover {p!r} has no computable tangency point: "
+            f"[1e-12, p - 1e-12] brackets it only for p from about 1.65e-6 "
+            f"to within about 1e-8 of 0.5")
     return d_c, _curve(d_c, p)
+
+
+def _rate(d: float, p: float, d_c: float, r_c: float) -> float:
+    """wz_rate for a valid (d, p) with the tangency point already known."""
+    if d >= p:
+        return 0.0
+    if d <= d_c:
+        return _curve(d, p)
+    return r_c * (p - d) / (p - d_c)
 
 
 def wz_rate(d: float, p: float) -> float:
@@ -97,10 +168,7 @@ def wz_rate(d: float, p: float) -> float:
         raise ValueError(f"distortion must lie in [0, 0.5], got {d}")
     if d >= p:
         return 0.0
-    d_c, r_c = wz_boundary(p)
-    if d <= d_c:
-        return _curve(d, p)
-    return r_c * (p - d) / (p - d_c)
+    return _rate(d, p, *wz_boundary(p))
 
 
 def invert_bound(rate: float, p: float, tol: float = 1e-9) -> float:
@@ -109,10 +177,11 @@ def invert_bound(rate: float, p: float, tol: float = 1e-9) -> float:
         return p
     if rate >= binary_entropy(p):
         return 0.0
+    d_c, r_c = wz_boundary(p)
     lo, hi = 0.0, p
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if wz_rate(mid, p) > rate:
+        if _rate(mid, p, d_c, r_c) > rate:
             lo = mid
         else:
             hi = mid
@@ -122,7 +191,8 @@ def invert_bound(rate: float, p: float, tol: float = 1e-9) -> float:
 def bound_curve(p: float, points: int = 200) -> list[tuple[float, float]]:
     if points < 2:
         raise ValueError("need at least two points")
-    return [(i * p / (points - 1), wz_rate(i * p / (points - 1), p))
+    d_c, r_c = wz_boundary(p)
+    return [(i * p / (points - 1), _rate(i * p / (points - 1), p, d_c, r_c))
             for i in range(points)]
 
 
@@ -391,6 +461,8 @@ def run_experiment(code: CompoundCode, config: ExperimentConfig,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = code.params.n
+    r1, r2, rt = code.params.rates
+    dwz = invert_bound(rt, config.p)  # raises before any trial runs
     code.quantizer  # built here, a pool's workers receive it with the code
     pool = (ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                                 initargs=(code,)) if workers > 1 else None)
@@ -424,8 +496,6 @@ def run_experiment(code: CompoundCode, config: ExperimentConfig,
     d2 /= config.trials
     dt /= config.trials
 
-    r1, r2, rt = code.params.rates
-    dwz = invert_bound(rt, config.p)
     return ExperimentResult(
         code_id=config.code_id, n=code.params.n, m=code.params.m,
         k1=code.params.k1, k2=code.params.k2, zeta=code.params.zeta,

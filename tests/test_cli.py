@@ -564,6 +564,15 @@ class TestRun:
         out, err = capsys.readouterr()
         assert "crossover" in err and "building" not in out
 
+    def test_crossover_without_bound_fails_before_build(self, workdir,
+                                                        tmp_path, monkeypatch,
+                                                        capsys):
+        entry = dict(self.experiment(), p=0.5 - 1e-10)
+        rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert "tangency" in err and "building" not in out
+
     def test_shipped_configs_use_known_keys(self):
         configs = sorted(
             (Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
@@ -653,7 +662,7 @@ class TestParser:
 
 def test_import_leaves_scipy_stats_and_optimize_unloaded():
     """`wzkit.cli` alone imports neither; each costs a CLI call most of a
-    second, and only generator design and the rate bounds need them."""
+    second."""
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -662,6 +671,29 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.strip() == "[]"
+
+
+def test_bound_and_run_leave_scipy_unloaded(tmp_path):
+    """`wzkit bound` and `wzkit run` take numpy alone: the tangency point's
+    root finder is a port of scipy's Brent solver, and importing
+    scipy.optimize for it would cost each call about 0.6 s and 27 MiB."""
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text(TINY_CATALOG_TEXT)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiments": [TestRun().experiment()]}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wzkit.cli\n"
+         "assert wzkit.cli.main(['bound', '--p', '0.25']) == 0\n"
+         f"assert wzkit.cli.main(['run', '--config', {str(config)!r},\n"
+         f"    '--catalog', {str(catalog)!r}, '--workers', '1',\n"
+         f"    '--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.splitlines()[0].startswith("boundary point:")
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_quantizing_leaves_scipy_sparse_unloaded():

@@ -77,6 +77,27 @@ class TestBoundary:
             with pytest.raises(ValueError):
                 wz_boundary(p)
 
+    @pytest.mark.parametrize("p", [1e-13, 2e-12, 1e-9, 1e-6,
+                                   0.5 - 1e-9, 0.5 - 1e-10])
+    def test_outside_bracket_window_names_p(self, p):
+        # [1e-12, p - 1e-12] holds no sign change: a small p has its root
+        # below the bracket, and near 0.5 the function is rounding noise
+        with pytest.raises(ValueError, match=f"crossover {p!r} .*1.65e-6"):
+            wz_boundary(p)
+
+    def test_matches_scipy_brentq_bit_for_bit(self):
+        """The private Brent port against scipy's, on 2400 crossovers that
+        span the window, log-spaced and uniform."""
+        from scipy.optimize import brentq
+        lo, hi = 1.7e-6, 0.5 - 1e-7
+        grid = np.concatenate([np.geomspace(lo, hi, 1200),
+                               np.linspace(lo, hi, 1200)])
+        for p in map(float, grid):
+            def f(d):
+                return codec._curve_slope(d, p) * (p - d) + codec._curve(d, p)
+            expected = brentq(f, 1e-12, p - 1e-12, xtol=1e-12)
+            assert wz_boundary(p) == (expected, codec._curve(expected, p)), p
+
 
 class TestWzRate:
     def test_endpoints(self):
@@ -249,6 +270,16 @@ class TestRunExperiment:
         assert serial == parallel
         assert tasks[0] == ("_encode_trials", [(0, 5)])
         assert tasks[2] == ("_encode_trials", [(0, 2), (2, 4), (4, 5)])
+
+    def test_bound_fails_before_any_trial(self, tiny_code, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran before the bound was checked")
+
+        monkeypatch.setattr(codec, "_encode_trials", no_trials)
+        monkeypatch.setattr(codec, "_decode_trial", no_trials)
+        config = dataclasses.replace(self.config(), p=0.5 - 1e-10)
+        with pytest.raises(ValueError, match="crossover"):
+            run_experiment(tiny_code, config, workers=1)
 
     def test_repeatable(self, tiny_code):
         a = run_experiment(tiny_code, self.config(), workers=1)
