@@ -240,6 +240,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    if args.points < 2:
+        raise UsageError(f"--points must be >= 2, got {args.points}")
     if args.rate is not None:
         print(f"{invert_bound(args.rate, args.p):.9f}")
         return EXIT_OK
@@ -323,10 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bo = subs.add_parser("bound", help="rate-distortion bound queries")
     bo.add_argument("--p", type=float, required=True)
-    bo.add_argument("--rate", type=float, default=None,
-                    help="print the distortion at this rate")
-    bo.add_argument("--distortion", type=float, default=None,
-                    help="print the rate at this distortion")
+    query = bo.add_mutually_exclusive_group()
+    query.add_argument("--rate", type=float, default=None,
+                       help="print the distortion at this rate")
+    query.add_argument("--distortion", type=float, default=None,
+                       help="print the rate at this distortion")
     bo.add_argument("--points", type=int, default=200)
     bo.add_argument("--out", default=None, help="curve CSV path")
     bo.set_defaults(func=_cmd_bound)

@@ -199,8 +199,9 @@ def bound_curve(p: float, points: int = 200) -> list[tuple[float, float]]:
 class QuantizedWord(NamedTuple):
     word: BitVector          # codeword of the quantization check
     distortion: float        # source-to-word Hamming fraction
-    rounds: int
-    conflict_events: int
+    steps: int               # QuantizeResult's counters
+    fallback_fixes: int
+    clashes: int
 
 
 class CompoundQuantizer:
@@ -259,8 +260,8 @@ class CompoundQuantizer:
                              | (source.bits >> r & (1 << mid) - 1) << r
                              | sub_word.bits >> r << (r + mid))
             distortion = (word ^ source).weight() / self.n
-            out.append(QuantizedWord(word, distortion, res.rounds,
-                                     res.conflict_events))
+            out.append(QuantizedWord(word, distortion, res.steps,
+                                     res.fallback_fixes, res.clashes))
         return out
 
     def coefficients(self, word: BitVector) -> BitVector:
@@ -291,7 +292,7 @@ class EncodeResult:
     word: BitVector          # quantized word
     syndrome: BitVector      # transmitted bits
     distortion: float        # source-to-word Hamming fraction
-    rounds: int
+    steps: int
 
 
 def encode(code: CompoundCode, source: BitVector,
@@ -304,7 +305,7 @@ def encode_all(code: CompoundCode, sources: Sequence[BitVector],
                bip: BipParams = BipParams()) -> list[EncodeResult]:
     """encode for every source, quantized together."""
     return [EncodeResult(q.word, mul_vec(code.h2, q.word), q.distortion,
-                         q.rounds)
+                         q.steps)
             for q in code.quantizer.quantize_all(sources, bip)]
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -63,8 +62,9 @@ class QuantizeResult:
     u: BitVector
     codeword: BitVector  # u @ g
     distortion: float
-    rounds: int
-    conflict_events: int  # opposing saturated messages met at a variable
+    steps: int  # decimation steps in which the word had free variables
+    fallback_fixes: int  # components fixed by their largest bias alone
+    clashes: int  # variables met by opposing saturated messages, per sweep
 
 
 def generator_codeword(g: BitMatrix, u: BitVector) -> BitVector:
@@ -141,9 +141,11 @@ def bip_quantize_all(g: BitMatrix, sources: Sequence[BitVector],
     result is bit-identical to quantizing its source by itself.  The loop
     does not run round by round: each of its steps sweeps every live edge
     once and fires every component of the live graph at once (see
-    _decimate), which fixes the same bits in far fewer sweeps.  rounds and
-    conflict_events are still those of the round-by-round loop, replayed per
-    word from the log of fired components.
+    _decimate), which fixes the same bits in far fewer sweeps.  Per word,
+    steps counts the steps in which it had free variables, fallback_fixes
+    the components that fixed their largest-bias variable because none
+    cleared the threshold, and clashes the variables that opposing
+    saturated messages met, once per sweep.
     """
     for source in sources:
         if source.length != g.cols:
@@ -173,9 +175,10 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
     unchanged, until its largest-bias variable is the word's, and then fixes
     that one variable.  So a step here sweeps every live edge once and fires
     every component at once: it fixes the component's variables over the
-    threshold, or else its largest-bias variable (first index on ties).  The
-    fixed bits are the round-by-round loop's; its per-word rounds and
-    conflict events are replayed from the log of fired components (_Replay).
+    threshold, or else its largest-bias variable (first index on ties), and
+    the fixed bits are the round-by-round loop's.  Every step adds, per word
+    that has free variables, one step, its fallback components and its
+    clashes.
     """
     words, n_var, n_chk = len(sources), g.rows, g.cols
     n_vars, n_chks = words * n_var, words * n_chk
@@ -192,7 +195,9 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
     s_arr = np.concatenate([s.to_array() for s in sources])
     sign_eff = 1.0 - 2.0 * s_arr.astype(np.float64)
     fixed = np.full(n_vars, -1, dtype=np.int64)  # -1 unfixed, else 0/1
-    replay = _Replay(words, n_var)
+    steps = np.zeros(words, dtype=np.int64)
+    fallback_fixes = np.zeros(words, dtype=np.int64)
+    clashes = np.zeros(words, dtype=np.int64)
 
     while True:
         unfixed = fixed < 0
@@ -236,8 +241,14 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
         bias = np.tanh(bias_sum)
 
         root = _component_roots(sweep_var, sweep_check, free.size, n_live_chk)
-        pick = replay.fire(free, root, bias, clash, params.threshold)
+        over, fallback = _pick(root, bias, params.threshold)
+        pick = np.flatnonzero(over | fallback)
         fixed[free[pick]] = (bias[pick] < 0.0).astype(np.int64)
+        word_of = free // n_var
+        steps += np.bincount(word_of, minlength=words) > 0
+        fallback_fixes += np.bincount(word_of[fallback], minlength=words)
+        clashes += np.bincount(word_of, weights=clash,
+                               minlength=words).astype(np.int64)
 
         # fold fixed ones into the source signs and drop the settled edges
         on_fixed = fixed[edge_var] >= 0
@@ -247,137 +258,14 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
         keep = ~on_fixed
         edge_var, edge_check = edge_var[keep], edge_check[keep]
 
-    rounds, conflicts = replay.counts()
     results = []
     for k, source in enumerate(sources):
         u = BitVector.from_array(fixed[k * n_var:(k + 1) * n_var])
         word = generator_codeword(g, u)
         results.append(QuantizeResult(u, word, word.hamming(source) / g.cols,
-                                      rounds[k], conflicts[k]))
+                                      int(steps[k]), int(fallback_fixes[k]),
+                                      int(clashes[k])))
     return results
-
-
-class _Replay:
-    """The log of the components that _decimate fires, and the round-by-round
-    loop's per-word rounds and conflict events replayed from it.
-
-    Each fired component of the live graph in one step is a node.  It is a
-    threshold node when some of its variables are over the threshold, and
-    otherwise a waiting node keyed by its largest |bias| and the first
-    variable that has it.  Its parent is the node that held its variables in
-    the step before, and its clash sum is the conflict events it adds in
-    every round that it is alive.
-
-    A round of the round-by-round loop fires every live threshold node of the
-    word or, when there is none, its live waiting node of largest key (lowest
-    variable on ties), and replaces what it fired by the children.  So a
-    threshold node lives one round, a fired node is followed by as many
-    threshold rounds as the longest chain of threshold nodes below it, and
-    only the order of the waiting nodes needs a heap: one push and one pop
-    per waiting node, in Python, while everything else is numpy.
-    """
-
-    def __init__(self, words: int, n_var: int):
-        self.words, self.n_var = words, n_var
-        # the node that last held each variable
-        self.node_of = np.full(words * n_var, -1, dtype=np.int64)
-        self.size = 0
-        self.steps: list[tuple[np.ndarray, ...]] = []
-
-    def fire(self, free: np.ndarray, root: np.ndarray, bias: np.ndarray,
-             clash: np.ndarray, threshold: float) -> np.ndarray:
-        """Log a node for every component of the free variables and return
-        the positions in free of the variables that the step fixes.
-
-        root gives, per free variable, the position of its component's first
-        member; bias and clash are per free variable.
-        """
-        at = np.arange(free.size)
-        rank = np.cumsum(root == at) - 1
-        group = rank[root]
-        n_groups = int(rank[-1]) + 1
-        mag = np.abs(bias)
-        over = mag > threshold
-        top = np.zeros(n_groups, dtype=np.float64)
-        np.maximum.at(top, group, mag)
-        at_top = np.flatnonzero(mag == top[group])
-        first = np.full(n_groups, free.size, dtype=np.int64)
-        np.minimum.at(first, group[at_top], at_top)
-        thr = np.zeros(n_groups, dtype=bool)
-        thr[group[over]] = True
-        lead = free[first]
-        self.steps.append((lead // self.n_var, thr, top, lead,
-                           np.bincount(group, weights=clash,
-                                       minlength=n_groups).astype(np.int64),
-                           self.node_of[lead]))
-        self.node_of[free] = self.size + group
-        self.size += n_groups
-        return np.flatnonzero(over | (~thr[group] & (first[group] == at)))
-
-    def counts(self) -> tuple[list[int], list[int]]:
-        """Rounds and conflict events of every word."""
-        words = self.words
-        word, thr, top, lead, clash, parent = (
-            np.concatenate(column) for column in zip(*self.steps))
-        offsets = np.cumsum([0] + [part[0].size for part in self.steps])
-        step = np.repeat(np.arange(len(self.steps)), np.diff(offsets))
-        # below: rounds of threshold nodes that follow a node's firing, the
-        # longest chain of them; bottom up, one step at a time
-        below = np.zeros(word.size, dtype=np.int64)
-        for lo, hi in zip(offsets[-2:0:-1], offsets[:0:-1]):
-            kids = lo + np.flatnonzero(thr[lo:hi])
-            np.maximum.at(below, parent[kids], below[kids] + 1)
-        # the threshold rounds that open each word
-        start = np.zeros(words, dtype=np.int64)
-        roots = np.flatnonzero(thr[:offsets[1]])
-        np.maximum.at(start, word[roots], below[roots] + 1)
-        # every node's nearest waiting ancestor (-1 for none), top down
-        anc = np.full(word.size, -1, dtype=np.int64)
-        for lo, hi in zip(offsets[1:-1], offsets[2:]):
-            up = parent[lo:hi]
-            anc[lo:hi] = np.where(thr[up], anc[up], up)
-
-        # from here on, only the waiting nodes, numbered 0.. in node order
-        waiting = np.flatnonzero(~thr)
-        index = np.full(word.size + 1, -1, dtype=np.int64)
-        index[waiting] = np.arange(waiting.size)
-        anc = index[anc[waiting]]  # anc -1 picks index[-1] == -1
-        # a waiting node enters the heap when its nearest waiting ancestor
-        # fires, or at the start
-        order = np.argsort(anc, kind="stable")
-        bounds = np.searchsorted(anc[order], np.arange(-1, waiting.size + 1))
-        enters, lo_of, hi_of = order.tolist(), bounds[1:-1].tolist(), \
-            bounds[2:].tolist()
-        key = list(zip((-top[waiting]).tolist(), lead[waiting].tolist(),
-                       range(waiting.size)))
-        after = (below[waiting] + 1).tolist()
-        heaps: list[list] = [[] for _ in range(words)]
-        top_level = order[:bounds[1]]
-        for x, w in zip(top_level.tolist(), word[waiting[top_level]].tolist()):
-            heaps[w].append(key[x])
-        fired = [0] * waiting.size
-        rounds = start.tolist()
-        for w, heap in enumerate(heaps):
-            heapq.heapify(heap)
-            now = rounds[w]
-            while heap:
-                x = heapq.heappop(heap)[2]
-                fired[x] = now + 1
-                now += after[x]
-                for c in enters[lo_of[x]:hi_of[x]]:
-                    heapq.heappush(heap, key[c])
-            rounds[w] = now
-
-        # a waiting node is alive from the round after its parent fires
-        fired = np.array(fired, dtype=np.int64)
-        step = step[waiting]
-        has = anc >= 0
-        born = step + 1
-        born[has] = fired[anc[has]] + step[has] - step[anc[has]]
-        lives = np.ones(word.size, dtype=np.int64)
-        lives[waiting] = fired - born + 1
-        conflicts = np.bincount(word, weights=clash * lives, minlength=words)
-        return rounds, conflicts.astype(np.int64).tolist()
 
 
 def _component_roots(edge_var: np.ndarray, edge_check: np.ndarray,
@@ -401,6 +289,25 @@ def _component_roots(edge_var: np.ndarray, edge_check: np.ndarray,
             break
         root = hooked
     return root
+
+
+def _pick(root: np.ndarray, bias: np.ndarray, threshold: float
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """The variables that a step fixes, as two masks over the free ones:
+    over, those beyond the threshold, and fallback, in each component with
+    none, the first of largest |bias|.  root is _component_roots' and
+    doubles as the component's index."""
+    at = np.arange(root.size)
+    mag = np.abs(bias)
+    over = mag > threshold
+    top = np.zeros(root.size, dtype=np.float64)
+    np.maximum.at(top, root, mag)
+    at_top = np.flatnonzero(mag == top[root])
+    first = np.full(root.size, root.size, dtype=np.int64)
+    np.minimum.at(first, root[at_top], at_top)
+    thr = np.zeros(root.size, dtype=bool)
+    thr[root[over]] = True
+    return over, ~thr[root] & (first[root] == at)
 
 
 def _renumber(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -634,6 +634,25 @@ class TestBound:
     def test_bad_crossover_exits_three(self, capsys):
         assert cli.main(["bound", "--p", "0.75"]) == 3
 
+    @pytest.mark.parametrize("points", ["1", "0", "-3"])
+    def test_too_few_points_is_usage_error(self, tmp_path, capsys, points):
+        out = tmp_path / "curve.csv"
+        assert cli.main(["bound", "--p", "0.25", "--points", points,
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--points" in captured.err
+        assert not out.exists()
+
+    def test_rate_and_distortion_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bound", "--p", "0.25", "--rate", "0.6",
+                      "--distortion", "0.05"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
 
 class TestVerifyExample:
     def test_passes_quickly(self, capsys):

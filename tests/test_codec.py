@@ -221,7 +221,7 @@ class TestEncodeDecode:
         assert mul_vec(tiny_code.h1, enc.word).weight() == 0
         assert mul_vec(tiny_code.h2, enc.word) == enc.syndrome
         assert 0.0 <= enc.distortion <= 0.5
-        assert enc.rounds >= 1
+        assert enc.steps >= 1
 
     def test_encode_all_matches_encode(self, tiny_code):
         rng = random.Random(52)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,10 +10,9 @@ import pytest
 from wzkit import quantizer
 from wzkit.decoder import _check_product
 from wzkit.gf2 import BitMatrix, BitVector, ShapeError
-from wzkit.quantizer import (EXHAUSTIVE_LIMIT, BipParams, QuantizeResult,
-                             bip_quantize, bip_quantize_all,
-                             exhaustive_quantize, generator_codeword,
-                             has_four_cycle)
+from wzkit.quantizer import (EXHAUSTIVE_LIMIT, BipParams, bip_quantize,
+                             bip_quantize_all, exhaustive_quantize,
+                             generator_codeword, has_four_cycle)
 
 
 def random_generator(rng, rows, cols, density=0.35):
@@ -193,13 +193,14 @@ class TestBipQuantize:
             hits += res.distortion == 0.0
         assert hits >= 45
 
-    def test_rounds_and_shapes(self):
+    def test_counters_and_shapes(self):
         rng = random.Random(3)
         g = random_generator(rng, 8, 20)
         res = bip_quantize(g, BitVector(20, rng.getrandbits(20)))
-        assert res.rounds >= 1
+        assert res.steps >= 1
         assert res.u.length == 8
-        assert res.conflict_events >= 0
+        assert res.fallback_fixes >= 0
+        assert res.clashes >= 0
 
     def test_shape_error(self):
         g = BitMatrix(2, 4, [[0], [1]])
@@ -249,9 +250,9 @@ class TestBipQuantizeAll:
         for lo, hi in ((0, 2), (2, 6), (3, 4)):
             assert bip_quantize_all(g, sources[lo:hi], params) == expected[lo:hi]
 
-    def test_words_finishing_far_apart(self):
-        """A codeword source settles in a few rounds; at a high threshold a
-        random one goes one variable per round."""
+    def test_words_finishing_far_apart(self, monkeypatch):
+        """A codeword source settles in a few rounds of the round-by-round
+        loop; at a high threshold a random one goes one variable per round."""
         rng = random.Random(8)
         g = random_generator(rng, 24, 48, 0.15)
         params = BipParams(threshold=0.99, iters_per_round=3)
@@ -259,17 +260,19 @@ class TestBipQuantizeAll:
                    BitVector(48, rng.getrandbits(48)),
                    BitVector(48, 0)]
         expected = self.alone(g, sources, params)
-        rounds = [r.rounds for r in expected]
+        reference = quantize_with_reference(monkeypatch, g, sources, params)
+        rounds = [r.rounds for r in reference]
         assert max(rounds) >= 4 * min(rounds)
+        assert bits(expected) == bits(reference)
         assert bip_quantize_all(g, sources, params) == expected
         assert bip_quantize_all(g, sources[::-1], params) == expected[::-1]
 
-    def test_conflict_events_counted_per_word(self):
+    def test_clashes_counted_per_word(self):
         params = BipParams(gamma=20.0, damping=0.0)
         g, sources = self.case(4, 12, 30, 6, density=0.3)
         expected = self.alone(g, sources, params)
-        conflicts = [r.conflict_events for r in expected]
-        assert max(conflicts) > 0 and len(set(conflicts)) > 1
+        clashes = [r.clashes for r in expected]
+        assert max(clashes) > 0 and len(set(clashes)) > 1
         assert bip_quantize_all(g, sources, params) == expected
 
     def test_edge_budget_split_equals_one_batch(self, monkeypatch):
@@ -295,6 +298,7 @@ class TestBipQuantizeAll:
         sources = [BitVector(5, bits) for bits in (0b00000, 0b11111, 0b01101)]
         expected = self.alone(g, sources, BipParams())
         assert all(r.u.bits >> 1 & 1 == 0 for r in expected)
+        assert all(r.fallback_fixes >= 1 for r in expected)
         assert bip_quantize_all(g, sources) == expected
 
     def test_empty_and_shape_checks(self):
@@ -317,10 +321,24 @@ def test_ratio_form_matches_atanh_sum():
         assert abs(ratio - hyper) <= 1e-10
 
 
+class Reference(NamedTuple):
+    """What reference_decimate gives per word: the bits, and the rounds that
+    the round-by-round loop ran."""
+    u: BitVector
+    codeword: BitVector
+    distortion: float
+    rounds: int
+
+
+def bits(results):
+    """The u, codeword and distortion of every result."""
+    return [(r.u, r.codeword, r.distortion) for r in results]
+
+
 def reference_decimate(g, sources, params, src_mag, damping):
     """The decimation loop before it skipped untouched components: every
     round restarts the messages at ones and sweeps every live edge.
-    quantizer._decimate must match it."""
+    quantizer._decimate must match its bits."""
     words, n_var, n_chk = len(sources), g.rows, g.cols
     n_vars, n_chks = words * n_var, words * n_chk
     ev, ec = g.edges()
@@ -331,7 +349,6 @@ def reference_decimate(g, sources, params, src_mag, damping):
     s_arr = np.array([s.to_list() for s in sources], dtype=np.int64).ravel()
     sign_eff = 1.0 - 2.0 * s_arr.astype(np.float64)
     fixed = np.full(n_vars, -1, dtype=np.int64)
-    conflicts = np.zeros(words, dtype=np.int64)
     rounds = np.zeros(words, dtype=np.int64)
 
     while True:
@@ -348,13 +365,6 @@ def reference_decimate(g, sources, params, src_mag, damping):
         for _ in range(params.iters_per_round):
             phi = _check_product(theta, sweep_check, n_live_chk)
             phi *= src_term
-            sat_pos = phi >= quantizer._SAT
-            sat_neg = phi <= -quantizer._SAT
-            if sat_pos.any() and sat_neg.any():
-                both = (np.bincount(sweep_var[sat_pos], minlength=n_live_var) > 0) & (
-                    np.bincount(sweep_var[sat_neg], minlength=n_live_var) > 0)
-                conflicts += np.bincount(np.flatnonzero(var_live)[both] // n_var,
-                                         minlength=words)
             w = np.arctanh(np.minimum(np.maximum(phi, -quantizer._SAT, out=phi),
                                       quantizer._SAT, out=phi), out=phi)
             bias_sum = np.bincount(sweep_var, weights=w, minlength=n_live_var)
@@ -381,8 +391,8 @@ def reference_decimate(g, sources, params, src_mag, damping):
     for k, source in enumerate(sources):
         u = BitVector.from_bits_list(fixed[k * n_var:(k + 1) * n_var].tolist())
         word = generator_codeword(g, u)
-        results.append(QuantizeResult(u, word, word.hamming(source) / g.cols,
-                                      int(rounds[k]), int(conflicts[k])))
+        results.append(Reference(u, word, word.hamming(source) / g.cols,
+                                 int(rounds[k])))
     return results
 
 
@@ -394,8 +404,8 @@ def quantize_with_reference(monkeypatch, g, sources, params=BipParams()):
 
 class TestSkipsUntouchedComponents:
     """A step sweeps every live edge once and fires every component, so no
-    component is swept twice unchanged; the results, rounds and conflict
-    events stay those of sweeping everything each round."""
+    component is swept twice unchanged; u, the codeword and the distortion
+    stay those of sweeping everything each round."""
 
     PARAMS = [
         BipParams(),
@@ -426,7 +436,7 @@ class TestSkipsUntouchedComponents:
 
     def test_matches_reference_on_random_generators(self, monkeypatch):
         rng = random.Random(0xDEC1)
-        seen = {"conflicts": 0, "empty rows": 0}
+        seen = {"clashes": 0, "empty rows": 0}
         for case in range(300):
             rows = rng.randrange(1, 25)
             cols = rng.randrange(2, 50)
@@ -438,31 +448,31 @@ class TestSkipsUntouchedComponents:
                        for _ in range(rng.randrange(1, 6))]
             params = self.PARAMS[case % len(self.PARAMS)]
             got = bip_quantize_all(g, sources, params)
-            assert got == quantize_with_reference(monkeypatch, g, sources,
-                                                  params)
-            seen["conflicts"] += sum(r.conflict_events > 0 for r in got)
+            assert bits(got) == bits(quantize_with_reference(
+                monkeypatch, g, sources, params))
+            seen["clashes"] += sum(r.clashes > 0 for r in got)
             seen["empty rows"] += any(not sup for sup in g.row_support)
         assert min(seen.values()) >= 20
 
     @pytest.fixture
     def fired(self, monkeypatch):
-        """Per step, the word, threshold flag and largest |bias| of every
-        group that _decimate fires."""
+        """Per step of _decimate, the component root, |bias| and the over
+        and fallback masks of _pick, over the free variables of the batch."""
         steps = []
-        real = quantizer._Replay.fire
+        real = quantizer._pick
 
-        def recording(replay, *args):
-            pick = real(replay, *args)
-            steps.append(replay.steps[-1][:3])
-            return pick
+        def recording(root, bias, threshold):
+            over, fallback = real(root, bias, threshold)
+            steps.append((root, np.abs(bias), over, fallback))
+            return over, fallback
 
-        monkeypatch.setattr(quantizer._Replay, "fire", recording)
+        monkeypatch.setattr(quantizer, "_pick", recording)
         return steps
 
     @staticmethod
     def corner_case(rng, kind):
         """A generator, sources and knobs that aim at one corner of the
-        round replay."""
+        step loop's equivalence with the round-by-round loop."""
         rows, cols = rng.randrange(4, 20), rng.randrange(8, 40)
         density = rng.choice([0.05, 0.1, 0.2])
         mat = [[c for c in range(cols) if rng.random() < density]
@@ -473,8 +483,9 @@ class TestSkipsUntouchedComponents:
         if kind == "ties":
             # rows of weight 2 on columns of their own: with opposite source
             # bits the two messages cancel and the bias is exactly 0, with
-            # equal bits it is the same for every such row.  At gamma 20 the
-            # opposite pair clashes, so the order of ties moves the count
+            # equal bits it is the same for every such row, so the
+            # round-by-round loop fires them one per round.  At gamma 20 the
+            # opposite pair clashes
             pairs = rng.randrange(2, 6)
             if rng.random() < 0.5:
                 params = BipParams(gamma=20.0, damping=0.0)
@@ -506,34 +517,34 @@ class TestSkipsUntouchedComponents:
         rng = random.Random(0xC0DE)
         kinds = ["ties", "empty rows", "conflicts", "far apart", "plain"]
         seen = {"ties": 0, "threshold beside waiting": 0, "empty rows": 0,
-                "conflicts at gamma 20": 0, "far apart": 0}
+                "clashes at gamma 20": 0, "far apart": 0}
         for case in range(150):
             g, sources, params = self.corner_case(rng, kinds[case % 5])
             fired.clear()
             got = bip_quantize_all(g, sources, params)
-            assert got == quantize_with_reference(monkeypatch, g, sources,
-                                                  params)
+            reference = quantize_with_reference(monkeypatch, g, sources,
+                                                params)
+            assert bits(got) == bits(reference)
             ties = beside = False
-            for word, thr, top in fired:
-                for w in np.unique(word):
-                    mine = word == w
-                    waiting = top[mine & ~thr]
-                    ties |= np.unique(waiting).size < waiting.size
-                    beside |= bool(thr[mine].any() and waiting.size)
+            for root, mag, over, fallback in fired:
+                # one fallback variable per waiting component
+                waiting = mag[fallback]
+                ties |= np.unique(waiting).size < waiting.size
+                beside |= bool(over.any() and waiting.size)
             seen["ties"] += ties
             seen["threshold beside waiting"] += beside
             seen["empty rows"] += any(not sup for sup in g.row_support)
-            seen["conflicts at gamma 20"] += (
-                params.gamma == 20.0 and any(r.conflict_events for r in got))
-            rounds = [r.rounds for r in got]
+            seen["clashes at gamma 20"] += (
+                params.gamma == 20.0 and any(r.clashes for r in got))
+            rounds = [r.rounds for r in reference]
             seen["far apart"] += max(rounds) >= 4 * min(rounds)
         assert min(seen.values()) >= 20, seen
 
     def test_steps_far_fewer_than_rounds(self, small_code, sweep_sizes,
                                          monkeypatch):
         """On small_code's quantizer, 12 words at threshold 0.95 take 91
-        rounds at most and 42 sweep batches; the round-by-round loop that
-        re-swept touched components took 61."""
+        rounds at most in the round-by-round loop but 42 steps, one sweep
+        batch each; the loop that re-swept touched components took 61."""
         g = small_code.quantizer.g_sub
         rng = random.Random(0x6A3)
         sources = [BitVector(g.cols, rng.getrandbits(g.cols))
@@ -541,8 +552,11 @@ class TestSkipsUntouchedComponents:
         params = BipParams(threshold=0.95)
         got = bip_quantize_all(g, sources, params)
         batches = len(sweep_sizes) // params.iters_per_round
-        assert 2 * batches <= max(r.rounds for r in got)
-        assert got == quantize_with_reference(monkeypatch, g, sources, params)
+        assert max(r.steps for r in got) == batches
+        reference = quantize_with_reference(monkeypatch, g, sources, params)
+        assert 2 * batches <= max(r.rounds for r in reference)
+        assert all(r.steps <= ref.rounds for r, ref in zip(got, reference))
+        assert bits(got) == bits(reference)
 
     def test_matches_reference_at_default_gamma(self, small_code,
                                                 monkeypatch):
@@ -555,20 +569,24 @@ class TestSkipsUntouchedComponents:
         sources = [BitVector(g.cols, rng.getrandbits(g.cols))
                    for _ in range(4)]
         for params in (BipParams(), BipParams(damping=0.5)):
-            assert bip_quantize_all(g, sources, params) == \
-                quantize_with_reference(monkeypatch, g, sources, params)
+            got = bip_quantize_all(g, sources, params)
+            assert bits(got) == bits(quantize_with_reference(
+                monkeypatch, g, sources, params))
+            assert all(r.clashes == 0 for r in got)
 
     def test_rows_sharing_no_column_sweep_once(self, sweep_sizes,
                                                monkeypatch):
-        """After the first round, the checks of a fixed variable reach no
-        live edge."""
+        """Every variable is its own component, so one step fixes them all
+        where the round-by-round loop takes a round per variable under the
+        threshold."""
         g, source = self.DISJOINT
         params = BipParams(threshold=0.99, iters_per_round=5)
         res = bip_quantize(g, source, params)
-        assert res.rounds > 1
+        assert res.steps == 1
         assert sweep_sizes == [16] * 5
-        assert [res] == quantize_with_reference(monkeypatch, g, [source],
-                                                params)
+        reference = quantize_with_reference(monkeypatch, g, [source], params)
+        assert reference[0].rounds > 1
+        assert bits([res]) == bits(reference)
 
     def test_untouched_block_is_not_swept(self, sweep_sizes, monkeypatch):
         """Block A has rows of weight 4; block B is one row of weight 2 whose
@@ -580,9 +598,10 @@ class TestSkipsUntouchedComponents:
         source = BitVector(13, 0b01_001_1010_0110)
         params = BipParams(iters_per_round=5)
         res = bip_quantize(g, source, params)
-        assert res.rounds >= 3
+        assert res.steps >= 3
         assert sweep_sizes[:5] == [26] * 5
         later = sweep_sizes[5:]
         assert later and all(size % 4 == 0 for size in later)
-        assert [res] == quantize_with_reference(monkeypatch, g, [source],
-                                                params)
+        assert len(sweep_sizes) == 5 * res.steps
+        assert bits([res]) == bits(quantize_with_reference(
+            monkeypatch, g, [source], params))
