@@ -10,14 +10,12 @@ from .gf2 import (BitMatrix, BitVector, EchelonBasis, RankDeficiencyError,
                   ShapeError, identity, invert, mat_mul, mul_vec,
                   null_space_basis, permute, rank, read_matrix,
                   systematic_form, transpose, write_matrix)
-from .degrees import (CatalogEntry, DegreeDistribution, PoissonCounts,
-                      PoissonWeightSpec, design_rate, load_catalog,
-                      parse_catalog, parse_polynomial, poisson_counts)
+from .degrees import (CatalogEntry, DegreeDistribution, design_rate,
+                      load_catalog, parse_catalog, parse_polynomial)
 from .builder import (CodeParams, CompoundCode, ParamValidationError,
                       ValidationReport, all_one_diagonalize, assemble_compound,
-                      build_compound_code, design_poisson_generator,
-                      empirical_fractions, load_code, peg_generate, save_code,
-                      validate_params)
+                      build_compound_code, empirical_fractions, load_code,
+                      peg_generate, save_code, validate_params)
 from .quantizer import (BipParams, QuantizeResult, bip_quantize,
                         bip_quantize_all, exhaustive_quantize,
                         generator_codeword, has_four_cycle)
@@ -39,14 +37,13 @@ __all__ = [
     "null_space_basis", "permute", "rank", "read_matrix", "systematic_form",
     "transpose", "write_matrix",
     # degrees
-    "CatalogEntry", "DegreeDistribution", "PoissonCounts", "PoissonWeightSpec",
-    "design_rate", "load_catalog", "parse_catalog", "parse_polynomial",
-    "poisson_counts",
+    "CatalogEntry", "DegreeDistribution", "design_rate", "load_catalog",
+    "parse_catalog", "parse_polynomial",
     # builder
     "CodeParams", "CompoundCode", "ParamValidationError", "ValidationReport",
     "all_one_diagonalize", "assemble_compound", "build_compound_code",
-    "design_poisson_generator", "empirical_fractions", "load_code",
-    "peg_generate", "save_code", "validate_params",
+    "empirical_fractions", "load_code", "peg_generate", "save_code",
+    "validate_params",
     # quantizer
     "BipParams", "QuantizeResult", "bip_quantize", "bip_quantize_all",
     "exhaustive_quantize", "generator_codeword", "has_four_cycle",

@@ -4,23 +4,22 @@ The outer parity-check matrix is built in halves: a progressive-edge-growth
 matrix A realizes a degree profile at half the target shape, gets permuted to
 carry an all-one diagonal, and is mirrored into [[I, A0], [A0, I]] with A0 the
 off-diagonal part of A.  The top slice of the result checks the quantization
-code; its null space is then spanned by rows drawn with Poisson-shaped weights.
+code; its null space has a systematic generator read straight off that slice.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from array import array
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .degrees import DegreeDistribution, PoissonWeightSpec, poisson_counts
-from .gf2 import (BitMatrix, EchelonBasis, RankDeficiencyError, _bit_indices,
-                  _require_ints, permute, read_matrix, write_matrix)
+from .degrees import DegreeDistribution
+from .gf2 import (BitMatrix, EchelonBasis, RankDeficiencyError, _require_ints,
+                  permute, read_matrix, write_matrix)
 
 __all__ = [
     "CodeParams",
@@ -34,15 +33,12 @@ __all__ = [
     "hopcroft_karp",
     "all_one_diagonalize",
     "assemble_compound",
-    "design_poisson_generator",
     "build_compound_code",
     "save_code",
     "load_code",
 ]
 
 PEG_REPAIR_ATTEMPTS = 10
-M1_REDRAWS = 50
-M2_REDRAWS = 50
 BFS_DEPTH_CAP = 12
 
 
@@ -50,10 +46,10 @@ BFS_DEPTH_CAP = 12
 class CodeParams:
     """Block geometry of one compound code instance.
 
-    n is the outer length, m the inner length, k1/k2 the two nesting surpluses,
-    zeta the per-row weight of the generator's tail segment.  poisson_lam and
-    poisson_imax shape the generator row weights; they may be omitted only when
-    the middle segment has zero width (m - k1 == n // 2).
+    n is the outer length, m the inner length, k1/k2 the two nesting surpluses.
+    zeta, poisson_lam and poisson_imax have no effect on the code; they are
+    accepted, and zeta and poisson_imax checked, so that older configs and
+    manifests load.
     """
 
     n: int
@@ -487,169 +483,29 @@ def _b_columns(h: BitMatrix, params: CodeParams) -> BitMatrix:
         rows[tail][np.argsort(cols[tail], kind="stable")])
 
 
-def design_poisson_generator(h: BitMatrix, params: CodeParams,
-                             seed: int) -> BitMatrix:
-    """Rows spanning the null space of the quantization check with
-    Poisson-profiled weights.
-
-    The quantization rows of h must have the (identity | zeros | B) shape the
-    mirrored construction produces.  Each row takes zeta ones in the tail
-    segment, the induced parity pattern B m2 up front, and padding ones in the
-    middle segment that lift the total weight to its slot in the sorted
-    Poisson sequence (slots and rows are both weight-sorted before pairing; a
-    padding weight of max(0, a - parity - zeta) keeps every row at or under
-    poisson_imax).
-    Dependent or overweight candidates redraw the padding positions up to
-    M1_REDRAWS times, then the tail segment up to M2_REDRAWS times.
-
-    Candidates go into one EchelonBasis of message bits (padding, then tail).
-    Once the dependent candidates since the last accepted row reach the
-    co-rank (info minus the rank so far), the design takes the complement of
-    the span, one vector per missing dimension, and from then on tests each
-    candidate by parity against it instead of reducing it; a candidate with
-    an odd overlap is inserted and the complement dropped.  Building the
-    complement costs about as much as co-rank reductions, so it never costs
-    more than the reductions it replaces.  The insert decisions and the RNG
-    draws are those of plain insertion.
-
-    When zeta is even, every weight-zeta tail lies in the even-weight subspace
-    of the tail segment, so rows of that form span at most one dimension short
-    of the full message space.  The first slot that exhausts its redraw budget
-    therefore retries with a tail of weight zeta - 1, which restores the
-    missing odd-parity dimension while keeping the row weight on target.
-    """
-    r = params.quant_checks
-    n = h.cols
-    info = params.info_rows
-    bcols = _b_columns(h, params).bitrows()
-    o_width = info - params.n // 2
-    o_end = r + o_width
-    b_width = n - o_end
-
-    if o_width > 0:
-        if params.poisson_lam is None or params.poisson_imax is None:
-            raise ValueError("poisson_lam and poisson_imax required when the "
-                             "middle segment is non-empty")
-        slots = poisson_counts(
-            PoissonWeightSpec(params.poisson_lam, params.poisson_imax, info)).weights
-    else:
-        slots = None
-
-    rng = random.Random(seed)
-
-    def draw_tail(w_tail: int) -> tuple[int, list[int], int]:
-        tail = rng.sample(range(b_width), w_tail)
-        parity = 0
-        for c in tail:
-            parity ^= bcols[c]
-        return parity.bit_count(), tail, parity
-
-    draws = []
-    for j in range(info):
-        w_parity, tail, parity = draw_tail(params.zeta)
-        draws.append((w_parity, j, tail, parity))
-    draws.sort(key=lambda t: (t[0], t[1]))
-
-    basis = EchelonBasis()
-    imax = params.poisson_imax if params.poisson_imax is not None else n
-    failed = 0     # dependent candidates since the last accepted row
-    dual = None    # basis.complement(info) once failed reaches the co-rank
-
-    def accept(m_bits: int) -> bool:
-        """basis.insert(m_bits), deciding by parity against the complement
-        while there is one."""
-        nonlocal failed, dual
-        if dual is None:
-            independent = basis.insert(m_bits)
-        else:
-            independent = any((m_bits & vec).bit_count() & 1 for vec in dual)
-            if independent:
-                basis.insert(m_bits)
-        if independent:
-            failed, dual = 0, None
-        else:
-            failed += 1
-            if dual is None and failed >= info - len(basis):
-                dual = basis.complement(info)
-        return independent
-
-    def place(slot: int, w_parity: int, tail: list[int], parity: int,
-              w_tail: int) -> list[int] | None:
-        for attempt in range(M2_REDRAWS):
-            if attempt:
-                w_parity, tail, parity = draw_tail(w_tail)
-            target = slots[slot] if slots is not None else 0
-            w_pad = max(0, target - w_parity - w_tail) if slots is not None else 0
-            w_pad = min(w_pad, o_width)
-            if w_parity + w_pad + w_tail > imax:
-                continue
-            for _ in range(M1_REDRAWS if o_width else 1):
-                pad = rng.sample(range(o_width), w_pad) if w_pad else []
-                m_bits = 0
-                for c in pad:
-                    m_bits |= 1 << c
-                for c in tail:
-                    m_bits |= 1 << (o_width + c)
-                if accept(m_bits):
-                    return (_bit_indices(parity)
-                            + sorted(r + c for c in pad)
-                            + sorted(o_end + c for c in tail))
-        return None
-
-    # each row's weight, and the columns of all rows in a flat int64 array
-    weights, columns = [], array("q")
-    for slot, (w_parity, _, tail, parity) in enumerate(draws):
-        support = place(slot, w_parity, tail, parity, params.zeta)
-        if support is None and params.zeta % 2 == 0:
-            w_parity, tail, parity = draw_tail(params.zeta - 1)
-            support = place(slot, w_parity, tail, parity, params.zeta - 1)
-        if support is None:
-            raise RankDeficiencyError(
-                f"generator design stalled at row {slot}: "
-                f"achieved rank {len(weights)} of {info}", len(weights))
-        weights.append(len(support))
-        columns.extend(support)
-    return BitMatrix.from_arrays(info, n, weights, columns)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CompoundCode:
-    """A built code: the outer check h and the generator g1 spanning the null
-    space of its quantization rows.
-
-    Only the quantizer's coefficients and save_code read g1, so a code may
-    hold, in place of g1, where to get it: the seed to design it from h
-    with, or the path of a g1.txt to read.  The first read of g1 designs or
-    reads it, verifies it and keeps it.  A code pickles with g1 only once it
-    has been read."""
+    """A built code: the outer check h, and on first read the systematic
+    generator g1 of the null space of its quantization rows."""
 
     params: CodeParams
     h: BitMatrix
-    _g1: BitMatrix | int | Path = field(repr=False)
     seed: int
     dist_id: str = ""
 
-    @property
+    @cached_property
     def g1(self) -> BitMatrix:
-        g1 = self._g1
-        if not isinstance(g1, BitMatrix):
-            g1 = (_read_code_matrix(g1, self.params.info_rows, self.params.n)
-                  if isinstance(g1, Path)
-                  else design_poisson_generator(self.h, self.params, g1))
-            _verify_generator(self.params, self.h, g1)
-            object.__setattr__(self, "_g1", g1)
-        return g1
-
-    def __eq__(self, other):
-        if not isinstance(other, CompoundCode):
-            return NotImplemented
-        # g1 last: it is made only when everything else matches
-        return ((self.params, self.h, self.seed, self.dist_id)
-                == (other.params, other.h, other.seed, other.dist_id)
-                and self.g1 == other.g1)
-
-    def __hash__(self):
-        return hash((self.params, self.h, self.seed, self.dist_id))
+        """The systematic generator of ker(h1), whose codewords are
+        (B t2, t1, t2): row j is the unit vector at column r + j, plus B's
+        column j - mid in the parity block when j lies in the tail (r is
+        quant_checks, mid the middle block's width).  u @ g1 is the codeword
+        whose free blocks, its bits r..n-1, are u."""
+        p = self.params
+        r, mid = p.quant_checks, p.info_rows - p.n // 2
+        rows = [(r + j,) for j in range(mid)]
+        rows += [cols + (r + mid + c,) for c, cols
+                 in enumerate(_b_columns(self.h, p).row_support)]
+        return BitMatrix(p.info_rows, p.n, rows)
 
     @cached_property
     def h1(self) -> BitMatrix:
@@ -673,85 +529,27 @@ class CompoundCode:
         return CompoundQuantizer(self)
 
 
-def _verify_generator(params: CodeParams, h: BitMatrix, g1: BitMatrix) -> None:
-    """Shape of the quantization check, exact orthogonality (every generator
-    row's head must equal B m2) and the i_max row weight cap; raises
-    AssertionError naming the lowest row that fails, orthogonality first."""
-    bad_q = _first_non_orthogonal_row(g1, _b_columns(h, params), params)
-    weights = g1.row_lengths()
-    over = (np.flatnonzero(weights > params.poisson_imax)
-            if params.poisson_imax is not None else [])
-    bad_w = int(over[0]) if len(over) else g1.rows
-    if bad_q < g1.rows and bad_q <= bad_w:
-        raise AssertionError(f"generator row {bad_q} violates the quant check")
-    if bad_w < g1.rows:
-        raise AssertionError(f"generator row {bad_w} weight {weights[bad_w]} "
-                             f"> i_max")
-
-
-# _first_non_orthogonal_row checks this many generator rows at a time
-_VERIFY_ROWS = 256
-
-
-def _first_non_orthogonal_row(g1: BitMatrix, b: BitMatrix,
-                              params: CodeParams) -> int:
-    """Lowest row of g1 whose head differs from B times its tail (b holds
-    B's columns as rows, as _b_columns returns them), or g1.rows.
-
-    Each head entry (j, i) of a row j, and each pair (j, i) with
-    B[i, c] = 1 for a tail entry (j, c), makes one key j * r + i.  Row j is
-    orthogonal exactly when each of its keys occurs an even number of times,
-    so a block of rows takes one sort of its O(nnz) keys.
-    """
-    r = params.quant_checks
-    o_end = r + (params.info_rows - params.n // 2)
-    b_lengths = b.row_lengths()
-    b_starts = np.cumsum(b_lengths) - b_lengths
-    b_rows = b.edges()[1]
-    for at in range(0, g1.rows, _VERIFY_ROWS):
-        rows, cols = g1.row_block(at, min(at + _VERIFY_ROWS, g1.rows)).edges()
-        head = cols < r
-        tail = np.flatnonzero(cols >= o_end)
-        # for every tail entry, the quantization rows its column of B reaches
-        reach = b_lengths[cols[tail] - o_end]
-        first = np.cumsum(reach) - reach
-        picks = (np.repeat(b_starts[cols[tail] - o_end] - first, reach)
-                 + np.arange(int(reach.sum())))
-        keys = np.concatenate((rows[head] * r + cols[head],
-                               np.repeat(rows[tail], reach) * r
-                               + b_rows[picks]))
-        keys.sort()
-        runs = np.flatnonzero(np.diff(keys, prepend=-1, append=-1))
-        odd = np.flatnonzero(np.diff(runs) & 1)
-        if odd.size:
-            return at + int(keys[runs[odd[0]]] // r)
-    return g1.rows
-
-
 def build_compound_code(params: CodeParams, dist: DegreeDistribution, seed: int,
                         dist_id: str = "") -> CompoundCode:
-    """Full pipeline: validate, grow, diagonalize, mirror.  The generator
-    spanning the null space is designed on the first read of code.g1."""
+    """Full pipeline: validate, grow, diagonalize, mirror."""
     report = validate_params(params)
     if not report.ok:
         raise ParamValidationError(report)
     rng = random.Random(seed)
     seed_peg = rng.randrange(2 ** 62)
-    seed_gen = rng.randrange(2 ** 62)
     half = peg_generate(params.half_rows, params.half_cols, dist, seed_peg)
     row_perm, col_perm = all_one_diagonalize(half)
     half = permute(half, row_perm, col_perm)
     h = assemble_compound(half, params)
-    return CompoundCode(params, h, seed_gen, seed, dist_id)
+    return CompoundCode(params, h, seed, dist_id)
 
 
 def save_code(code: CompoundCode, directory: str | Path) -> None:
-    """Write manifest.json, h.txt and g1.txt into directory."""
+    """Write manifest.json and h.txt into directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for name, mat in (("h", code.h), ("g1", code.g1)):
-        with open(directory / f"{name}.txt", "w", encoding="utf-8") as f:
-            write_matrix(f, mat)
+    with open(directory / "h.txt", "w", encoding="utf-8") as f:
+        write_matrix(f, code.h)
     r1, r2, rt = code.rates
     manifest = {
         "params": asdict(code.params),
@@ -804,10 +602,9 @@ def _read_code_matrix(path: Path, rows: int, cols: int) -> BitMatrix:
 
 def load_code(directory: str | Path) -> CompoundCode:
     """Read a directory written by save_code.  The geometry, h's shape and
-    the quantization check's block shape are checked here; g1.txt is read,
-    and checked as thoroughly as a fresh design, on the first read of
-    code.g1.  The h1.txt and h2.txt files of older directories, copies of
-    h's rows, are not read."""
+    the quantization check's block shape are checked.  The g1.txt, h1.txt
+    and h2.txt files of older directories hold nothing h does not fix, and
+    are not read."""
     directory = Path(directory)
     manifest = _read_manifest(directory / "manifest.json")
     params = manifest["params"]
@@ -816,5 +613,5 @@ def load_code(directory: str | Path) -> CompoundCode:
         raise ParamValidationError(report)
     h = _read_code_matrix(directory / "h.txt", params.outer_checks, params.n)
     _b_columns(h, params)  # raises unless h's top rows are (I | 0 | B)
-    return CompoundCode(params, h, directory / "g1.txt", manifest["seed"],
+    return CompoundCode(params, h, manifest["seed"],
                         manifest.get("dist_id", ""))

@@ -102,9 +102,13 @@ def _add_bip_args(sub) -> None:
 
 def _cmd_build(args) -> int:
     entry = _resolve_dist(args)
-    params = CodeParams(n=args.n, m=args.m, k1=args.k1, k2=args.k2,
-                        zeta=args.zeta, poisson_lam=args.poisson_lam,
-                        poisson_imax=args.poisson_imax)
+    try:
+        params = CodeParams(n=args.n, m=args.m, k1=args.k1, k2=args.k2,
+                            zeta=args.zeta, poisson_lam=args.poisson_lam,
+                            poisson_imax=args.poisson_imax)
+    except (TypeError, ValueError) as e:
+        print(f"invalid: {e}", file=sys.stderr)
+        return EXIT_INVALID
     report = validate_params(params)
     for check in report.checks:
         flag = "ok" if check.ok else "FAIL"
@@ -284,16 +288,20 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--m", type=int, required=True)
     b.add_argument("--k1", type=int, required=True)
     b.add_argument("--k2", type=int, required=True)
-    b.add_argument("--zeta", type=int, required=True)
-    b.add_argument("--poisson-lam", type=float, default=None)
-    b.add_argument("--poisson-imax", type=int, default=None)
+    b.add_argument("--zeta", type=int, required=True,
+                   help="accepted and checked, no effect on the code")
+    b.add_argument("--poisson-lam", type=float, default=None,
+                   help="accepted, no effect on the code")
+    b.add_argument("--poisson-imax", type=int, default=None,
+                   help="accepted and checked, no effect on the code")
     b.add_argument("--dist", required=True, help="degree profile id")
     b.add_argument("--catalog", default=None, help="catalog file override")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", required=True, help="output directory")
     b.set_defaults(func=_cmd_build)
 
-    q = subs.add_parser("quantize", help="quantize source words")
+    q = subs.add_parser("quantize", help="quantize source words, writing each "
+                        "word's free blocks")
     q.add_argument("--code", required=True, help="code directory")
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--out", required=True)

@@ -22,8 +22,7 @@ import numpy as np
 
 from .builder import CodeParams, CompoundCode, _b_columns
 from .decoder import SpParams, sp_decode
-from .gf2 import (BitMatrix, BitVector, EchelonBasis, RankDeficiencyError,
-                  ShapeError, _require_ints, mul_vec)
+from .gf2 import BitMatrix, BitVector, ShapeError, _require_ints, mul_vec
 from .quantizer import BipParams, _resolve, bip_quantize_all
 
 __all__ = [
@@ -211,12 +210,10 @@ class CompoundQuantizer:
     exactly the vectors (B t2, t1, t2) over free blocks t1 and t2.  The middle
     block copies the source outright at no cost, which leaves fitting
     (B t2, t2) to the parity and tail blocks of the source.  That residual
-    problem goes to bip_quantize on a small systematic generator whose row j
-    holds column j of B plus its own tail position, keeping check degrees at
-    the B column weights; run directly on the designed generator's wide rows,
-    the product at each check decays toward zero and decimation stalls.
-    Nothing is lost in the move: the designed generator spans the same null
-    space, and coefficients() re-expresses any quantized word over its rows.
+    problem goes to bip_quantize on g_sub, the tail rows of the code's
+    systematic generator g1 without the middle block: row j holds column j
+    of B plus its own tail position, so check degrees stay at the B column
+    weights.  A word's coefficients over g1 are its free blocks (t1, t2).
     """
 
     def __init__(self, code: CompoundCode):
@@ -224,7 +221,6 @@ class CompoundQuantizer:
         r = params.quant_checks
         mid = params.info_rows - params.n // 2
         sub_cols = _b_columns(code.h, params).row_support
-        self._code = code  # coefficients reads code.g1, made on first read
         self.n = params.n
         self.parity_width = r
         self.mid_width = mid
@@ -232,7 +228,6 @@ class CompoundQuantizer:
                                [cols + (r + j,) for j, cols in enumerate(sub_cols)])
         # default damping is a fact of g_sub: search it for 4-cycles once
         self._damping = _resolve(BipParams(), self.g_sub)[1]
-        self._coeff_basis: EchelonBasis | None = None
 
     def quantize(self, source: BitVector,
                  bip: BipParams = BipParams()) -> QuantizedWord:
@@ -265,26 +260,12 @@ class CompoundQuantizer:
         return out
 
     def coefficients(self, word: BitVector) -> BitVector:
-        """Coefficients u over the designed generator's rows with u @ g1 == word.
-
-        The map from coefficients to the free blocks of a codeword is square
-        and invertible.  The first call builds a basis of the generator's
-        free blocks, tagged by row, and raises RankDeficiencyError when the
-        rows are dependent; every call then solves for u on it.
-        """
+        """Coefficients u over g1's rows with u @ g1 == word, for a codeword
+        of the quantization check: its free blocks, bits parity_width..n-1."""
         if word.length != self.n:
             raise ShapeError(f"word length {word.length} != n {self.n}")
-        g1 = self._code.g1
-        if self._coeff_basis is None:
-            basis = EchelonBasis.tagged(
-                [bits >> self.parity_width for bits in g1.bitrows()])
-            if len(basis) < g1.rows:
-                raise RankDeficiencyError(
-                    f"generator rows are dependent: rank {len(basis)} "
-                    f"of {g1.rows}", len(basis))
-            self._coeff_basis = basis
-        return BitVector(g1.rows,
-                         self._coeff_basis.solve(word.bits >> self.parity_width))
+        return BitVector(self.n - self.parity_width,
+                         word.bits >> self.parity_width)
 
 
 @dataclass(frozen=True)

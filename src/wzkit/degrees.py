@@ -1,8 +1,7 @@
-"""Edge-perspective degree distributions and Poisson row-weight profiles."""
+"""Edge-perspective degree distributions and the catalog of named profiles."""
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -10,11 +9,8 @@ from importlib import resources
 __all__ = [
     "DegreeDistribution",
     "CatalogEntry",
-    "PoissonWeightSpec",
-    "PoissonCounts",
     "parse_polynomial",
     "design_rate",
-    "poisson_counts",
     "parse_catalog",
     "load_catalog",
 ]
@@ -145,64 +141,3 @@ def parse_catalog(text: str) -> dict[str, CatalogEntry]:
 def load_catalog() -> dict[str, CatalogEntry]:
     text = resources.files("wzkit.data").joinpath("catalog.txt").read_text("utf-8")
     return parse_catalog(text)
-
-
-@dataclass(frozen=True)
-class PoissonWeightSpec:
-    """Row-weight profile: Poisson(lam) truncated to weights 1..i_max, count rows."""
-
-    lam: float
-    i_max: int
-    count: int
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.i_max < 1:
-            raise ValueError(f"i_max must be >= 1, got {self.i_max}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-
-
-@dataclass(frozen=True)
-class PoissonCounts:
-    counts: tuple[int, ...]        # counts[i-1] = rows of target weight i
-    weights: tuple[int, ...]       # non-decreasing, exactly `count` entries
-
-
-def _nearest_int(x: float) -> int:
-    # ties round half up; only the nearest-integer part is contractually pinned
-    return int(math.floor(x + 0.5))
-
-
-def poisson_counts(spec: PoissonWeightSpec) -> PoissonCounts:
-    """Occupancy per weight bucket plus the sorted per-row weight sequence.
-
-    Bucket i in 1..i_max receives nearest-int(pmf(i) * count) rows; pmf values
-    come from the log-domain Poisson pmf so large lam stays finite.  A short
-    sequence is padded by replicating the fullest bucket (smallest such weight
-    on ties); a long one is trimmed from the largest weight downward.
-    """
-    log_lam = math.log(spec.lam)
-    counts = [_nearest_int(math.exp(k * log_lam - spec.lam - math.lgamma(k + 1))
-                           * spec.count)
-              for k in range(1, spec.i_max + 1)]
-    total = sum(counts)
-    if total == 0:
-        raise ValueError(
-            f"all weight buckets empty: lam={spec.lam}, i_max={spec.i_max} are inconsistent")
-    if total < spec.count:
-        fullest = max(range(len(counts)), key=lambda i: (counts[i], -i))
-        counts[fullest] += spec.count - total
-    elif total > spec.count:
-        excess = total - spec.count
-        for i in range(len(counts) - 1, -1, -1):
-            take = min(excess, counts[i])
-            counts[i] -= take
-            excess -= take
-            if excess == 0:
-                break
-    weights = []
-    for i, c in enumerate(counts):
-        weights.extend([i + 1] * c)
-    return PoissonCounts(tuple(counts), tuple(weights))

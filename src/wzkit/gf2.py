@@ -18,10 +18,7 @@ each packed row by its highest set bit.  Reducing a row then takes one list
 lookup per step, from the top bit down, and rows inserted in a fixed order
 always produce the same pivots and the same dependent rows.  Optional tag bits
 below the row part record which inserted rows a reduction combined, so the
-same basis solves linear systems and inverts matrices.  An untagged basis also
-yields its span's complement: a row lies in the span exactly when its overlap
-with each complement vector is even, a test cheaper than a reduction when the
-basis is close to full rank.
+same basis solves linear systems and inverts matrices.
 
 The results of rank, invert, systematic_form and null_space_basis do not
 depend on the pivot order.  The rank and the inverse are unique.
@@ -498,36 +495,6 @@ class EchelonBasis:
         """Pivot positions within the row part, ascending."""
         t = self.tag_bits
         return [p - t for p, row in enumerate(self._rows) if row]
-
-    def complement(self, width: int) -> list[int]:
-        """A basis of the vectors of `width` bits whose overlap with every
-        inserted row is even, for an untagged basis of rows no wider.
-
-        One vector per non-pivot position f below width, ascending in f: bit
-        f set, no other non-pivot bit, and each pivot bit p, from the lowest
-        up, set exactly when row p's overlap with the vector so far is odd.
-        Row p has no bit above p, so later pivots leave its overlap even.  A
-        row of at most `width` bits lies in the span exactly when its overlap
-        with every vector is even, which takes width - len(self) parity tests
-        instead of a reduction.
-        """
-        if self.tag_bits:
-            raise ValueError("complement of a tagged basis")
-        rows = self._rows
-        if len(rows) > width:
-            raise ValueError(f"basis rows are {len(rows)} bits wide, "
-                             f"more than width {width}")
-        pivot_rows = [(p, row) for p, row in enumerate(rows) if row]
-        out = []
-        for f in range(width):
-            if f < len(rows) and rows[f]:
-                continue
-            vec = 1 << f
-            for p, row in pivot_rows:
-                if (row & vec).bit_count() & 1:
-                    vec |= 1 << p
-            out.append(vec)
-        return out
 
 
 def _column_basis(a: BitMatrix) -> tuple[EchelonBasis, list[int], list[int]]:

@@ -354,4 +354,4 @@ def test_scaled_build_pinned(scaled_code):
     """The n = 10^4 build, pinned bit for bit by digests of h and g1."""
     digest = test_builder.digest
     assert (digest(scaled_code.h), digest(scaled_code.g1)) == (
-        "7f184090990bd71d", "b0b481d974babca0")
+        "7f184090990bd71d", "26fdd4c6412dec93")

@@ -1,4 +1,4 @@
-"""Graph growth, diagonalization, mirroring, and generator design."""
+"""Graph growth, diagonalization, mirroring, and the systematic generator."""
 
 import dataclasses
 import hashlib
@@ -10,18 +10,15 @@ import numpy as np
 import pytest
 
 from conftest import SMALL_PARAMS, TINY_PARAMS, tiny_dist
-from wzkit import builder
 from wzkit.builder import (BFS_DEPTH_CAP, CodeParams, CompoundCode,
                            ParamValidationError, _check_degree_sequence,
                            _node_degree_sequence, _repair_full_rank,
-                           _verify_generator,
                            all_one_diagonalize, assemble_compound,
-                           build_compound_code, design_poisson_generator,
-                           empirical_fractions, load_code, peg_generate,
-                           save_code, validate_params)
+                           build_compound_code, empirical_fractions,
+                           load_code, peg_generate, save_code,
+                           validate_params)
 from wzkit.degrees import DegreeDistribution
-from wzkit.gf2 import (BitMatrix, BitVector, EchelonBasis, _bit_indices,
-                       mat_mul, mul_vec, permute, rank)
+from wzkit.gf2 import BitMatrix, BitVector, _bit_indices, mul_vec, permute, rank
 
 
 def degree_multisets(a):
@@ -205,7 +202,7 @@ class TestPegGolden:
         code = build_compound_code(CLI_PARAMS, catalog["code3"].dist,
                                    seed=20260815, dist_id="code3")
         assert (digest(code.h), digest(code.g1)) == (
-            "6423cbf341a46fe5", "3eecf8c4d5f52781")
+            "6423cbf341a46fe5", "4d0afca5466e3c0f")
 
 
 class TestAllOneDiagonalize:
@@ -244,8 +241,7 @@ class TestAssembleCompound:
         h = assemble_compound(half, params)
         assert h.row_support == ((0, 4), (1, 5), (1, 3), (2, 4))
         # the quantization check is the top n - m + k1 = 2 rows
-        g1 = design_poisson_generator(h, params, seed=0)
-        code = CompoundCode(params, h, g1, seed=0)
+        code = CompoundCode(params, h, seed=0)
         assert code.h1.row_support == ((0, 4), (1, 5))
         assert code.h2.row_support == ((1, 3), (2, 4))
         assert code.h1.cols == code.h2.cols == 6
@@ -270,87 +266,6 @@ class TestAssembleCompound:
             assemble_compound(half, params)
 
 
-class TestGeneratorDesign:
-    def test_orthogonal_and_full_rank(self, small_code):
-        prod = mat_mul(small_code.h1, BitMatrix(
-            small_code.g1.cols, small_code.g1.rows,
-            [[r for r in range(small_code.g1.rows)
-              if c in small_code.g1.row_support[r]]
-             for c in range(small_code.g1.cols)]))
-        assert all(not sup for sup in prod.row_support)
-        assert rank(small_code.g1) == SMALL_PARAMS.info_rows
-
-    def test_tail_weights_on_target_with_single_fallback(self, small_code):
-        o_end = SMALL_PARAMS.quant_checks + (SMALL_PARAMS.info_rows
-                                             - SMALL_PARAMS.n // 2)
-        tails = Counter(sum(c >= o_end for c in sup)
-                        for sup in small_code.g1.row_support)
-        # even tail weights alone cannot span the message space; exactly one
-        # row drops to zeta - 1 to supply the odd-parity dimension
-        assert set(tails) <= {SMALL_PARAMS.zeta, SMALL_PARAMS.zeta - 1}
-        assert tails.get(SMALL_PARAMS.zeta - 1, 0) <= 1
-
-    def test_row_weights_capped(self, small_code):
-        assert all(len(sup) <= SMALL_PARAMS.poisson_imax
-                   for sup in small_code.g1.row_support)
-
-    @pytest.fixture
-    def complements(self, monkeypatch):
-        """(rank, width) of every span complement the design builds; each
-        must come after as many failed inserts at that rank as it has
-        vectors, so it never costs more than the reductions it replaces."""
-        built, failed = [], [0]
-        insert, complement = EchelonBasis.insert, EchelonBasis.complement
-
-        def insert_spy(basis, bits):
-            ok = insert(basis, bits)
-            failed[0] = 0 if ok else failed[0] + 1
-            return ok
-
-        def complement_spy(basis, width):
-            assert failed[0] == width - len(basis)
-            built.append((len(basis), width))
-            return complement(basis, width)
-
-        monkeypatch.setattr(EchelonBasis, "insert", insert_spy)
-        monkeypatch.setattr(EchelonBasis, "complement", complement_spy)
-        return built
-
-    def test_stalled_slot_pinned(self, small_code, complements):
-        # even tails leave the last slot one dimension short: its doomed
-        # candidates meet a complement of one vector; digest derived with
-        # every candidate reduced in full
-        g1 = design_poisson_generator(small_code.h, SMALL_PARAMS, seed=11)
-        info = SMALL_PARAMS.info_rows
-        assert complements == [(info - 1, info)]
-        assert digest(g1) == "cb2e84da072a31d0"
-
-    def test_tiny_designs_pinned(self, tiny_code, complements):
-        # twenty seeds on the 96-bit code, where complements of many vectors
-        # are built and then dropped at an accepted row; digest derived with
-        # every candidate reduced in full
-        digests = [digest(design_poisson_generator(tiny_code.h, TINY_PARAMS,
-                                                   seed=s))
-                   for s in range(20)]
-        assert hashlib.sha256(" ".join(digests).encode()).hexdigest()[:16] \
-            == "8454552a0bdc24d0"
-        assert max(width - r for r, width in complements) > 1
-
-    def test_rejects_malformed_check(self):
-        bad = BitMatrix(2, 8, [[0, 1, 6], [1, 7]])  # leading block not identity
-        with pytest.raises(ValueError):
-            design_poisson_generator(bad, TINY_PARAMS, seed=0)
-
-
-def checking_read(directory, name):
-    """The read that checks name.txt of a saved code: load_code itself for
-    h, the first read of code.g1 for g1 (load_code must then succeed)."""
-    if name == "h":
-        return lambda: load_code(directory)
-    code = load_code(directory)
-    return lambda: code.g1
-
-
 class TestBuildRoundtrip:
     def test_seed_determinism(self):
         a = build_compound_code(TINY_PARAMS, tiny_dist(), seed=5)
@@ -360,7 +275,7 @@ class TestBuildRoundtrip:
     def test_save_load_roundtrip(self, tiny_code, tmp_path):
         save_code(tiny_code, tmp_path / "code")
         assert {f.name for f in (tmp_path / "code").iterdir()} == {
-            "manifest.json", "h.txt", "g1.txt"}
+            "manifest.json", "h.txt"}
         loaded = load_code(tmp_path / "code")
         assert loaded.params == tiny_code.params
         assert (loaded.h, loaded.h1, loaded.h2, loaded.g1) == \
@@ -368,13 +283,13 @@ class TestBuildRoundtrip:
 
     def test_load_ignores_stale_row_slice_files(self, tiny_code, tmp_path):
         # older directories also hold h1.txt and h2.txt; even when they no
-        # longer match h, the code loads from h.txt and g1.txt alone
+        # longer match h, the code loads from h.txt alone
         save_code(tiny_code, tmp_path / "code")
         for name in ("h1.txt", "h2.txt"):
             (tmp_path / "code" / name).write_text("1 96\n1\n\n")
         assert load_code(tmp_path / "code") == tiny_code
 
-    @pytest.mark.parametrize("name", ["h", "g1"])
+    @pytest.mark.parametrize("name", ["h"])
     def test_load_rejects_matrix_missing_a_row(self, tiny_code, tmp_path,
                                                name):
         save_code(tiny_code, tmp_path / "code")
@@ -386,9 +301,9 @@ class TestBuildRoundtrip:
         path.write_text("\n".join(lines))
         with pytest.raises(ValueError, match=f"{name}.txt is {rows - 1}x96, "
                            f"expected {rows}x96"):
-            checking_read(tmp_path / "code", name)()
+            load_code(tmp_path / "code")
 
-    @pytest.mark.parametrize("name", ["h", "g1"])
+    @pytest.mark.parametrize("name", ["h"])
     def test_load_rejects_matrix_with_an_extra_row(self, tiny_code, tmp_path,
                                                    name):
         save_code(tiny_code, tmp_path / "code")
@@ -398,7 +313,7 @@ class TestBuildRoundtrip:
         path.write_text(text.rstrip("\n") + "\n5 17\n\n")
         with pytest.raises(ValueError,
                            match=f"{name}.txt: line {rows + 2}: row beyond"):
-            checking_read(tmp_path / "code", name)()
+            load_code(tmp_path / "code")
 
     def test_load_validates_manifest_geometry(self, tiny_code, tmp_path):
         save_code(tiny_code, tmp_path / "code")
@@ -450,142 +365,6 @@ def test_quantization_check_annihilates_generator(tiny_code):
     for bits in tiny_code.g1.bitrows():
         word = BitVector(tiny_code.g1.cols, bits)
         assert mul_vec(tiny_code.h1, word).weight() == 0
-
-
-def reference_verify_generator(code):
-    """_verify_generator as a loop over g1's rows, with B's columns packed
-    into ints; the reference for the sort-based check."""
-    p = code.params
-    r = p.quant_checks
-    o_end = r + (p.info_rows - p.n // 2)
-    bcols = [0] * (code.h.cols - o_end)
-    for i, sup in zip(range(r), code.h.row_support):
-        for c in sup:
-            if c >= o_end:
-                bcols[c - o_end] |= 1 << i
-    for j, sup in enumerate(code.g1.row_support):
-        head = parity = 0
-        for c in sup:
-            if c < r:
-                head |= 1 << c
-            elif c >= o_end:
-                parity ^= bcols[c - o_end]
-        if head != parity:
-            raise AssertionError(f"generator row {j} violates the quant check")
-        if p.poisson_imax is not None and len(sup) > p.poisson_imax:
-            raise AssertionError(f"generator row {j} weight {len(sup)} > i_max")
-
-
-def verify_generator(code):
-    _verify_generator(code.params, code.h, code.g1)
-
-
-def with_g1_rows(code, edits):
-    """code with g1 row j's support replaced by edits[j](support)."""
-    rows = [edits[j](set(sup)) if j in edits else sup
-            for j, sup in enumerate(code.g1.row_support)]
-    return CompoundCode(code.params, code.h, BitMatrix(code.g1.rows,
-                                                       code.g1.cols, rows),
-                        code.seed, code.dist_id)
-
-
-def toggle(*cols):
-    return lambda sup: sup ^ set(cols)
-
-
-def overweight(code, j):
-    """Edit that pads row j with middle-block columns, which leave it
-    orthogonal, until it is one over i_max."""
-    p = code.params
-    middle = range(p.quant_checks, p.quant_checks + p.info_rows - p.n // 2)
-    free = [c for c in middle if c not in code.g1.row_support[j]]
-    need = p.poisson_imax + 1 - len(code.g1.row_support[j])
-    assert 0 < need <= len(free)
-    return lambda sup: sup | set(free[:need])
-
-
-def verify_outcome(check, code):
-    try:
-        check(code)
-        return "ok"
-    except AssertionError as e:
-        return str(e)
-
-
-class TestVerifyGenerator:
-    # tiny code: head columns 0..23, middle 24..47, tail 48..95
-    def test_flipped_head_bit_names_lowest_row(self, tiny_code):
-        code = with_g1_rows(tiny_code, {7: toggle(5), 3: toggle(0)})
-        with pytest.raises(AssertionError,
-                           match="generator row 3 violates the quant check"):
-            verify_generator(code)
-
-    def test_flipped_tail_bit_is_caught(self, tiny_code):
-        code = with_g1_rows(tiny_code, {9: toggle(60)})
-        with pytest.raises(AssertionError, match="generator row 9 violates"):
-            verify_generator(code)
-
-    def test_row_over_imax(self, tiny_code):
-        code = with_g1_rows(tiny_code, {4: overweight(tiny_code, 4)})
-        weight = TINY_PARAMS.poisson_imax + 1
-        with pytest.raises(AssertionError,
-                           match=f"generator row 4 weight {weight} > i_max"):
-            verify_generator(code)
-
-    def test_lowest_failing_row_wins(self, tiny_code):
-        code = with_g1_rows(tiny_code, {2: overweight(tiny_code, 2),
-                                        5: toggle(1)})
-        assert verify_outcome(verify_generator, code).startswith(
-            "generator row 2 weight")
-        both = with_g1_rows(code, {2: toggle(1)})
-        assert verify_outcome(verify_generator, both) == (
-            "generator row 2 violates the quant check")
-
-    @pytest.mark.parametrize("block_rows", [1, 5, 256])
-    def test_matches_reference_on_random_edits(self, tiny_code, small_code,
-                                               block_rows, monkeypatch):
-        monkeypatch.setattr(builder, "_VERIFY_ROWS", block_rows)
-        rng = random.Random(3)
-        outcomes = Counter()
-        for code in (tiny_code, small_code):
-            assert verify_outcome(verify_generator, code) == "ok"
-            for _ in range(60):
-                rows = rng.sample(range(code.g1.rows), rng.randint(1, 3))
-                edits = {j: toggle(*rng.sample(range(code.g1.cols),
-                                               rng.randint(1, 3)))
-                         for j in rows}
-                if rng.random() < 0.3:
-                    j = rng.randrange(code.g1.rows)
-                    need = code.params.poisson_imax + 1 - len(
-                        code.g1.row_support[j])
-                    if need <= 8:
-                        edits[j] = overweight(code, j)
-                edited = with_g1_rows(code, edits)
-                got = verify_outcome(verify_generator, edited)
-                assert got == verify_outcome(reference_verify_generator, edited)
-                outcomes[got.split(" ")[-1]] += 1
-        assert outcomes["check"] > 20 and outcomes["ok"] > 0
-
-    def test_designed_generator_is_checked_on_first_read(self, tiny_code,
-                                                        monkeypatch):
-        bad = with_g1_rows(tiny_code, {6: toggle(2)}).g1
-        monkeypatch.setattr(builder, "design_poisson_generator",
-                            lambda *args: bad)
-        code = build_compound_code(TINY_PARAMS, tiny_dist(), seed=5)
-        with pytest.raises(AssertionError,
-                           match="generator row 6 violates the quant check"):
-            code.g1
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda code: {6: toggle(2)}, "generator row 6 violates the quant check"),
-        (lambda code: {1: overweight(code, 1)}, "generator row 1 weight 21 > i_max"),
-    ], ids=["quant-check", "i-max"])
-    def test_load_code_runs_the_check(self, tiny_code, tmp_path, edit, message):
-        save_code(with_g1_rows(tiny_code, edit(tiny_code)), tmp_path / "code")
-        code = load_code(tmp_path / "code")  # g1.txt is checked on first read
-        for _ in range(2):                    # and a failed read keeps nothing
-            with pytest.raises(AssertionError, match=message):
-                code.g1
 
 
 class TestManifest:

@@ -16,7 +16,7 @@ from conftest import TINY_CATALOG_TEXT, TINY_PARAMS
 from wzkit import builder, cli, codec
 from wzkit.builder import load_code
 from wzkit.codec import CSV_COLUMNS, encode
-from wzkit.gf2 import BitVector
+from wzkit.gf2 import BitVector, write_matrix
 
 
 def word_line(vec):
@@ -76,6 +76,42 @@ class TestBuild:
         assert "syndrome_capacity" in report
         assert "generator_tail_fits" in report
         assert "split_fits_top_half" in report
+
+    @staticmethod
+    def build_args(workdir, out, **flags):
+        """build flags for the tiny geometry, with flags replacing or
+        (valued None) dropping some of them."""
+        given = {"n": TINY_PARAMS.n, "m": TINY_PARAMS.m, "k1": TINY_PARAMS.k1,
+                 "k2": TINY_PARAMS.k2, "zeta": TINY_PARAMS.zeta,
+                 "poisson-lam": TINY_PARAMS.poisson_lam,
+                 "poisson-imax": TINY_PARAMS.poisson_imax, **flags}
+        return ["build", *(tok for key, value in given.items()
+                           if value is not None
+                           for tok in (f"--{key}", str(value))),
+                "--dist", "tiny", "--catalog", str(workdir / "catalog.txt"),
+                "--seed", "5", "--out", str(out)]
+
+    @pytest.mark.parametrize("flags, message", [
+        ({"n": 0}, "n must be >= 1"),
+        ({"zeta": 0}, "zeta must be >= 1"),
+        ({"k1": TINY_PARAMS.m}, "m - k1 must be >= 1"),
+    ], ids=["n-zero", "zeta-zero", "no-generator-rows"])
+    def test_impossible_geometry_exits_two_before_building(
+            self, workdir, tmp_path, capsys, flags, message):
+        rc = cli.main(self.build_args(workdir, tmp_path / "x", **flags))
+        assert rc == 2
+        assert capsys.readouterr().err == f"invalid: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_build_needs_no_poisson_flags(self, workdir, tmp_path):
+        # the tiny geometry has a middle block; the flags change nothing
+        out = tmp_path / "x"
+        rc = cli.main(self.build_args(workdir, out, **{"poisson-lam": None,
+                                                       "poisson-imax": None}))
+        assert rc == 0
+        assert {f.name for f in out.iterdir()} == {"manifest.json", "h.txt"}
+        assert (out / "h.txt").read_bytes() == \
+            (workdir / "tiny-code" / "h.txt").read_bytes()
 
     def test_missing_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -191,21 +227,6 @@ class TestQuantizeEncodeDecode:
         assert rc == 2
         assert "invalid: n_even" in capsys.readouterr().err
 
-    def test_dependent_generator_rows_named(self, workdir, tmp_path, capsys):
-        # a repeated row keeps g1's shape and its orthogonality to h1
-        code_dir = tmp_path / "code"
-        shutil.copytree(workdir / "tiny-code", code_dir)
-        path = code_dir / "g1.txt"
-        lines = path.read_text().split("\n")
-        lines[2] = lines[1]
-        path.write_text("\n".join(lines))
-        rc = cli.main(["quantize", "--code", str(code_dir),
-                       "--in", str(workdir / "sources.txt"),
-                       "--out", str(tmp_path / "o.txt")])
-        assert rc == 3
-        assert (f"rank {TINY_PARAMS.info_rows - 1} of {TINY_PARAMS.info_rows}"
-                in capsys.readouterr().err)
-
     @pytest.mark.parametrize("command, flag, message", [
         ("quantize", ["--threshold", "1.5"], "threshold must lie in (0, 1)"),
         ("encode", ["--damping", "1.0"], "damping must lie in [0, 1)"),
@@ -250,77 +271,38 @@ class TestQuantizeEncodeDecode:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: manifest.json: ")
 
-    @pytest.mark.parametrize("edit, message", [
-        ("head", "generator row 2 violates the quant check"),
-        ("weight", f"generator row 2 weight {TINY_PARAMS.poisson_imax + 1} "
-                   f"> i_max"),
-    ])
-    def test_generator_check_failure_exits_three(self, workdir, tmp_path,
-                                                 capsys, edit, message):
-        code_dir = tmp_path / "code"
-        shutil.copytree(workdir / "tiny-code", code_dir)
-        path = code_dir / "g1.txt"
-        lines = path.read_text().split("\n")
-        row = {int(tok) for tok in lines[3].split()}       # g1 row 2
-        if edit == "head":
-            row ^= {1}
+    @pytest.mark.parametrize("how", ["non-orthogonal", "truncated"])
+    def test_old_g1_file_is_ignored(self, workdir, tmp_path, capsys, how):
+        """Older directories hold a g1.txt; even a spoiled one changes
+        nothing that quantize, encode or decode write or print."""
+        clean = workdir / "tiny-code"
+        old = tmp_path / "old"
+        shutil.copytree(clean, old)
+        with open(old / "g1.txt", "w", encoding="utf-8") as f:
+            write_matrix(f, load_code(clean).g1)
+        lines = (old / "g1.txt").read_text().split("\n")
+        if how == "non-orthogonal":   # flip a parity bit of g1 row 2
+            lines[3] = " ".join(map(str, sorted(
+                {int(tok) for tok in lines[3].split()} ^ {1})))
         else:
-            p = TINY_PARAMS
-            middle = range(p.quant_checks + 1,
-                           p.quant_checks + p.info_rows - p.n // 2 + 1)
-            free = [c for c in middle if c not in row]
-            row |= set(free[:p.poisson_imax + 1 - len(row)])
-        lines[3] = " ".join(map(str, sorted(row)))
-        path.write_text("\n".join(lines))
-        rc = cli.main(["quantize", "--code", str(code_dir),
-                       "--in", str(workdir / "sources.txt"),
-                       "--out", str(tmp_path / "o.txt")])
-        assert rc == 3
-        assert f"error: {message}" in capsys.readouterr().err
-
-    @staticmethod
-    def spoil_g1(code_dir, how):
-        """Spoil code_dir/g1.txt; returns the error line of a command that
-        reads it."""
-        path = code_dir / "g1.txt"
-        lines = path.read_text().split("\n")
-        if how == "non-orthogonal":   # flip a head bit of g1 row 2
-            row = {int(tok) for tok in lines[3].split()} ^ {1}
-            lines[3] = " ".join(map(str, sorted(row)))
-            path.write_text("\n".join(lines))
-            return "error: generator row 2 violates the quant check"
-        if how == "truncated":
-            path.write_text("\n".join(lines[:4]))
-            return "error: g1.txt: unexpected end of file at row 3"
-        path.unlink()
-        return f"error: [Errno 2] No such file or directory: '{path}'"
-
-    @pytest.mark.parametrize("how", ["non-orthogonal", "truncated", "deleted"])
-    def test_only_quantize_reads_g1(self, workdir, tmp_path, capsys, how):
-        """encode and decode never read g1.txt, so a spoiled one changes
-        none of their output; quantize fails on it with exit 3."""
-        intact = workdir / "tiny-code"
-        spoiled = tmp_path / "code"
-        shutil.copytree(intact, spoiled)
-        error = self.spoil_g1(spoiled, how)
+            lines = lines[:4]
+        (old / "g1.txt").write_text("\n".join(lines))
         words = str(workdir / "sources.txt")
         outputs = {}
-        for code_dir in (intact, spoiled):
-            syndromes = tmp_path / f"{code_dir.name}-syndromes.txt"
-            decoded = tmp_path / f"{code_dir.name}-decoded.txt"
-            rcs = (cli.main(["encode", "--code", str(code_dir), "--in", words,
-                             "--out", str(syndromes)]),
+        for code_dir in (clean, old):
+            files = [tmp_path / f"{code_dir.name}-{name}.txt"
+                     for name in ("u", "syndromes", "decoded")]
+            rcs = (cli.main(["quantize", "--code", str(code_dir),
+                             "--in", words, "--out", str(files[0])]),
+                   cli.main(["encode", "--code", str(code_dir), "--in", words,
+                             "--out", str(files[1])]),
                    cli.main(["decode", "--code", str(code_dir),
-                             "--side", words, "--syndrome", str(syndromes),
-                             "--crossover", "0.1", "--out", str(decoded)]))
+                             "--side", words, "--syndrome", str(files[1]),
+                             "--crossover", "0.1", "--out", str(files[2])]))
             outputs[code_dir] = (rcs, capsys.readouterr(),
-                                 syndromes.read_bytes(), decoded.read_bytes())
-        assert outputs[spoiled] == outputs[intact]
-        assert outputs[intact][0] == (0, 0)
-        rc = cli.main(["quantize", "--code", str(spoiled), "--in", words,
-                       "--out", str(tmp_path / "o.txt")])
-        assert rc == 3
-        assert capsys.readouterr().err == error + "\n"
+                                 [f.read_bytes() for f in files])
+        assert outputs[old] == outputs[clean]
+        assert outputs[clean][0] == (0, 0, 0)
 
     @staticmethod
     def record_matrix_reads(monkeypatch) -> list:
@@ -335,7 +317,7 @@ class TestQuantizeEncodeDecode:
         return reads
 
     @pytest.mark.parametrize("command, files", [
-        ("quantize", ["h.txt", "g1.txt"]),
+        ("quantize", ["h.txt"]),
         ("encode", ["h.txt"]),
         ("decode", ["h.txt"])])
     def test_matrix_files_each_command_reads(self, workdir, tmp_path,

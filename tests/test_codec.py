@@ -8,16 +8,16 @@ import random
 import numpy as np
 import pytest
 
-from conftest import TINY_PARAMS, tiny_dist
-from wzkit import builder, codec, quantizer
-from wzkit.builder import CodeParams, build_compound_code, load_code, save_code
+from conftest import TINY_PARAMS
+from wzkit import codec, quantizer
+from wzkit.builder import CodeParams
 from wzkit.codec import (CSV_COLUMNS, CompoundQuantizer, ExperimentConfig,
                          binary_convolve, binary_entropy, bound_curve, decode,
                          encode, encode_all, invert_bound, run_experiment,
                          write_curve_csv, write_results_csv, wz_boundary,
                          wz_rate)
 from wzkit.decoder import SpParams
-from wzkit.gf2 import BitVector, ShapeError, mul_vec
+from wzkit.gf2 import BitVector, ShapeError, mat_mul, mul_vec, transpose
 from wzkit.quantizer import BipParams, generator_codeword
 
 
@@ -182,13 +182,27 @@ class TestCompoundQuantizer:
 
     def test_coefficients_reproduce_word(self, tiny_code):
         qz = CompoundQuantizer(tiny_code)
+        r = TINY_PARAMS.quant_checks
         rng = random.Random(44)
         for _ in range(3):
             src = BitVector(TINY_PARAMS.n, rng.getrandbits(TINY_PARAMS.n))
             word = qz.quantize(src).word
             u = qz.coefficients(word)
             assert u.length == TINY_PARAMS.info_rows
+            assert u.bits == word.bits >> r     # the word's free blocks
             assert generator_codeword(tiny_code.g1, u) == word
+
+    @pytest.mark.parametrize("code", ["tiny_code", "small_code"])
+    def test_generator_is_systematic_on_the_free_blocks(self, code, request):
+        code = request.getfixturevalue(code)
+        g1, r = code.g1, code.params.quant_checks
+        assert (g1.rows, g1.cols) == (code.params.info_rows, code.params.n)
+        # columns r..n-1 form the identity, so each row is a codeword of
+        # its own free-block coordinate
+        assert [tuple(c for c in sup if c >= r) for sup in g1.row_support] \
+            == [(r + j,) for j in range(g1.rows)]
+        assert mat_mul(code.h1, transpose(g1)).row_support == \
+            ((),) * code.h1.rows
 
     @pytest.mark.parametrize("bip", [BipParams(),
                                      BipParams(gamma=20.0, damping=0.0),
@@ -396,69 +410,6 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(code_id="x", params=TINY_PARAMS, p=0.25,
                              trials=0, seed=0)
-
-
-class TestGeneratorTraffic:
-    """g1 is designed or read on its first read, and only the coefficients
-    of a quantized word read it."""
-
-    @staticmethod
-    def record_designs(monkeypatch, log):
-        """Append a line to the file log for every generator design, in
-        this process or in a pool worker."""
-        real = builder.design_poisson_generator
-
-        def recording(*args):
-            with open(log, "a") as f:
-                f.write("design\n")
-            return real(*args)
-
-        monkeypatch.setattr(builder, "design_poisson_generator", recording)
-        return lambda: len(log.read_text().split()) if log.exists() else 0
-
-    def test_build_and_run_design_no_generator(self, tiny_code, tmp_path,
-                                               monkeypatch):
-        expected = tiny_code.g1
-        designs = self.record_designs(monkeypatch, tmp_path / "designs")
-        code = build_compound_code(TINY_PARAMS, tiny_dist(), seed=5,
-                                   dist_id="tiny")
-        config = ExperimentConfig(code_id="tiny", params=TINY_PARAMS, p=0.25,
-                                  trials=3, seed=99)
-        results = [run_experiment(code, config, workers=workers)
-                   for workers in (1, 2)]
-        assert designs() == 0
-        assert results[0] == results[1] == run_experiment(tiny_code, config)
-        # the first read designs g1, verified and bit-identical, and keeps it
-        assert code.g1 == expected
-        code.g1
-        assert designs() == 1
-
-    def test_pickling_keeps_the_generator_unmade(self, tmp_path, monkeypatch):
-        designs = self.record_designs(monkeypatch, tmp_path / "designs")
-        code = build_compound_code(TINY_PARAMS, tiny_dist(), seed=5)
-        code.quantizer
-        blob = pickle.dumps(code)
-        assert designs() == 0
-        copy = pickle.loads(blob)
-        assert copy.g1 == code.g1
-        assert designs() == 2
-        assert len(pickle.dumps(code)) > len(blob)   # now it carries g1
-
-    def test_loaded_code_pickles_without_reading_g1(self, tiny_code,
-                                                    tmp_path, monkeypatch):
-        save_code(tiny_code, tmp_path / "code")
-        reads = []
-        real = builder.read_matrix
-        monkeypatch.setattr(builder, "read_matrix",
-                            lambda f: reads.append(f.name) or real(f))
-        code = load_code(tmp_path / "code")
-        copy = pickle.loads(pickle.dumps(code))
-        assert len(reads) == 1
-        word = copy.quantizer.quantize(BitVector(TINY_PARAMS.n, 12345)).word
-        assert generator_codeword(tiny_code.g1,
-                                  copy.quantizer.coefficients(word)) == word
-        assert len(reads) == 2 and reads[1].endswith("g1.txt")
-        assert copy == tiny_code
 
 
 class TestCsvOutput:

@@ -1,20 +1,11 @@
-"""Degree-distribution parsing, catalog loading, and weight sequences."""
+"""Degree-distribution parsing and catalog loading."""
 
-import json
 import math
-import os
-import random
-import subprocess
-import sys
-from pathlib import Path
 
-import numpy as np
 import pytest
 
-from wzkit.builder import CodeParams
-from wzkit.degrees import (DegreeDistribution, PoissonWeightSpec, design_rate,
-                           load_catalog, parse_catalog, parse_polynomial,
-                           poisson_counts)
+from wzkit.degrees import (DegreeDistribution, design_rate, load_catalog,
+                           parse_catalog, parse_polynomial)
 
 
 class TestParsePolynomial:
@@ -94,106 +85,3 @@ class TestCatalog:
     def test_load_catalog_is_parse_of_packaged_text(self, catalog):
         for entry in catalog.values():
             assert 0.0 < entry.one_minus_r2 < 1.0
-
-
-class TestPoissonCounts:
-    def test_total_and_cap(self):
-        spec = PoissonWeightSpec(lam=7.15, i_max=16, count=150)
-        counts = poisson_counts(spec)
-        assert len(counts.weights) == 150
-        assert all(1 <= w <= 16 for w in counts.weights)
-        assert list(counts.weights) == sorted(counts.weights)
-
-    def test_mean_tracks_lambda(self):
-        counts = poisson_counts(PoissonWeightSpec(lam=20.0, i_max=60, count=4000))
-        mean = sum(counts.weights) / len(counts.weights)
-        assert abs(mean - 20.0) < 1.0
-
-    def test_deterministic(self):
-        spec = PoissonWeightSpec(lam=5.0, i_max=20, count=64)
-        assert poisson_counts(spec) == poisson_counts(spec)
-
-
-def reference_poisson_counts(spec):
-    """poisson_counts with scipy's pmf, as it was computed before the pmf
-    moved to math.lgamma; the bucket counts must agree."""
-    from scipy.stats import poisson
-    pmf = poisson.pmf(np.arange(1, spec.i_max + 1), spec.lam)
-    counts = [int(math.floor(p * spec.count + 0.5)) for p in pmf]
-    total = sum(counts)
-    if total == 0:
-        raise ValueError("all weight buckets empty")
-    if total < spec.count:
-        fullest = max(range(len(counts)), key=lambda i: (counts[i], -i))
-        counts[fullest] += spec.count - total
-    elif total > spec.count:
-        excess = total - spec.count
-        for i in range(len(counts) - 1, -1, -1):
-            take = min(excess, counts[i])
-            counts[i] -= take
-            excess -= take
-            if excess == 0:
-                break
-    return tuple(counts)
-
-
-def generator_spec(params: CodeParams) -> PoissonWeightSpec:
-    """The spec generator design draws its row weights from."""
-    return PoissonWeightSpec(params.poisson_lam, params.poisson_imax,
-                             params.info_rows)
-
-
-def shipped_specs():
-    root = Path(__file__).resolve().parent.parent
-    fields = ("n", "m", "k1", "k2", "zeta", "poisson_lam", "poisson_imax")
-    specs = []
-    for path in sorted((root / "configs").glob("*.json")):
-        for entry in json.loads(path.read_text())["experiments"]:
-            specs.append(generator_spec(
-                CodeParams(**{k: entry[k] for k in fields})))
-    return specs
-
-
-# the two benchmark geometries (code11 at n = 4000, code3 at n = 2000)
-BENCH_SPECS = [
-    generator_spec(CodeParams(n=4000, m=7200, k1=3270, k2=1106, zeta=10,
-                              poisson_lam=44.27, poisson_imax=100)),
-    generator_spec(CodeParams(n=2000, m=1914, k1=400, k2=1200, zeta=10,
-                              poisson_lam=71.495, poisson_imax=160)),
-]
-
-
-class TestPoissonCountsAgainstScipy:
-    def test_shipped_configs_and_benchmark_geometries(self):
-        specs = shipped_specs() + BENCH_SPECS
-        assert len(specs) == 21
-        for spec in specs:
-            assert poisson_counts(spec).counts == reference_poisson_counts(spec)
-
-    def test_random_grid(self):
-        rng = random.Random(0xB0C)
-        checked = 0
-        for _ in range(400):
-            spec = PoissonWeightSpec(lam=rng.uniform(0.5, 200.0),
-                                     i_max=rng.randint(1, 400),
-                                     count=rng.randint(1, 200_000))
-            try:
-                want = reference_poisson_counts(spec)
-            except ValueError:
-                with pytest.raises(ValueError, match="buckets empty"):
-                    poisson_counts(spec)
-                continue
-            assert poisson_counts(spec).counts == want, spec
-            checked += 1
-        assert checked >= 300
-
-    def test_leaves_scipy_stats_unloaded(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from wzkit.degrees import PoissonWeightSpec, "
-             "poisson_counts; poisson_counts(PoissonWeightSpec(44.27, 100, "
-             "3930)); print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src})
-        assert proc.stdout.strip() == "False"

@@ -237,7 +237,7 @@ def random_row(rng, width, sparse):
 def fill_to_corank(rng, width, corank, sparse):
     """An EchelonBasis and its reference fed the same rows, with sums of
     earlier rows mixed in, until the rank is width - corank; checks that
-    every insert agrees.  Returns both and the rows offered."""
+    every insert agrees.  Returns both."""
     basis, ref, offered = EchelonBasis(), ReferenceEchelonBasis(), []
     while len(ref) < width - corank:
         row = random_row(rng, width, sparse)
@@ -248,11 +248,7 @@ def fill_to_corank(rng, width, corank, sparse):
         offered.append(row)
         assert basis.insert(row) == ref.insert(row)
         assert len(basis) == len(ref)
-    return basis, ref, offered
-
-
-def in_complement_span(vectors, row):
-    return not any((row & vec).bit_count() & 1 for vec in vectors)
+    return basis, ref
 
 
 BASIS_CASES = [(width, corank, sparse)
@@ -265,47 +261,17 @@ class TestEchelonBasisAgainstReference:
     @pytest.mark.parametrize("width, corank, sparse", BASIS_CASES)
     def test_same_pivots_and_reductions(self, width, corank, sparse):
         rng = random.Random(width * 100 + corank * 2 + sparse)
-        basis, ref, _ = fill_to_corank(rng, width, corank, sparse)
+        basis, ref = fill_to_corank(rng, width, corank, sparse)
         assert basis.pivots() == ref.pivots() == sorted(basis.pivots())
         for _ in range(100):
             row = rng.getrandbits(width + 2)   # sometimes above every pivot
             assert basis.reduce(row) == ref.reduce(row)
-
-    @pytest.mark.parametrize("width, corank, sparse", BASIS_CASES)
-    def test_complement_tests_membership(self, width, corank, sparse):
-        rng = random.Random(width * 100 + corank * 2 + sparse + 7)
-        basis, ref, offered = fill_to_corank(rng, width, corank, sparse)
-        vectors = basis.complement(width)
-        assert len(vectors) == width - len(basis) == corank
-        assert all(in_complement_span(vectors, row) for row in offered)
-        # one non-pivot bit each, its own, ascending; the rest on pivots
-        free = [f for f in range(width) if f not in set(basis.pivots())]
-        pivot_mask = sum(1 << p for p in basis.pivots())
-        assert [(vec & ~pivot_mask).bit_length() - 1 for vec in vectors] == free
-        assert all((vec & ~pivot_mask).bit_count() == 1 for vec in vectors)
-        # the parity test decides each insert until the basis is full
-        while len(basis) < width:
-            row = random_row(rng, width, sparse)
-            if rng.random() < 0.5:
-                row = 0
-                for old in rng.sample(offered, min(len(offered), 2)):
-                    row ^= old
-            offered.append(row)
-            outside = not in_complement_span(vectors, row)
-            assert outside == (ref.reduce(row) != 0)
-            assert basis.insert(row) == outside == ref.insert(row)
-            if outside:
-                vectors = basis.complement(width)
-                assert len(vectors) == width - len(basis)
-        assert basis.complement(width) == []
 
     def test_empty_basis_and_zero_row(self):
         basis = EchelonBasis()
         assert not basis.insert(0)
         assert len(basis) == 0 and basis.pivots() == []
         assert basis.reduce(0b1011) == 0b1011
-        assert basis.complement(5) == [1 << f for f in range(5)]
-        assert basis.complement(0) == []
         tagged = EchelonBasis(3)
         assert not tagged.insert(0b101)   # a tag with no row part
         assert len(tagged) == 0
@@ -318,16 +284,6 @@ class TestEchelonBasisAgainstReference:
         assert basis.reduce(1 << 200 | 1 << 100) == 1 << 200 | 1 << 100
         assert basis.insert(1 << 200 | 1 << 100)
         assert basis.pivots() == [1, 100, 200]
-        vectors = basis.complement(201)
-        assert len(vectors) == 198
-        assert in_complement_span(vectors, 1 << 200 | 1 << 100 | 0b11)
-        assert not in_complement_span(vectors, 1 << 200)
-        with pytest.raises(ValueError):
-            basis.complement(200)
-
-    def test_complement_of_tagged_basis_is_refused(self):
-        with pytest.raises(ValueError):
-            EchelonBasis.tagged([0b011, 0b110]).complement(3)
 
     @pytest.mark.parametrize("n_rows, width", [(1, 1), (8, 8), (12, 20),
                                                (30, 20), (70, 65)])
