@@ -18,7 +18,8 @@ from wzkit.builder import (BFS_DEPTH_CAP, CodeParams, CompoundCode,
                            load_code, peg_generate, save_code,
                            validate_params)
 from wzkit.degrees import DegreeDistribution
-from wzkit.gf2 import BitMatrix, BitVector, _bit_indices, mul_vec, permute, rank
+from wzkit.gf2 import (BitMatrix, BitVector, _bit_indices, mat_mul, mul_vec,
+                       permute, rank)
 
 
 def degree_multisets(a):
@@ -264,6 +265,22 @@ class TestAssembleCompound:
                             poisson_imax=6)
         with pytest.raises(ValueError):
             assemble_compound(half, params)
+
+
+class TestGeneratorDesign:
+    def test_orthogonal_and_full_rank(self, small_code):
+        prod = mat_mul(small_code.h1, BitMatrix(
+            small_code.g1.cols, small_code.g1.rows,
+            [[r for r in range(small_code.g1.rows)
+              if c in small_code.g1.row_support[r]]
+             for c in range(small_code.g1.cols)]))
+        assert all(not sup for sup in prod.row_support)
+        assert rank(small_code.g1) == SMALL_PARAMS.info_rows
+
+    def test_rejects_malformed_check(self):
+        bad = BitMatrix(2, 8, [[0, 1, 6], [1, 7]])  # leading block not identity
+        with pytest.raises(ValueError):
+            CompoundCode(TINY_PARAMS, bad, seed=0).g1
 
 
 class TestBuildRoundtrip:

@@ -1,6 +1,7 @@
 """End-to-end pipeline, analytic bound, and the experiment harness."""
 
 import dataclasses
+import functools
 import io
 import pickle
 import random
@@ -8,9 +9,10 @@ import random
 import numpy as np
 import pytest
 
-from conftest import TINY_PARAMS
-from wzkit import codec, quantizer
-from wzkit.builder import CodeParams
+from conftest import TINY_PARAMS, tiny_dist
+from wzkit import builder, codec, quantizer
+from wzkit.builder import (CodeParams, CompoundCode, build_compound_code,
+                           load_code, save_code)
 from wzkit.codec import (CSV_COLUMNS, CompoundQuantizer, ExperimentConfig,
                          binary_convolve, binary_entropy, bound_curve, decode,
                          encode, encode_all, invert_bound, run_experiment,
@@ -410,6 +412,71 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(code_id="x", params=TINY_PARAMS, p=0.25,
                              trials=0, seed=0)
+
+
+class TestGeneratorTraffic:
+    """g1 is made from h on its first read, and nothing a build, a run, a
+    pickle or a load does reads it."""
+
+    @staticmethod
+    def record_generators(monkeypatch, log):
+        """Append a line to the file log for every g1 made, in this process
+        or in a pool worker."""
+        real = CompoundCode.g1.func
+
+        def recording(code):
+            with open(log, "a") as f:
+                f.write("g1\n")
+            return real(code)
+
+        prop = functools.cached_property(recording)
+        prop.__set_name__(CompoundCode, "g1")
+        monkeypatch.setattr(CompoundCode, "g1", prop)
+        return lambda: len(log.read_text().split()) if log.exists() else 0
+
+    def test_build_and_run_design_no_generator(self, tiny_code, tmp_path,
+                                               monkeypatch):
+        expected = tiny_code.g1
+        made = self.record_generators(monkeypatch, tmp_path / "made")
+        code = build_compound_code(TINY_PARAMS, tiny_dist(), seed=5,
+                                   dist_id="tiny")
+        config = ExperimentConfig(code_id="tiny", params=TINY_PARAMS, p=0.25,
+                                  trials=3, seed=99)
+        results = [run_experiment(code, config, workers=workers)
+                   for workers in (1, 2)]
+        assert made() == 0
+        assert results[0] == results[1] == run_experiment(tiny_code, config)
+        # the first read makes g1, bit-identical, and keeps it
+        assert code.g1 == expected
+        code.g1
+        assert made() == 1
+
+    def test_pickling_keeps_the_generator_unmade(self, tmp_path, monkeypatch):
+        made = self.record_generators(monkeypatch, tmp_path / "made")
+        code = build_compound_code(TINY_PARAMS, tiny_dist(), seed=5)
+        code.quantizer
+        blob = pickle.dumps(code)
+        assert made() == 0
+        copy = pickle.loads(blob)
+        assert copy.g1 == code.g1
+        assert made() == 2
+        assert len(pickle.dumps(code)) > len(blob)   # now it carries g1
+
+    def test_loaded_code_pickles_without_reading_g1(self, tiny_code,
+                                                    tmp_path, monkeypatch):
+        save_code(tiny_code, tmp_path / "code")
+        reads = []
+        real = builder.read_matrix
+        monkeypatch.setattr(builder, "read_matrix",
+                            lambda f: reads.append(f.name) or real(f))
+        code = load_code(tmp_path / "code")
+        copy = pickle.loads(pickle.dumps(code))
+        assert len(reads) == 1 and reads[0].endswith("h.txt")
+        word = copy.quantizer.quantize(BitVector(TINY_PARAMS.n, 12345)).word
+        assert generator_codeword(copy.g1,
+                                  copy.quantizer.coefficients(word)) == word
+        assert len(reads) == 1
+        assert copy == tiny_code and copy.g1 == tiny_code.g1
 
 
 class TestCsvOutput:

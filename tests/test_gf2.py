@@ -237,7 +237,7 @@ def random_row(rng, width, sparse):
 def fill_to_corank(rng, width, corank, sparse):
     """An EchelonBasis and its reference fed the same rows, with sums of
     earlier rows mixed in, until the rank is width - corank; checks that
-    every insert agrees.  Returns both."""
+    every insert agrees.  Returns both and the rows offered."""
     basis, ref, offered = EchelonBasis(), ReferenceEchelonBasis(), []
     while len(ref) < width - corank:
         row = random_row(rng, width, sparse)
@@ -248,7 +248,18 @@ def fill_to_corank(rng, width, corank, sparse):
         offered.append(row)
         assert basis.insert(row) == ref.insert(row)
         assert len(basis) == len(ref)
-    return basis, ref
+    return basis, ref, offered
+
+
+def span_complement(rows, width):
+    """A basis, as ints, of the vectors of `width` bits whose overlap with
+    every row is even: the null space of the rows' matrix."""
+    return list(null_space_basis(BitMatrix.from_bitrows(len(rows), width,
+                                                        rows)).bitrows())
+
+
+def in_complement_span(vectors, row):
+    return not any((row & vec).bit_count() & 1 for vec in vectors)
 
 
 BASIS_CASES = [(width, corank, sparse)
@@ -261,11 +272,35 @@ class TestEchelonBasisAgainstReference:
     @pytest.mark.parametrize("width, corank, sparse", BASIS_CASES)
     def test_same_pivots_and_reductions(self, width, corank, sparse):
         rng = random.Random(width * 100 + corank * 2 + sparse)
-        basis, ref = fill_to_corank(rng, width, corank, sparse)
+        basis, ref, _ = fill_to_corank(rng, width, corank, sparse)
         assert basis.pivots() == ref.pivots() == sorted(basis.pivots())
         for _ in range(100):
             row = rng.getrandbits(width + 2)   # sometimes above every pivot
             assert basis.reduce(row) == ref.reduce(row)
+
+    @pytest.mark.parametrize("width, corank, sparse", BASIS_CASES)
+    def test_complement_tests_membership(self, width, corank, sparse):
+        rng = random.Random(width * 100 + corank * 2 + sparse + 7)
+        basis, ref, offered = fill_to_corank(rng, width, corank, sparse)
+        vectors = span_complement(offered, width)
+        assert len(vectors) == width - len(basis) == corank
+        assert rank(BitMatrix.from_bitrows(corank, width, vectors)) == corank
+        assert all(in_complement_span(vectors, row) for row in offered)
+        # the parity test decides each insert until the basis is full
+        while len(basis) < width:
+            row = random_row(rng, width, sparse)
+            if rng.random() < 0.5:
+                row = 0
+                for old in rng.sample(offered, min(len(offered), 2)):
+                    row ^= old
+            offered.append(row)
+            outside = not in_complement_span(vectors, row)
+            assert outside == (ref.reduce(row) != 0)
+            assert basis.insert(row) == outside == ref.insert(row)
+            if outside:
+                vectors = span_complement(offered, width)
+                assert len(vectors) == width - len(basis)
+        assert span_complement(offered, width) == []
 
     def test_empty_basis_and_zero_row(self):
         basis = EchelonBasis()
