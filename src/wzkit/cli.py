@@ -39,6 +39,10 @@ class UsageError(ValueError):
     """Malformed user input (config files, word files, unknown ids)."""
 
 
+class _InvalidGeometry(ValueError):
+    """A config entry whose geometry describes no code (CodeParams)."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors by default; the contract here is 1."""
 
@@ -196,9 +200,12 @@ def _experiment_from(entry: dict, index: int) -> tuple[ExperimentConfig, str, in
             raise UsageError(f"experiment {index}: key {key!r} must be "
                              f"{getattr(types[key], '__name__', types[key])}"
                              f", got {json.dumps(value)}")
+    try:
+        params = CodeParams(**_given(entry, CodeParams))
+    except ValueError as e:
+        raise _InvalidGeometry(e) from None
     config = ExperimentConfig(
-        params=CodeParams(**_given(entry, CodeParams)),
-        bip=BipParams(**_given(entry, BipParams)),
+        params=params, bip=BipParams(**_given(entry, BipParams)),
         **_given(entry, ExperimentConfig))
     return config, entry["dist"], entry.get("build_seed", entry["seed"])
 
@@ -216,8 +223,19 @@ def _cmd_run(args) -> int:
                          f"'experiments' array")
     catalog = _resolve_catalog(args.catalog)
     # every entry is checked before the first build, which can take hours
-    entries = [_experiment_from(entry, index)
-               for index, entry in enumerate(doc["experiments"])]
+    entries, invalid = [], []
+    for index, entry in enumerate(doc["experiments"]):
+        try:
+            config, dist_id, build_seed = _experiment_from(entry, index)
+        except _InvalidGeometry as e:
+            invalid.append(f"invalid: experiment {index}: {e}")
+            continue
+        invalid += [f"invalid: experiment {index}: {c.name} ({c.detail})"
+                    for c in validate_params(config.params).failures()]
+        entries.append((config, dist_id, build_seed))
+    if invalid:
+        print("\n".join(invalid), file=sys.stderr)
+        return EXIT_INVALID
     for index, (config, dist_id, _) in enumerate(entries):
         if dist_id not in catalog:
             raise UsageError(f"experiment {index}: unknown degree profile "

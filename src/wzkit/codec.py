@@ -172,6 +172,10 @@ def wz_rate(d: float, p: float) -> float:
 
 def invert_bound(rate: float, p: float, tol: float = 1e-9) -> float:
     """Distortion at which the bound equals `rate`; bisection to width tol."""
+    if not 0.0 < p < 0.5:
+        raise ValueError(f"crossover must lie in (0, 0.5), got {p}")
+    if math.isnan(rate):
+        raise ValueError("rate must be a number, got nan")
     if rate <= 0.0:
         return p
     if rate >= binary_entropy(p):

@@ -49,14 +49,15 @@ def _check_product(theta: np.ndarray, edge_check: np.ndarray,
     """Per-edge product of the other incoming values on the same check.
 
     The check update on an edge list, as bip_quantize runs it on its live
-    subgraph; _slot_check_product is the same formula on sp_decode's padded
-    check slots.  Edges may come in any order and a check may have none.  The
-    result equals the plain log-magnitude leave-one-out product bit for bit:
-    the sign is the parity of the check's integer count of negative inputs
-    XOR the edge's own sign, with no float remainder, and the magnitude is
-    exp(log_sum - log|theta|) with log_sum summed by bincount in edge order.
-    Only when the input holds an exact zero (of either sign) do zeros count
-    as log 1, and every edge that sees another zero on its check gets +0.0.
+    subgraph; sp_decode's _slot_check_pass runs the same formula on padded
+    check slots and goes on to arctanh.  Edges may come in any order and a
+    check may have none.  The result equals the plain log-magnitude
+    leave-one-out product bit for bit: the sign is the parity of the check's
+    integer count of negative inputs XOR the edge's own sign, with no float
+    remainder, and the magnitude is exp(log_sum - log|theta|) with log_sum
+    summed by bincount in edge order.  Only when the input holds an exact
+    zero (of either sign) do zeros count as log 1, and every edge that sees
+    another zero on its check gets +0.0.
     """
     zero = None if theta.all() else theta == 0.0
     safe = theta if zero is None else np.where(zero, 1.0, theta)
@@ -78,36 +79,35 @@ def _check_product(theta: np.ndarray, edge_check: np.ndarray,
     return prod
 
 
-def _slot_check_product(theta: np.ndarray) -> np.ndarray:
-    """_check_product on the check-slot layout of BitMatrix.slots.
+def _slot_check_pass(t: np.ndarray, syn_scale: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """sp_decode's check half-iteration on the slot layout of
+    BitMatrix.slots, written to out: _check_product per slot, clipped to
+    +-(1 - 1e-15), through arctanh and times syn_scale per check.
 
-    theta is (slots x checks): column c holds check c's inputs in edge order,
-    and its padding holds 1.0, which adds log 1 = +0.0 to the check's sum
-    after its last edge and is never negative or zero.  The sum down each
-    column runs in slot order, as bincount's does in edge order, so every
-    real slot gets the value _check_product gives its edge, bit for bit.
+    Padding holds 1.0, which adds log 1 = +0.0 after a check's last edge;
+    the sums down each column run in slot order, as bincount's do in edge
+    order.  An exact zero counts as 1.0 (safe), and a slot whose check holds
+    another zero gets magnitude 0.0.  arctanh is odd and the clip bounds are
+    exact negatives, so restoring the sign afterwards (copysign from safe,
+    one +-2 factor per check) changes no non-zero output; a zero output may
+    carry the other sign.
     """
-    zero = None if theta.all() else theta == 0.0
-    safe = theta if zero is None else np.where(zero, 1.0, theta)
-    prod = np.empty_like(safe)
-    odd = _slot_magnitude(safe, prod)
-    np.copysign(prod, safe, out=prod)
-    prod *= 1.0 - 2.0 * odd
-    if zero is not None:
-        prod[zero.sum(axis=0) - zero > 0] = 0.0
-    return prod
-
-
-def _slot_magnitude(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|leave-one-out product| for slot-layout theta without zeros, written
-    to out as exp(log_sum - log|theta|); returns per check whether an odd
-    number of its inputs is negative."""
-    np.abs(theta, out=out)
+    zero = None if t.all() else t == 0.0
+    safe = t if zero is None else np.where(zero, 1.0, t)
+    np.abs(safe, out=out)
     np.log(out, out=out)
     log_sum = np.add.reduce(out, axis=0)
     np.subtract(log_sum, out, out=out)
     np.exp(out, out=out)
-    return np.logical_xor.reduce(theta < 0.0, axis=0)
+    if zero is not None:
+        out[zero.sum(axis=0) - zero > 0] = 0.0
+    np.minimum(out, 1.0 - 1e-15, out=out)
+    np.arctanh(out, out=out)
+    np.copysign(out, safe, out=out)
+    odd = np.logical_xor.reduce(safe < 0.0, axis=0)
+    out *= np.where(odd, -syn_scale, syn_scale)
+    return out
 
 
 def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
@@ -115,16 +115,15 @@ def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
     """Find the member of the syndrome coset of h closest to the side information.
 
     Messages follow the tanh product rule on the check-slot view of h; a set
-    syndrome bit flips the sign of its check's outgoing messages.  While the
-    check inputs hold no exact zero, the leave-one-out magnitude goes through
-    arctanh before its sign is restored, by copysign from the input and one
-    multiply by a +-2 factor per check (sign parity times syndrome scale):
-    arctanh is odd and the clip bounds are exact negatives, so this equals
-    _slot_check_product followed by the clip and arctanh, bit for bit.
-    Every iteration XOR-reduces the signs of the posterior gathered into the
-    slots down each check and compares the parities with the syndrome; the
-    first match returns early.  Without convergence the final hard decision
-    comes back with converged=False.
+    syndrome bit flips the sign of its check's outgoing messages.  Every
+    iteration runs the one check pass, _slot_check_pass, zeros or not.  A
+    zero message's sign may differ from the edge-list formula's, but no
+    later value reads it: the variable sums are bincounts that start at
+    +0.0, and the posterior is never -0.0 because the channel LLR is
+    non-zero.  Every iteration also XOR-reduces the signs of the posterior
+    gathered into the slots down each check and compares the parities with
+    the syndrome; the first match returns early.  Without convergence the
+    final hard decision comes back with converged=False.
     """
     if h.rows != syndrome.length:
         raise ShapeError(f"syndrome length {syndrome.length} != rows {h.rows}")
@@ -151,22 +150,11 @@ def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
         return DecodeResult(side_info, True, 0)
 
     msg_vc = posterior[slots]
-    work = np.empty_like(msg_vc)
+    msg_cv = np.empty_like(msg_vc)
     for it in range(1, params.max_iter + 1):
         msg_vc *= 0.5
         t = np.tanh(msg_vc, out=msg_vc)
-        if t.all():
-            msg_cv = work
-            odd = _slot_magnitude(t, out=msg_cv)
-            np.minimum(msg_cv, 1.0 - 1e-15, out=msg_cv)
-            np.arctanh(msg_cv, out=msg_cv)
-            np.copysign(msg_cv, t, out=msg_cv)
-            msg_cv *= np.where(odd, -syn_scale, syn_scale)
-        else:
-            msg_cv = _slot_check_product(t)
-            np.clip(msg_cv, -1.0 + 1e-15, 1.0 - 1e-15, out=msg_cv)
-            np.arctanh(msg_cv, out=msg_cv)
-            msg_cv *= syn_scale
+        _slot_check_pass(t, syn_scale, msg_cv)
         np.clip(msg_cv, lo, hi, out=msg_cv)
 
         np.add(channel, np.bincount(edge_var, weights=msg_cv.ravel()[pos],

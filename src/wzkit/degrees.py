@@ -51,10 +51,6 @@ class DegreeDistribution:
     def max_lambda_degree(self) -> int:
         return self.lambda_terms[-1][0]
 
-    @property
-    def max_rho_degree(self) -> int:
-        return self.rho_terms[-1][0]
-
 
 @dataclass(frozen=True)
 class CatalogEntry:

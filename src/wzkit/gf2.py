@@ -96,15 +96,6 @@ class BitVector:
             raise ShapeError(f"bits out of range for length {self.length}")
 
     @classmethod
-    def from_support(cls, length: int, support: Iterable[int]) -> "BitVector":
-        bits = 0
-        for idx in support:
-            if not 0 <= idx < length:
-                raise ShapeError(f"support index {idx} outside [0, {length})")
-            bits |= 1 << idx
-        return cls(length, bits)
-
-    @classmethod
     def from_array(cls, values) -> "BitVector":
         """Vector whose entry i is values[i]; values is a 1-D array-like of
         0/1 (ints, bools or floats)."""
@@ -119,10 +110,6 @@ class BitVector:
     @classmethod
     def from_bits_list(cls, values: Sequence[int]) -> "BitVector":
         return cls.from_array(values)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(_bit_indices(self.bits))
 
     def to_array(self) -> np.ndarray:
         """The entries as a new uint8 array of 0/1, entry i from bit i."""
@@ -340,9 +327,6 @@ class BitMatrix:
             cached = (slots, pos)
             object.__setattr__(self, "_slots", cached)
         return cached
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.bitrows()[i])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BitMatrix) and self.rows == other.rows

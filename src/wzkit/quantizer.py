@@ -68,17 +68,12 @@ class QuantizeResult:
 
 
 def generator_codeword(g: BitMatrix, u: BitVector) -> BitVector:
-    """Codeword u @ g: XOR of the generator rows selected by u."""
+    """Codeword u @ g: entry j is the parity of column j over u's rows."""
     if u.length != g.rows:
         raise ShapeError(f"u length {u.length} != generator rows {g.rows}")
-    bits = 0
-    rows = g.bitrows()
-    rem = u.bits
-    while rem:
-        low = rem & -rem
-        bits ^= rows[low.bit_length() - 1]
-        rem ^= low
-    return BitVector(g.cols, bits)
+    rows, cols = g.edges()
+    hit = u.to_array().view(bool)[rows]
+    return BitVector.from_array(np.bincount(cols[hit], minlength=g.cols) & 1)
 
 
 def has_four_cycle(g: BitMatrix) -> bool:

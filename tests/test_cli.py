@@ -16,7 +16,7 @@ from conftest import TINY_CATALOG_TEXT, TINY_PARAMS
 from wzkit import builder, cli, codec
 from wzkit.builder import load_code
 from wzkit.codec import CSV_COLUMNS, encode
-from wzkit.gf2 import BitVector, write_matrix
+from wzkit.gf2 import BitMatrix, BitVector, write_matrix
 
 
 def word_line(vec):
@@ -186,6 +186,26 @@ class TestQuantizeEncodeDecode:
                        "--crossover", "0.05", "--out", str(out)])
         assert rc == 0
         assert out.read_text().splitlines() == [word_line(enc.word)]
+
+    def test_commands_pack_no_generator_rows(self, workdir, tmp_path,
+                                             monkeypatch):
+        """quantize, encode and decode on a saved code never pack a matrix
+        into Python-int rows."""
+        packed = []
+        real = BitMatrix.bitrows
+        monkeypatch.setattr(BitMatrix, "bitrows",
+                            lambda a: packed.append(a) or real(a))
+        code = str(workdir / "tiny-code")
+        sources = str(workdir / "sources.txt")
+        syndromes = tmp_path / "syndromes.txt"
+        for cmd, out in (("quantize", tmp_path / "messages.txt"),
+                         ("encode", syndromes)):
+            assert cli.main([cmd, "--code", code, "--in", sources,
+                             "--out", str(out)]) == 0
+        assert cli.main(["decode", "--code", code, "--side", sources,
+                         "--syndrome", str(syndromes), "--crossover", "0.2",
+                         "--out", str(tmp_path / "decoded.txt")]) == 0
+        assert packed == []
 
     def test_removed_warm_start_flag_fails_before_load(self, workdir,
                                                        tmp_path, monkeypatch):
@@ -489,6 +509,52 @@ class TestRun:
         assert builds == []
         return rc
 
+    @pytest.mark.parametrize("key, value, line", [
+        ("n", 201, "invalid: experiment 1: n_even (n=201)"),
+        ("n", 0, "invalid: experiment 1: n must be >= 1")],
+        ids=["odd-n", "zero-n"])
+    def test_invalid_geometry_fails_before_build(self, workdir, tmp_path,
+                                                 monkeypatch, capsys, key,
+                                                 value, line):
+        entry = dict(self.experiment(), **{key: value})
+        rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert line in err.splitlines() and "building" not in out
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_every_invalid_entry_is_reported(self, workdir, tmp_path,
+                                             monkeypatch, capsys):
+        builds = []
+        monkeypatch.setattr(cli, "build_compound_code",
+                            lambda *a, **k: builds.append(a))
+        entries = [dict(self.experiment(), n=0), self.experiment(),
+                   dict(self.experiment(), m=TINY_PARAMS.m + 1)]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiments": entries}))
+        rc = cli.main(["run", "--config", str(config),
+                       "--catalog", str(workdir / "catalog.txt"),
+                       "--out", str(tmp_path / "o.csv")])
+        assert (rc, builds) == (2, [])
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert {line.split(": ")[1] for line in err.splitlines()} == {
+            "experiment 0", "experiment 2"}
+
+    def test_shipped_infeasible_config_exits_two(self, tmp_path, monkeypatch,
+                                                 capsys):
+        builds = []
+        monkeypatch.setattr(cli, "build_compound_code",
+                            lambda *a, **k: builds.append(a))
+        config = (Path(__file__).resolve().parent.parent / "configs"
+                  / "reverse_code13_n3000.json")
+        rc = cli.main(["run", "--config", str(config),
+                       "--out", str(tmp_path / "o.csv")])
+        assert (rc, builds) == (2, [])
+        assert ("invalid: experiment 0: generator_tail_fits "
+                "(n/2=1500 vs m-k1=1452)") in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unknown_experiment_key_is_usage_error(self, workdir, tmp_path,
                                                    monkeypatch, capsys):
         entry = dict(self.experiment(), treshold=0.5)
@@ -615,6 +681,14 @@ class TestBound:
 
     def test_bad_crossover_exits_three(self, capsys):
         assert cli.main(["bound", "--p", "0.75"]) == 3
+
+    @pytest.mark.parametrize("query", [
+        ["--p", "0.7", "--rate", "0"], ["--p", "0.7", "--rate", "5"],
+        ["--p", "0.25", "--rate", "nan"]])
+    def test_rate_query_outside_the_domain_exits_three(self, capsys, query):
+        assert cli.main(["bound", *query]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("points", ["1", "0", "-3"])
     def test_too_few_points_is_usage_error(self, tmp_path, capsys, points):

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import io
+import math
 import pickle
 import random
 
@@ -19,7 +20,8 @@ from wzkit.codec import (CSV_COLUMNS, CompoundQuantizer, ExperimentConfig,
                          write_curve_csv, write_results_csv, wz_boundary,
                          wz_rate)
 from wzkit.decoder import SpParams
-from wzkit.gf2 import BitVector, ShapeError, mat_mul, mul_vec, transpose
+from wzkit.gf2 import (BitMatrix, BitVector, ShapeError, mat_mul, mul_vec,
+                       transpose)
 from wzkit.quantizer import BipParams, generator_codeword
 
 
@@ -143,6 +145,17 @@ class TestInvertBound:
         assert invert_bound(0.0, p) == pytest.approx(p, abs=1e-7)
         assert invert_bound(binary_entropy(p), p) == pytest.approx(0.0,
                                                                    abs=1e-7)
+
+
+    @pytest.mark.parametrize("rate, p", [(0.0, 0.7), (5.0, 0.7), (0.3, 0.0),
+                                         (1.0, -0.1)])
+    def test_crossover_checked_on_every_path(self, rate, p):
+        with pytest.raises(ValueError, match="crossover must lie in"):
+            invert_bound(rate, p)
+
+    def test_nan_rate_raises(self):
+        with pytest.raises(ValueError, match="nan"):
+            invert_bound(math.nan, 0.25)
 
 
 class TestBoundCurve:
@@ -330,6 +343,17 @@ class TestRunExperiment:
         # the built quantizer travels with a pickled code
         copy = pickle.loads(pickle.dumps(code))
         assert copy.__dict__["quantizer"].g_sub == code.quantizer.g_sub
+
+    def test_run_packs_no_generator_rows(self, tiny_code, monkeypatch):
+        """Quantizing, encoding and decoding work on the sparse views; no
+        step of a run packs a matrix into Python-int rows."""
+        packed = []
+        real = BitMatrix.bitrows
+        monkeypatch.setattr(BitMatrix, "bitrows",
+                            lambda a: packed.append(a) or real(a))
+        code = dataclasses.replace(tiny_code)  # no quantizer built yet
+        run_experiment(code, self.config(trials=3), workers=1)
+        assert packed == []
 
     def test_pinned_results(self, tiny_code):
         """Exact results, derived before the message passers shared their

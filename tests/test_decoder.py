@@ -7,8 +7,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from wzkit import decoder
 from wzkit.decoder import (COSET_ENUM_LIMIT, DecodeResult, SpParams,
-                           _check_product, _slot_check_product, coset_members,
+                           _check_product, _slot_check_pass, coset_members,
                            coset_nearest, sp_decode)
 from wzkit.gf2 import BitMatrix, BitVector, mul_vec, rank
 
@@ -94,14 +95,15 @@ def reference_sp_decode(h, syndrome, side_info, params):
     return DecodeResult(BitVector.from_array(hard), False, params.max_iter)
 
 
-def slot_pass(h, theta):
-    """_slot_check_product on h's check slots, with theta (one value per
+def slot_pass(h, theta, syn_scale):
+    """_slot_check_pass on h's check slots, with theta (one value per
     edge, row-major) placed in them and the padding at 1.0, read back per
     edge."""
     slots, pos = h.slots()
     padded = np.ones(slots.shape)
     padded.ravel()[pos] = theta
-    return _slot_check_product(padded).ravel()[pos]
+    return _slot_check_pass(padded, syn_scale,
+                            np.empty_like(padded)).ravel()[pos]
 
 
 def random_check_matrix(rng, rows, cols, max_len):
@@ -189,15 +191,29 @@ class TestCheckProduct:
 
 
 class TestSlotCheckProduct:
-    """The check pass on the slot layout against the one reference; the
-    uint64 view tells -0.0 from 0.0."""
+    """The check pass on the slot layout against the one reference, taken
+    through the two-sided clip, arctanh and a random +-2 scale per check.
+    Every non-zero output matches bit for bit (the uint64 view).  A zero
+    output matches by value only: the pass takes its sign from the input
+    where the reference takes it from the scale, and sp_decode never reads
+    the sign of a zero message (TestSpDecode checks the decodes)."""
 
     @staticmethod
-    def assert_same(h, theta):
-        got = slot_pass(h, theta)
-        want = reference_check_pass(theta, h.edges()[0], h.rows)
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    def assert_same(h, theta, scale):
+        got = slot_pass(h, theta, scale)
+        edge_check = h.edges()[0]
+        prod = reference_check_pass(theta, edge_check, h.rows)
+        np.clip(prod, -1.0 + 1e-15, 1.0 - 1e-15, out=prod)
+        want = np.arctanh(prod) * scale[edge_check]
+        np.testing.assert_array_equal(got, want)
+        real = want != 0.0
+        np.testing.assert_array_equal(got[real].view(np.uint64),
+                                      want[real].view(np.uint64))
         return got
+
+    @staticmethod
+    def random_scale(nrng, rows):
+        return nrng.choice([2.0, -2.0], size=rows)
 
     def test_random_inputs_with_padded_slots(self):
         rng = random.Random(11)
@@ -205,9 +221,11 @@ class TestSlotCheckProduct:
         for _ in range(40):
             h = random_check_matrix(rng, rng.randint(1, 30), 40, 12)
             n_edges = h.edges()[0].size
+            scale = self.random_scale(nrng, h.rows)
             theta = nrng.uniform(-1.0, 1.0, size=n_edges)
-            self.assert_same(h, theta)
-            self.assert_same(h, np.tanh(nrng.normal(0.0, 15.0, n_edges) / 2.0))
+            self.assert_same(h, theta, scale)
+            self.assert_same(h, np.tanh(nrng.normal(0.0, 15.0, n_edges) / 2.0),
+                             scale)
 
     def test_zeros_and_negative_zeros(self):
         h = BitMatrix(5, 9, [[0, 1, 2, 3], [4, 5], [6, 7, 8, 0], [1, 2, 3],
@@ -217,25 +235,31 @@ class TestSlotCheckProduct:
                           -0.0, 0.2, -0.4, 0.9,  # one -0.0
                           0.0, 0.0, -0.6,        # two zeros
                           -0.0])                 # a lone -0.0
-        got = self.assert_same(h, theta)
-        assert got[[0, 2, 3]].tolist() == [0.0, 0.0, 0.0] and got[1] != 0.0
+        for scale in ([2.0] * 5, [-2.0] * 5, [2.0, -2.0, -2.0, 2.0, -2.0]):
+            got = self.assert_same(h, theta, np.array(scale))
+            assert got[[0, 2, 3]].tolist() == [0.0, 0.0, 0.0] and got[1] != 0.0
 
     def test_all_negative_checks(self):
         nrng = np.random.default_rng(6)
         for degree in (1, 2, 3, 4, 7):
             h = BitMatrix(6, 12, [list(range(r, r + degree)) for r in range(6)])
             theta = -nrng.uniform(0.1, 1.0, size=6 * degree)
-            got = self.assert_same(h, theta)
-            assert np.all(np.sign(got) == (-1.0) ** (degree - 1))
+            scale = self.random_scale(nrng, 6)
+            got = self.assert_same(h, theta, scale)
+            assert np.all(np.sign(got) == (-1.0) ** (degree - 1)
+                          * np.sign(scale[h.edges()[0]]))
 
     def test_degree_one_checks_next_to_long_ones(self):
         nrng = np.random.default_rng(7)
         h = BitMatrix(6, 10, [[3], list(range(10)), [0], [], [9], [2, 5]])
         theta = nrng.uniform(-1.0, 1.0, size=h.edges()[0].size)
-        got = self.assert_same(h, theta)
-        # a lone edge hears the empty product
-        lone = np.isin(h.edges()[0], [0, 2, 4])
-        assert np.all(got[lone] == 1.0)
+        scale = self.random_scale(nrng, 6)
+        got = self.assert_same(h, theta, scale)
+        # a lone edge hears the empty product, clipped below 1
+        edge_check = h.edges()[0]
+        lone = np.isin(edge_check, [0, 2, 4])
+        np.testing.assert_array_equal(
+            got[lone], np.arctanh(1.0 - 1e-15) * scale[edge_check[lone]])
 
     def test_axis0_sum_equals_bincount(self):
         """The slot pass sums each check down its column; that must add in
@@ -500,6 +524,42 @@ class TestSpDecode:
             seen["padded"] += bool((lengths < lengths.max()).any())
             seen["small clip"] += params.llr_clip < 1.0
         assert min(seen.values()) >= 10, seen
+
+    def test_matches_reference_through_exact_zeros(self, monkeypatch):
+        """With llr_clip at the channel LLR a variable can send exactly 0.0:
+        a degree-2 variable whose two messages are both clipped to minus its
+        channel LLR does.  The check pass then sees zero inputs, and its
+        zero outputs may carry another sign than the reference's.  The
+        decodes must still match, with one check pass per iteration."""
+        passes = []
+        real = decoder._slot_check_pass
+
+        def counting(t, syn_scale, out):
+            passes.append(not t.all())
+            return real(t, syn_scale, out)
+
+        monkeypatch.setattr(decoder, "_slot_check_pass", counting)
+        rng = random.Random(0x2E50)
+        iterations = 0
+        for case in range(300):
+            rows, cols = rng.randint(2, 12), rng.randint(4, 30)
+            h = random_check_matrix(rng, rows, cols, rng.choice([3, 6]))
+            truth = BitVector(cols, rng.getrandbits(cols))
+            syndrome = (mul_vec(h, truth) if case % 3
+                        else BitVector(rows, rng.getrandbits(rows)))
+            p = rng.choice([0.05, 0.1, 0.2, 0.3])
+            noise = BitVector(cols, sum(1 << i for i in range(cols)
+                                        if rng.random() < p))
+            crossover = rng.choice([0.05, 0.13, 0.2, 0.3])
+            llr0 = float(np.log((1.0 - crossover) / crossover))
+            params = SpParams(crossover=crossover,
+                              max_iter=rng.choice([5, 30]), llr_clip=llr0)
+            got = sp_decode(h, syndrome, truth ^ noise, params)
+            assert got == reference_sp_decode(h, syndrome, truth ^ noise,
+                                              params), case
+            iterations += got.iterations
+        assert len(passes) == iterations
+        assert sum(passes) >= 10, sum(passes)
 
     def test_matches_reference_on_a_built_code(self, small_code):
         """The 200-bit code3 h at the benchmark's p = 0.05: converging and

@@ -24,11 +24,35 @@ def random_generator(rng, rows, cols, density=0.35):
     return BitMatrix(rows, cols, mat)
 
 
+def reference_codeword(g, u):
+    """u @ g as the XOR of the packed rows of g that u selects."""
+    bits = 0
+    for i, row in enumerate(g.bitrows()):
+        if u[i]:
+            bits ^= row
+    return BitVector(g.cols, bits)
+
+
 class TestGeneratorCodeword:
     def test_matches_row_xor(self):
         g = BitMatrix(3, 6, [[0, 1], [1, 2, 3], [4, 5]])
         word = generator_codeword(g, BitVector(3, 0b101))
         assert word == BitVector(6, (1 << 0 | 1 << 1) ^ (1 << 4 | 1 << 5))
+
+    def test_matches_packed_rows_on_random_generators(self):
+        """Empty rows, overlapping rows, and u = 0, all ones and random."""
+        rng = random.Random(31)
+        empty_rows = 0
+        for _ in range(60):
+            rows, cols = rng.randint(1, 20), rng.randint(1, 40)
+            g = BitMatrix(rows, cols, [
+                rng.sample(range(cols), rng.randint(0, min(cols, 8)))
+                for _ in range(rows)])
+            empty_rows += int((g.row_lengths() == 0).sum())
+            for bits in (0, (1 << rows) - 1, rng.getrandbits(rows)):
+                u = BitVector(rows, bits)
+                assert generator_codeword(g, u) == reference_codeword(g, u)
+        assert empty_rows >= 10
 
     def test_shape_error(self):
         g = BitMatrix(3, 6, [[0], [1], [2]])
