@@ -221,6 +221,27 @@ def _check_degree_sequence(terms, n_checks: int, n_edges: int) -> list[int]:
     return seq
 
 
+@dataclass(frozen=True)
+class PegCounts:
+    """What one PEG growth did besides placing edges by the plain rule.
+
+    spills: edges placed on a check already at capacity, because every
+    check the variable was not yet joined to was full.  The BFS of each edge
+    after a variable's first stops when it has seen every pool check
+    (pool_exits), else when it has run BFS_DEPTH_CAP levels
+    (depth_cap_exits), else when its wave runs empty (empty_wave_exits).
+    trimmed_rows: checks dropped after growth.  widenings: doublings of the
+    check-to-variable table, each caused by a spill past the widest capacity.
+    """
+
+    spills: int
+    pool_exits: int
+    depth_cap_exits: int
+    empty_wave_exits: int
+    trimmed_rows: int
+    widenings: int
+
+
 def peg_generate(n_checks: int, n_vars: int, dist: DegreeDistribution,
                  seed: int) -> BitMatrix:
     """Progressive edge growth realizing `dist` at n_checks x n_vars.
@@ -236,10 +257,22 @@ def peg_generate(n_checks: int, n_vars: int, dist: DegreeDistribution,
     the profile to within a couple percent whenever the requested shape is
     near the profile's own check-to-variable ratio.
 
-    The graph grows in preallocated edge arrays; each BFS level gathers the
-    frontier checks' rows of a fixed-width check-to-variable table, then masks
-    the edges placed so far to find those variables' checks.
+    The graph grows in preallocated edge arrays, and the BFS reuses boolean
+    masks allocated once per call.  Each BFS level gathers the wave checks'
+    rows of a fixed-width check-to-variable table into a cleared mask, keeps
+    the variables not seen before (one `greater` against the seen mask), then
+    masks the edges placed so far to find those variables' checks, filtered
+    the same way.  The pool checks not yet seen carry over from level to
+    level: the BFS stops as soon as none is left, and they are the candidates
+    when it stops before that.  The under-capacity mask is updated per placed
+    edge.  `_peg_grow` also returns the growth's PegCounts.
     """
+    return _peg_grow(n_checks, n_vars, dist, seed)[0]
+
+
+def _peg_grow(n_checks: int, n_vars: int, dist: DegreeDistribution,
+              seed: int) -> tuple[BitMatrix, PegCounts]:
+    """peg_generate's matrix and the PegCounts of its growth."""
     rng = random.Random(seed)
     var_degs = _node_degree_sequence(dist.lambda_terms, n_vars)
     n_edges = sum(var_degs)
@@ -254,71 +287,94 @@ def peg_generate(n_checks: int, n_vars: int, dist: DegreeDistribution,
 
     rng.shuffle(var_degs)
     rng.shuffle(chk_degs)
-    cap = np.array(chk_degs, dtype=np.int64)
     deg = np.zeros(gen_checks, dtype=np.int64)
+    under = deg < chk_degs           # deg < capacity, kept per placed edge
     # edges in placement order, plus each check's variables in a table padded
     # with the sentinel variable n_vars (widened when a spill outgrows it)
     order = sorted(range(n_vars), key=lambda v: (var_degs[v], v))
     edge_var = np.repeat(order, [var_degs[v] for v in order])
     edge_check = np.empty(n_edges, dtype=np.int64)
     chk_adj = np.full((gen_checks, max(chk_degs)), n_vars, dtype=np.int64)
+    # candidate checks, and of them the ones the BFS has not reached yet
+    pool, left = np.empty(gen_checks, bool), np.empty(gen_checks, bool)
+    seen_c, new_c = np.empty(gen_checks, bool), np.empty(gen_checks, bool)
+    seen_v, new_v = np.empty(n_vars + 1, bool), np.empty(n_vars + 1, bool)
+    spills = pool_exits = depth_caps = empty_waves = widenings = 0
     ne = 0
     for v in order:
         for k in range(var_degs[v]):
             own = edge_check[ne - k:ne]
             # capacities are a soft preference: when every non-neighbor is
             # already full, spill onto the least-loaded one instead of failing
-            pool = np.ones(gen_checks, dtype=bool)
+            np.copyto(pool, under)
             pool[own] = False
-            if (pool & (deg < cap)).any():
-                pool &= deg < cap
-            elif not pool.any():
-                raise ValueError(
-                    f"variable {v} needs {var_degs[v]} distinct checks but "
-                    f"only {gen_checks} exist")
+            if not np.count_nonzero(pool):
+                spills += 1
+                pool.fill(True)
+                pool[own] = False
+                if not np.count_nonzero(pool):
+                    raise ValueError(
+                        f"variable {v} needs {var_degs[v]} distinct checks but "
+                        f"only {gen_checks} exist")
+            cand = pool
             if k:
-                # BFS out of v; stop once every pool check has been seen (the
+                # BFS out of v until every pool check has been seen (the
                 # first level always runs: pool and own are disjoint)
                 ec, ev = edge_check[:ne], edge_var[:ne]
-                seen_c = np.zeros(gen_checks, dtype=bool)
+                seen_c.fill(False)
                 seen_c[own] = True
-                seen_v = np.zeros(n_vars + 1, dtype=bool)
-                seen_v[[v, n_vars]] = True
+                seen_v.fill(False)
+                seen_v[v] = seen_v[n_vars] = True
+                np.copyto(left, pool)
                 wave = own
                 depth = 0
-                while ((pool & ~seen_c).any() and wave.size
-                       and depth < BFS_DEPTH_CAP):
+                while True:
                     depth += 1
-                    new_v = np.zeros(n_vars + 1, dtype=bool)
+                    new_v.fill(False)
                     new_v[chk_adj[wave]] = True
-                    new_v &= ~seen_v
+                    np.greater(new_v, seen_v, out=new_v)
                     seen_v |= new_v
-                    new_c = np.zeros(gen_checks, dtype=bool)
+                    new_c.fill(False)
                     new_c[ec[new_v[ev]]] = True
-                    new_c &= ~seen_c
+                    np.greater(new_c, seen_c, out=new_c)
                     seen_c |= new_c
-                    wave = np.flatnonzero(new_c)
-                cand = pool & ~seen_c
-                if not cand.any():
-                    cand = pool & new_c
-                if cand.any():
-                    pool = cand
+                    np.greater(left, new_c, out=left)
+                    wave = new_c.nonzero()[0]
+                    if not np.count_nonzero(left):
+                        pool_exits += 1
+                        cand = pool & new_c
+                        break
+                    if depth == BFS_DEPTH_CAP:
+                        depth_caps += 1
+                        cand = left
+                        break
+                    if not wave.size:
+                        empty_waves += 1
+                        cand = left
+                        break
             # lowest current degree, lowest index on ties
-            c = int(np.argmin(np.where(pool, deg, n_edges + 1)))
-            if deg[c] == chk_adj.shape[1]:
-                chk_adj = np.pad(chk_adj, ((0, 0), (0, chk_adj.shape[1])),
+            cs = cand.nonzero()[0]
+            c = int(cs[deg[cs].argmin()])
+            d = int(deg[c])
+            if d == chk_adj.shape[1]:
+                widenings += 1
+                chk_adj = np.pad(chk_adj, ((0, 0), (0, d)),
                                  constant_values=n_vars)
-            chk_adj[c, deg[c]] = v
+            chk_adj[c, d] = v
             edge_check[ne] = c
             ne += 1
-            deg[c] += 1
+            deg[c] = d + 1
+            if d + 1 == chk_degs[c]:
+                under[c] = False
 
     keep = range(gen_checks)
     if gen_checks > n_checks:
         keep = sorted(rng.sample(keep, n_checks))
     rows = [sum(1 << u for u in chk_adj[c, :deg[c]].tolist()) for c in keep]
     rows = _repair_full_rank(rows, n_vars, rng)
-    return BitMatrix.from_bitrows(n_checks, n_vars, rows)
+    counts = PegCounts(spills, pool_exits, depth_caps, empty_waves,
+                       gen_checks - n_checks, widenings)
+    return BitMatrix.from_bitrows(n_checks, n_vars, rows), counts
 
 
 def _repair_full_rank(rows: list[int], n_vars: int, rng: random.Random) -> list[int]:
@@ -385,20 +441,34 @@ def hopcroft_karp(adjacency: list[list[int]], n_left: int, n_right: int) -> list
                     queue.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adjacency[u]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
-        return False
+    def augment(root: int) -> None:
+        """The layered DFS from free left vertex root, on an explicit stack
+        of (left vertex, iterator over its neighbors) so that a long
+        augmenting path cannot exhaust Python's recursion limit.  Each vertex
+        above the root was reached through its own matched right vertex, so
+        flipping the path needs no other record."""
+        stack = [(root, iter(adjacency[root]))]
+        while stack:
+            u, nbrs = stack[-1]
+            step = dist[u] + 1
+            for v in nbrs:
+                w = match_r[v]
+                if w == -1:
+                    for u, _ in reversed(stack):
+                        match_r[v] = u
+                        match_l[u], v = v, match_l[u]
+                    return
+                if dist[w] == step:
+                    stack.append((w, iter(adjacency[w])))
+                    break
+            else:
+                dist[u] = INF
+                stack.pop()
 
     while bfs():
         for u in range(n_left):
             if match_l[u] == -1:
-                dfs(u)
+                augment(u)
     return match_l
 
 

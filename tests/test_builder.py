@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -12,11 +13,11 @@ import pytest
 from conftest import SMALL_PARAMS, TINY_PARAMS, tiny_dist
 from wzkit.builder import (BFS_DEPTH_CAP, CodeParams, CompoundCode,
                            ParamValidationError, _check_degree_sequence,
-                           _node_degree_sequence, _repair_full_rank,
-                           all_one_diagonalize, assemble_compound,
-                           build_compound_code, empirical_fractions,
-                           load_code, peg_generate, save_code,
-                           validate_params)
+                           _node_degree_sequence, _peg_grow,
+                           _repair_full_rank, all_one_diagonalize,
+                           assemble_compound, build_compound_code,
+                           empirical_fractions, hopcroft_karp, load_code,
+                           peg_generate, save_code, validate_params)
 from wzkit.degrees import DegreeDistribution
 from wzkit.gf2 import (BitMatrix, BitVector, _bit_indices, mat_mul, mul_vec,
                        permute, rank)
@@ -164,8 +165,9 @@ class TestPegGolden:
         assert digest(peg_generate(20, 40, tiny_dist(), seed=1)) == "2a5c6ef1ffe071a5"
 
     def test_code3_fallback_branches(self, catalog):
-        # 12 capacity spills, 31 BFS exits at BFS_DEPTH_CAP, 3 trimmed rows
-        a = peg_generate(85, 100, catalog["code3"].dist, seed=11)
+        a, counts = _peg_grow(85, 100, catalog["code3"].dist, seed=11)
+        assert (counts.spills, counts.depth_cap_exits, counts.trimmed_rows) == \
+            (12, 31, 3)
         assert digest(a) == "cb8efaec6a83bbbf"
 
     def test_code11_profile(self, catalog):
@@ -180,13 +182,19 @@ class TestPegGolden:
         assert digest(a) == "279cbcbba833d5c5"
 
     def test_matches_plain_reference(self, catalog):
+        # every check of the last profile has capacity 5, so its spills go
+        # past the widest check and widen the check-to-variable table
+        uniform = DegreeDistribution(catalog["code3"].dist.lambda_terms,
+                                     ((5, 1.0),))
+        profiles = [(catalog[cid].dist, 100, 220) for cid in (
+            "code1", "code3", "code11", "code13", "code14", "regular-3-10")]
+        profiles.append((uniform, 80, 130))
         rng = random.Random(2024)
-        for cid in ("code1", "code3", "code11", "code13", "code14",
-                    "regular-3-10"):
-            dist = catalog[cid].dist
+        reached = Counter()
+        for dist, low_vars, high_vars in profiles:
             done = 0
             while done < 2:
-                n_vars = rng.randrange(100, 220)
+                n_vars = rng.randrange(low_vars, high_vars)
                 var_degs = _node_degree_sequence(dist.lambda_terms, n_vars)
                 design = round(sum(var_degs)
                                * sum(f / d for d, f in dist.rho_terms))
@@ -196,8 +204,14 @@ class TestPegGolden:
                 done += 1
                 n_checks = rng.randrange(low, design + 1)
                 seed = rng.randrange(1000)
-                assert peg_generate(n_checks, n_vars, dist, seed) == \
-                    reference_peg(n_checks, n_vars, dist, seed), (cid, seed)
+                a, counts = _peg_grow(n_checks, n_vars, dist, seed)
+                assert a == reference_peg(n_checks, n_vars, dist, seed), \
+                    (n_vars, seed)
+                reached.update(dataclasses.asdict(counts))
+        # the cases take every branch of the growth loop
+        for branch in ("pool_exits", "depth_cap_exits", "empty_wave_exits",
+                       "spills", "widenings", "trimmed_rows"):
+            assert reached[branch] > 0, branch
 
     def test_cli_geometry_build(self, catalog):
         code = build_compound_code(CLI_PARAMS, catalog["code3"].dist,
@@ -230,6 +244,63 @@ class TestAllOneDiagonalize:
         row_perm, col_perm = all_one_diagonalize(a)
         b = permute(a, row_perm, col_perm)
         assert degree_multisets(a) == degree_multisets(b)
+
+
+def reference_hopcroft_karp(adjacency, n_left, n_right):
+    """hopcroft_karp with the textbook recursive DFS."""
+    inf = float("inf")
+    match_l, match_r = [-1] * n_left, [-1] * n_right
+    dist = [0.0] * n_left
+
+    def bfs():
+        queue = [u for u in range(n_left) if match_l[u] == -1]
+        for u in range(n_left):
+            dist[u] = 0.0 if match_l[u] == -1 else inf
+        found = False
+        for u in queue:
+            for v in adjacency[u]:
+                w = match_r[v]
+                if w == -1:
+                    found = True
+                elif dist[w] == inf:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def dfs(u):
+        for v in adjacency[u]:
+            w = match_r[v]
+            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
+                match_l[u], match_r[v] = v, u
+                return True
+        dist[u] = inf
+        return False
+
+    while bfs():
+        for u in range(n_left):
+            if match_l[u] == -1:
+                dfs(u)
+    return match_l
+
+
+class TestHopcroftKarp:
+    def test_augmenting_path_longer_than_recursion_limit(self):
+        # the first phase matches left i to right i + 1 and strands the last
+        # left vertex; the only augmenting path then runs through every vertex
+        n = sys.getrecursionlimit() + 100
+        adjacency = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
+        assert hopcroft_karp(adjacency, n, n) == list(range(n))
+
+    def test_matches_recursive_reference(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            n_left, n_right = rng.randrange(1, 30), rng.randrange(1, 30)
+            density = rng.random() * 0.3
+            adjacency = [rng.sample(range(n_right), k=sum(
+                rng.random() < density for _ in range(n_right)))
+                for _ in range(n_left)]
+            assert hopcroft_karp(adjacency, n_left, n_right) == \
+                reference_hopcroft_karp(adjacency, n_left, n_right)
 
 
 class TestAssembleCompound:
