@@ -69,8 +69,6 @@ class CodeParams:
             raise ValueError("m - k1 must be >= 1")
         if self.n - self.m + self.k1 < 1:
             raise ValueError("n - m + k1 must be >= 1")
-        if self.zeta > self.n // 2 and self.n > 1:
-            raise ValueError("zeta cannot exceed the tail segment width n//2")
 
     @property
     def outer_checks(self) -> int:

@@ -134,9 +134,12 @@ def bip_quantize_all(g: BitMatrix, sources: Sequence[BitVector],
     sweep is taken per copy in the same order as for that source alone and
     every other step is elementwise, and decimation decides per copy, so each
     result is bit-identical to quantizing its source by itself.  The loop
-    does not run round by round: each of its steps sweeps every live edge
-    once and fires every component of the live graph at once (see
-    _decimate), which fixes the same bits in far fewer sweeps.  Per word,
+    does not run round by round: each of its steps sweeps the live graph
+    once and fires every component of it at once (see _decimate), which
+    fixes the same bits in far fewer sweeps.  A check with one live edge,
+    such as each private tail column of CompoundQuantizer.g_sub, sends
+    that edge its source term in every sweep, so a step computes that
+    message once and sweeps only the edges of shared checks.  Per word,
     steps counts the steps in which it had free variables, fallback_fixes
     the components that fixed their largest-bias variable because none
     cleared the threshold, and clashes the variables that opposing
@@ -168,12 +171,24 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
     fixed.  In the round-by-round loop a component with a variable over the
     threshold fixes all of them in the next round; any other waits, biases
     unchanged, until its largest-bias variable is the word's, and then fixes
-    that one variable.  So a step here sweeps every live edge once and fires
+    that one variable.  So a step here sweeps the live graph once and fires
     every component at once: it fixes the component's variables over the
     threshold, or else its largest-bias variable (first index on ties), and
     the fixed bits are the round-by-round loop's.  Every step adds, per word
     that has free variables, one step, its fallback components and its
     clashes.
+
+    A check with one live edge sends that edge exactly its source term: in
+    _check_product its log sum minus the edge's own log is +0.0, exp gives
+    1.0, the check's sign parity is the edge's own sign, and an exact zero
+    counts as log 1 and is no other zero on the check.  So each step takes
+    the arctanh of those messages, and their saturation flags, once; the
+    iters_per_round sweeps run the check update, the source term and the
+    theta update on the edges of shared checks only, and a step without a
+    shared check runs none.  Every variable sum is still one bincount over
+    all live edges in edge order, so the bits, steps, fallback fixes and
+    clashes are those of sweeping every live edge.  Such checks link no two
+    variables, so the components come from the shared edges alone.
     """
     words, n_var, n_chk = len(sources), g.rows, g.cols
     n_vars, n_chks = words * n_var, words * n_chk
@@ -199,43 +214,59 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
         free = np.flatnonzero(unfixed)
         if not free.size:
             break
-        # the free variables and the live checks, numbered 0.. in order: every
-        # sum's bin keeps its addends in order, and a variable without edges
-        # gets bias tanh(0) = 0 and no clashes
+        # the free variables, numbered 0.. in order: every sum's bin keeps its
+        # addends in order, and a variable without edges gets bias tanh(0) = 0
+        # and no clashes
         sweep_var = (np.cumsum(unfixed) - 1)[edge_var]
-        chk_live, sweep_check = _renumber(edge_check, n_chks)
-        n_live_chk = np.count_nonzero(chk_live)
+        # a check with one live edge sends it its source term in every sweep,
+        # so only the edges of shared checks are swept
+        alone = np.bincount(edge_check, minlength=n_chks)[edge_check] == 1
+        shared = np.flatnonzero(~alone)
+        chk_live, sh_check = _renumber(edge_check[shared], n_chks)
+        n_sh_chk = np.count_nonzero(chk_live)
+        sh_var = sweep_var[shared]
         bias_sum = np.zeros(free.size, dtype=np.float64)
         clash = np.zeros(free.size, dtype=np.int64)
         if edge_var.size:
-            theta = np.ones(edge_var.size)
-            src_term = src_mag * sign_eff[edge_check]
-            for _ in range(params.iters_per_round):
+            # every live edge's message in the arctanh domain; those of
+            # checks with one edge are final
+            w = src_mag * sign_eff[edge_check]
+            src_term = w[shared]
+            if saturates:
+                sat_pos = _marked(sweep_var[alone & (w >= _SAT)], free.size)
+                sat_neg = _marked(sweep_var[alone & (w <= -_SAT)],
+                                  free.size)
+                np.minimum(np.maximum(w, -_SAT, out=w), _SAT, out=w)
+            np.arctanh(w, out=w)
+            if not n_sh_chk:
+                # the iters_per_round sweeps would all be this one
+                bias_sum = np.bincount(sweep_var, weights=w,
+                                       minlength=free.size)
+                if saturates:
+                    clash += params.iters_per_round * (sat_pos & sat_neg)
+            theta = np.ones(shared.size)
+            for _ in range(params.iters_per_round if n_sh_chk else 0):
                 # check pass: leave-one-out product of theta times the source term
-                phi = _check_product(theta, sweep_check, n_live_chk)
+                phi = _check_product(theta, sh_check, n_sh_chk)
                 phi *= src_term
 
                 # variable pass in the arctanh domain
                 if saturates:
-                    sat_pos = phi >= _SAT
-                    sat_neg = phi <= -_SAT
-                    if sat_pos.any() and sat_neg.any():
-                        clash += (
-                            (np.bincount(sweep_var[sat_pos],
-                                         minlength=free.size) > 0)
-                            & (np.bincount(sweep_var[sat_neg],
-                                           minlength=free.size) > 0))
+                    clash += ((sat_pos | _marked(sh_var[phi >= _SAT],
+                                                 free.size))
+                              & (sat_neg | _marked(sh_var[phi <= -_SAT],
+                                                   free.size)))
                     # clip to +-_SAT in place (np.clip costs more on short
                     # arrays)
                     np.minimum(np.maximum(phi, -_SAT, out=phi), _SAT, out=phi)
-                w = np.arctanh(phi, out=phi)
+                w[shared] = np.arctanh(phi, out=phi)
                 bias_sum = np.bincount(sweep_var, weights=w,
                                        minlength=free.size)
-                theta_new = np.tanh(bias_sum[sweep_var] - w)
+                theta_new = np.tanh(bias_sum[sh_var] - phi)
                 theta = damping * theta + (1.0 - damping) * theta_new
         bias = np.tanh(bias_sum)
 
-        root = _component_roots(sweep_var, sweep_check, free.size, n_live_chk)
+        root = _component_roots(sh_var, sh_check, free.size, n_sh_chk)
         over, fallback = _pick(root, bias, params.threshold)
         pick = np.flatnonzero(over | fallback)
         fixed[free[pick]] = (bias[pick] < 0.0).astype(np.int64)
@@ -305,11 +336,17 @@ def _pick(root: np.ndarray, bias: np.ndarray, threshold: float
     return over, ~thr[root] & (first[root] == at)
 
 
+def _marked(ids: np.ndarray, size: int) -> np.ndarray:
+    """Which of 0..size-1 occur in ids."""
+    marked = np.zeros(size, dtype=bool)
+    marked[ids] = True
+    return marked
+
+
 def _renumber(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Which of 0..size-1 occur in ids, and ids renumbered 0.. over those,
     in increasing order."""
-    live = np.zeros(size, dtype=bool)
-    live[ids] = True
+    live = _marked(ids, size)
     return live, np.cumsum(live)[ids] - 1
 
 

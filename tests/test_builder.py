@@ -43,6 +43,19 @@ class TestCodeParams:
         same = np.int64(getattr(TINY_PARAMS, key))
         assert dataclasses.replace(TINY_PARAMS, **{key: same}) == TINY_PARAMS
 
+    def test_zeta_has_no_upper_bound(self, tiny_code):
+        """zeta changes nothing, so no width caps it: a zeta above n//2 is
+        accepted and gives the same h."""
+        half = BitMatrix(2, 3, [[0, 1], [1, 2]])
+        wide = CodeParams(n=6, m=5, k1=1, k2=2, zeta=4)
+        assert wide.zeta > wide.n // 2
+        assert (assemble_compound(half, wide)
+                == assemble_compound(half, dataclasses.replace(wide, zeta=1)))
+        params = dataclasses.replace(TINY_PARAMS, zeta=TINY_PARAMS.n // 2 + 1)
+        built = build_compound_code(params, tiny_dist(), seed=5,
+                                    dist_id="tiny")
+        assert built.h == tiny_code.h
+
     def test_manifest_with_a_float_count_fails_to_load(self, tiny_code,
                                                        tmp_path):
         save_code(tiny_code, tmp_path / "code")

@@ -113,6 +113,14 @@ class TestBuild:
         assert (out / "h.txt").read_bytes() == \
             (workdir / "tiny-code" / "h.txt").read_bytes()
 
+    def test_build_accepts_zeta_above_half_n(self, workdir, tmp_path):
+        out = tmp_path / "x"
+        rc = cli.main(self.build_args(workdir, out,
+                                      zeta=TINY_PARAMS.n // 2 + 1))
+        assert rc == 0
+        assert (out / "h.txt").read_bytes() == \
+            (workdir / "tiny-code" / "h.txt").read_bytes()
+
     def test_missing_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["build", "--n", "96"])

@@ -10,9 +10,10 @@ import pytest
 from wzkit import quantizer
 from wzkit.decoder import _check_product
 from wzkit.gf2 import BitMatrix, BitVector, ShapeError
-from wzkit.quantizer import (EXHAUSTIVE_LIMIT, BipParams, bip_quantize,
-                             bip_quantize_all, exhaustive_quantize,
-                             generator_codeword, has_four_cycle)
+from wzkit.quantizer import (EXHAUSTIVE_LIMIT, BipParams, QuantizeResult,
+                             bip_quantize, bip_quantize_all,
+                             exhaustive_quantize, generator_codeword,
+                             has_four_cycle)
 
 
 def random_generator(rng, rows, cols, density=0.35):
@@ -426,8 +427,42 @@ def quantize_with_reference(monkeypatch, g, sources, params=BipParams()):
         return bip_quantize_all(g, sources, params)
 
 
+@pytest.fixture
+def sweep_sizes(monkeypatch):
+    """Edge count of every sweep the quantizer runs.  Every sweep sees
+    each of its checks at least twice: a check with one live edge is
+    not swept."""
+    sizes = []
+    real = quantizer._check_product
+
+    def recording(theta, edge_check, n_checks):
+        assert n_checks >= 1
+        assert np.bincount(edge_check, minlength=n_checks).min() >= 2
+        sizes.append(theta.size)
+        return real(theta, edge_check, n_checks)
+
+    monkeypatch.setattr(quantizer, "_check_product", recording)
+    return sizes
+
+
+@pytest.fixture
+def fired(monkeypatch):
+    """Per step of _decimate, the component root, |bias| and the over
+    and fallback masks of _pick, over the free variables of the batch."""
+    steps = []
+    real = quantizer._pick
+
+    def recording(root, bias, threshold):
+        over, fallback = real(root, bias, threshold)
+        steps.append((root, np.abs(bias), over, fallback))
+        return over, fallback
+
+    monkeypatch.setattr(quantizer, "_pick", recording)
+    return steps
+
+
 class TestSkipsUntouchedComponents:
-    """A step sweeps every live edge once and fires every component, so no
+    """A step sweeps the live graph once and fires every component, so no
     component is swept twice unchanged; u, the codeword and the distortion
     stay those of sweeping everything each round."""
 
@@ -444,19 +479,6 @@ class TestSkipsUntouchedComponents:
     DISJOINT = (BitMatrix(6, 16, [[0, 1, 2], [3], [4, 5], [6, 7, 8, 9],
                                   [10, 11], [12, 13, 14, 15]]),
                 BitVector(16, 0b1011_0110_1001_1100))
-
-    @pytest.fixture
-    def sweep_sizes(self, monkeypatch):
-        """Edge count of every sweep the quantizer runs."""
-        sizes = []
-        real = quantizer._check_product
-
-        def recording(theta, edge_check, n_checks):
-            sizes.append(theta.size)
-            return real(theta, edge_check, n_checks)
-
-        monkeypatch.setattr(quantizer, "_check_product", recording)
-        return sizes
 
     def test_matches_reference_on_random_generators(self, monkeypatch):
         rng = random.Random(0xDEC1)
@@ -477,21 +499,6 @@ class TestSkipsUntouchedComponents:
             seen["clashes"] += sum(r.clashes > 0 for r in got)
             seen["empty rows"] += any(not sup for sup in g.row_support)
         assert min(seen.values()) >= 20
-
-    @pytest.fixture
-    def fired(self, monkeypatch):
-        """Per step of _decimate, the component root, |bias| and the over
-        and fallback masks of _pick, over the free variables of the batch."""
-        steps = []
-        real = quantizer._pick
-
-        def recording(root, bias, threshold):
-            over, fallback = real(root, bias, threshold)
-            steps.append((root, np.abs(bias), over, fallback))
-            return over, fallback
-
-        monkeypatch.setattr(quantizer, "_pick", recording)
-        return steps
 
     @staticmethod
     def corner_case(rng, kind):
@@ -567,8 +574,10 @@ class TestSkipsUntouchedComponents:
     def test_steps_far_fewer_than_rounds(self, small_code, sweep_sizes,
                                          monkeypatch):
         """On small_code's quantizer, 12 words at threshold 0.95 take 91
-        rounds at most in the round-by-round loop but 42 steps, one sweep
-        batch each; the loop that re-swept touched components took 61."""
+        rounds at most in the round-by-round loop but 42 steps; the loop
+        that re-swept touched components took 61.  A step sweeps at most
+        once, and not at all when every live check has one edge: here 41
+        of the 42 steps sweep."""
         g = small_code.quantizer.g_sub
         rng = random.Random(0x6A3)
         sources = [BitVector(g.cols, rng.getrandbits(g.cols))
@@ -576,9 +585,11 @@ class TestSkipsUntouchedComponents:
         params = BipParams(threshold=0.95)
         got = bip_quantize_all(g, sources, params)
         batches = len(sweep_sizes) // params.iters_per_round
-        assert max(r.steps for r in got) == batches
+        assert len(sweep_sizes) == batches * params.iters_per_round
+        assert 1 <= batches <= max(r.steps for r in got)
         reference = quantize_with_reference(monkeypatch, g, sources, params)
-        assert 2 * batches <= max(r.rounds for r in reference)
+        assert 2 * max(r.steps for r in got) <= max(r.rounds
+                                                    for r in reference)
         assert all(r.steps <= ref.rounds for r, ref in zip(got, reference))
         assert bits(got) == bits(reference)
 
@@ -602,20 +613,25 @@ class TestSkipsUntouchedComponents:
                                                monkeypatch):
         """Every variable is its own component, so one step fixes them all
         where the round-by-round loop takes a round per variable under the
-        threshold."""
+        threshold.  Every check has one edge and sends its source term, so
+        that step runs no sweep at all."""
         g, source = self.DISJOINT
         params = BipParams(threshold=0.99, iters_per_round=5)
         res = bip_quantize(g, source, params)
         assert res.steps == 1
-        assert sweep_sizes == [16] * 5
+        assert sweep_sizes == []
         reference = quantize_with_reference(monkeypatch, g, [source], params)
         assert reference[0].rounds > 1
         assert bits([res]) == bits(reference)
 
     def test_untouched_block_is_not_swept(self, sweep_sizes, monkeypatch):
-        """Block A has rows of weight 4; block B is one row of weight 2 whose
-        source bits differ, so its bias is 0 and it is fixed last.  No sweep
-        after the first round reaches B: each edge count is a multiple of 4."""
+        """Block A has rows of weight 4 on columns 0-9, each shared by two
+        or three rows, and one private column 10; block B is one row of
+        weight 2 on columns of its own whose source bits differ, so its
+        bias is 0 and the round-by-round loop fixes it last.  Only the
+        edges of shared checks are swept: the first step sweeps block A's
+        23, B never, and the sweeps shrink as A's rows are fixed until a
+        last step whose live checks all have one edge sweeps nothing."""
         block_a = [[0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7], [6, 7, 8, 9],
                    [8, 9, 0, 1], [0, 4, 8, 10]]
         g = BitMatrix(7, 13, block_a + [[11, 12]])
@@ -623,9 +639,214 @@ class TestSkipsUntouchedComponents:
         params = BipParams(iters_per_round=5)
         res = bip_quantize(g, source, params)
         assert res.steps >= 3
-        assert sweep_sizes[:5] == [26] * 5
+        assert sweep_sizes[:5] == [23] * 5
         later = sweep_sizes[5:]
-        assert later and all(size % 4 == 0 for size in later)
-        assert len(sweep_sizes) == 5 * res.steps
+        assert later and all(size < 23 for size in later)
+        assert later == sorted(later, reverse=True)
+        assert len(sweep_sizes) == 5 * (res.steps - 1)
         assert bits([res]) == bits(quantize_with_reference(
             monkeypatch, g, [source], params))
+
+
+def unfolded_decimate(g, sources, params, src_mag, damping):
+    """The step loop before it folded checks with one live edge into
+    constant messages: every sweep runs the check update on every live
+    edge.  quantizer._decimate must match all of its results."""
+    words, n_var, n_chk = len(sources), g.rows, g.cols
+    n_vars, n_chks = words * n_var, words * n_chk
+    saturates = src_mag >= quantizer._SAT
+    ev, ec = g.edges()
+    shift = np.arange(words, dtype=np.int64)[:, None]
+    edge_var = (ev + shift * n_var).ravel()
+    edge_check = (ec + shift * n_chk).ravel()
+
+    s_arr = np.concatenate([s.to_array() for s in sources])
+    sign_eff = 1.0 - 2.0 * s_arr.astype(np.float64)
+    fixed = np.full(n_vars, -1, dtype=np.int64)
+    steps = np.zeros(words, dtype=np.int64)
+    fallback_fixes = np.zeros(words, dtype=np.int64)
+    clashes = np.zeros(words, dtype=np.int64)
+
+    while True:
+        unfixed = fixed < 0
+        free = np.flatnonzero(unfixed)
+        if not free.size:
+            break
+        sweep_var = (np.cumsum(unfixed) - 1)[edge_var]
+        chk_live, sweep_check = quantizer._renumber(edge_check, n_chks)
+        n_live_chk = np.count_nonzero(chk_live)
+        bias_sum = np.zeros(free.size, dtype=np.float64)
+        clash = np.zeros(free.size, dtype=np.int64)
+        if edge_var.size:
+            theta = np.ones(edge_var.size)
+            src_term = src_mag * sign_eff[edge_check]
+            for _ in range(params.iters_per_round):
+                phi = _check_product(theta, sweep_check, n_live_chk)
+                phi *= src_term
+                if saturates:
+                    sat_pos = phi >= quantizer._SAT
+                    sat_neg = phi <= -quantizer._SAT
+                    if sat_pos.any() and sat_neg.any():
+                        clash += (
+                            (np.bincount(sweep_var[sat_pos],
+                                         minlength=free.size) > 0)
+                            & (np.bincount(sweep_var[sat_neg],
+                                           minlength=free.size) > 0))
+                    np.minimum(np.maximum(phi, -quantizer._SAT, out=phi),
+                               quantizer._SAT, out=phi)
+                w = np.arctanh(phi, out=phi)
+                bias_sum = np.bincount(sweep_var, weights=w,
+                                       minlength=free.size)
+                theta_new = np.tanh(bias_sum[sweep_var] - w)
+                theta = damping * theta + (1.0 - damping) * theta_new
+        bias = np.tanh(bias_sum)
+
+        root = quantizer._component_roots(sweep_var, sweep_check, free.size,
+                                          n_live_chk)
+        over, fallback = quantizer._pick(root, bias, params.threshold)
+        pick = np.flatnonzero(over | fallback)
+        fixed[free[pick]] = (bias[pick] < 0.0).astype(np.int64)
+        word_of = free // n_var
+        steps += np.bincount(word_of, minlength=words) > 0
+        fallback_fixes += np.bincount(word_of[fallback], minlength=words)
+        clashes += np.bincount(word_of, weights=clash,
+                               minlength=words).astype(np.int64)
+
+        on_fixed = fixed[edge_var] >= 0
+        ones_edges = edge_check[on_fixed & (fixed[edge_var] == 1)]
+        flips = np.bincount(ones_edges, minlength=n_chks) % 2
+        sign_eff *= 1.0 - 2.0 * flips
+        keep = ~on_fixed
+        edge_var, edge_check = edge_var[keep], edge_check[keep]
+
+    results = []
+    for k, source in enumerate(sources):
+        u = BitVector.from_array(fixed[k * n_var:(k + 1) * n_var])
+        word = generator_codeword(g, u)
+        results.append(QuantizeResult(u, word, word.hamming(source) / g.cols,
+                                      int(steps[k]), int(fallback_fixes[k]),
+                                      int(clashes[k])))
+    return results
+
+
+def quantize_unfolded(monkeypatch, g, sources, params=BipParams()):
+    with monkeypatch.context() as patch:
+        patch.setattr(quantizer, "_decimate", unfolded_decimate)
+        return bip_quantize_all(g, sources, params)
+
+
+def g_sub_shaped(rng, rows, shared_cols, density):
+    """A generator laid out like CompoundQuantizer.g_sub: row j holds random
+    columns of the first shared_cols plus its own column shared_cols + j."""
+    mat = [[c for c in range(shared_cols) if rng.random() < density]
+           + [shared_cols + j] for j in range(rows)]
+    return BitMatrix(rows, shared_cols + rows, mat)
+
+
+def alone_mid_run(g, words, fired):
+    """Whether some check of the batch had two or more live edges in one
+    step and exactly one in a later step, replayed from the picks that the
+    fired recorder saw."""
+    ev, ec = g.edges()
+    free = np.ones((words, g.rows), dtype=bool)
+    was_shared = np.zeros((words, g.cols), dtype=bool)
+    for _, _, over, fallback in fired:
+        live = np.stack([np.bincount(ec[f[ev]], minlength=g.cols)
+                         for f in free])
+        if (was_shared & (live == 1)).any():
+            return True
+        was_shared |= live > 1
+        at = np.flatnonzero(free.ravel())
+        free.ravel()[at[over | fallback]] = False
+    return False
+
+
+class TestFoldsPrivateChecks:
+    """A check with one live edge sends that edge its source term in every
+    sweep, so _decimate computes it once per step and sweeps only shared
+    checks; every result field stays that of sweeping every live edge."""
+
+    PARAMS = [
+        BipParams(damping=0.0),
+        BipParams(damping=0.5),
+        BipParams(gamma=20.0, damping=0.0),
+        BipParams(gamma=20.0, damping=0.5, iters_per_round=3),
+        BipParams(iters_per_round=1),
+        BipParams(threshold=0.6, iters_per_round=3),
+    ]
+
+    def test_matches_unfolded_on_g_sub_shaped_generators(self, fired,
+                                                         monkeypatch):
+        rng = random.Random(0xF01D)
+        seen = {"alone mid-run": 0, "clashes at gamma 20": 0,
+                "empty rows": 0}
+        for case in range(120):
+            rows = rng.randrange(2, 20)
+            g = g_sub_shaped(rng, rows, rng.randrange(2, 2 * rows),
+                             rng.choice([0.1, 0.2, 0.35]))
+            if case % 6 == 5:
+                mat = [list(sup) for sup in g.row_support]
+                mat[rng.randrange(rows)] = []
+                g = BitMatrix(rows, g.cols, mat)
+            sources = [BitVector(g.cols, rng.getrandbits(g.cols))
+                       for _ in range(rng.randrange(1, 5))]
+            params = self.PARAMS[case % len(self.PARAMS)]
+            fired.clear()
+            got = bip_quantize_all(g, sources, params)
+            seen["alone mid-run"] += alone_mid_run(g, len(sources), fired)
+            assert got == quantize_unfolded(monkeypatch, g, sources, params)
+            seen["clashes at gamma 20"] += (
+                params.gamma == 20.0 and any(r.clashes for r in got))
+            seen["empty rows"] += any(not sup for sup in g.row_support)
+        assert min(seen.values()) >= 15, seen
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_all_private_generator_sweeps_nothing(self, params, sweep_sizes,
+                                                  monkeypatch):
+        """Rows of one to three columns of their own: no check is shared,
+        so nothing is swept.  At gamma 20 a row whose source bits differ
+        clashes in every sweep that the unfolded loop runs."""
+        rng = random.Random(0xA11)
+        lengths = [rng.randrange(1, 4) for _ in range(12)]
+        starts = np.cumsum([0] + lengths)
+        g = BitMatrix(12, int(starts[-1]),
+                      [list(range(starts[j], starts[j + 1]))
+                       for j in range(12)])
+        sources = [BitVector(g.cols, rng.getrandbits(g.cols))
+                   for _ in range(3)]
+        got = bip_quantize_all(g, sources, params)
+        assert sweep_sizes == []
+        assert got == quantize_unfolded(monkeypatch, g, sources, params)
+        assert all(r.steps == 1 for r in got)
+        if params.gamma == 20.0:
+            assert all(r.clashes > 0 for r in got)
+            assert all(r.clashes % params.iters_per_round == 0 for r in got)
+
+    def test_edge_budget_split(self, monkeypatch):
+        rng = random.Random(0xB0D)
+        g = g_sub_shaped(rng, 16, 20, 0.2)
+        sources = [BitVector(g.cols, rng.getrandbits(g.cols))
+                   for _ in range(7)]
+        params = BipParams(gamma=20.0, damping=0.5)
+        whole = bip_quantize_all(g, sources, params)
+        monkeypatch.setattr(quantizer, "_BATCH_EDGE_BUDGET",
+                            3 * g.edges()[0].size)
+        assert bip_quantize_all(g, sources, params) == whole
+        assert quantize_unfolded(monkeypatch, g, sources, params) == whole
+        assert any(r.clashes for r in whole)
+
+    def test_small_code_sweeps_only_shared_checks(self, small_code,
+                                                  sweep_sizes, monkeypatch):
+        """On small_code's g_sub every row owns a private tail column, so
+        the first step's sweeps leave out one edge per row, and every sweep
+        sees each of its checks at least twice (the sweep_sizes recorder
+        asserts it)."""
+        g = small_code.quantizer.g_sub
+        rng = random.Random(0x5EB)
+        sources = [BitVector(g.cols, rng.getrandbits(g.cols))
+                   for _ in range(3)]
+        for params in (BipParams(), BipParams(gamma=20.0, damping=0.5)):
+            sweep_sizes.clear()
+            got = bip_quantize_all(g, sources, params)
+            assert sweep_sizes[0] == 3 * (g.edges()[0].size - g.rows)
+            assert got == quantize_unfolded(monkeypatch, g, sources, params)
