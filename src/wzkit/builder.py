@@ -40,6 +40,10 @@ __all__ = [
 
 PEG_REPAIR_ATTEMPTS = 10
 BFS_DEPTH_CAP = 12
+# a BFS level walks adjacency lists when its wave size times the widest
+# check times the variable's degree, a bound on the edges it can touch, is
+# at most this; wider levels run on numpy masks
+PEG_LIST_LEVEL_EDGES = 256
 
 
 @dataclass(frozen=True)
@@ -255,15 +259,25 @@ def peg_generate(n_checks: int, n_vars: int, dist: DegreeDistribution,
     the profile to within a couple percent whenever the requested shape is
     near the profile's own check-to-variable ratio.
 
-    The graph grows in preallocated edge arrays, and the BFS reuses boolean
-    masks allocated once per call.  Each BFS level gathers the wave checks'
-    rows of a fixed-width check-to-variable table into a cleared mask, keeps
-    the variables not seen before (one `greater` against the seen mask), then
-    masks the edges placed so far to find those variables' checks, filtered
-    the same way.  The pool checks not yet seen carry over from level to
-    level: the BFS stops as soon as none is left, and they are the candidates
-    when it stops before that.  The under-capacity mask is updated per placed
-    edge.  `_peg_grow` also returns the growth's PegCounts.
+    The graph grows twice per placed edge: in Python adjacency lists, and in
+    a table with one column of variables per check, padded with a sentinel
+    variable.  Each BFS level takes one of two paths, chosen per level.  When
+    the wave size times the widest check times the variable's degree, a
+    bound on the edges the level can touch (variables are placed in
+    ascending degree), is at most PEG_LIST_LEVEL_EDGES, the level walks the
+    lists of the wave's checks and of the variables it reaches.  Otherwise
+    it runs on numpy masks: it gathers the wave checks' table columns into a
+    cleared mask, keeps the variables not seen before, then marks every
+    check whose column holds one of them (one gather over the whole table,
+    ORed down its rows), filtered the same way; that level costs O(checks x
+    widest check) whatever the wave.  Both paths read and write one set of
+    seen and not-yet-reached flags, bytearrays that numpy views in place, so
+    a BFS may switch paths between levels and every level set is the same
+    either way.  The pool checks not yet seen carry over from level to
+    level: the BFS stops as soon as none is left, and they are the
+    candidates when it stops before that.  The under-capacity mask is
+    updated per placed edge.  `_peg_grow` also returns the growth's
+    PegCounts.
     """
     return _peg_grow(n_checks, n_vars, dist, seed)[0]
 
@@ -287,30 +301,39 @@ def _peg_grow(n_checks: int, n_vars: int, dist: DegreeDistribution,
     rng.shuffle(chk_degs)
     deg = np.zeros(gen_checks, dtype=np.int64)
     under = deg < chk_degs           # deg < capacity, kept per placed edge
-    # edges in placement order, plus each check's variables in a table padded
-    # with the sentinel variable n_vars (widened when a spill outgrows it)
+    # each check's variables as a list and as a column of a table padded with
+    # the sentinel variable n_vars (widened when a spill outgrows it), and
+    # each variable's checks as a list
     order = sorted(range(n_vars), key=lambda v: (var_degs[v], v))
-    edge_var = np.repeat(order, [var_degs[v] for v in order])
-    edge_check = np.empty(n_edges, dtype=np.int64)
-    chk_adj = np.full((gen_checks, max(chk_degs)), n_vars, dtype=np.int64)
-    # candidate checks, and of them the ones the BFS has not reached yet
-    pool, left = np.empty(gen_checks, bool), np.empty(gen_checks, bool)
-    seen_c, new_c = np.empty(gen_checks, bool), np.empty(gen_checks, bool)
-    seen_v, new_v = np.empty(n_vars + 1, bool), np.empty(n_vars + 1, bool)
+    chk_adj = np.full((max(chk_degs), gen_checks), n_vars, dtype=np.int64)
+    chk_vars = [[] for _ in range(gen_checks)]
+    var_checks = [[] for _ in range(n_vars)]
+    # candidate checks, and of them the ones the BFS has not reached yet; the
+    # seen and left flags are bytearrays that both level kinds write
+    pool, new_c = np.empty(gen_checks, bool), np.empty(gen_checks, bool)
+    new_v = np.empty(n_vars + 1, bool)
+    seen_c_b, left_b = bytearray(gen_checks), bytearray(gen_checks)
+    seen_v_b = bytearray(n_vars + 1)
+    seen_c, left, seen_v = (np.frombuffer(b, dtype=bool)
+                            for b in (seen_c_b, left_b, seen_v_b))
     spills = pool_exits = depth_caps = empty_waves = widenings = 0
-    ne = 0
     for v in order:
+        # len(wave) * widest <= budget exactly when len(wave) * widest *
+        # var_degs[v] <= PEG_LIST_LEVEL_EDGES
+        budget = PEG_LIST_LEVEL_EDGES // var_degs[v]
+        own = var_checks[v]
         for k in range(var_degs[v]):
-            own = edge_check[ne - k:ne]
             # capacities are a soft preference: when every non-neighbor is
             # already full, spill onto the least-loaded one instead of failing
             np.copyto(pool, under)
             pool[own] = False
-            if not np.count_nonzero(pool):
+            n_left = np.count_nonzero(pool)
+            if not n_left:
                 spills += 1
                 pool.fill(True)
                 pool[own] = False
-                if not np.count_nonzero(pool):
+                n_left = np.count_nonzero(pool)
+                if not n_left:
                     raise ValueError(
                         f"variable {v} needs {var_degs[v]} distinct checks but "
                         f"only {gen_checks} exist")
@@ -318,49 +341,76 @@ def _peg_grow(n_checks: int, n_vars: int, dist: DegreeDistribution,
             if k:
                 # BFS out of v until every pool check has been seen (the
                 # first level always runs: pool and own are disjoint)
-                ec, ev = edge_check[:ne], edge_var[:ne]
                 seen_c.fill(False)
-                seen_c[own] = True
                 seen_v.fill(False)
-                seen_v[v] = seen_v[n_vars] = True
+                for c in own:
+                    seen_c_b[c] = 1
+                seen_v_b[v] = seen_v_b[n_vars] = 1
                 np.copyto(left, pool)
                 wave = own
                 depth = 0
                 while True:
                     depth += 1
-                    new_v.fill(False)
-                    new_v[chk_adj[wave]] = True
-                    np.greater(new_v, seen_v, out=new_v)
-                    seen_v |= new_v
-                    new_c.fill(False)
-                    new_c[ec[new_v[ev]]] = True
-                    np.greater(new_c, seen_c, out=new_c)
-                    seen_c |= new_c
-                    np.greater(left, new_c, out=left)
-                    wave = new_c.nonzero()[0]
-                    if not np.count_nonzero(left):
-                        pool_exits += 1
-                        cand = pool & new_c
-                        break
+                    if len(wave) * chk_adj.shape[0] <= budget:
+                        # few edges: walk the wave's lists
+                        vs = []
+                        for c in wave:
+                            for u in chk_vars[c]:
+                                if not seen_v_b[u]:
+                                    seen_v_b[u] = 1
+                                    vs.append(u)
+                        wave, hit = [], []
+                        for u in vs:
+                            for c in var_checks[u]:
+                                if not seen_c_b[c]:
+                                    seen_c_b[c] = 1
+                                    wave.append(c)
+                                    if left_b[c]:
+                                        left_b[c] = 0
+                                        hit.append(c)
+                        n_left -= len(hit)
+                        if not n_left:
+                            pool_exits += 1
+                            cand = hit
+                            break
+                    else:
+                        # many edges: masks over every variable and check
+                        new_v.fill(False)
+                        new_v[chk_adj.take(wave, axis=1)] = True
+                        np.greater(new_v, seen_v, out=new_v)
+                        seen_v |= new_v
+                        np.logical_or.reduce(new_v.take(chk_adj), out=new_c)
+                        np.greater(new_c, seen_c, out=new_c)
+                        seen_c |= new_c
+                        np.greater(left, new_c, out=left)
+                        wave = new_c.nonzero()[0]
+                        n_left = np.count_nonzero(left)
+                        if not n_left:
+                            pool_exits += 1
+                            cand = pool & new_c
+                            break
                     if depth == BFS_DEPTH_CAP:
                         depth_caps += 1
                         cand = left
                         break
-                    if not wave.size:
+                    if not len(wave):
                         empty_waves += 1
                         cand = left
                         break
             # lowest current degree, lowest index on ties
-            cs = cand.nonzero()[0]
-            c = int(cs[deg[cs].argmin()])
+            if type(cand) is list:
+                c = min(cand, key=lambda c: (deg[c], c))
+            else:
+                cs = cand.nonzero()[0]
+                c = int(cs[deg[cs].argmin()])
             d = int(deg[c])
-            if d == chk_adj.shape[1]:
+            if d == chk_adj.shape[0]:
                 widenings += 1
-                chk_adj = np.pad(chk_adj, ((0, 0), (0, d)),
+                chk_adj = np.pad(chk_adj, ((0, d), (0, 0)),
                                  constant_values=n_vars)
-            chk_adj[c, d] = v
-            edge_check[ne] = c
-            ne += 1
+            chk_adj[d, c] = v
+            chk_vars[c].append(v)
+            own.append(c)
             deg[c] = d + 1
             if d + 1 == chk_degs[c]:
                 under[c] = False
@@ -368,7 +418,8 @@ def _peg_grow(n_checks: int, n_vars: int, dist: DegreeDistribution,
     keep = range(gen_checks)
     if gen_checks > n_checks:
         keep = sorted(rng.sample(keep, n_checks))
-    rows = [sum(1 << u for u in chk_adj[c, :deg[c]].tolist()) for c in keep]
+    rows = [sum(1 << u for u in chk_vars[c]) for c in keep]
+    del chk_vars, var_checks    # the repair's elimination is the peak
     rows = _repair_full_rank(rows, n_vars, rng)
     counts = PegCounts(spills, pool_exits, depth_caps, empty_waves,
                        gen_checks - n_checks, widenings)
@@ -553,13 +604,20 @@ def _b_columns(h: BitMatrix, params: CodeParams) -> BitMatrix:
 
 @dataclass(frozen=True)
 class CompoundCode:
-    """A built code: the outer check h, and on first read the systematic
-    generator g1 of the null space of its quantization rows."""
+    """A built code: the outer check h, and on first read B's columns and
+    the systematic generator g1 of the null space of its quantization
+    rows."""
 
     params: CodeParams
     h: BitMatrix
     seed: int
     dist_id: str = ""
+
+    @cached_property
+    def b_columns(self) -> BitMatrix:
+        """_b_columns of h, read once per code: row c holds the quantization
+        rows where column c of B has a one."""
+        return _b_columns(self.h, self.params)
 
     @cached_property
     def g1(self) -> BitMatrix:
@@ -572,7 +630,7 @@ class CompoundCode:
         r, mid = p.quant_checks, p.info_rows - p.n // 2
         rows = [(r + j,) for j in range(mid)]
         rows += [cols + (r + mid + c,) for c, cols
-                 in enumerate(_b_columns(self.h, p).row_support)]
+                 in enumerate(self.b_columns.row_support)]
         return BitMatrix(p.info_rows, p.n, rows)
 
     @cached_property
@@ -680,6 +738,7 @@ def load_code(directory: str | Path) -> CompoundCode:
     if not report.ok:
         raise ParamValidationError(report)
     h = _read_code_matrix(directory / "h.txt", params.outer_checks, params.n)
-    _b_columns(h, params)  # raises unless h's top rows are (I | 0 | B)
-    return CompoundCode(params, h, manifest["seed"],
+    code = CompoundCode(params, h, manifest["seed"],
                         manifest.get("dist_id", ""))
+    code.b_columns  # raises unless h's top rows are (I | 0 | B)
+    return code

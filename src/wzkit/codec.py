@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .builder import CodeParams, CompoundCode, _b_columns
+from .builder import CodeParams, CompoundCode
 from .decoder import SpParams, sp_decode
 from .gf2 import BitMatrix, BitVector, ShapeError, _require_ints, mul_vec
 from .quantizer import BipParams, _resolve, bip_quantize_all
@@ -224,12 +224,15 @@ class CompoundQuantizer:
         params = code.params
         r = params.quant_checks
         mid = params.info_rows - params.n // 2
-        sub_cols = _b_columns(code.h, params).row_support
+        b = code.b_columns
         self.n = params.n
         self.parity_width = r
         self.mid_width = mid
-        self.g_sub = BitMatrix(len(sub_cols), r + len(sub_cols),
-                               [cols + (r + j,) for j, cols in enumerate(sub_cols)])
+        # row j: B's column j, then its private tail column r + j
+        lengths = b.row_lengths()
+        self.g_sub = BitMatrix.from_arrays(
+            b.rows, r + b.rows, lengths + 1,
+            np.insert(b.edges()[1], np.cumsum(lengths), r + np.arange(b.rows)))
         # default damping is a fact of g_sub: search it for 4-cycles once
         self._damping = _resolve(BipParams(), self.g_sub)[1]
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import SMALL_PARAMS, TINY_PARAMS, tiny_dist
+from wzkit import builder
 from wzkit.builder import (BFS_DEPTH_CAP, CodeParams, CompoundCode,
                            ParamValidationError, _check_degree_sequence,
                            _node_degree_sequence, _peg_grow,
@@ -121,9 +122,15 @@ def digest(a):
     return hashlib.sha256(repr(a.row_support).encode()).hexdigest()[:16]
 
 
-def reference_peg(n_checks, n_vars, dist, seed):
+def reference_peg(n_checks, n_vars, dist, seed, levels=None):
     """peg_generate written plainly: adjacency as Python-int bitmasks, one
-    BFS level at a time, bit by bit.  Same RNG calls, so same output."""
+    BFS level at a time, bit by bit.  Same RNG calls, so same output.
+
+    When levels is a list, each BFS appends the list of its levels' bounds,
+    wave size x widest check x the variable's degree, the quantity _peg_grow
+    compares with PEG_LIST_LEVEL_EDGES to pick a level's path.  The widest
+    check starts at the widest capacity and doubles when a spill outgrows it,
+    as _peg_grow's table does."""
     rng = random.Random(seed)
     var_degs = _node_degree_sequence(dist.lambda_terms, n_vars)
     n_edges = sum(var_degs)
@@ -138,6 +145,7 @@ def reference_peg(n_checks, n_vars, dist, seed):
     adj_check = [0] * gen_checks
     every = (1 << gen_checks) - 1
     under = every
+    widest = max(chk_degs)
 
     for v in sorted(range(n_vars), key=lambda v: (var_degs[v], v)):
         for k in range(var_degs[v]):
@@ -145,8 +153,10 @@ def reference_peg(n_checks, n_vars, dist, seed):
             cand = pool
             if k:
                 seen_c, seen_v, wave, depth = adj_var[v], 1 << v, adj_var[v], 0
+                bounds = []
                 while pool & ~seen_c and wave and depth < BFS_DEPTH_CAP:
                     depth += 1
+                    bounds.append(wave.bit_count() * widest * var_degs[v])
                     new_v = 0
                     for c in _bit_indices(wave):
                         new_v |= adj_check[c]
@@ -158,7 +168,11 @@ def reference_peg(n_checks, n_vars, dist, seed):
                     wave &= ~seen_c
                     seen_c |= wave
                 cand = pool & ~seen_c or wave & pool or pool
+                if levels is not None:
+                    levels.append(bounds)
             c = min(_bit_indices(cand), key=lambda c: (deg[c], c))
+            if deg[c] == widest:
+                widest *= 2
             adj_var[v] |= 1 << c
             adj_check[c] |= 1 << v
             deg[c] += 1
@@ -194,7 +208,7 @@ class TestPegGolden:
         assert max(len(sup) for sup in a.row_support) == 6
         assert digest(a) == "279cbcbba833d5c5"
 
-    def test_matches_plain_reference(self, catalog):
+    def test_matches_plain_reference(self, catalog, monkeypatch):
         # every check of the last profile has capacity 5, so its spills go
         # past the widest check and widen the check-to-variable table
         uniform = DegreeDistribution(catalog["code3"].dist.lambda_terms,
@@ -203,7 +217,7 @@ class TestPegGolden:
             "code1", "code3", "code11", "code13", "code14", "regular-3-10")]
         profiles.append((uniform, 80, 130))
         rng = random.Random(2024)
-        reached = Counter()
+        cases = []
         for dist, low_vars, high_vars in profiles:
             done = 0
             while done < 2:
@@ -217,14 +231,38 @@ class TestPegGolden:
                 done += 1
                 n_checks = rng.randrange(low, design + 1)
                 seed = rng.randrange(1000)
-                a, counts = _peg_grow(n_checks, n_vars, dist, seed)
-                assert a == reference_peg(n_checks, n_vars, dist, seed), \
-                    (n_vars, seed)
+                cases.append((n_checks, n_vars, dist, seed))
+        want = [reference_peg(*case) for case in cases]
+        # the default level rule, every level on numpy masks, every level
+        # on adjacency lists: same matrices, same PegCounts
+        all_counts = []
+        for list_edges in (builder.PEG_LIST_LEVEL_EDGES, 0, 10 ** 9):
+            monkeypatch.setattr(builder, "PEG_LIST_LEVEL_EDGES", list_edges)
+            reached = Counter()
+            all_counts.append([])
+            for case, a_ref in zip(cases, want):
+                a, counts = _peg_grow(*case)
+                assert a == a_ref, (list_edges, case[1], case[3])
                 reached.update(dataclasses.asdict(counts))
-        # the cases take every branch of the growth loop
-        for branch in ("pool_exits", "depth_cap_exits", "empty_wave_exits",
-                       "spills", "widenings", "trimmed_rows"):
-            assert reached[branch] > 0, branch
+                all_counts[-1].append(counts)
+            # the cases take every branch of the growth loop
+            for branch in ("pool_exits", "depth_cap_exits",
+                           "empty_wave_exits", "spills", "widenings",
+                           "trimmed_rows"):
+                assert reached[branch] > 0, (list_edges, branch)
+        assert all_counts[1] == all_counts[0] == all_counts[2]
+
+    def test_bfs_switches_paths_both_ways(self, catalog):
+        # under the default rule some BFS of this growth walks lists, then
+        # masks, then lists again; the output still equals the reference
+        dist = catalog["code3"].dist
+        levels = []
+        want = reference_peg(85, 100, dist, 11, levels)
+        limit = builder.PEG_LIST_LEVEL_EDGES
+        paths = ["".join("L" if b <= limit else "M" for b in bounds)
+                 for bounds in levels]
+        assert any("ML" in p[p.find("LM"):] for p in paths if "LM" in p)
+        assert _peg_grow(85, 100, dist, seed=11)[0] == want
 
     def test_cli_geometry_build(self, catalog):
         code = build_compound_code(CLI_PARAMS, catalog["code3"].dist,

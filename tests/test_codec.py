@@ -219,6 +219,27 @@ class TestCompoundQuantizer:
         assert mat_mul(code.h1, transpose(g1)).row_support == \
             ((),) * code.h1.rows
 
+    @pytest.mark.parametrize("code", ["tiny_code", "small_code"])
+    def test_g_sub_is_b_with_private_tail(self, code, request):
+        code = request.getfixturevalue(code)
+        r = code.params.quant_checks
+        sub_cols = builder._b_columns(code.h, code.params).row_support
+        want = BitMatrix(len(sub_cols), r + len(sub_cols),
+                         [cols + (r + j,) for j, cols in enumerate(sub_cols)])
+        assert CompoundQuantizer(code).g_sub == want
+
+    def test_loaded_code_reads_b_once(self, tiny_code, tmp_path,
+                                      monkeypatch):
+        save_code(tiny_code, tmp_path)
+        calls = []
+        real = builder._b_columns
+        monkeypatch.setattr(builder, "_b_columns",
+                            lambda *a: calls.append(1) or real(*a))
+        code = load_code(tmp_path)
+        code.quantizer, code.g1
+        assert len(calls) == 1
+        assert code.g1 == tiny_code.g1
+
     @pytest.mark.parametrize("bip", [BipParams(),
                                      BipParams(gamma=20.0, damping=0.0),
                                      BipParams(damping=0.5, threshold=0.6)])
