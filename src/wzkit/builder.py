@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, fields
+from dataclasses import InitVar, asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -44,29 +44,29 @@ BFS_DEPTH_CAP = 12
 # check times the variable's degree, a bound on the edges it can touch, is
 # at most this; wider levels run on numpy masks
 PEG_LIST_LEVEL_EDGES = 256
+# settings that shape no code; older inputs that carry them still load
+RETIRED_PARAMS = ("zeta", "poisson_lam", "poisson_imax")
 
 
 @dataclass(frozen=True)
 class CodeParams:
     """Block geometry of one compound code instance.
 
-    n is the outer length, m the inner length, k1/k2 the two nesting surpluses.
-    zeta, poisson_lam and poisson_imax have no effect on the code; they are
-    accepted, and zeta and poisson_imax checked, so that older configs and
-    manifests load.
+    n is the outer length, m the inner length, k1/k2 the two nesting
+    surpluses.  The RETIRED_PARAMS keywords are accepted and discarded.
     """
 
     n: int
     m: int
     k1: int
     k2: int
-    zeta: int
-    poisson_lam: float | None = None
-    poisson_imax: int | None = None
+    zeta: InitVar[int | None] = None
+    poisson_lam: InitVar[float | None] = None
+    poisson_imax: InitVar[int | None] = None
 
-    def __post_init__(self):
-        _require_ints(self, "n", "m", "k1", "k2", "zeta", "poisson_imax")
-        for name in ("n", "m", "k1", "k2", "zeta"):
+    def __post_init__(self, *retired):
+        for name in ("n", "m", "k1", "k2"):
+            _require_ints(self, name)
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.m - self.k1 < 1:
@@ -701,6 +701,7 @@ def _read_manifest(path: Path) -> dict:
     given = manifest["params"]
     if not isinstance(given, dict):
         raise ValueError("manifest.json: 'params' must be an object")
+    given = {k: v for k, v in given.items() if k not in RETIRED_PARAMS}
     known = [f.name for f in fields(CodeParams)]
     for key in given:
         if key not in known:

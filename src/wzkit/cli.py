@@ -19,8 +19,9 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import __version__
-from .builder import (CodeParams, ParamValidationError, build_compound_code,
-                      load_code, save_code, validate_params)
+from .builder import (RETIRED_PARAMS, CodeParams, ParamValidationError,
+                      build_compound_code, load_code, save_code,
+                      validate_params)
 from .codec import (ExperimentConfig, decode, encode_all, invert_bound,
                     run_experiment, write_curve_csv, write_results_csv,
                     wz_boundary, wz_rate)
@@ -107,9 +108,7 @@ def _add_bip_args(sub) -> None:
 def _cmd_build(args) -> int:
     entry = _resolve_dist(args)
     try:
-        params = CodeParams(n=args.n, m=args.m, k1=args.k1, k2=args.k2,
-                            zeta=args.zeta, poisson_lam=args.poisson_lam,
-                            poisson_imax=args.poisson_imax)
+        params = CodeParams(n=args.n, m=args.m, k1=args.k1, k2=args.k2)
     except (TypeError, ValueError) as e:
         print(f"invalid: {e}", file=sys.stderr)
         return EXIT_INVALID
@@ -180,8 +179,9 @@ def _experiment_from(entry: dict, index: int) -> tuple[ExperimentConfig, str, in
     if not isinstance(entry, dict):
         raise UsageError(f"experiment {index}: expected an object, got "
                          f"{json.dumps(entry)}")
-    required = ("code_id", "dist", "n", "m", "k1", "k2", "zeta", "p",
-                "trials", "seed")
+    entry = {k: v for k, v in entry.items() if k not in RETIRED_PARAMS}
+    required = ("code_id", "dist", "n", "m", "k1", "k2", "p", "trials",
+                "seed")
     for key in required:
         if key not in entry:
             raise UsageError(f"experiment {index}: missing key {key!r}")
@@ -208,6 +208,22 @@ def _experiment_from(entry: dict, index: int) -> tuple[ExperimentConfig, str, in
         params=params, bip=BipParams(**_given(entry, BipParams)),
         **_given(entry, ExperimentConfig))
     return config, entry["dist"], entry.get("build_seed", entry["seed"])
+
+
+def _run_entries(entries, catalog, workers: int):
+    """Build and run each entry, yielding each result as it ends."""
+    for index, (config, dist_id, build_seed) in enumerate(entries):
+        print(f"[{index + 1}/{len(entries)}] building {config.code_id} "
+              f"(n={config.params.n})", flush=True)
+        code = build_compound_code(config.params, catalog[dist_id].dist,
+                                   build_seed, dist_id=dist_id)
+        print(f"[{index + 1}/{len(entries)}] running {config.trials} "
+              f"trials at p={config.p}", flush=True)
+        result = run_experiment(code, config, workers=workers)
+        print(f"  d1={result.d1:.4f} d2={result.d2:.4f} Dt={result.dt:.4f} "
+              f"Dwz={result.dwz:.4f} gap={result.gap:.4f} "
+              f"failures={result.failures}", flush=True)
+        yield result
 
 
 def _cmd_run(args) -> int:
@@ -242,21 +258,9 @@ def _cmd_run(args) -> int:
                              f"{dist_id!r}")
         # a p whose bound has no value fails here, not after the build
         invert_bound(config.params.rates[2], config.p)
-    results = []
-    for index, (config, dist_id, build_seed) in enumerate(entries):
-        print(f"[{index + 1}/{len(entries)}] building {config.code_id} "
-              f"(n={config.params.n})", flush=True)
-        code = build_compound_code(config.params, catalog[dist_id].dist,
-                                   build_seed, dist_id=dist_id)
-        print(f"[{index + 1}/{len(entries)}] running {config.trials} "
-              f"trials at p={config.p}", flush=True)
-        result = run_experiment(code, config, workers=args.workers)
-        print(f"  d1={result.d1:.4f} d2={result.d2:.4f} Dt={result.dt:.4f} "
-              f"Dwz={result.dwz:.4f} gap={result.gap:.4f} "
-              f"failures={result.failures}", flush=True)
-        results.append(result)
+    # opened before the first build, so an unwritable --out fails at once
     with open(args.out, "w", encoding="utf-8") as f:
-        write_results_csv(f, results)
+        write_results_csv(f, _run_entries(entries, catalog, args.workers))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -306,12 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--m", type=int, required=True)
     b.add_argument("--k1", type=int, required=True)
     b.add_argument("--k2", type=int, required=True)
-    b.add_argument("--zeta", type=int, required=True,
-                   help="accepted and checked, no effect on the code")
-    b.add_argument("--poisson-lam", type=float, default=None,
-                   help="accepted, no effect on the code")
-    b.add_argument("--poisson-imax", type=int, default=None,
-                   help="accepted and checked, no effect on the code")
+    for name in RETIRED_PARAMS:      # accepted for older scripts, ignored
+        b.add_argument("--" + name.replace("_", "-"), help=SUPPRESS)
     b.add_argument("--dist", required=True, help="degree profile id")
     b.add_argument("--catalog", default=None, help="catalog file override")
     b.add_argument("--seed", type=int, default=0)

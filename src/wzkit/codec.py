@@ -346,7 +346,6 @@ class ExperimentResult:
     m: int
     k1: int
     k2: int
-    zeta: int
     p: float
     r1: float
     r2: float
@@ -487,15 +486,14 @@ def run_experiment(code: CompoundCode, config: ExperimentConfig,
 
     return ExperimentResult(
         code_id=config.code_id, n=code.params.n, m=code.params.m,
-        k1=code.params.k1, k2=code.params.k2, zeta=code.params.zeta,
-        p=config.p, r1=r1, r2=r2, rt=rt, d1=d1, d2=d2, dt=dt,
+        k1=code.params.k1, k2=code.params.k2, p=config.p,
+        r1=r1, r2=r2, rt=rt, d1=d1, d2=d2, dt=dt,
         dt_pred=binary_convolve(d1, d2), dwz=dwz, gap=dt - dwz,
         trials=config.trials, failures=failures, seed=config.seed)
 
 
-CSV_COLUMNS = ["code_id", "n", "m", "k1", "k2", "zeta", "p", "R1", "R2", "Rt",
-               "d1", "d2", "Dt", "Dt_pred", "Dwz", "gap", "trials", "failures",
-               "seed"]
+CSV_COLUMNS = ["code_id", "n", "m", "k1", "k2", "p", "R1", "R2", "Rt", "d1",
+               "d2", "Dt", "Dt_pred", "Dwz", "gap", "trials", "failures", "seed"]
 
 
 def write_results_csv(f: TextIO, results: Iterable[ExperimentResult]) -> None:
@@ -504,7 +502,7 @@ def write_results_csv(f: TextIO, results: Iterable[ExperimentResult]) -> None:
     w = csv.writer(f)
     w.writerow(CSV_COLUMNS)
     for r in results:
-        w.writerow([r.code_id, r.n, r.m, r.k1, r.k2, r.zeta,
+        w.writerow([r.code_id, r.n, r.m, r.k1, r.k2,
                     f"{r.p:.6g}", f"{r.r1:.6f}", f"{r.r2:.6f}", f"{r.rt:.6f}",
                     f"{r.d1:.6f}", f"{r.d2:.6f}", f"{r.dt:.6f}",
                     f"{r.dt_pred:.6f}", f"{r.dwz:.6f}", f"{r.gap:.6f}",

@@ -13,11 +13,9 @@ rho: 0.571429 x^2 + 0.428571 x^3
 one_minus_r2: 0.875
 """
 
-TINY_PARAMS = CodeParams(n=96, m=92, k1=20, k2=60, zeta=4,
-                         poisson_lam=6.0, poisson_imax=20)
+TINY_PARAMS = CodeParams(n=96, m=92, k1=20, k2=60)
 
-SMALL_PARAMS = CodeParams(n=200, m=190, k1=40, k2=120, zeta=10,
-                          poisson_lam=40.0, poisson_imax=100)
+SMALL_PARAMS = CodeParams(n=200, m=190, k1=40, k2=120)
 
 
 def tiny_dist() -> DegreeDistribution:

@@ -30,8 +30,7 @@ import test_decoder
 import test_quantizer
 from conftest import SMALL_PARAMS, TINY_PARAMS
 
-SCALED_PARAMS = CodeParams(n=10000, m=9570, k1=2000, k2=6000, zeta=10,
-                           poisson_lam=71.495, poisson_imax=160)
+SCALED_PARAMS = CodeParams(n=10000, m=9570, k1=2000, k2=6000)
 RUN_SEED = 20260815
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -129,8 +128,7 @@ def test_03_catalog_rate_headers(catalog):
         for entry in json.loads(path.read_text())["experiments"]:
             if entry["dist"] in ratios:
                 params = CodeParams(n=entry["n"], m=entry["m"],
-                                    k1=entry["k1"], k2=entry["k2"],
-                                    zeta=entry["zeta"])
+                                    k1=entry["k1"], k2=entry["k2"])
                 ratios[entry["dist"]].append(
                     (f"{path.name}:{entry['code_id']}",
                      params.outer_checks / params.n))

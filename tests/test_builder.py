@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import pickle
 import random
 import sys
 from collections import Counter
@@ -35,8 +36,7 @@ def degree_multisets(a):
 
 class TestCodeParams:
     @pytest.mark.parametrize("key, value", [
-        ("n", 96.0), ("m", 92.5), ("k2", True), ("zeta", 4.0),
-        ("poisson_imax", 20.5)])
+        ("n", 96.0), ("m", 92.5), ("k2", True)])
     def test_integer_fields_reject_other_numbers(self, key, value):
         with pytest.raises(TypeError,
                            match=f"{key} must be an integer, got {value}"):
@@ -44,18 +44,17 @@ class TestCodeParams:
         same = np.int64(getattr(TINY_PARAMS, key))
         assert dataclasses.replace(TINY_PARAMS, **{key: same}) == TINY_PARAMS
 
-    def test_zeta_has_no_upper_bound(self, tiny_code):
-        """zeta changes nothing, so no width caps it: a zeta above n//2 is
-        accepted and gives the same h."""
-        half = BitMatrix(2, 3, [[0, 1], [1, 2]])
-        wide = CodeParams(n=6, m=5, k1=1, k2=2, zeta=4)
-        assert wide.zeta > wide.n // 2
-        assert (assemble_compound(half, wide)
-                == assemble_compound(half, dataclasses.replace(wide, zeta=1)))
-        params = dataclasses.replace(TINY_PARAMS, zeta=TINY_PARAMS.n // 2 + 1)
-        built = build_compound_code(params, tiny_dist(), seed=5,
-                                    dist_id="tiny")
-        assert built.h == tiny_code.h
+    def test_fields_are_the_block_geometry(self):
+        assert [f.name for f in dataclasses.fields(CodeParams)] == [
+            "n", "m", "k1", "k2"]
+
+    def test_retired_keywords_are_discarded(self):
+        given = dataclasses.asdict(TINY_PARAMS)
+        old = CodeParams(**given, zeta=4, poisson_lam=6.0, poisson_imax=20)
+        assert old == TINY_PARAMS
+        assert repr(old) == repr(TINY_PARAMS)
+        assert dataclasses.asdict(old) == given
+        assert pickle.loads(pickle.dumps(old)) == TINY_PARAMS
 
     def test_manifest_with_a_float_count_fails_to_load(self, tiny_code,
                                                        tmp_path):
@@ -74,21 +73,18 @@ class TestValidateParams:
         assert validate_params(SMALL_PARAMS).ok
 
     def test_odd_outer_checks_flagged(self):
-        p = CodeParams(n=200, m=190, k1=40, k2=121, zeta=10,
-                       poisson_lam=7.0, poisson_imax=16)
+        p = CodeParams(n=200, m=190, k1=40, k2=121)
         report = validate_params(p)
         assert [c.name for c in report.failures()] == ["outer_checks_even"]
 
     def test_reverse_geometry_fails_three_ways(self):
-        p = CodeParams(n=3000, m=2000, k1=548, k2=1212, zeta=10,
-                       poisson_lam=128.77, poisson_imax=300)
+        p = CodeParams(n=3000, m=2000, k1=548, k2=1212)
         names = {c.name for c in validate_params(p).failures()}
         assert names == {"syndrome_capacity", "generator_tail_fits",
                          "split_fits_top_half"}
 
     def test_build_raises_on_invalid(self):
-        p = CodeParams(n=3000, m=2000, k1=548, k2=1212, zeta=10,
-                       poisson_lam=128.77, poisson_imax=300)
+        p = CodeParams(n=3000, m=2000, k1=548, k2=1212)
         with pytest.raises(ParamValidationError):
             build_compound_code(p, tiny_dist(), seed=0)
 
@@ -114,8 +110,7 @@ class TestPegGenerate:
 
 
 # code3 at n = 2000: the geometry of the perfbench cli-code3-p05 workload
-CLI_PARAMS = CodeParams(n=2000, m=1914, k1=400, k2=1200, zeta=10,
-                        poisson_lam=71.495, poisson_imax=160)
+CLI_PARAMS = CodeParams(n=2000, m=1914, k1=400, k2=1200)
 
 
 def digest(a):
@@ -359,8 +354,7 @@ class TestAssembleCompound:
         # mirroring a 2x3 half with diagonal ones gives the block pattern
         # (e_i | a0_i) on top and (a0_j | e_j) below
         half = BitMatrix(2, 3, [[0, 1], [1, 2]])
-        params = CodeParams(n=6, m=5, k1=1, k2=2, zeta=1, poisson_lam=2.0,
-                            poisson_imax=6)
+        params = CodeParams(n=6, m=5, k1=1, k2=2)
         h = assemble_compound(half, params)
         assert h.row_support == ((0, 4), (1, 5), (1, 3), (2, 4))
         # the quantization check is the top n - m + k1 = 2 rows
@@ -383,8 +377,7 @@ class TestAssembleCompound:
 
     def test_rejects_missing_diagonal(self):
         half = BitMatrix(2, 3, [[1], [1, 2]])
-        params = CodeParams(n=6, m=5, k1=1, k2=2, zeta=1, poisson_lam=2.0,
-                            poisson_imax=6)
+        params = CodeParams(n=6, m=5, k1=1, k2=2)
         with pytest.raises(ValueError):
             assemble_compound(half, params)
 
@@ -524,6 +517,23 @@ class TestManifest:
         change(manifest)
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=f"^manifest.json: {message}"):
+            load_code(tmp_path / "code")
+
+    def test_retired_params_keys_are_dropped(self, tiny_code, tmp_path):
+        """A manifest as older versions wrote it, with the three retired
+        keys, loads to the code a fresh build gives; a key that only looks
+        like one still fails."""
+        save_code(tiny_code, tmp_path / "code")
+        path = tmp_path / "code" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["params"].update(zeta=4, poisson_lam=6.0, poisson_imax=20)
+        path.write_text(json.dumps(manifest))
+        assert load_code(tmp_path / "code") == build_compound_code(
+            TINY_PARAMS, tiny_dist(), seed=5, dist_id="tiny")
+        manifest["params"]["zeta2"] = 4
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="^manifest.json: unknown params "
+                                             "key 'zeta2'$"):
             load_code(tmp_path / "code")
 
     @pytest.mark.parametrize("text", ["[1, 2]", "3", "{", ""])

@@ -33,9 +33,6 @@ def workdir(tmp_path_factory):
     rc = cli.main([
         "build", "--n", str(TINY_PARAMS.n), "--m", str(TINY_PARAMS.m),
         "--k1", str(TINY_PARAMS.k1), "--k2", str(TINY_PARAMS.k2),
-        "--zeta", str(TINY_PARAMS.zeta),
-        "--poisson-lam", str(TINY_PARAMS.poisson_lam),
-        "--poisson-imax", str(TINY_PARAMS.poisson_imax),
         "--dist", "tiny", "--catalog", str(catalog),
         "--seed", "5", "--out", str(code_dir),
     ])
@@ -55,7 +52,7 @@ class TestBuild:
     def test_unknown_profile_is_usage_error(self, workdir, tmp_path, capsys):
         rc = cli.main([
             "build", "--n", "96", "--m", "92", "--k1", "20", "--k2", "60",
-            "--zeta", "4", "--dist", "nope",
+            "--dist", "nope",
             "--catalog", str(workdir / "catalog.txt"),
             "--out", str(tmp_path / "x"),
         ])
@@ -65,8 +62,7 @@ class TestBuild:
     def test_invalid_geometry_exits_two(self, workdir, tmp_path, capsys):
         rc = cli.main([
             "build", "--n", "3000", "--m", "2000", "--k1", "548",
-            "--k2", "1212", "--zeta", "10", "--poisson-lam", "128.77",
-            "--poisson-imax", "300", "--dist", "tiny",
+            "--k2", "1212", "--dist", "tiny",
             "--catalog", str(workdir / "catalog.txt"),
             "--out", str(tmp_path / "x"),
         ])
@@ -79,23 +75,19 @@ class TestBuild:
 
     @staticmethod
     def build_args(workdir, out, **flags):
-        """build flags for the tiny geometry, with flags replacing or
-        (valued None) dropping some of them."""
+        """build flags for the tiny geometry, with flags replacing some of
+        them or adding more."""
         given = {"n": TINY_PARAMS.n, "m": TINY_PARAMS.m, "k1": TINY_PARAMS.k1,
-                 "k2": TINY_PARAMS.k2, "zeta": TINY_PARAMS.zeta,
-                 "poisson-lam": TINY_PARAMS.poisson_lam,
-                 "poisson-imax": TINY_PARAMS.poisson_imax, **flags}
+                 "k2": TINY_PARAMS.k2, **flags}
         return ["build", *(tok for key, value in given.items()
-                           if value is not None
                            for tok in (f"--{key}", str(value))),
                 "--dist", "tiny", "--catalog", str(workdir / "catalog.txt"),
                 "--seed", "5", "--out", str(out)]
 
     @pytest.mark.parametrize("flags, message", [
         ({"n": 0}, "n must be >= 1"),
-        ({"zeta": 0}, "zeta must be >= 1"),
         ({"k1": TINY_PARAMS.m}, "m - k1 must be >= 1"),
-    ], ids=["n-zero", "zeta-zero", "no-generator-rows"])
+    ], ids=["n-zero", "no-generator-rows"])
     def test_impossible_geometry_exits_two_before_building(
             self, workdir, tmp_path, capsys, flags, message):
         rc = cli.main(self.build_args(workdir, tmp_path / "x", **flags))
@@ -103,23 +95,45 @@ class TestBuild:
         assert capsys.readouterr().err == f"invalid: {message}\n"
         assert not (tmp_path / "x").exists()
 
-    def test_build_needs_no_poisson_flags(self, workdir, tmp_path):
-        # the tiny geometry has a middle block; the flags change nothing
+    def test_retired_flags_are_accepted_and_ignored(self, workdir, tmp_path,
+                                                    capsys):
+        """Older build commands pass --zeta, --poisson-lam and
+        --poisson-imax; they still build the same files, and --help no
+        longer lists them."""
         out = tmp_path / "x"
-        rc = cli.main(self.build_args(workdir, out, **{"poisson-lam": None,
-                                                       "poisson-imax": None}))
+        rc = cli.main(self.build_args(workdir, out, zeta=0,
+                                      **{"poisson-lam": 6.0,
+                                         "poisson-imax": 20}))
         assert rc == 0
         assert {f.name for f in out.iterdir()} == {"manifest.json", "h.txt"}
-        assert (out / "h.txt").read_bytes() == \
-            (workdir / "tiny-code" / "h.txt").read_bytes()
+        for name in ("manifest.json", "h.txt"):
+            assert (out / name).read_bytes() == \
+                (workdir / "tiny-code" / name).read_bytes()
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli.main(["build", "--help"])
+        text = capsys.readouterr().out
+        assert "--k2" in text
+        assert "zeta" not in text and "poisson" not in text
+
+    def test_build_needs_no_poisson_flags(self, workdir, tmp_path):
+        # an older command that passes --zeta alone still builds the code
+        out = tmp_path / "x"
+        rc = cli.main(self.build_args(workdir, out, zeta=4))
+        assert rc == 0
+        assert {f.name for f in out.iterdir()} == {"manifest.json", "h.txt"}
+        for name in ("manifest.json", "h.txt"):
+            assert (out / name).read_bytes() == \
+                (workdir / "tiny-code" / name).read_bytes()
 
     def test_build_accepts_zeta_above_half_n(self, workdir, tmp_path):
         out = tmp_path / "x"
         rc = cli.main(self.build_args(workdir, out,
                                       zeta=TINY_PARAMS.n // 2 + 1))
         assert rc == 0
-        assert (out / "h.txt").read_bytes() == \
-            (workdir / "tiny-code" / "h.txt").read_bytes()
+        for name in ("manifest.json", "h.txt"):
+            assert (out / name).read_bytes() == \
+                (workdir / "tiny-code" / name).read_bytes()
 
     def test_missing_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -427,9 +441,6 @@ class TestRun:
         return {"code_id": "tiny", "dist": "tiny",
                 "n": TINY_PARAMS.n, "m": TINY_PARAMS.m,
                 "k1": TINY_PARAMS.k1, "k2": TINY_PARAMS.k2,
-                "zeta": TINY_PARAMS.zeta,
-                "poisson_lam": TINY_PARAMS.poisson_lam,
-                "poisson_imax": TINY_PARAMS.poisson_imax,
                 "p": 0.25, "trials": 2, "seed": 3, "build_seed": 5}
 
     def test_run_writes_csv_deterministically(self, workdir, tmp_path,
@@ -636,6 +647,7 @@ class TestRun:
         for path in configs:
             for index, entry in enumerate(
                     json.loads(path.read_text())["experiments"]):
+                assert not set(entry) & set(builder.RETIRED_PARAMS)
                 config, dist, _ = cli._experiment_from(entry, index)
                 assert (config.code_id, dist) == (entry["code_id"],
                                                   entry["dist"])
@@ -655,6 +667,38 @@ class TestRun:
         assert (rc, builds) == (1, [])
         assert (capsys.readouterr().err
                 == f"error: --workers must be >= 1, got {workers}\n")
+
+    def test_retired_keys_write_the_same_rows(self, workdir, tmp_path):
+        """An entry as older configs wrote it, with the three retired keys,
+        gives the same CSV as one without them."""
+        old = dict(self.experiment(), zeta=4, poisson_lam=6.0,
+                   poisson_imax=20)
+        outs = []
+        for name, entry in (("new", self.experiment()), ("old", old)):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"experiments": [entry]}))
+            out = tmp_path / f"{name}.csv"
+            rc = cli.main(["run", "--config", str(config),
+                           "--catalog", str(workdir / "catalog.txt"),
+                           "--out", str(out)])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_unwritable_out_fails_before_build(self, workdir, tmp_path,
+                                               monkeypatch, capsys):
+        builds = []
+        monkeypatch.setattr(cli, "build_compound_code",
+                            lambda *a, **k: builds.append(a))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiments": [self.experiment()]}))
+        rc = cli.main(["run", "--config", str(config),
+                       "--catalog", str(workdir / "catalog.txt"),
+                       "--out", str(tmp_path / "nodir" / "o.csv")])
+        assert (rc, builds) == (3, [])
+        out, err = capsys.readouterr()
+        assert "building" not in out
+        assert err.startswith("error: ") and "nodir" in err
 
     def test_missing_config_file_exits_three(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "absent.json"),

@@ -385,13 +385,13 @@ class TestRunExperiment:
                                       p=0.05, trials=4, seed=3)
         assert repr(run_experiment(tiny_code, converging)) == (
             "ExperimentResult(code_id='tiny', n=96, m=92, k1=20, k2=60, "
-            "zeta=4, p=0.05, r1=0.75, r2=0.125, rt=0.625, d1=0.0859375, "
+            "p=0.05, r1=0.75, r2=0.125, rt=0.625, d1=0.0859375, "
             "d2=0.0, dt=0.0859375, dt_pred=0.0859375, dwz=0.0, "
             "gap=0.0859375, trials=4, failures=0, seed=3)")
         stuck = dataclasses.replace(converging, p=0.25, crossover=0.45)
         assert repr(run_experiment(tiny_code, stuck)) == (
             "ExperimentResult(code_id='tiny', n=96, m=92, k1=20, k2=60, "
-            "zeta=4, p=0.25, r1=0.75, r2=0.125, rt=0.625, d1=0.0859375, "
+            "p=0.25, r1=0.75, r2=0.125, rt=0.625, d1=0.0859375, "
             "d2=0.2708333333333333, dt=0.25260416666666663, "
             "dt_pred=0.31022135416666663, dwz=0.03352693608030677, "
             "gap=0.21907723058635986, trials=4, failures=4, seed=3)")
@@ -427,8 +427,7 @@ class TestRunExperiment:
         assert res.gap == pytest.approx(res.dt - res.dwz, abs=1e-9)
 
     def test_params_mismatch_rejected(self, tiny_code):
-        other = CodeParams(n=96, m=92, k1=20, k2=60, zeta=4,
-                           poisson_lam=5.0, poisson_imax=20)
+        other = CodeParams(n=96, m=92, k1=20, k2=62)
         cfg = ExperimentConfig(code_id="tiny", params=other, p=0.25,
                                trials=1, seed=1)
         with pytest.raises(ValueError):
