@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .degrees import DegreeDistribution
-from .gf2 import (BitMatrix, EchelonBasis, RankDeficiencyError, _require_ints,
-                  permute, read_matrix, write_matrix)
+from .gf2 import (BitMatrix, RankDeficiencyError, _require_ints, permute,
+                  read_matrix, write_matrix)
 
 __all__ = [
     "CodeParams",
@@ -255,7 +255,10 @@ def peg_generate(n_checks: int, n_vars: int, dist: DegreeDistribution,
     breadth-first expansion of the current graph; the lowest current degree and
     then the lowest index break ties.  Dependent rows are replaced by fresh
     randomly placed rows of the same degree, at most PEG_REPAIR_ATTEMPTS
-    passes, so the result has full row rank.  Empirical edge fractions track
+    passes, so the result has full row rank.  Each pass reads the dependent
+    rows off the candidate matrix's cached row elimination
+    (BitMatrix.echelon()), and the result comes with the last pass's view
+    cached, so that all_one_diagonalize does not eliminate it again.  Empirical edge fractions track
     the profile to within a couple percent whenever the requested shape is
     near the profile's own check-to-variable ratio.
 
@@ -418,28 +421,31 @@ def _peg_grow(n_checks: int, n_vars: int, dist: DegreeDistribution,
     keep = range(gen_checks)
     if gen_checks > n_checks:
         keep = sorted(rng.sample(keep, n_checks))
-    rows = [sum(1 << u for u in chk_vars[c]) for c in keep]
+    rows = [chk_vars[c] for c in keep]
     del chk_vars, var_checks    # the repair's elimination is the peak
-    rows = _repair_full_rank(rows, n_vars, rng)
+    half = _repair_full_rank(rows, n_vars, rng)
     counts = PegCounts(spills, pool_exits, depth_caps, empty_waves,
                        gen_checks - n_checks, widenings)
-    return BitMatrix.from_bitrows(n_checks, n_vars, rows), counts
+    return half, counts
 
 
-def _repair_full_rank(rows: list[int], n_vars: int, rng: random.Random) -> list[int]:
+def _repair_full_rank(rows: list[list[int]], n_vars: int,
+                      rng: random.Random) -> BitMatrix:
+    """The matrix of rows (each a list of columns) made full row rank, with
+    its echelon() view already cached.  Each pass replaces every dependent
+    row by a row of as many random columns (at least one), at most
+    PEG_REPAIR_ATTEMPTS passes; rows is updated in place."""
     for attempt in range(PEG_REPAIR_ATTEMPTS + 1):
-        basis = EchelonBasis()
-        dependent = [i for i, bits in enumerate(rows) if not basis.insert(bits)]
+        a = BitMatrix(len(rows), n_vars, rows)
+        pivots, dependent = a.echelon()
         if not dependent:
-            return rows
+            return a
         if attempt == PEG_REPAIR_ATTEMPTS:
             raise RankDeficiencyError(
-                f"full-rank repair failed: rank {len(basis)} of {len(rows)}",
-                len(basis))
+                f"full-rank repair failed: rank {len(pivots)} of {len(rows)}",
+                len(pivots))
         for idx in dependent:
-            weight = max(rows[idx].bit_count(), 1)
-            fresh = sum(1 << c for c in rng.sample(range(n_vars), weight))
-            rows[idx] = fresh
+            rows[idx] = rng.sample(range(n_vars), max(len(rows[idx]), 1))
 
 
 def empirical_fractions(a: BitMatrix) -> tuple[dict[int, float], dict[int, float]]:
@@ -524,20 +530,21 @@ def hopcroft_karp(adjacency: list[list[int]], n_left: int, n_right: int) -> list
 def all_one_diagonalize(a: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Permutations making every diagonal entry of permute(a, ...) equal one.
 
-    Requires full row rank and rows <= cols.  An invertible column subset comes
-    out of elimination; a perfect matching between rows and those columns over
-    the support supplies the diagonal (such a matching exists because the
-    invertible submatrix has odd permanent).  Rows stay in place; matched
-    columns move onto the diagonal and the leftovers follow in ascending order.
+    Requires full row rank and rows <= cols.  An invertible column subset, the
+    pivot columns, is read from a's cached row elimination
+    (BitMatrix.echelon()), which peg_generate's output already carries; a
+    rank-deficient a raises RankDeficiencyError carrying its rank.  A perfect
+    matching between rows and those columns over the support supplies the
+    diagonal (such a matching exists because the invertible submatrix has odd
+    permanent).  Rows stay in place; matched columns move onto the diagonal
+    and the leftovers follow in ascending order.
     """
     if a.rows > a.cols:
         raise ValueError(f"need rows <= cols, got {a.rows}x{a.cols}")
-    basis = EchelonBasis()
-    for bits in a.bitrows():
-        if not basis.insert(bits):
-            raise RankDeficiencyError(
-                f"matrix {a.rows}x{a.cols} is rank deficient", len(basis))
-    pivot_cols = basis.pivots()
+    pivot_cols, dependent = a.echelon()
+    if dependent:
+        raise RankDeficiencyError(
+            f"matrix {a.rows}x{a.cols} is rank deficient", len(pivot_cols))
     col_pos = {c: i for i, c in enumerate(pivot_cols)}
     adjacency = [[col_pos[c] for c in sup if c in col_pos] for sup in a.row_support]
     matching = hopcroft_karp(adjacency, a.rows, len(pivot_cols))

@@ -3,11 +3,12 @@
 Matrices are stored as two int64 arrays (the canonical form): the column of
 every entry, row by row with each row sorted, and where each row starts.  One
 vectorized check validates every constructor's input.  The Tanner-graph edge
-arrays, the per-row supports as tuples and a packed view of one Python int per
-row (bit c = entry in column c) are built on first use and cached.  The packed
-view makes elimination word-parallel, so dimensions of a few times 10^5 per
-axis stay workable; memory is O(nnz) for storage and about rows*cols/8 bytes
-while an elimination runs.
+arrays, the per-row supports as tuples, a packed view of one Python int per
+row (bit c = entry in column c) and the row elimination (pivot columns and
+dependent rows) are built on first use and cached.  Packed rows make
+elimination word-parallel, so dimensions of a few times 10^5 per axis stay
+workable; memory is O(nnz) for storage and about rows*cols/8 bytes while an
+elimination runs.
 
 Bits cross between packed ints and numpy arrays through np.packbits and
 np.unpackbits with little-endian bit order, so every such crossing is O(n).
@@ -147,7 +148,7 @@ class BitMatrix:
     """
 
     __slots__ = ("rows", "cols", "_starts", "_columns", "_row_support",
-                 "_bitrows", "_edges", "_slots")
+                 "_bitrows", "_edges", "_slots", "_echelon")
 
     def __init__(self, rows: int, cols: int, row_support: Iterable[Iterable[int]]):
         supports = [sup if isinstance(sup, (tuple, list)) else tuple(sup)
@@ -212,6 +213,7 @@ class BitMatrix:
         object.__setattr__(self, "_bitrows", None)
         object.__setattr__(self, "_edges", None)
         object.__setattr__(self, "_slots", None)
+        object.__setattr__(self, "_echelon", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BitMatrix is immutable")
@@ -275,22 +277,44 @@ class BitMatrix:
         """Packed view, built on first use and cached."""
         cached = object.__getattribute__(self, "_bitrows")
         if cached is None:
-            nbytes = (self.cols + 7) // 8
-            width = 8 * nbytes
-            step = _chunk_rows(width)
-            out = []
-            for at in range(0, self.rows, step):
-                stop = min(at + step, self.rows)
-                lo, hi = self._starts[at], self._starts[stop]
-                rows = np.repeat(np.arange(stop - at) * width,
-                                 np.diff(self._starts[at:stop + 1]))
-                dense = np.zeros((stop - at) * width, dtype=bool)
-                dense[rows + self._columns[lo:hi]] = True
-                packed = np.packbits(dense, bitorder="little").tobytes()
-                out.extend(int.from_bytes(packed[k:k + nbytes], "little")
-                           for k in range(0, len(packed), nbytes))
-            cached = tuple(out)
+            cached = tuple(self._packed_rows())
             object.__setattr__(self, "_bitrows", cached)
+        return cached
+
+    def _packed_rows(self):
+        """Every row as a packed int, in order, packed a chunk of rows at a
+        time."""
+        nbytes = (self.cols + 7) // 8
+        width = 8 * nbytes
+        step = _chunk_rows(width)
+        for at in range(0, self.rows, step):
+            stop = min(at + step, self.rows)
+            lo, hi = self._starts[at], self._starts[stop]
+            rows = np.repeat(np.arange(stop - at) * width,
+                             np.diff(self._starts[at:stop + 1]))
+            dense = np.zeros((stop - at) * width, dtype=bool)
+            dense[rows + self._columns[lo:hi]] = True
+            packed = np.packbits(dense, bitorder="little").tobytes()
+            yield from (int.from_bytes(packed[k:k + nbytes], "little")
+                        for k in range(0, len(packed), nbytes))
+
+    def echelon(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(pivots, dependent): the row elimination, built on first use and
+        cached.
+
+        One EchelonBasis pass inserts the rows in order, each packed as it
+        is inserted, so the bitrows() cache stays empty.  pivots are the
+        pivot columns in ascending order, as EchelonBasis.pivots() gives
+        them; dependent are the indices of the rows that lie in the span of
+        the rows above them.  The rank is len(pivots).
+        """
+        cached = object.__getattribute__(self, "_echelon")
+        if cached is None:
+            basis = EchelonBasis()
+            dependent = tuple(i for i, bits in enumerate(self._packed_rows())
+                              if not basis.insert(bits))
+            cached = (tuple(basis.pivots()), dependent)
+            object.__setattr__(self, "_echelon", cached)
         return cached
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -504,8 +528,7 @@ def _column_basis(a: BitMatrix) -> tuple[EchelonBasis, list[int], list[int]]:
 
 
 def rank(a: BitMatrix) -> int:
-    basis = EchelonBasis()
-    return sum(basis.insert(bits) for bits in a.bitrows())
+    return len(a.echelon()[0])
 
 
 def invert(a: BitMatrix) -> BitMatrix:

@@ -21,7 +21,8 @@ from wzkit.builder import (BFS_DEPTH_CAP, CodeParams, CompoundCode,
                            empirical_fractions, hopcroft_karp, load_code,
                            peg_generate, save_code, validate_params)
 from wzkit.degrees import DegreeDistribution
-from wzkit.gf2 import (BitMatrix, BitVector, _bit_indices, mat_mul, mul_vec,
+from wzkit.gf2 import (BitMatrix, BitVector, EchelonBasis,
+                       RankDeficiencyError, _bit_indices, mat_mul, mul_vec,
                        permute, rank)
 
 
@@ -176,8 +177,26 @@ def reference_peg(n_checks, n_vars, dist, seed, levels=None):
     rows = adj_check
     if gen_checks > n_checks:
         rows = [rows[i] for i in sorted(rng.sample(range(gen_checks), n_checks))]
-    rows = _repair_full_rank(rows, n_vars, rng)
+    rows = reference_repair_full_rank(rows, n_vars, rng)
     return BitMatrix.from_bitrows(n_checks, n_vars, rows)
+
+
+def reference_repair_full_rank(rows, n_vars, rng):
+    """The full-rank repair on packed-int rows, as _peg_grow ran it before
+    it repaired sparse rows: same RNG calls, so same rows.  Returns the
+    repaired rows; rows is updated in place."""
+    for attempt in range(builder.PEG_REPAIR_ATTEMPTS + 1):
+        basis = EchelonBasis()
+        dependent = [i for i, bits in enumerate(rows) if not basis.insert(bits)]
+        if not dependent:
+            return rows
+        if attempt == builder.PEG_REPAIR_ATTEMPTS:
+            raise RankDeficiencyError(
+                f"full-rank repair failed: rank {len(basis)} of {len(rows)}",
+                len(basis))
+        for idx in dependent:
+            weight = max(rows[idx].bit_count(), 1)
+            rows[idx] = sum(1 << c for c in rng.sample(range(n_vars), weight))
 
 
 class TestPegGolden:
@@ -290,6 +309,84 @@ class TestAllOneDiagonalize:
         row_perm, col_perm = all_one_diagonalize(a)
         b = permute(a, row_perm, col_perm)
         assert degree_multisets(a) == degree_multisets(b)
+
+    def test_rank_deficiency_reports_the_full_rank(self):
+        # the dependent row 1 comes before the independent row 2
+        a = BitMatrix(3, 5, [[0, 1], [0, 1], [2, 3]])
+        with pytest.raises(RankDeficiencyError) as e:
+            all_one_diagonalize(a)
+        assert e.value.rank == rank(a) == 2
+
+
+class TestRepairFullRank:
+    # rows 2, 3 and 4 are dependent: a duplicate of row 0, an empty row and
+    # the XOR of rows 0 and 1; six rows over six columns leave no slack, so
+    # random replacements are often dependent themselves
+    PLANTED = [[0, 1], [2, 3], [0, 1], [], [0, 1, 2, 3], [4]]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_planted_dependencies_match_reference(self, seed, monkeypatch):
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        want = reference_repair_full_rank(
+            [sum(1 << c for c in row) for row in self.PLANTED], 6, want_rng)
+        views = []
+        echelon = BitMatrix.echelon
+        monkeypatch.setattr(BitMatrix, "echelon",
+                            lambda a: views.append(echelon(a)) or views[-1])
+        got = _repair_full_rank([list(row) for row in self.PLANTED], 6,
+                                got_rng)
+        assert views[0][1] == (2, 3, 4)
+        # each seed's first replacements leave a dependent row
+        assert len(views) >= 2
+        basis = EchelonBasis()
+        assert all(basis.insert(bits) for bits in want)
+        assert views[-1] == (tuple(basis.pivots()), ())
+        # the repaired matrix comes with its elimination cached
+        assert object.__getattribute__(got, "_echelon") is views[-1]
+        assert got.bitrows() == tuple(want)
+        assert got_rng.random() == want_rng.random()
+
+    def test_rank_deficiency_past_the_last_attempt(self):
+        rows = [[0], [1], [0, 1]]    # three rows over two columns
+        with pytest.raises(RankDeficiencyError) as want:
+            reference_repair_full_rank([0b01, 0b10, 0b11], 2,
+                                       random.Random(1))
+        with pytest.raises(RankDeficiencyError) as got:
+            _repair_full_rank(rows, 2, random.Random(1))
+        assert str(got.value) == str(want.value)
+        assert got.value.rank == want.value.rank == 2
+
+
+class TestOneElimination:
+    @pytest.fixture
+    def inserts(self, monkeypatch):
+        """Rows inserted into each EchelonBasis made while it is active."""
+        made = []
+        init, insert = EchelonBasis.__init__, EchelonBasis.insert
+
+        def counting_init(basis, *args, **kwargs):
+            made.append([basis, 0])
+            init(basis, *args, **kwargs)
+
+        def counting_insert(basis, bits):
+            next(m for m in made if m[0] is basis)[1] += 1
+            return insert(basis, bits)
+
+        monkeypatch.setattr(EchelonBasis, "__init__", counting_init)
+        monkeypatch.setattr(EchelonBasis, "insert", counting_insert)
+        return made
+
+    def test_build_eliminates_the_half_once(self, inserts):
+        build_compound_code(TINY_PARAMS, tiny_dist(), seed=5)
+        assert [n for _, n in inserts] == [TINY_PARAMS.half_rows]
+
+    def test_rank_and_diagonalization_reuse_the_view(self, inserts):
+        a = BitMatrix(3, 5, [[0, 1], [1, 2], [3, 4]])
+        assert rank(a) == 3
+        assert len(inserts) == 1
+        assert all_one_diagonalize(a) == all_one_diagonalize(a)
+        assert rank(a) == 3
+        assert [n for _, n in inserts] == [3]
 
 
 def reference_hopcroft_karp(adjacency, n_left, n_right):

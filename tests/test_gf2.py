@@ -137,6 +137,21 @@ def test_elimination_matches_reference(fn, reference):
         assert kinds["rank deficient"] > 20
 
 
+def test_echelon_matches_reference():
+    """Pivots as a reference basis finds them; a row is dependent exactly
+    when it leaves the rank of the rows up to it unchanged."""
+    for a in elimination_cases():
+        bits = a.bitrows()
+        ref = ReferenceEchelonBasis()
+        for row in bits:
+            ref.insert(row)
+        prefix = [len(reference_row_reduce(bits[:i], a.cols)[1])
+                  for i in range(a.rows + 1)]
+        dependent = tuple(i for i in range(a.rows)
+                          if prefix[i + 1] == prefix[i])
+        assert a.echelon() == (tuple(ref.pivots()), dependent), a.row_support
+
+
 def test_null_space_basis_of_empty_matrix_is_identity():
     assert null_space_basis(BitMatrix(0, 5, [])) == identity(5)
 
@@ -488,6 +503,19 @@ class TestBitMatrix:
         assert copy == a
         assert object.__getattribute__(copy, "_slots") is None
         np.testing.assert_array_equal(copy.slots()[0], a.slots()[0])
+
+    def test_echelon_is_cached_read_only_and_not_pickled(self):
+        import pickle
+        a = BitMatrix(4, 6, [[0, 3], [3], [0], [5, 1]])
+        view = a.echelon()
+        assert view == ((0, 3, 5), (2,))
+        assert a.echelon() is view
+        assert all(type(part) is tuple for part in view)
+        assert object.__getattribute__(a, "_bitrows") is None
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a
+        assert object.__getattribute__(copy, "_echelon") is None
+        assert copy.echelon() == view
 
     def test_slots_invert_edges_on_random_matrices(self):
         rng = random.Random(0x510)
