@@ -7,9 +7,8 @@ side information to recover it.
 """
 
 from .gf2 import (BitMatrix, BitVector, EchelonBasis, RankDeficiencyError,
-                  ShapeError, identity, invert, mat_mul, mul_vec,
-                  null_space_basis, permute, rank, read_matrix,
-                  systematic_form, transpose, write_matrix)
+                  ShapeError, identity, mat_mul, mul_vec, permute, rank,
+                  read_matrix, systematic_form, transpose, write_matrix)
 from .degrees import (CatalogEntry, DegreeDistribution, design_rate,
                       load_catalog, parse_catalog, parse_polynomial)
 from .builder import (CodeParams, CompoundCode, ParamValidationError,
@@ -33,9 +32,8 @@ __all__ = [
     "__version__",
     # gf2
     "BitMatrix", "BitVector", "EchelonBasis", "RankDeficiencyError",
-    "ShapeError", "identity", "invert", "mat_mul", "mul_vec",
-    "null_space_basis", "permute", "rank", "read_matrix", "systematic_form",
-    "transpose", "write_matrix",
+    "ShapeError", "identity", "mat_mul", "mul_vec", "permute", "rank",
+    "read_matrix", "systematic_form", "transpose", "write_matrix",
     # degrees
     "CatalogEntry", "DegreeDistribution", "design_rate", "load_catalog",
     "parse_catalog", "parse_polynomial",

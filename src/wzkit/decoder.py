@@ -49,8 +49,9 @@ def _check_product(theta: np.ndarray, edge_check: np.ndarray,
     """Per-edge product of the other incoming values on the same check.
 
     The check update on an edge list, as bip_quantize runs it on its live
-    subgraph; sp_decode's _slot_check_pass runs the same formula on padded
-    check slots and goes on to arctanh.  Edges may come in any order and a
+    subgraph; sp_decode's _slot_check_pass runs the same formula's
+    magnitude on padded check slots, goes on to a capped arctanh in half
+    LLRs and sets the sign last.  Edges may come in any order and a
     check may have none.  The result equals the plain log-magnitude
     leave-one-out product bit for bit: the sign is the parity of the check's
     integer count of negative inputs XOR the edge's own sign, with no float
@@ -79,34 +80,49 @@ def _check_product(theta: np.ndarray, edge_check: np.ndarray,
     return prod
 
 
-def _slot_check_pass(t: np.ndarray, syn_scale: np.ndarray,
+def _slot_check_pass(t: np.ndarray, syn: np.ndarray, cap: float,
                      out: np.ndarray) -> np.ndarray:
     """sp_decode's check half-iteration on the slot layout of
-    BitMatrix.slots, written to out: _check_product per slot, clipped to
-    +-(1 - 1e-15), through arctanh and times syn_scale per check.
+    BitMatrix.slots, in half LLRs, written to out: the magnitude of
+    _check_product per slot, through arctanh, capped at cap, signed by the
+    slot's own sign, its check's parity and syn (one bool per check).
+    t is overwritten.  Run it under np.errstate(divide="ignore"): an exact
+    zero's log and arctanh(1.0) are -inf and +inf.
 
     Padding holds 1.0, which adds log 1 = +0.0 after a check's last edge;
     the sums down each column run in slot order, as bincount's do in edge
-    order.  An exact zero counts as 1.0 (safe), and a slot whose check holds
-    another zero gets magnitude 0.0.  arctanh is odd and the clip bounds are
-    exact negatives, so restoring the sign afterwards (copysign from safe,
-    one +-2 factor per check) changes no non-zero output; a zero output may
-    carry the other sign.
+    order.  Only when a check's log sum is -inf, which only an exact zero's
+    log gives, are zeros read as 1.0 and the sums redone; a slot whose check
+    holds another zero then gets magnitude 0.0.  The cap stands for the
+    clip at 1 - 1e-15 before arctanh and the clip at half of llr_clip after
+    it, so cap = min(llr_clip/2, arctanh(1 - 1e-15)); that is exact while
+    arctanh is non-decreasing (TestSignFold checks it).  The sign bit is
+    set on the non-negative magnitude afterwards; arctanh is odd, so no
+    non-zero output changes, and a zero output may carry the other sign.
     """
-    zero = None if t.all() else t == 0.0
-    safe = t if zero is None else np.where(zero, 1.0, t)
-    np.abs(safe, out=out)
+    np.abs(t, out=out)
     np.log(out, out=out)
     log_sum = np.add.reduce(out, axis=0)
+    zero = None
+    if log_sum.min(initial=0.0) == -np.inf:
+        zero = t == 0.0
+        out[zero] = 0.0
+        log_sum = np.add.reduce(out, axis=0)
     np.subtract(log_sum, out, out=out)
     np.exp(out, out=out)
     if zero is not None:
         out[zero.sum(axis=0) - zero > 0] = 0.0
-    np.minimum(out, 1.0 - 1e-15, out=out)
     np.arctanh(out, out=out)
-    np.copysign(out, safe, out=out)
-    odd = np.logical_xor.reduce(safe < 0.0, axis=0)
-    out *= np.where(odd, -syn_scale, syn_scale)
+    np.fmin(out, cap, out=out)
+    neg = t < 0.0
+    flip = np.logical_xor.reduce(neg, axis=0)
+    flip ^= syn
+    neg ^= flip
+    sign = t.view(np.uint64)
+    sign[...] = neg
+    sign <<= 63
+    bits = out.view(np.uint64)
+    bits |= sign
     return out
 
 
@@ -115,15 +131,20 @@ def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
     """Find the member of the syndrome coset of h closest to the side information.
 
     Messages follow the tanh product rule on the check-slot view of h; a set
-    syndrome bit flips the sign of its check's outgoing messages.  Every
-    iteration runs the one check pass, _slot_check_pass, zeros or not.  A
-    zero message's sign may differ from the edge-list formula's, but no
-    later value reads it: the variable sums are bincounts that start at
-    +0.0, and the posterior is never -0.0 because the channel LLR is
-    non-zero.  Every iteration also XOR-reduces the signs of the posterior
-    gathered into the slots down each check and compares the parities with
-    the syndrome; the first match returns early.  Without convergence the
-    final hard decision comes back with converged=False.
+    syndrome bit flips the sign of its check's outgoing messages.  Channel
+    LLRs, messages and posteriors are all kept at half their value, so the
+    tanh takes them as they are and the clips are at llr_clip/2.  Every
+    value is exactly half of what the full-LLR formula gives: halving is
+    exact, and so are sums and differences of doubles that are multiples
+    of 2^-1073, subnormal results included.  Every iteration runs the one
+    check pass, _slot_check_pass, zeros or not.  A zero message's sign may
+    differ from the edge-list formula's, but no later value reads it: the
+    variable sums are bincounts that start at +0.0, and the posterior is
+    never -0.0 because the channel LLR is non-zero.  Every iteration also
+    XOR-reduces the signs of the posterior gathered into the slots down
+    each check and compares the parities with the syndrome; the first match
+    returns early.  Without convergence the final hard decision comes back
+    with converged=False.
     """
     if h.rows != syndrome.length:
         raise ShapeError(f"syndrome length {syndrome.length} != rows {h.rows}")
@@ -134,15 +155,16 @@ def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
     # h.cols, whose posterior is +inf, so that their messages stay +inf,
     # their tanh is exactly 1.0 and they never count as a negative sign
     slots, pos = h.slots()
-    empty = np.flatnonzero(slots.ravel() == h.cols)
+    padding = h.slot_padding()
     syn = syndrome.to_array().astype(bool)
-    syn_scale = 2.0 - 4.0 * syn  # 2 artanh, sign set by syndrome
-    llr0 = float(np.log((1.0 - params.crossover) / params.crossover))
+    half_llr0 = 0.5 * float(np.log((1.0 - params.crossover)
+                                   / params.crossover))
     j_bits = side_info.to_array().astype(bool)
-    channel = llr0 * (1.0 - 2.0 * j_bits)
+    channel = half_llr0 * (1.0 - 2.0 * j_bits)
     posterior = np.append(channel, np.inf)  # one past the end: empty slots
     var_posterior = posterior[:-1]
-    lo, hi = -params.llr_clip, params.llr_clip
+    clip = 0.5 * params.llr_clip
+    cap = min(clip, float(np.arctanh(1.0 - 1e-15)))
 
     # the check parities of the side information, padding read as 0
     if np.array_equal(np.logical_xor.reduce(
@@ -151,21 +173,20 @@ def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
 
     msg_vc = posterior[slots]
     msg_cv = np.empty_like(msg_vc)
-    for it in range(1, params.max_iter + 1):
-        msg_vc *= 0.5
-        t = np.tanh(msg_vc, out=msg_vc)
-        _slot_check_pass(t, syn_scale, msg_cv)
-        np.clip(msg_cv, lo, hi, out=msg_cv)
-
-        np.add(channel, np.bincount(edge_var, weights=msg_cv.ravel()[pos],
-                                    minlength=h.cols), out=var_posterior)
-        msg_vc = posterior[slots]
-        if np.array_equal(np.logical_xor.reduce(msg_vc < 0.0, axis=0), syn):
-            return DecodeResult(BitVector.from_array(var_posterior < 0.0),
-                                True, it)
-        msg_vc -= msg_cv
-        np.clip(msg_vc, lo, hi, out=msg_vc)
-        msg_vc.ravel()[empty] = np.inf
+    with np.errstate(divide="ignore"):
+        for it in range(1, params.max_iter + 1):
+            np.tanh(msg_vc, out=msg_vc)
+            _slot_check_pass(msg_vc, syn, cap, msg_cv)
+            np.add(channel, np.bincount(edge_var, weights=msg_cv.ravel()[pos],
+                                        minlength=h.cols), out=var_posterior)
+            msg_vc = posterior[slots]
+            if np.array_equal(np.logical_xor.reduce(msg_vc < 0.0, axis=0),
+                              syn):
+                return DecodeResult(
+                    BitVector.from_array(var_posterior < 0.0), True, it)
+            msg_vc -= msg_cv
+            np.clip(msg_vc, -clip, clip, out=msg_vc)
+            msg_vc.ravel()[padding] = np.inf
     return DecodeResult(BitVector.from_array(var_posterior < 0.0), False,
                         params.max_iter)
 

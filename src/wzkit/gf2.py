@@ -19,16 +19,16 @@ each packed row by its highest set bit.  Reducing a row then takes one list
 lookup per step, from the top bit down, and rows inserted in a fixed order
 always produce the same pivots and the same dependent rows.  Optional tag bits
 below the row part record which inserted rows a reduction combined, so the
-same basis solves linear systems and inverts matrices.
+same basis solves linear systems.
 
-The results of rank, invert, systematic_form and null_space_basis do not
-depend on the pivot order.  The rank and the inverse are unique.
-systematic_form and null_space_basis come from one pass over the columns, left
-to right, each column tagged with its own index.  A column that is independent
-of the columns before it is a pivot of the reduced row echelon form (RREF).  A
-dependent column's leftover tag is its unique expression over the earlier
-pivot columns, which is also what the RREF records in that column.  Both
-outputs are therefore the canonical RREF, whatever order elimination runs in.
+The results of rank and systematic_form do not depend on the pivot order.
+The rank is unique.  systematic_form comes from one pass over the columns,
+left to right, each column tagged with its own index.  A column that is
+independent of the columns before it is a pivot of the reduced row echelon
+form (RREF).  A dependent column's leftover tag is its unique expression over
+the earlier pivot columns, which is also what the RREF records in that
+column.  The output is therefore the canonical RREF, whatever order
+elimination runs in.
 """
 
 from __future__ import annotations
@@ -48,9 +48,7 @@ __all__ = [
     "mat_mul",
     "mul_vec",
     "rank",
-    "invert",
     "systematic_form",
-    "null_space_basis",
     "permute",
     "transpose",
     "identity",
@@ -337,6 +335,14 @@ class BitMatrix:
         cols; pos is the read-only flat index into slots of every entry of
         edges(), so that slots.ravel()[pos] equals edges()[1].
         """
+        return self._slot_view()[:2]
+
+    def slot_padding(self) -> np.ndarray:
+        """The read-only flat indices into slots()[0] of its padding, in
+        increasing order; cached with slots()."""
+        return self._slot_view()[2]
+
+    def _slot_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cached = object.__getattribute__(self, "_slots")
         if cached is None:
             lengths = self.row_lengths()
@@ -347,8 +353,10 @@ class BitMatrix:
             pos = rank * self.rows + rows
             slots = np.full((width, self.rows), self.cols, dtype=np.int64)
             slots.ravel()[pos] = columns
-            slots.flags.writeable = pos.flags.writeable = False
-            cached = (slots, pos)
+            padding = np.flatnonzero(slots.ravel() == self.cols)
+            for a in (slots, pos, padding):
+                a.flags.writeable = False
+            cached = (slots, pos, padding)
             object.__setattr__(self, "_slots", cached)
         return cached
 
@@ -531,19 +539,6 @@ def rank(a: BitMatrix) -> int:
     return len(a.echelon()[0])
 
 
-def invert(a: BitMatrix) -> BitMatrix:
-    """Inverse of a square full-rank matrix over GF(2).  Raises
-    RankDeficiencyError (carrying the computed rank) when a is singular."""
-    if a.rows != a.cols:
-        raise ShapeError(f"cannot invert non-square {a.rows}x{a.cols}")
-    n = a.rows
-    basis = EchelonBasis.tagged(a.bitrows())
-    if len(basis) < n:
-        raise RankDeficiencyError(
-            f"matrix {n}x{n} has rank {len(basis)} < {n}", len(basis))
-    return BitMatrix.from_bitrows(n, n, [basis.solve(1 << j) for j in range(n)])
-
-
 def systematic_form(a: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     """Row reduce and move pivot columns to the front.
 
@@ -565,12 +560,6 @@ def systematic_form(a: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
             rows[row_of[c]].append(a.rows + k)
     free = tuple(vec.bit_length() - 1 for vec in null)
     return BitMatrix(a.rows, a.cols, rows), tuple(pivots) + free
-
-
-def null_space_basis(a: BitMatrix) -> BitMatrix:
-    """Basis of {v : a v^T = 0} as rows; cols - rank(a) rows (possibly zero)."""
-    null = _column_basis(a)[2]
-    return BitMatrix.from_bitrows(len(null), a.cols, null)
 
 
 def permute(a: BitMatrix, row_perm: Sequence[int], col_perm: Sequence[int]) -> BitMatrix:

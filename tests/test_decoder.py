@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -95,15 +96,21 @@ def reference_sp_decode(h, syndrome, side_info, params):
     return DecodeResult(BitVector.from_array(hard), False, params.max_iter)
 
 
-def slot_pass(h, theta, syn_scale):
+# the cap of a check message in half LLRs when llr_clip is no tighter
+ARCTANH_TOP = float(np.arctanh(1.0 - 1e-15))
+
+
+def slot_pass(h, theta, syn):
     """_slot_check_pass on h's check slots, with theta (one value per
     edge, row-major) placed in them and the padding at 1.0, read back per
-    edge."""
+    edge and doubled to full LLRs."""
     slots, pos = h.slots()
     padded = np.ones(slots.shape)
     padded.ravel()[pos] = theta
-    return _slot_check_pass(padded, syn_scale,
-                            np.empty_like(padded)).ravel()[pos]
+    with np.errstate(divide="ignore"):
+        half = _slot_check_pass(padded, syn, ARCTANH_TOP,
+                                np.empty_like(padded))
+    return 2.0 * half.ravel()[pos]
 
 
 def random_check_matrix(rng, rows, cols, max_len):
@@ -112,6 +119,63 @@ def random_check_matrix(rng, rows, cols, max_len):
     return BitMatrix(rows, cols, [
         rng.sample(range(cols), rng.randint(0, min(cols, max_len)))
         for _ in range(rows)])
+
+
+def zero_message_cases(rng, count):
+    """(h, syndrome, side info, params) with llr_clip at the channel LLR,
+    where a variable can send exactly 0.0: a degree-2 variable whose two
+    messages are both clipped to minus its channel LLR does."""
+    for case in range(count):
+        rows, cols = rng.randint(2, 12), rng.randint(4, 30)
+        h = random_check_matrix(rng, rows, cols, rng.choice([3, 6]))
+        truth = BitVector(cols, rng.getrandbits(cols))
+        syndrome = (mul_vec(h, truth) if case % 3
+                    else BitVector(rows, rng.getrandbits(rows)))
+        p = rng.choice([0.05, 0.1, 0.2, 0.3])
+        noise = BitVector(cols, sum(1 << i for i in range(cols)
+                                    if rng.random() < p))
+        crossover = rng.choice([0.05, 0.13, 0.2, 0.3])
+        llr0 = float(np.log((1.0 - crossover) / crossover))
+        params = SpParams(crossover=crossover,
+                          max_iter=rng.choice([5, 30]), llr_clip=llr0)
+        yield h, syndrome, truth ^ noise, params
+
+
+def saturating_cases(rng, count):
+    """(h, syndrome, side info, params) on rows of 17-18 entries, like
+    code11's checks, at a crossover near 1e-9 and llr_clip 40 or 60, above
+    2 arctanh(1 - 1e-15) ~ 35.2.  Messages saturate at tanh = 1.0, so a
+    check's leave-one-out product reaches exactly 1.0, and most decodes of
+    noisy side information run to max_iter."""
+    for _ in range(count):
+        rows, cols = rng.randint(4, 12), rng.randint(24, 40)
+        h = BitMatrix(rows, cols, [rng.sample(range(cols), rng.randint(17, 18))
+                                   for _ in range(rows)])
+        truth = BitVector(cols, rng.getrandbits(cols))
+        p = rng.choice([0.05, 0.1, 0.2])
+        noise = BitVector(cols, sum(1 << i for i in range(cols)
+                                    if rng.random() < p))
+        params = SpParams(crossover=rng.choice([1e-9, 3e-9]),
+                          max_iter=rng.choice([30, 60]),
+                          llr_clip=rng.choice([40.0, 60.0]))
+        yield h, mul_vec(h, truth), truth ^ noise, params
+
+
+def recording_pass(monkeypatch):
+    """Replace sp_decode's check pass with one that records, per call,
+    whether its input held an exact zero and whether an output reached
+    the cap; returns the two lists."""
+    zeros, capped = [], []
+    real = decoder._slot_check_pass
+
+    def recording(t, syn, cap, out):
+        zeros.append(not t.all())
+        real(t, syn, cap, out)
+        capped.append(bool((np.abs(out) == cap).any()))
+        return out
+
+    monkeypatch.setattr(decoder, "_slot_check_pass", recording)
+    return zeros, capped
 
 
 class TestCheckProduct:
@@ -192,15 +256,17 @@ class TestCheckProduct:
 
 class TestSlotCheckProduct:
     """The check pass on the slot layout against the one reference, taken
-    through the two-sided clip, arctanh and a random +-2 scale per check.
-    Every non-zero output matches bit for bit (the uint64 view).  A zero
-    output matches by value only: the pass takes its sign from the input
-    where the reference takes it from the scale, and sp_decode never reads
-    the sign of a zero message (TestSpDecode checks the decodes)."""
+    through the two-sided clip, arctanh and a random +-2 scale per check;
+    the pass gets the scale's sign as its syndrome and its half-LLR output
+    is doubled.  Every non-zero output matches bit for bit (the uint64
+    view).  A zero output matches by value only: the pass takes its sign
+    from the input and the check where the reference takes it from the
+    scale, and sp_decode never reads the sign of a zero message
+    (TestSpDecode checks the decodes)."""
 
     @staticmethod
     def assert_same(h, theta, scale):
-        got = slot_pass(h, theta, scale)
+        got = slot_pass(h, theta, scale < 0.0)
         edge_check = h.edges()[0]
         prod = reference_check_pass(theta, edge_check, h.rows)
         np.clip(prod, -1.0 + 1e-15, 1.0 - 1e-15, out=prod)
@@ -280,11 +346,12 @@ class TestSlotCheckProduct:
 
 
 class TestSignFold:
-    """sp_decode takes arctanh of the leave-one-out magnitude and restores
-    the sign afterwards.  That equals clipping and taking arctanh of the
-    signed product only while arctanh is odd bit for bit and the lower clip
-    bound is the exact negative of the upper one.  numpy >= 1.24 is allowed,
-    so a build where either fails must fail here rather than change decodes."""
+    """sp_decode takes arctanh of the leave-one-out magnitude, caps it and
+    restores the sign afterwards.  That equals clipping and taking arctanh
+    of the signed product only while arctanh is odd bit for bit, the lower
+    clip bound is the exact negative of the upper one, and arctanh is
+    non-decreasing up to 1.  numpy >= 1.24 is allowed, so a build where any
+    of these fails must fail here rather than change decodes."""
 
     TOP = 1.0 - 1e-15
 
@@ -307,6 +374,34 @@ class TestSignFold:
 
     def test_clip_bounds_are_exact_negatives(self):
         assert -(1.0 - 1e-15) == -1.0 + 1e-15
+
+    def test_arctanh_is_non_decreasing_up_to_one(self):
+        """sp_decode caps arctanh's output at min(llr_clip/2, arctanh(TOP))
+        where the reference clips its input at TOP.  The two agree only
+        while arctanh is non-decreasing across TOP and at least 17 (above
+        every llr_clip/2 cap below arctanh(TOP)) on each of the doubles from
+        TOP to 1, and while the arctanh(TOP) that sp_decode computes as a
+        scalar equals the one computed in every lane of an array."""
+        rng = np.random.default_rng(16)
+        top = self.TOP
+        bits = np.array([top]).view(np.uint64)[0]
+        steps = np.array([1.0]).view(np.uint64)[0] - bits
+        above = (bits + np.arange(steps + 1, dtype=np.uint64)).view(np.float64)
+        below = (bits - np.arange(1 << 20, 0, -1, dtype=np.uint64)
+                 ).view(np.float64)  # the 2^20 doubles just under TOP
+        x = np.sort(np.concatenate([top - rng.uniform(0.0, 1e-6, 100_000),
+                                    below, above]))
+        assert x[0] >= top - 1e-6 and x[-1] == 1.0 and steps < 20
+        with np.errstate(divide="ignore"):
+            y = np.arctanh(x)
+        assert np.all(np.diff(y) >= 0.0)
+        assert np.all(y[x >= top] >= 17.0)
+        cap = float(np.arctanh(top))
+        for size in (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 33, 18 * 1176):
+            lanes = np.full(size, top)
+            np.testing.assert_array_equal(np.arctanh(lanes), cap)
+            np.arctanh(lanes, out=lanes)  # in place, as the decoder calls it
+            np.testing.assert_array_equal(lanes, cap)
 
 
 class TestSpParams:
@@ -526,40 +621,56 @@ class TestSpDecode:
         assert min(seen.values()) >= 10, seen
 
     def test_matches_reference_through_exact_zeros(self, monkeypatch):
-        """With llr_clip at the channel LLR a variable can send exactly 0.0:
-        a degree-2 variable whose two messages are both clipped to minus its
-        channel LLR does.  The check pass then sees zero inputs, and its
+        """With llr_clip at the channel LLR a variable can send exactly 0.0
+        (zero_message_cases).  The check pass then sees zero inputs, and its
         zero outputs may carry another sign than the reference's.  The
         decodes must still match, with one check pass per iteration."""
-        passes = []
-        real = decoder._slot_check_pass
-
-        def counting(t, syn_scale, out):
-            passes.append(not t.all())
-            return real(t, syn_scale, out)
-
-        monkeypatch.setattr(decoder, "_slot_check_pass", counting)
-        rng = random.Random(0x2E50)
+        passes, _ = recording_pass(monkeypatch)
         iterations = 0
-        for case in range(300):
-            rows, cols = rng.randint(2, 12), rng.randint(4, 30)
-            h = random_check_matrix(rng, rows, cols, rng.choice([3, 6]))
-            truth = BitVector(cols, rng.getrandbits(cols))
-            syndrome = (mul_vec(h, truth) if case % 3
-                        else BitVector(rows, rng.getrandbits(rows)))
-            p = rng.choice([0.05, 0.1, 0.2, 0.3])
-            noise = BitVector(cols, sum(1 << i for i in range(cols)
-                                        if rng.random() < p))
-            crossover = rng.choice([0.05, 0.13, 0.2, 0.3])
-            llr0 = float(np.log((1.0 - crossover) / crossover))
-            params = SpParams(crossover=crossover,
-                              max_iter=rng.choice([5, 30]), llr_clip=llr0)
-            got = sp_decode(h, syndrome, truth ^ noise, params)
-            assert got == reference_sp_decode(h, syndrome, truth ^ noise,
-                                              params), case
+        for case, (h, syndrome, side, params) in enumerate(
+                zero_message_cases(random.Random(0x2E50), 300)):
+            got = sp_decode(h, syndrome, side, params)
+            assert got == reference_sp_decode(h, syndrome, side, params), case
             iterations += got.iterations
         assert len(passes) == iterations
         assert sum(passes) >= 10, sum(passes)
+
+    def test_matches_reference_with_clips_above_the_arctanh_cap(
+            self, monkeypatch):
+        """The reference clips a leave-one-out product of exactly 1.0 at
+        1 - 1e-15 before arctanh, then the message at llr_clip; sp_decode
+        caps arctanh's output once, at min(llr_clip/2, arctanh(1 - 1e-15))
+        in half LLRs.  With llr_clip above 35.2 the arctanh bound is the
+        tighter one, and a cap at llr_clip/2 alone changes decodes here."""
+        _, capped = recording_pass(monkeypatch)
+        stopped = 0
+        for case, (h, syndrome, side, params) in enumerate(
+                saturating_cases(random.Random(0xCA9), 60)):
+            got = sp_decode(h, syndrome, side, params)
+            assert got == reference_sp_decode(h, syndrome, side, params), case
+            stopped += not got.converged
+        assert stopped >= 10, stopped
+        assert sum(capped) >= 50, sum(capped)
+
+    def test_no_floating_point_warning_escapes(self, monkeypatch):
+        """The check pass takes log 0 = -inf at an exact zero and
+        arctanh(1.0) = inf at a saturated check; with numpy warning on
+        both and warnings turned into errors, sp_decode stays quiet."""
+        zeros, capped = recording_pass(monkeypatch)
+        lone = BitMatrix(2, 18, [[0], list(range(1, 18))])  # empty product
+        cases = [*zero_message_cases(random.Random(0x2E50), 60),
+                 *saturating_cases(random.Random(0xCA9), 10),
+                 (lone, BitVector(2, 0b10), BitVector(18, 0b110),
+                  SpParams(crossover=1e-9, llr_clip=60.0))]
+        with warnings.catch_warnings(), np.errstate(
+                divide="warn", over="warn", invalid="warn"):
+            warnings.simplefilter("error")
+            for h, syndrome, side, params in cases:
+                sp_decode(h, syndrome, side, params)
+            state = np.geterr()
+        assert (state["divide"], state["invalid"]) == ("warn", "warn")
+        assert sum(zeros) >= 1 and sum(capped) >= 1, (sum(zeros),
+                                                       sum(capped))
 
     def test_matches_reference_on_a_built_code(self, small_code):
         """The 200-bit code3 h at the benchmark's p = 0.05: converging and
