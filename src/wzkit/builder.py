@@ -19,7 +19,7 @@ import numpy as np
 
 from .degrees import DegreeDistribution
 from .gf2 import (BitMatrix, RankDeficiencyError, _require_ints, permute,
-                  read_matrix, write_matrix)
+                  read_matrix, transpose, write_matrix)
 
 __all__ = [
     "CodeParams",
@@ -85,6 +85,10 @@ class CodeParams:
     @property
     def quant_checks(self) -> int:       # rows of the top slice
         return self.n - self.m + self.k1
+
+    @property
+    def mid_width(self) -> int:          # the free middle block's columns
+        return self.info_rows - self.n // 2
 
     @property
     def half_rows(self) -> int:
@@ -174,39 +178,28 @@ def _check_degree_sequence(terms, n_checks: int, n_edges: int) -> list[int]:
 
     Starts from the profile proportions and moves checks between listed degree
     buckets to absorb rounding; a single off-profile check absorbs any remainder
-    a one-bucket profile cannot.
+    a one-bucket profile cannot, or that the moves leave when they return to a
+    split they have been at.
     """
     degrees = [d for d, _ in terms]
     weights = [f / d for d, f in terms]
     scale = sum(weights)
     counts = _largest_remainder([w / scale for w in weights], n_checks)
     diff = n_edges - sum(d * c for d, c in zip(degrees, counts))
-    guard = 0
-    while diff != 0 and len(degrees) > 1:
-        guard += 1
-        if guard > 10 * n_checks:
-            raise ValueError(f"cannot realize check degrees: residual {diff} edges")
-        moved = False
-        if diff > 0:
-            for i in range(len(degrees) - 1):
-                if counts[i] > 0:
-                    step = degrees[i + 1] - degrees[i]
-                    counts[i] -= 1
-                    counts[i + 1] += 1
-                    diff -= step
-                    moved = True
-                    break
-        else:
-            for i in range(len(degrees) - 1, 0, -1):
-                if counts[i] > 0:
-                    step = degrees[i] - degrees[i - 1]
-                    counts[i] -= 1
-                    counts[i - 1] += 1
-                    diff += step
-                    moved = True
-                    break
-        if not moved:
+    seen = set()        # the counts fix diff; degree gaps make moves cycle
+    while diff != 0 and len(degrees) > 1 and tuple(counts) not in seen:
+        seen.add(tuple(counts))
+        # one check a bucket up (diff > 0) from the lowest non-empty bucket,
+        # or a bucket down from the highest
+        step = 1 if diff > 0 else -1
+        last = len(degrees) - 1
+        order = range(last) if step > 0 else range(last, 0, -1)
+        i = next((i for i in order if counts[i] > 0), None)
+        if i is None:
             break
+        counts[i] -= 1
+        counts[i + step] += 1
+        diff -= degrees[i + step] - degrees[i]
     seq = []
     for d, c in zip(degrees, counts):
         seq.extend([d] * c)
@@ -577,20 +570,19 @@ def assemble_compound(a: BitMatrix, params: CodeParams) -> BitMatrix:
 
 
 def _b_columns(h: BitMatrix, params: CodeParams) -> BitMatrix:
-    """Columns of B over the quantization rows (the top quant_checks rows of
-    h): row c of the result holds the rows where column c of B has a one.
-    First checks that those rows have the (identity | zeros | B) shape the
-    mirrored construction produces, and raises ValueError naming the lowest
-    row that does not."""
+    """Columns of B over the quantization rows h1 (the top quant_checks rows
+    of h): row c of the result holds the rows where column c of B has a one,
+    the tail rows of transpose(h1).  First checks that h1 has the
+    (identity | zeros | B) shape the mirrored construction produces, and
+    raises ValueError naming the lowest row that does not."""
     r = params.quant_checks
-    o_width = params.info_rows - params.n // 2
+    o_width = params.mid_width
     if o_width < 0:
         raise ValueError("middle segment has negative width: n//2 > m - k1")
     o_end = r + o_width
     top = min(r, h.rows)
-    rows, cols = h.edges()
-    stop = int(h.row_lengths()[:top].sum())
-    rows, cols = rows[:stop], cols[:stop]
+    h1 = h.row_block(0, top)
+    rows, cols = h1.edges()
     lead = cols < r
     not_identity = ((np.bincount(rows[lead], minlength=top) != 1)
                     | (np.bincount(rows[lead & (cols != rows)],
@@ -602,11 +594,18 @@ def _b_columns(h: BitMatrix, params: CodeParams) -> BitMatrix:
         if not_identity[i]:
             raise ValueError(f"row {i}: leading block is not the identity")
         raise ValueError(f"row {i}: middle zero block is populated")
-    tail = cols >= o_end
-    width = max(h.cols - o_end, 0)
-    return BitMatrix.from_arrays(
-        width, r, np.bincount(cols[tail] - o_end, minlength=width),
-        rows[tail][np.argsort(cols[tail], kind="stable")])
+    return transpose(h1).row_block(o_end, h.cols)
+
+
+def _generator_rows(b: BitMatrix, rows: int, cols: int) -> BitMatrix:
+    """rows x cols: row j is the unit vector at cols - rows + j, and each of
+    the last b.rows rows first holds its row of b (whose columns lie below
+    cols - rows): B's columns, each with a private unit column."""
+    lead = rows - b.rows
+    units = np.arange(cols - rows, cols, dtype=np.int64)
+    lengths = np.concatenate([np.zeros(lead, dtype=np.int64), b.row_lengths()])
+    return BitMatrix._adopt(rows, cols, lengths + 1, np.insert(
+        b.edges()[1], np.cumsum(lengths), units))
 
 
 @dataclass(frozen=True)
@@ -629,16 +628,12 @@ class CompoundCode:
     @cached_property
     def g1(self) -> BitMatrix:
         """The systematic generator of ker(h1), whose codewords are
-        (B t2, t1, t2): row j is the unit vector at column r + j, plus B's
-        column j - mid in the parity block when j lies in the tail (r is
-        quant_checks, mid the middle block's width).  u @ g1 is the codeword
-        whose free blocks, its bits r..n-1, are u."""
-        p = self.params
-        r, mid = p.quant_checks, p.info_rows - p.n // 2
-        rows = [(r + j,) for j in range(mid)]
-        rows += [cols + (r + mid + c,) for c, cols
-                 in enumerate(self.b_columns.row_support)]
-        return BitMatrix(p.info_rows, p.n, rows)
+        (B t2, t1, t2): _generator_rows of B, so row j is the unit vector at
+        column r + j plus, in the tail, B's column j - mid (r is quant_checks,
+        mid the middle block's width).  u @ g1 is the codeword whose free
+        blocks, its bits r..n-1, are u."""
+        return _generator_rows(self.b_columns, self.params.info_rows,
+                               self.params.n)
 
     @cached_property
     def h1(self) -> BitMatrix:

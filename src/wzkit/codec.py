@@ -20,9 +20,9 @@ from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .builder import CodeParams, CompoundCode
+from .builder import CodeParams, CompoundCode, _generator_rows
 from .decoder import SpParams, sp_decode
-from .gf2 import BitMatrix, BitVector, ShapeError, _require_ints, mul_vec
+from .gf2 import BitVector, ShapeError, _require_ints, mul_vec
 from .quantizer import BipParams, _resolve, bip_quantize_all
 
 __all__ = [
@@ -222,17 +222,12 @@ class CompoundQuantizer:
 
     def __init__(self, code: CompoundCode):
         params = code.params
-        r = params.quant_checks
-        mid = params.info_rows - params.n // 2
-        b = code.b_columns
+        r, b = params.quant_checks, code.b_columns
         self.n = params.n
         self.parity_width = r
-        self.mid_width = mid
+        self.mid_width = params.mid_width
         # row j: B's column j, then its private tail column r + j
-        lengths = b.row_lengths()
-        self.g_sub = BitMatrix.from_arrays(
-            b.rows, r + b.rows, lengths + 1,
-            np.insert(b.edges()[1], np.cumsum(lengths), r + np.arange(b.rows)))
+        self.g_sub = _generator_rows(b, b.rows, r + b.rows)
         # default damping is a fact of g_sub: search it for 4-cycles once
         self._damping = _resolve(BipParams(), self.g_sub)[1]
 

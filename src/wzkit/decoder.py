@@ -192,6 +192,7 @@ def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
 
 
 def _lex_key(bits: int, length: int) -> tuple[int, ...]:
+    """Lexicographic sort key, entry 0 first: the exhaustive searches' tie-break."""
     return tuple((bits >> i) & 1 for i in range(length))
 
 

@@ -141,8 +141,9 @@ class BitVector:
 class BitMatrix:
     """Immutable GF(2) matrix; ``row_support[i]`` is the sorted support of row i.
 
-    ``rows == 0`` is permitted solely so that an empty null-space basis is
-    representable; every other constructor path produces rows >= 1.
+    ``rows == 0`` is permitted: row_block(i, i), a matrix file whose header
+    declares no rows, and a product whose left factor has no rows are empty
+    matrices.  transpose rejects one, since its result would have no columns.
     """
 
     __slots__ = ("rows", "cols", "_starts", "_columns", "_row_support",
@@ -221,27 +222,6 @@ class BitMatrix:
         return (BitMatrix.from_arrays, (self.rows, self.cols,
                                         self.row_lengths(), self._columns))
 
-    @classmethod
-    def from_bitrows(cls, rows: int, cols: int, bitrows: Sequence[int]) -> "BitMatrix":
-        bitrows = list(bitrows)
-        # bits beyond cols are unpacked too, so that the check reports them
-        width = max([cols, *(b.bit_length() for b in bitrows)])
-        nbytes = (width + 7) // 8
-        step = _chunk_rows(width)
-        lengths = [np.zeros(0, dtype=np.int64)]
-        columns = [np.zeros(0, dtype=np.int64)]
-        for at in range(0, len(bitrows), step):
-            chunk = bitrows[at:at + step]
-            packed = np.frombuffer(
-                b"".join(b.to_bytes(nbytes, "little") for b in chunk),
-                dtype=np.uint8).reshape(len(chunk), nbytes)
-            row, col = np.nonzero(np.unpackbits(packed, axis=1,
-                                                bitorder="little"))
-            lengths.append(np.bincount(row, minlength=len(chunk)))
-            columns.append(col)
-        return cls._adopt(rows, cols, np.concatenate(lengths),
-                          np.concatenate(columns))
-
     @property
     def row_support(self) -> tuple[tuple[int, ...], ...]:
         """Sorted column support of every row, built on first use and cached."""
@@ -284,7 +264,7 @@ class BitMatrix:
         time."""
         nbytes = (self.cols + 7) // 8
         width = 8 * nbytes
-        step = _chunk_rows(width)
+        step = max(1, _CHUNK_BITS // width)
         for at in range(0, self.rows, step):
             stop = min(at + step, self.rows)
             lo, hi = self._starts[at], self._starts[stop]
@@ -381,10 +361,6 @@ _CHUNK_BITS = 1 << 16
 _ROW_BLOCK = 64
 
 
-def _chunk_rows(width: int) -> int:
-    return max(1, _CHUNK_BITS // max(width, 1))
-
-
 def _row_blocks(a: BitMatrix):
     """For each block of _ROW_BLOCK rows of a, in order: where each of its
     rows starts within the block, then where the block ends, and the
@@ -410,17 +386,21 @@ def identity(n: int) -> BitMatrix:
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """GF(2) product a @ b; row i of the result is the XOR of b-rows in a's support."""
+    """GF(2) product a @ b: each entry (i, k) of a adds b's row k to row i,
+    and the entries added an odd number of times remain."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    brows = b.bitrows()
-    out = []
-    for sup in a.row_support:
-        acc = 0
-        for k in sup:
-            acc ^= brows[k]
-        out.append(acc)
-    return BitMatrix.from_bitrows(a.rows, b.cols, out)
+    rows, ks = a.edges()
+    counts = np.diff(b._starts)[ks]
+    # flat index into b's columns of every contributed entry
+    at = (np.repeat(b._starts[ks] - np.cumsum(counts) + counts, counts)
+          + np.arange(int(counts.sum()), dtype=np.int64))
+    keys, times = np.unique(np.repeat(rows, counts) * b.cols + b._columns[at],
+                            return_counts=True)
+    keys = keys[times % 2 == 1]
+    return BitMatrix._adopt(a.rows, b.cols,
+                            np.bincount(keys // b.cols, minlength=a.rows),
+                            keys % b.cols)
 
 
 def mul_vec(a: BitMatrix, v: BitVector) -> BitVector:
@@ -433,13 +413,12 @@ def mul_vec(a: BitMatrix, v: BitVector) -> BitVector:
 
 
 def transpose(a: BitMatrix) -> BitMatrix:
+    """Row c lists, ascending, the rows of a with an entry in column c."""
     if a.rows == 0:
         raise ShapeError("cannot transpose an empty matrix")
-    cols: list[list[int]] = [[] for _ in range(a.cols)]
-    for i, sup in enumerate(a.row_support):
-        for c in sup:
-            cols[c].append(i)
-    return BitMatrix(a.cols, a.rows, cols)
+    rows, cols = a.edges()
+    return BitMatrix._adopt(a.cols, a.rows, np.bincount(cols, minlength=a.cols),
+                            rows[np.argsort(cols, kind="stable")])
 
 
 class EchelonBasis:
@@ -449,7 +428,8 @@ class EchelonBasis:
     With tag_bits = t, the low t bits of every row are a tag rather than part
     of the row: insert ``row << t | tag``, and a reduction accumulates the
     tags of the rows it combines.  While the row part is non-zero its highest
-    bit lies above the tag, so a pivot never falls in the tag bits.
+    bit lies above the tag, so a pivot never falls in the tag bits.  With row
+    i inserted as ``row << t | 1 << i``, solve names the rows summing to a target.
     """
 
     __slots__ = ("tag_bits", "_rows", "_count")
@@ -460,15 +440,6 @@ class EchelonBasis:
         # the list is as long as the widest row inserted
         self._rows: list[int] = []
         self._count = 0
-
-    @classmethod
-    def tagged(cls, rows: Sequence[int]) -> "EchelonBasis":
-        """Basis of `rows`, row i tagged 1 << i, so that solve(target) returns
-        the set of rows summing to target."""
-        basis = cls(len(rows))
-        for i, bits in enumerate(rows):
-            basis.insert(bits << len(rows) | 1 << i)
-        return basis
 
     def __len__(self) -> int:
         return self._count

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decoder import _check_product
+from .decoder import _check_product, _lex_key
 from .gf2 import BitMatrix, BitVector, ShapeError, _require_ints
 
 __all__ = [
@@ -362,10 +362,6 @@ def exhaustive_quantize(g: BitMatrix, source: BitVector) -> tuple[BitVector, flo
         raise ValueError(f"{g.rows} rows exceeds the 2^{EXHAUSTIVE_LIMIT} search limit")
     rows = g.bitrows()
     src = source.bits
-
-    def lex_key(u_bits: int) -> tuple[int, ...]:
-        return tuple((u_bits >> i) & 1 for i in range(g.rows))
-
     best_u, best_d = 0, (src).bit_count()
     word = 0
     u_bits = 0
@@ -375,6 +371,7 @@ def exhaustive_quantize(g: BitMatrix, source: BitVector) -> tuple[BitVector, flo
         u_bits ^= 1 << flip
         word ^= rows[flip]
         d = (word ^ src).bit_count()
-        if d < best_d or (d == best_d and lex_key(u_bits) < lex_key(best_u)):
+        if d < best_d or (d == best_d and _lex_key(u_bits, g.rows)
+                          < _lex_key(best_u, g.rows)):
             best_u, best_d = u_bits, d
     return BitVector(g.rows, best_u), best_d / g.cols

@@ -5,6 +5,7 @@ import pytest
 
 from wzkit.builder import CodeParams, build_compound_code
 from wzkit.degrees import DegreeDistribution, load_catalog
+from wzkit.gf2 import BitMatrix, _bit_indices
 
 TINY_CATALOG_TEXT = """\
 code tiny
@@ -16,6 +17,12 @@ one_minus_r2: 0.875
 TINY_PARAMS = CodeParams(n=96, m=92, k1=20, k2=60)
 
 SMALL_PARAMS = CodeParams(n=200, m=190, k1=40, k2=120)
+
+
+def packed_matrix(rows: int, cols: int, bitrows) -> BitMatrix:
+    """The rows x cols matrix whose row i has bit c of bitrows[i] at column
+    c."""
+    return BitMatrix(rows, cols, [_bit_indices(bits) for bits in bitrows])
 
 
 def tiny_dist() -> DegreeDistribution:

@@ -28,7 +28,7 @@ from wzkit.quantizer import bip_quantize, exhaustive_quantize, generator_codewor
 import test_builder
 import test_decoder
 import test_quantizer
-from conftest import SMALL_PARAMS, TINY_PARAMS
+from conftest import SMALL_PARAMS, TINY_PARAMS, packed_matrix
 
 SCALED_PARAMS = CodeParams(n=10000, m=9570, k1=2000, k2=6000)
 RUN_SEED = 20260815
@@ -234,7 +234,7 @@ def test_07_property_suites(tiny_code, small_code, scaled_code):
         for bits in rng.sample(g_rows, 25):
             if mul_vec(code.h1, BitVector(code.g1.cols, bits)).weight():
                 return False
-        message = BitMatrix.from_bitrows(
+        message = packed_matrix(
             code.g1.rows, code.g1.cols - code.h1.rows,
             [bits >> code.h1.rows for bits in g_rows])
         return rank(message) == expected_rank
@@ -354,3 +354,9 @@ def test_scaled_build_pinned(scaled_code):
     digest = test_builder.digest
     assert (digest(scaled_code.h), digest(scaled_code.g1)) == (
         "7f184090990bd71d", "26fdd4c6412dec93")
+
+
+def test_scaled_b_columns_and_g1_match_references(scaled_code):
+    assert scaled_code.b_columns == test_builder.reference_b_columns(
+        scaled_code.h, scaled_code.params)
+    assert scaled_code.g1 == test_builder.reference_g1(scaled_code)

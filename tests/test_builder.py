@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import SMALL_PARAMS, TINY_PARAMS, tiny_dist
+from conftest import SMALL_PARAMS, TINY_PARAMS, packed_matrix, tiny_dist
 from wzkit import builder
 from wzkit.builder import (BFS_DEPTH_CAP, CodeParams, CompoundCode,
                            ParamValidationError, _check_degree_sequence,
@@ -109,6 +109,90 @@ class TestPegGenerate:
         for sup in a.row_support:
             assert len(sup) == len(set(sup))
 
+    def test_gapped_check_degrees_realize_every_edge(self):
+        # check degrees 4 and 7 once made the bucket moves oscillate
+        gapped = DegreeDistribution(((2, 0.6), (3, 0.4)), ((4, 0.5), (7, 0.5)))
+        for n_vars in range(1000, 1010):
+            var_degs = _node_degree_sequence(gapped.lambda_terms, n_vars)
+            seq = _check_degree_sequence(gapped.rho_terms, 400, sum(var_degs))
+            assert sum(seq) == sum(var_degs) and min(seq) >= 1
+        a = peg_generate(400, 1003, gapped, seed=2)
+        assert (a.rows, a.cols) == (400, 1003)
+
+
+def reference_check_degree_sequence(terms, n_checks, n_edges):
+    """_check_degree_sequence as it stood with a step guard in place of the
+    repeated-split stop; kept as its reference where it succeeds."""
+    degrees = [d for d, _ in terms]
+    weights = [f / d for d, f in terms]
+    scale = sum(weights)
+    counts = builder._largest_remainder([w / scale for w in weights], n_checks)
+    diff = n_edges - sum(d * c for d, c in zip(degrees, counts))
+    guard = 0
+    while diff != 0 and len(degrees) > 1:
+        guard += 1
+        if guard > 10 * n_checks:
+            raise ValueError(f"cannot realize check degrees: residual {diff} edges")
+        moved = False
+        if diff > 0:
+            for i in range(len(degrees) - 1):
+                if counts[i] > 0:
+                    counts[i] -= 1
+                    counts[i + 1] += 1
+                    diff -= degrees[i + 1] - degrees[i]
+                    moved = True
+                    break
+        else:
+            for i in range(len(degrees) - 1, 0, -1):
+                if counts[i] > 0:
+                    counts[i] -= 1
+                    counts[i - 1] += 1
+                    diff += degrees[i] - degrees[i - 1]
+                    moved = True
+                    break
+        if not moved:
+            break
+    seq = []
+    for d, c in zip(degrees, counts):
+        seq.extend([d] * c)
+    if diff > 0:
+        seq.append(diff)
+    elif diff < 0:
+        for i in range(len(seq)):
+            if seq[i] + diff >= 1:
+                seq[i] += diff
+                diff = 0
+                break
+        if diff:
+            raise ValueError(f"cannot realize check degrees: residual {diff} edges")
+    return seq
+
+
+def test_check_degree_sequence_matches_reference_where_it_succeeds():
+    rng = random.Random(172)
+    solved = 0
+    for _ in range(2000):
+        degrees = sorted(rng.sample(range(2, 12), rng.randint(1, 4)))
+        terms = tuple((d, rng.random() + 0.05) for d in degrees)
+        total = sum(f for _, f in terms)
+        terms = tuple((d, f / total) for d, f in terms)
+        n_checks = rng.randint(1, 60)
+        n_edges = rng.randint(n_checks, 12 * n_checks)
+        try:
+            want = reference_check_degree_sequence(terms, n_checks, n_edges)
+        except ValueError:
+            want = None
+        try:
+            got = _check_degree_sequence(terms, n_checks, n_edges)
+        except ValueError:
+            assert want is None
+            continue
+        assert sum(got) == n_edges and min(got) >= 1
+        if want is not None:
+            assert got == want
+            solved += 1
+    assert solved > 1000
+
 
 # code3 at n = 2000: the geometry of the perfbench cli-code3-p05 workload
 CLI_PARAMS = CodeParams(n=2000, m=1914, k1=400, k2=1200)
@@ -178,7 +262,7 @@ def reference_peg(n_checks, n_vars, dist, seed, levels=None):
     if gen_checks > n_checks:
         rows = [rows[i] for i in sorted(rng.sample(range(gen_checks), n_checks))]
     rows = reference_repair_full_rank(rows, n_vars, rng)
-    return BitMatrix.from_bitrows(n_checks, n_vars, rows)
+    return packed_matrix(n_checks, n_vars, rows)
 
 
 def reference_repair_full_rank(rows, n_vars, rng):
@@ -493,6 +577,41 @@ class TestGeneratorDesign:
         bad = BitMatrix(2, 8, [[0, 1, 6], [1, 7]])  # leading block not identity
         with pytest.raises(ValueError):
             CompoundCode(TINY_PARAMS, bad, seed=0).g1
+
+    def test_mid_width_is_the_free_middle_block(self):
+        assert TINY_PARAMS.mid_width == 72 - 48
+        assert SMALL_PARAMS.mid_width == 150 - 100
+
+
+def reference_b_columns(h, params):
+    """B's columns by an argsort of h1's tail entries, as _b_columns built
+    them before it transposed h1; kept as its reference."""
+    r = params.quant_checks
+    o_end = r + params.info_rows - params.n // 2
+    rows, cols = h.row_block(0, r).edges()
+    tail = cols >= o_end
+    width = h.cols - o_end
+    return BitMatrix.from_arrays(
+        width, r, np.bincount(cols[tail] - o_end, minlength=width),
+        rows[tail][np.argsort(cols[tail], kind="stable")])
+
+
+def reference_g1(code):
+    """g1 from Python tuples, as CompoundCode built it before it shared one
+    construction with the quantizer's g_sub; kept as its reference."""
+    p = code.params
+    r, mid = p.quant_checks, p.info_rows - p.n // 2
+    rows = [(r + j,) for j in range(mid)]
+    rows += [cols + (r + mid + c,) for c, cols
+             in enumerate(reference_b_columns(code.h, p).row_support)]
+    return BitMatrix(p.info_rows, p.n, rows)
+
+
+@pytest.mark.parametrize("code", ["tiny_code", "small_code"])
+def test_b_columns_and_g1_match_references(code, request):
+    code = request.getfixturevalue(code)
+    assert code.b_columns == reference_b_columns(code.h, code.params)
+    assert code.g1 == reference_g1(code)
 
 
 class TestBuildRoundtrip:

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import packed_matrix
 from wzkit import gf2
 from wzkit.gf2 import (BitMatrix, BitVector, EchelonBasis, RankDeficiencyError,
                        ShapeError, _bit_indices, _column_basis, identity,
@@ -66,7 +67,7 @@ def reference_systematic_form(a):
     for bits in reduced[:a.rows]:
         out.append(sum(1 << new_c for new_c, old_c in enumerate(col_perm)
                        if bits >> old_c & 1))
-    return BitMatrix.from_bitrows(a.rows, a.cols, out), col_perm
+    return packed_matrix(a.rows, a.cols, out), col_perm
 
 
 def elimination_cases():
@@ -85,7 +86,7 @@ def elimination_cases():
             bits = list(a.bitrows())
             i, j, k = rng.sample(range(rows), 3)
             bits[k] = bits[i] ^ bits[j]
-            a = BitMatrix.from_bitrows(rows, cols, bits)
+            a = packed_matrix(rows, cols, bits)
         cases.append(a)
     return cases
 
@@ -148,7 +149,9 @@ class TestEchelonBasis:
     def test_solve_recovers_tag_combination(self):
         rng = random.Random(5)
         rows = [rng.getrandbits(20) for _ in range(8)]
-        basis = EchelonBasis.tagged(rows)
+        basis = EchelonBasis(8)
+        for i, bits in enumerate(rows):
+            basis.insert(bits << 8 | 1 << i)
         assert len(basis) == 8
         for _ in range(50):
             combo = rng.getrandbits(8)
@@ -159,7 +162,9 @@ class TestEchelonBasis:
             assert basis.solve(target) == combo
 
     def test_solve_raises_outside_span(self):
-        basis = EchelonBasis.tagged([0b011, 0b110])
+        basis = EchelonBasis(2)
+        for i, bits in enumerate([0b011, 0b110]):
+            basis.insert(bits << 2 | 1 << i)
         assert basis.solve(0b101) == 0b11
         assert basis.solve(0) == 0
         with pytest.raises(ValueError):
@@ -175,13 +180,6 @@ class ReferenceEchelonBasis:
     def __init__(self, tag_bits=0):
         self.tag_bits = tag_bits
         self._rows = {}
-
-    @classmethod
-    def tagged(cls, rows):
-        basis = cls(len(rows))
-        for i, bits in enumerate(rows):
-            basis.insert(bits << len(rows) | 1 << i)
-        return basis
 
     def __len__(self):
         return len(self._rows)
@@ -240,7 +238,7 @@ def fill_to_corank(rng, width, corank, sparse):
 def span_complement(rows, width):
     """A basis, as ints, of the vectors of `width` bits whose overlap with
     every row is even: the null space of the rows' matrix."""
-    return _column_basis(BitMatrix.from_bitrows(len(rows), width, rows))[2]
+    return _column_basis(packed_matrix(len(rows), width, rows))[2]
 
 
 def in_complement_span(vectors, row):
@@ -269,7 +267,7 @@ class TestEchelonBasisAgainstReference:
         basis, ref, offered = fill_to_corank(rng, width, corank, sparse)
         vectors = span_complement(offered, width)
         assert len(vectors) == width - len(basis) == corank
-        assert rank(BitMatrix.from_bitrows(corank, width, vectors)) == corank
+        assert rank(packed_matrix(corank, width, vectors)) == corank
         assert all(in_complement_span(vectors, row) for row in offered)
         # the parity test decides each insert until the basis is full
         while len(basis) < width:
@@ -310,8 +308,10 @@ class TestEchelonBasisAgainstReference:
     def test_tagged_solve(self, n_rows, width):
         rng = random.Random(n_rows * 1000 + width)
         rows = [rng.getrandbits(width) for _ in range(n_rows)]
-        basis = EchelonBasis.tagged(rows)
-        ref = ReferenceEchelonBasis.tagged(rows)
+        basis, ref = EchelonBasis(n_rows), ReferenceEchelonBasis(n_rows)
+        for i, bits in enumerate(rows):
+            basis.insert(bits << n_rows | 1 << i)
+            ref.insert(bits << n_rows | 1 << i)
         assert len(basis) == len(ref) and basis.pivots() == ref.pivots()
         for _ in range(50):
             target = rng.getrandbits(width + 1)
@@ -568,14 +568,10 @@ class TestBitMatrix:
                               density=rng.choice([0.05, 0.5, 0.95]))
             expected = tuple(sum(1 << c for c in sup) for sup in a.row_support)
             assert a.bitrows() == expected
-            back = BitMatrix.from_bitrows(a.rows, a.cols, expected)
+            back = packed_matrix(a.rows, a.cols, expected)
             assert back == a
             assert back.row_support == tuple(
                 tuple(_bit_indices(bits)) for bits in expected)
-
-    def test_from_bitrows_rejects_bits_beyond_cols(self):
-        with pytest.raises(ShapeError, match="row 1 support outside"):
-            BitMatrix.from_bitrows(2, 3, [0b101, 0b1001])
 
 
 def test_mat_mul_matches_dense_oracle():
@@ -593,6 +589,31 @@ def test_mat_mul_matches_dense_oracle():
 def test_mat_mul_shape_mismatch():
     with pytest.raises(ShapeError):
         mat_mul(BitMatrix(1, 3, [[0]]), BitMatrix(2, 2, [[0], [1]]))
+
+
+@pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 0.9, 1.0])
+def test_mat_mul_and_transpose_match_dense_oracle_at_every_density(density):
+    rng = random.Random(31 + int(10 * density))
+    for _ in range(40):
+        r, k, c = (rng.randint(1, 29) for _ in range(3))
+        a = random_matrix(rng, r, k, density)
+        b = random_matrix(rng, k, c, rng.random())
+        assert dense(mat_mul(a, b)) == dense_mul(dense(a), dense(b))
+        assert dense(transpose(a)) == [list(col) for col in zip(*dense(a))]
+
+
+def test_mat_mul_row_cancels_to_empty():
+    # row 0 adds b's rows 0 and 1, which are equal
+    a = BitMatrix(2, 3, [[0, 1], [1, 2]])
+    b = BitMatrix(3, 4, [[0, 3], [0, 3], [1, 3]])
+    assert mat_mul(a, b) == BitMatrix(2, 4, [[], [0, 1]])
+
+
+def test_mat_mul_whole_product_zero():
+    a = BitMatrix(3, 3, [[0, 1], [], [0, 1, 2]])
+    b = BitMatrix(3, 5, [[1, 4], [1, 4], []])
+    assert mat_mul(a, b) == BitMatrix(3, 5, [[], [], []])
+    assert mat_mul(BitMatrix(0, 3, []), b) == BitMatrix(0, 5, [])
 
 
 def test_mul_vec_matches_dense():
