@@ -145,8 +145,6 @@ def validate_params(p: CodeParams) -> ValidationReport:
                    f"k1+k2={p.k1 + p.k2} vs m={p.m}"),
         ParamCheck("rate_window_high", p.m <= 2 * p.k1 + p.k2,
                    f"m={p.m} vs 2k1+k2={2 * p.k1 + p.k2}"),
-        ParamCheck("split_fits_top_half", p.quant_checks <= p.k2,
-                   f"n-m+k1={p.quant_checks} vs k2={p.k2}"),
     ]
     return ValidationReport(tuple(checks))
 
@@ -443,21 +441,15 @@ def _repair_full_rank(rows: list[list[int]], n_vars: int,
 
 def empirical_fractions(a: BitMatrix) -> tuple[dict[int, float], dict[int, float]]:
     """Edge-perspective (lambda_hat, rho_hat) fractions of a realized matrix."""
-    col_deg: dict[int, int] = {}
-    for sup in a.row_support:
-        for c in sup:
-            col_deg[c] = col_deg.get(c, 0) + 1
-    edges = sum(col_deg.values())
-    lam: dict[int, float] = {}
-    for d in col_deg.values():
-        lam[d] = lam.get(d, 0) + d
-    rho: dict[int, float] = {}
-    for sup in a.row_support:
-        d = len(sup)
-        if d:
-            rho[d] = rho.get(d, 0) + d
-    return ({d: v / edges for d, v in sorted(lam.items())},
-            {d: v / edges for d, v in sorted(rho.items())})
+    edges = int(a.row_lengths().sum())
+
+    def fractions(degrees: np.ndarray) -> dict[int, float]:
+        values, counts = np.unique(degrees[degrees > 0], return_counts=True)
+        return {int(d): int(d) * int(c) / edges
+                for d, c in zip(values, counts)}
+
+    return (fractions(np.bincount(a.edges()[1])),
+            fractions(a.row_lengths()))
 
 
 def hopcroft_karp(adjacency: list[list[int]], n_left: int, n_right: int) -> list[int]:

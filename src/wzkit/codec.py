@@ -356,51 +356,24 @@ class ExperimentResult:
     seed: int
 
 
-class _EncodeOut(NamedTuple):
-    trial: int
-    source_bits: int
-    side_bits: int
-    word_bits: int
-    syndrome_bits: int
-    distortion: float
-
-
-class _DecodeOut(NamedTuple):
-    trial: int
-    decoded_bits: int
-    converged: bool
-
-
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
 def _encode_trials(code: CompoundCode, first: int, stop: int, seed: int,
-                   p: float, bip: BipParams) -> list[_EncodeOut]:
-    """Trials first..stop-1, their sources encoded together."""
+                   p: float, bip: BipParams
+                   ) -> list[tuple[BitVector, BitVector, EncodeResult]]:
+    """(source, side info, encoding) of trials first..stop-1, their sources
+    encoded together."""
     n = code.params.n
-    sources, side_bits = [], []
+    sources, side_infos = [], []
     for trial in range(first, stop):
         rng = _trial_rng(seed, trial)
         sources.append(BitVector.from_array(
             rng.integers(0, 2, size=n, dtype=np.int64)))
-        side_bits.append(sources[-1].bits
-                         ^ BitVector.from_array(rng.random(n) < p).bits)
-    return [_EncodeOut(trial, s.bits, j_bits, enc.word.bits,
-                       enc.syndrome.bits, enc.distortion)
-            for trial, s, j_bits, enc in zip(range(first, stop), sources,
-                                              side_bits,
-                                              encode_all(code, sources, bip))]
-
-
-def _decode_trial(code: CompoundCode, trial: int, side_bits: int,
-                  syndrome_bits: int, crossover: float,
-                  max_iter: int) -> _DecodeOut:
-    n = code.params.n
-    res = decode(code, BitVector(n, side_bits),
-                 BitVector(code.params.k2, syndrome_bits),
-                 SpParams(crossover=crossover, max_iter=max_iter))
-    return _DecodeOut(trial, res.bits.bits, res.converged)
+        side_infos.append(sources[-1]
+                          ^ BitVector.from_array(rng.random(n) < p))
+    return list(zip(sources, side_infos, encode_all(code, sources, bip)))
 
 
 _WORKER_CODE: CompoundCode | None = None
@@ -457,27 +430,22 @@ def run_experiment(code: CompoundCode, config: ExperimentConfig,
             for t in range(0, config.trials, chunk)]) for out in outs]
         running = 0.0
         dec_tasks = []
-        for out in encoded:
-            running += out.distortion
+        for trial, (_, side_info, enc) in enumerate(encoded):
+            running += enc.distortion
             if config.crossover is not None:
                 q = config.crossover
             else:
-                q = binary_convolve(running / (out.trial + 1), config.p)
-            dec_tasks.append((out.trial, out.side_bits, out.syndrome_bits,
-                              _clamp_crossover(q), config.max_iter))
-        decoded = _map_trials(pool, _decode_trial, code, dec_tasks)
+                q = binary_convolve(running / (trial + 1), config.p)
+            dec_tasks.append((side_info, enc.syndrome, SpParams(
+                crossover=_clamp_crossover(q), max_iter=config.max_iter)))
+        decoded = _map_trials(pool, decode, code, dec_tasks)
 
-    d1 = sum(out.distortion for out in encoded) / config.trials
-    d2 = 0.0
-    dt = 0.0
-    failures = 0
-    for out, dec in zip(encoded, decoded):
-        d2 += (dec.decoded_bits ^ out.word_bits).bit_count() / n
-        dt += (dec.decoded_bits ^ out.source_bits).bit_count() / n
-        if not dec.converged:
-            failures += 1
-    d2 /= config.trials
-    dt /= config.trials
+    d1 = sum(enc.distortion for _, _, enc in encoded) / config.trials
+    d2 = sum(dec.bits.hamming(enc.word) / n
+             for (_, _, enc), dec in zip(encoded, decoded)) / config.trials
+    dt = sum(dec.bits.hamming(source) / n
+             for (source, _, _), dec in zip(encoded, decoded)) / config.trials
+    failures = sum(not dec.converged for dec in decoded)
 
     return ExperimentResult(
         code_id=config.code_id, n=code.params.n, m=code.params.m,

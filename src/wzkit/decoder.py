@@ -166,12 +166,12 @@ def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
     clip = 0.5 * params.llr_clip
     cap = min(clip, float(np.arctanh(1.0 - 1e-15)))
 
-    # the check parities of the side information, padding read as 0
-    if np.array_equal(np.logical_xor.reduce(
-            np.take(np.append(j_bits, False), slots), axis=0), syn):
+    # iteration 0 tests the side information: the channel half-LLR is
+    # negative exactly at its 1 bits, since half_llr0 > 0
+    msg_vc = posterior[slots]
+    if np.array_equal(np.logical_xor.reduce(msg_vc < 0.0, axis=0), syn):
         return DecodeResult(side_info, True, 0)
 
-    msg_vc = posterior[slots]
     msg_cv = np.empty_like(msg_vc)
     with np.errstate(divide="ignore"):
         for it in range(1, params.max_iter + 1):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import pickle
 import random
@@ -33,6 +34,25 @@ def degree_multisets(a):
         for c in sup:
             cols[c] += 1
     return rows, Counter(cols.values())
+
+
+def reference_empirical_fractions(a):
+    """The dict-loop empirical_fractions the edge-array version replaced."""
+    col_deg = {}
+    for sup in a.row_support:
+        for c in sup:
+            col_deg[c] = col_deg.get(c, 0) + 1
+    edges = sum(col_deg.values())
+    lam = {}
+    for d in col_deg.values():
+        lam[d] = lam.get(d, 0) + d
+    rho = {}
+    for sup in a.row_support:
+        d = len(sup)
+        if d:
+            rho[d] = rho.get(d, 0) + d
+    return ({d: v / edges for d, v in sorted(lam.items())},
+            {d: v / edges for d, v in sorted(rho.items())})
 
 
 class TestCodeParams:
@@ -78,11 +98,29 @@ class TestValidateParams:
         report = validate_params(p)
         assert [c.name for c in report.failures()] == ["outer_checks_even"]
 
-    def test_reverse_geometry_fails_three_ways(self):
+    def test_reverse_geometry_fails_two_ways(self):
         p = CodeParams(n=3000, m=2000, k1=548, k2=1212)
         names = {c.name for c in validate_params(p).failures()}
-        assert names == {"syndrome_capacity", "generator_tail_fits",
-                         "split_fits_top_half"}
+        assert names == {"syndrome_capacity", "generator_tail_fits"}
+
+    def test_every_check_is_its_own_inequality(self):
+        # each check fails somewhere, and no two pass and fail together on
+        # every geometry: a duplicate inequality would report one fault twice
+        rng = random.Random(2024)
+        outcomes = []
+        while len(outcomes) < 5000:
+            try:
+                p = CodeParams(*(rng.randint(1, 60) for _ in range(4)))
+            except ValueError:
+                continue
+            outcomes.append(tuple(c.ok for c in validate_params(p).checks))
+        columns = list(zip(*outcomes))
+        names = [c.name for c in validate_params(SMALL_PARAMS).checks]
+        for name, column in zip(names, columns):
+            assert not all(column), f"{name} never fails"
+        for i, j in itertools.combinations(range(len(columns)), 2):
+            assert columns[i] != columns[j], (
+                f"{names[i]} and {names[j]} agree on every geometry")
 
     def test_build_raises_on_invalid(self):
         p = CodeParams(n=3000, m=2000, k1=548, k2=1212)
@@ -707,6 +745,16 @@ class TestBuildRoundtrip:
         lam, rho = empirical_fractions(a)
         assert set(lam) == {3} and abs(lam[3] - 1.0) < 1e-12
         assert set(rho) == {3, 4}
+
+    def test_empirical_fractions_match_reference(self):
+        rng = np.random.default_rng(17)
+        for _ in range(3000):
+            rows, cols = int(rng.integers(0, 31)), int(rng.integers(1, 31))
+            dense = rng.random((rows, cols)) < rng.random()
+            a = BitMatrix(rows, cols, [np.flatnonzero(r).tolist()
+                                       for r in dense])
+            assert (repr(empirical_fractions(a))
+                    == repr(reference_empirical_fractions(a)))
 
 
 def test_quantization_check_annihilates_generator(tiny_code):

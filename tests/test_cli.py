@@ -71,7 +71,6 @@ class TestBuild:
         report = captured.out + captured.err
         assert "syndrome_capacity" in report
         assert "generator_tail_fits" in report
-        assert "split_fits_top_half" in report
 
     @staticmethod
     def build_args(workdir, out, **flags):

@@ -321,12 +321,45 @@ class TestRunExperiment:
         assert tasks[0] == ("_encode_trials", [(0, 5)])
         assert tasks[2] == ("_encode_trials", [(0, 2), (2, 4), (4, 5)])
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("crossover", [None, 0.2])
+    def test_decode_phase_maps_public_decode(self, tiny_code, monkeypatch,
+                                             workers, crossover):
+        calls = []
+        real = codec._map_trials
+
+        def recording(pool, fn, code, fn_tasks):
+            calls.append((fn, fn_tasks))
+            return real(pool, fn, code, fn_tasks)
+
+        monkeypatch.setattr(codec, "_map_trials", recording)
+        config = dataclasses.replace(self.config(trials=5), crossover=crossover)
+        run_experiment(tiny_code, config, workers=workers)
+        fn, tasks = calls[-1]
+        assert fn is codec.decode
+        assert len(tasks) == config.trials
+        n, running = TINY_PARAMS.n, 0.0
+        for trial, (side_info, syndrome, sp) in enumerate(tasks):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([config.seed, trial]))
+            source = BitVector.from_array(
+                rng.integers(0, 2, size=n, dtype=np.int64))
+            noise = BitVector.from_array(rng.random(n) < config.p)
+            enc = encode(tiny_code, source)
+            assert side_info == source ^ noise
+            assert syndrome == enc.syndrome
+            running += enc.distortion
+            q = (crossover if crossover is not None
+                 else binary_convolve(running / (trial + 1), config.p))
+            assert sp == SpParams(crossover=min(max(q, 1e-9), 0.5 - 1e-9),
+                                  max_iter=config.max_iter)
+
     def test_bound_fails_before_any_trial(self, tiny_code, monkeypatch):
         def no_trials(*args):
             raise AssertionError("a trial ran before the bound was checked")
 
         monkeypatch.setattr(codec, "_encode_trials", no_trials)
-        monkeypatch.setattr(codec, "_decode_trial", no_trials)
+        monkeypatch.setattr(codec, "decode", no_trials)
         config = dataclasses.replace(self.config(), p=0.5 - 1e-10)
         with pytest.raises(ValueError, match="crossover"):
             run_experiment(tiny_code, config, workers=1)
