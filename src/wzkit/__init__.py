@@ -20,8 +20,8 @@ from .quantizer import (BipParams, QuantizeResult, bip_quantize,
                         generator_codeword, has_four_cycle)
 from .decoder import (DecodeResult, SpParams, coset_members, coset_nearest,
                       sp_decode)
-from .codec import (CompoundQuantizer, ExperimentConfig, ExperimentResult,
-                    QuantizedWord, binary_convolve, binary_entropy,
+from .codec import (CompoundQuantizer, EncodeResult, ExperimentConfig,
+                    ExperimentResult, binary_convolve, binary_entropy,
                     bound_curve, decode, encode, encode_all, invert_bound,
                     run_experiment, write_curve_csv, write_results_csv,
                     wz_boundary, wz_rate)
@@ -48,8 +48,8 @@ __all__ = [
     # decoder
     "DecodeResult", "SpParams", "coset_members", "coset_nearest", "sp_decode",
     # codec
-    "CompoundQuantizer", "ExperimentConfig", "ExperimentResult",
-    "QuantizedWord", "binary_convolve", "binary_entropy", "bound_curve",
+    "CompoundQuantizer", "EncodeResult", "ExperimentConfig",
+    "ExperimentResult", "binary_convolve", "binary_entropy", "bound_curve",
     "decode", "encode", "encode_all", "invert_bound", "run_experiment",
     "write_curve_csv", "write_results_csv", "wz_boundary", "wz_rate",
 ]

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .degrees import DegreeDistribution
-from .gf2 import (BitMatrix, RankDeficiencyError, _require_ints, permute,
-                  read_matrix, transpose, write_matrix)
+from .gf2 import (BitMatrix, RankDeficiencyError, _require_int, _require_ints,
+                  permute, read_matrix, transpose, write_matrix)
 
 __all__ = [
     "CodeParams",
@@ -651,7 +651,13 @@ class CompoundCode:
 
 def build_compound_code(params: CodeParams, dist: DegreeDistribution, seed: int,
                         dist_id: str = "") -> CompoundCode:
-    """Full pipeline: validate, grow, diagonalize, mirror."""
+    """Full pipeline: validate, grow, diagonalize, mirror.  The seed must be
+    an integer and dist_id a string, as load_code requires of a manifest, so
+    that save_code can record them and the build repeats."""
+    _require_int("seed", seed)
+    if not isinstance(dist_id, str):
+        raise TypeError(f"dist_id must be a string, got {dist_id!r}")
+    seed = int(seed)
     report = validate_params(params)
     if not report.ok:
         raise ParamValidationError(report)
@@ -704,6 +710,13 @@ def _read_manifest(path: Path) -> dict:
         params = CodeParams(**given)
     except (TypeError, ValueError) as e:
         raise ValueError(f"manifest.json: params: {e}") from None
+    try:
+        _require_int("seed", manifest["seed"])
+    except TypeError as e:
+        raise ValueError(f"manifest.json: {e}") from None
+    if not isinstance(manifest.get("dist_id", ""), str):
+        raise ValueError(f"manifest.json: dist_id must be a string, got "
+                         f"{manifest['dist_id']!r}")
     return {**manifest, "params": params}
 
 

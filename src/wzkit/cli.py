@@ -130,11 +130,10 @@ def _cmd_quantize(args) -> int:
     bip = BipParams(**_given(vars(args), BipParams))
     code = load_code(args.code)
     words = _read_words(args.infile, code.params.n)
-    qz = code.quantizer
     out = []
     total = 0.0
-    for res in qz.quantize_all(words, bip):
-        out.append(qz.coefficients(res.word))
+    for res in code.quantizer.quantize_all(words, bip):
+        out.append(res.u)
         total += res.distortion
     _write_words(args.out, out)
     print(f"quantized {len(words)} words, mean distortion {total / len(words):.6f}")
@@ -149,7 +148,7 @@ def _cmd_encode(args) -> int:
     total = 0.0
     for res in encode_all(code, words, bip):
         syndromes.append(res.syndrome)
-        total += res.distortion
+        total += res.quantized.distortion
     _write_words(args.out, syndromes)
     rt = code.params.k2 / code.params.n
     print(f"encoded {len(words)} words at rate {rt:.4f}, "

@@ -16,14 +16,14 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 from .builder import CodeParams, CompoundCode, _generator_rows
 from .decoder import SpParams, sp_decode
 from .gf2 import BitVector, ShapeError, _require_ints, mul_vec
-from .quantizer import BipParams, _resolve, bip_quantize_all
+from .quantizer import BipParams, QuantizeResult, _resolve, bip_quantize_all
 
 __all__ = [
     "binary_entropy",
@@ -33,7 +33,6 @@ __all__ = [
     "invert_bound",
     "bound_curve",
     "CompoundQuantizer",
-    "QuantizedWord",
     "EncodeResult",
     "encode",
     "encode_all",
@@ -199,14 +198,6 @@ def bound_curve(p: float, points: int = 200) -> list[tuple[float, float]]:
             for i in range(points)]
 
 
-class QuantizedWord(NamedTuple):
-    word: BitVector          # codeword of the quantization check
-    distortion: float        # source-to-word Hamming fraction
-    steps: int               # QuantizeResult's counters
-    fallback_fixes: int
-    clashes: int
-
-
 class CompoundQuantizer:
     """Bias propagation for one compound code, run in its systematic gauge.
 
@@ -232,12 +223,13 @@ class CompoundQuantizer:
         self._damping = _resolve(BipParams(), self.g_sub)[1]
 
     def quantize(self, source: BitVector,
-                 bip: BipParams = BipParams()) -> QuantizedWord:
-        """Codeword of the quantization check close to source in Hamming distance."""
+                 bip: BipParams = BipParams()) -> QuantizeResult:
+        """Codeword of the quantization check close to source in Hamming
+        distance, with its coefficients u over g1 and BiP's counters."""
         return self.quantize_all([source], bip)[0]
 
     def quantize_all(self, sources: Sequence[BitVector],
-                     bip: BipParams = BipParams()) -> list[QuantizedWord]:
+                     bip: BipParams = BipParams()) -> list[QuantizeResult]:
         """quantize for every source, all through one bip_quantize_all call."""
         for source in sources:
             if source.length != self.n:
@@ -256,9 +248,8 @@ class CompoundQuantizer:
                              sub_word.bits & parity_mask
                              | (source.bits >> r & (1 << mid) - 1) << r
                              | sub_word.bits >> r << (r + mid))
-            distortion = (word ^ source).weight() / self.n
-            out.append(QuantizedWord(word, distortion, res.steps,
-                                     res.fallback_fixes, res.clashes))
+            out.append(replace(res, u=self.coefficients(word), codeword=word,
+                               distortion=(word ^ source).weight() / self.n))
         return out
 
     def coefficients(self, word: BitVector) -> BitVector:
@@ -272,10 +263,8 @@ class CompoundQuantizer:
 
 @dataclass(frozen=True)
 class EncodeResult:
-    word: BitVector          # quantized word
-    syndrome: BitVector      # transmitted bits
-    distortion: float        # source-to-word Hamming fraction
-    steps: int
+    quantized: QuantizeResult  # the quantizer's result, over g1
+    syndrome: BitVector        # transmitted bits, h2 @ quantized.codeword
 
 
 def encode(code: CompoundCode, source: BitVector,
@@ -287,8 +276,7 @@ def encode(code: CompoundCode, source: BitVector,
 def encode_all(code: CompoundCode, sources: Sequence[BitVector],
                bip: BipParams = BipParams()) -> list[EncodeResult]:
     """encode for every source, quantized together."""
-    return [EncodeResult(q.word, mul_vec(code.h2, q.word), q.distortion,
-                         q.steps)
+    return [EncodeResult(q, mul_vec(code.h2, q.codeword))
             for q in code.quantizer.quantize_all(sources, bip)]
 
 
@@ -327,6 +315,8 @@ class ExperimentConfig:
             raise ValueError(f"p must lie in (0, 0.5), got {self.p}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.crossover is not None and not 0.0 < self.crossover < 0.5:
@@ -431,7 +421,7 @@ def run_experiment(code: CompoundCode, config: ExperimentConfig,
         running = 0.0
         dec_tasks = []
         for trial, (_, side_info, enc) in enumerate(encoded):
-            running += enc.distortion
+            running += enc.quantized.distortion
             if config.crossover is not None:
                 q = config.crossover
             else:
@@ -440,8 +430,9 @@ def run_experiment(code: CompoundCode, config: ExperimentConfig,
                 crossover=_clamp_crossover(q), max_iter=config.max_iter)))
         decoded = _map_trials(pool, decode, code, dec_tasks)
 
-    d1 = sum(enc.distortion for _, _, enc in encoded) / config.trials
-    d2 = sum(dec.bits.hamming(enc.word) / n
+    d1 = sum(enc.quantized.distortion
+             for _, _, enc in encoded) / config.trials
+    d2 = sum(dec.bits.hamming(enc.quantized.codeword) / n
              for (_, _, enc), dec in zip(encoded, decoded)) / config.trials
     dt = sum(dec.bits.hamming(source) / n
              for (source, _, _), dec in zip(encoded, decoded)) / config.trials

@@ -69,16 +69,18 @@ class RankDeficiencyError(ValueError):
         self.rank = computed_rank
 
 
+def _require_int(name: str, value) -> None:
+    """TypeError unless value is an integer: a Python or numpy int, not a
+    bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def _require_ints(owner, *names: str) -> None:
-    """TypeError unless each named attribute of owner (a parameter
-    dataclass) is None or an integer: a Python or numpy int, not a bool or a
-    float."""
+    """_require_int on each named attribute of owner (a parameter
+    dataclass)."""
     for name in names:
-        value = getattr(owner, name)
-        if value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+        _require_int(name, getattr(owner, name))
 
 
 @dataclass(frozen=True)

@@ -658,6 +658,38 @@ class TestBuildRoundtrip:
         b = build_compound_code(TINY_PARAMS, tiny_dist(), seed=5)
         assert (a.h, a.h1, a.h2, a.g1) == (b.h, b.h1, b.h2, b.g1)
 
+    @pytest.mark.parametrize("seed", [None, b"x", 1.5, True, "5"])
+    def test_seed_must_be_an_integer(self, monkeypatch, seed):
+        """A seed save_code cannot record, or that random.Random would draw
+        from OS entropy, fails before any growth."""
+        grown = []
+        monkeypatch.setattr(builder, "peg_generate",
+                            lambda *a: grown.append(a))
+        with pytest.raises(TypeError, match="^seed must be an integer, got "):
+            build_compound_code(TINY_PARAMS, tiny_dist(), seed=seed)
+        assert grown == []
+
+    @pytest.mark.parametrize("dist_id", [5, None, b"tiny"])
+    def test_dist_id_must_be_a_string(self, monkeypatch, dist_id):
+        """load_code rejects a manifest whose dist_id is no string, so a
+        build does not make one."""
+        grown = []
+        monkeypatch.setattr(builder, "peg_generate",
+                            lambda *a: grown.append(a))
+        with pytest.raises(TypeError, match="^dist_id must be a string, got "):
+            build_compound_code(TINY_PARAMS, tiny_dist(), seed=5,
+                                dist_id=dist_id)
+        assert grown == []
+
+    def test_numpy_integer_seed_builds_the_int_seed_code(self, tiny_code,
+                                                         tmp_path):
+        code = build_compound_code(TINY_PARAMS, tiny_dist(), seed=np.int64(5),
+                                   dist_id="tiny")
+        assert code == tiny_code and type(code.seed) is int
+        save_code(code, tmp_path / "code")
+        assert json.loads(
+            (tmp_path / "code" / "manifest.json").read_text())["seed"] == 5
+
     def test_save_load_roundtrip(self, tiny_code, tmp_path):
         save_code(tiny_code, tmp_path / "code")
         assert {f.name for f in (tmp_path / "code").iterdir()} == {
@@ -771,8 +803,18 @@ class TestManifest:
         (lambda m: m["params"].pop("k2"), "params: .*'k2'"),
         (lambda m: m["params"].update(n="96"), "params: "),
         (lambda m: m.update(params=[96]), "'params' must be an object"),
+        (lambda m: m.update(seed="abc"), "seed must be an integer, got 'abc'"),
+        (lambda m: m.update(seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda m: m.update(seed=True), "seed must be an integer, got True"),
+        (lambda m: m.update(seed=None), "seed must be an integer, got None"),
+        (lambda m: m.update(seed=[1]), r"seed must be an integer, got \[1\]"),
+        (lambda m: m.update(dist_id=5), "dist_id must be a string, got 5"),
+        (lambda m: m.update(dist_id=None),
+         "dist_id must be a string, got None"),
     ], ids=["no-seed", "no-params", "unknown-key", "missing-field",
-            "bad-value", "params-not-object"])
+            "bad-value", "params-not-object", "seed-string", "seed-float",
+            "seed-bool", "seed-null", "seed-list", "dist-id-number",
+            "dist-id-null"])
     def test_malformed_manifest_is_value_error(self, tiny_code, tmp_path,
                                                change, message):
         save_code(tiny_code, tmp_path / "code")

@@ -177,9 +177,8 @@ class TestQuantizeEncodeDecode:
         code = load_code(workdir / "tiny-code")
         sources = [BitVector.from_bits_list([int(c) for c in line]) for line in
                    (workdir / "sources.txt").read_text().splitlines()]
-        words = [code.quantizer.quantize(s).word for s in sources]
         expected = {
-            "quantize": [code.quantizer.coefficients(w) for w in words],
+            "quantize": [r.u for r in code.quantizer.quantize_all(sources)],
             "encode": [encode(code, s).syndrome for s in sources]}
         calls.clear()
         for cmd, vectors in expected.items():
@@ -198,7 +197,7 @@ class TestQuantizeEncodeDecode:
         src = BitVector.from_bits_list([int(c) for c in src_line])
         enc = encode(code, src)
         side = tmp_path / "side.txt"
-        side.write_text(word_line(enc.word) + "\n")
+        side.write_text(word_line(enc.quantized.codeword) + "\n")
         syndrome = tmp_path / "syndrome.txt"
         syndrome.write_text(word_line(enc.syndrome) + "\n")
         out = tmp_path / "decoded.txt"
@@ -206,7 +205,8 @@ class TestQuantizeEncodeDecode:
                        "--side", str(side), "--syndrome", str(syndrome),
                        "--crossover", "0.05", "--out", str(out)])
         assert rc == 0
-        assert out.read_text().splitlines() == [word_line(enc.word)]
+        assert out.read_text().splitlines() == [
+            word_line(enc.quantized.codeword)]
 
     def test_commands_pack_no_generator_rows(self, workdir, tmp_path,
                                              monkeypatch):
@@ -293,7 +293,16 @@ class TestQuantizeEncodeDecode:
         lambda m: m.pop("params"),
         lambda m: m["params"].update(colour=3),
         lambda m: [1, 2],
-    ], ids=["no-seed", "no-params", "unknown-params-key", "not-an-object"])
+        lambda m: m.update(seed="abc"),
+        lambda m: m.update(seed=1.5),
+        lambda m: m.update(seed=True),
+        lambda m: m.update(seed=None),
+        lambda m: m.update(seed=[1]),
+        lambda m: m.update(dist_id=5),
+        lambda m: m.update(dist_id=None),
+    ], ids=["no-seed", "no-params", "unknown-params-key", "not-an-object",
+            "seed-string", "seed-float", "seed-bool", "seed-null", "seed-list",
+            "dist-id-number", "dist-id-null"])
     @pytest.mark.parametrize("command", ["quantize", "encode", "decode"])
     def test_malformed_manifest_exits_three(self, workdir, tmp_path, capsys,
                                             command, change):
@@ -620,6 +629,14 @@ class TestRun:
         assert rc == 3
         out, err = capsys.readouterr()
         assert "max_iter" in err and "building" not in out
+
+    def test_negative_seed_fails_before_build(self, workdir, tmp_path,
+                                              monkeypatch, capsys):
+        entry = dict(self.experiment(), seed=-1)
+        rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert "seed" in err and "building" not in out
 
     def test_crossover_out_of_range_fails_before_build(self, workdir,
                                                        tmp_path, monkeypatch,

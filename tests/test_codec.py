@@ -22,7 +22,11 @@ from wzkit.codec import (CSV_COLUMNS, CompoundQuantizer, ExperimentConfig,
 from wzkit.decoder import SpParams
 from wzkit.gf2 import (BitMatrix, BitVector, ShapeError, mat_mul, mul_vec,
                        transpose)
-from wzkit.quantizer import BipParams, generator_codeword
+from wzkit.quantizer import BipParams, bip_quantize_all, generator_codeword
+
+# defaults, an undamped run with a large gamma, and a damped low threshold
+QUANTIZE_BIPS = [BipParams(), BipParams(gamma=20.0, damping=0.0),
+                 BipParams(damping=0.5, threshold=0.6)]
 
 
 class TestBinaryEntropy:
@@ -179,9 +183,9 @@ class TestCompoundQuantizer:
         for _ in range(5):
             src = BitVector(TINY_PARAMS.n, rng.getrandbits(TINY_PARAMS.n))
             out = qz.quantize(src)
-            assert mul_vec(tiny_code.h1, out.word).weight() == 0
+            assert mul_vec(tiny_code.h1, out.codeword).weight() == 0
             assert out.distortion == pytest.approx(
-                (out.word ^ src).weight() / TINY_PARAMS.n)
+                (out.codeword ^ src).weight() / TINY_PARAMS.n)
 
     def test_middle_block_copies_source(self, tiny_code):
         qz = CompoundQuantizer(tiny_code)
@@ -191,7 +195,7 @@ class TestCompoundQuantizer:
         lo = qz.parity_width
         hi = lo + qz.mid_width
         mid_mask = ((1 << qz.mid_width) - 1) << lo
-        assert out.word.bits & mid_mask == src.bits & mid_mask
+        assert out.codeword.bits & mid_mask == src.bits & mid_mask
         assert lo == TINY_PARAMS.quant_checks
         assert hi == TINY_PARAMS.n // 2
 
@@ -201,7 +205,7 @@ class TestCompoundQuantizer:
         rng = random.Random(44)
         for _ in range(3):
             src = BitVector(TINY_PARAMS.n, rng.getrandbits(TINY_PARAMS.n))
-            word = qz.quantize(src).word
+            word = qz.quantize(src).codeword
             u = qz.coefficients(word)
             assert u.length == TINY_PARAMS.info_rows
             assert u.bits == word.bits >> r     # the word's free blocks
@@ -240,9 +244,7 @@ class TestCompoundQuantizer:
         assert len(calls) == 1
         assert code.g1 == tiny_code.g1
 
-    @pytest.mark.parametrize("bip", [BipParams(),
-                                     BipParams(gamma=20.0, damping=0.0),
-                                     BipParams(damping=0.5, threshold=0.6)])
+    @pytest.mark.parametrize("bip", QUANTIZE_BIPS)
     def test_quantize_all_matches_quantize(self, tiny_code, bip):
         qz = tiny_code.quantizer
         rng = random.Random(45)
@@ -251,6 +253,34 @@ class TestCompoundQuantizer:
         sources.insert(2, sources[0])
         assert qz.quantize_all(sources, bip) == [qz.quantize(s, bip)
                                                  for s in sources]
+
+    @pytest.mark.parametrize("code", ["tiny_code", "small_code"])
+    @pytest.mark.parametrize("bip", QUANTIZE_BIPS)
+    def test_result_is_bip_result_over_g1(self, code, bip, request):
+        """Each result is BiP's result on g_sub, carried to g1: u are the
+        coefficients of the codeword, which passes the quantization check,
+        and BiP's counters pass through unchanged."""
+        code = request.getfixturevalue(code)
+        qz, n = code.quantizer, code.params.n
+        r, mid = qz.parity_width, qz.mid_width
+        rng = random.Random(46)
+        sources = [BitVector(n, rng.getrandbits(n)) for _ in range(4)]
+
+        def parity_and_tail(v):
+            a = v.to_array()
+            return BitVector.from_array(np.concatenate([a[:r], a[r + mid:]]))
+
+        ref = bip_quantize_all(qz.g_sub, [parity_and_tail(s) for s in sources],
+                               bip)
+        got = qz.quantize_all(sources, bip)
+        assert len(got) == len(ref)
+        for res, sub in zip(got, ref):
+            assert generator_codeword(code.g1, res.u) == res.codeword
+            assert res.u == qz.coefficients(res.codeword)
+            assert mul_vec(code.h1, res.codeword).weight() == 0
+            assert parity_and_tail(res.codeword) == sub.codeword
+            assert (res.steps, res.fallback_fixes, res.clashes) == (
+                sub.steps, sub.fallback_fixes, sub.clashes)
 
     def test_shape_errors(self, tiny_code):
         qz = CompoundQuantizer(tiny_code)
@@ -268,10 +298,11 @@ class TestEncodeDecode:
         rng = random.Random(50)
         src = BitVector(TINY_PARAMS.n, rng.getrandbits(TINY_PARAMS.n))
         enc = encode(tiny_code, src)
-        assert mul_vec(tiny_code.h1, enc.word).weight() == 0
-        assert mul_vec(tiny_code.h2, enc.word) == enc.syndrome
-        assert 0.0 <= enc.distortion <= 0.5
-        assert enc.steps >= 1
+        word = enc.quantized.codeword
+        assert mul_vec(tiny_code.h1, word).weight() == 0
+        assert mul_vec(tiny_code.h2, word) == enc.syndrome
+        assert 0.0 <= enc.quantized.distortion <= 0.5
+        assert enc.quantized.steps >= 1
 
     def test_encode_all_matches_encode(self, tiny_code):
         rng = random.Random(52)
@@ -280,14 +311,24 @@ class TestEncodeDecode:
         assert encode_all(tiny_code, sources) == [encode(tiny_code, s)
                                                   for s in sources]
 
+    def test_encode_all_wraps_the_quantizer_result(self, tiny_code):
+        rng = random.Random(53)
+        sources = [BitVector(TINY_PARAMS.n, rng.getrandbits(TINY_PARAMS.n))
+                   for _ in range(3)]
+        quantized = tiny_code.quantizer.quantize_all(sources)
+        encoded = encode_all(tiny_code, sources)
+        assert [enc.quantized for enc in encoded] == quantized
+        for enc, q in zip(encoded, quantized):
+            assert enc.syndrome == mul_vec(tiny_code.h2, q.codeword)
+
     def test_decode_recovers_word_from_clean_side(self, tiny_code):
         rng = random.Random(51)
         src = BitVector(TINY_PARAMS.n, rng.getrandbits(TINY_PARAMS.n))
         enc = encode(tiny_code, src)
-        res = decode(tiny_code, enc.word, enc.syndrome,
-                     SpParams(crossover=0.05))
+        word = enc.quantized.codeword
+        res = decode(tiny_code, word, enc.syndrome, SpParams(crossover=0.05))
         assert res.converged
-        assert res.bits == enc.word
+        assert res.bits == word
 
     def test_decode_rejects_wrong_syndrome_length(self, tiny_code):
         with pytest.raises(ValueError):
@@ -348,7 +389,7 @@ class TestRunExperiment:
             enc = encode(tiny_code, source)
             assert side_info == source ^ noise
             assert syndrome == enc.syndrome
-            running += enc.distortion
+            running += enc.quantized.distortion
             q = (crossover if crossover is not None
                  else binary_convolve(running / (trial + 1), config.p))
             assert sp == SpParams(crossover=min(max(q, 1e-9), 0.5 - 1e-9),
@@ -434,6 +475,13 @@ class TestRunExperiment:
             ExperimentConfig(code_id="x", params=TINY_PARAMS, p=0.25,
                              trials=1, seed=0, max_iter=0)
 
+    def test_negative_seed_validated_up_front(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            ExperimentConfig(code_id="x", params=TINY_PARAMS, p=0.25,
+                             trials=1, seed=-1)
+        ExperimentConfig(code_id="x", params=TINY_PARAMS, p=0.25, trials=1,
+                         seed=0)
+
     @pytest.mark.parametrize("crossover", [0.0, 0.5, 0.9, -1.0, float("nan")])
     def test_crossover_validated_up_front(self, crossover):
         with pytest.raises(ValueError, match="crossover"):
@@ -468,7 +516,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("key, value", [
         ("trials", 1.5), ("trials", 2.0), ("max_iter", 2.5), ("seed", 1.0),
-        ("seed", True)])
+        ("seed", True), ("seed", None), ("trials", None)])
     def test_integer_fields_reject_other_numbers(self, key, value):
         config = dict(code_id="x", params=TINY_PARAMS, p=0.25, trials=1,
                       seed=0)
@@ -549,7 +597,8 @@ class TestGeneratorTraffic:
         code = load_code(tmp_path / "code")
         copy = pickle.loads(pickle.dumps(code))
         assert len(reads) == 1 and reads[0].endswith("h.txt")
-        word = copy.quantizer.quantize(BitVector(TINY_PARAMS.n, 12345)).word
+        word = copy.quantizer.quantize(
+            BitVector(TINY_PARAMS.n, 12345)).codeword
         assert generator_codeword(copy.g1,
                                   copy.quantizer.coefficients(word)) == word
         assert len(reads) == 1

@@ -1,11 +1,14 @@
 """The package's runtime dependencies are exactly what its modules import."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+import wzkit
 
 tomllib = pytest.importorskip("tomllib")  # Python 3.11+
 
@@ -44,3 +47,24 @@ def test_scan_sees_lazy_imports(tmp_path):
         "def bound():\n"
         "    from scipy.optimize import brentq\n")
     assert third_party_imports(tmp_path) == {"numpy", "scipy"}
+
+
+MODULES = ("gf2", "degrees", "builder", "quantizer", "decoder", "codec")
+
+
+def test_public_names_resolve_to_their_module_objects():
+    """Every exported name exists, and each one the package re-exports is
+    its module's own object; tools that look names up through __all__ (the
+    benchmark's tracer among them) break on a stale entry."""
+    homes = {}
+    for name in MODULES:
+        mod = importlib.import_module(f"wzkit.{name}")
+        for attr in mod.__all__:
+            assert hasattr(mod, attr), f"wzkit.{name}.__all__ names {attr!r}"
+            homes[attr] = getattr(mod, attr)
+    for attr in wzkit.__all__:
+        assert hasattr(wzkit, attr), f"wzkit.__all__ names {attr!r}"
+        if attr in homes:
+            assert getattr(wzkit, attr) is homes[attr], attr
+    # encode and encode_all are exported, so is the type they return
+    assert "EncodeResult" in wzkit.__all__
