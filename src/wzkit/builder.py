@@ -43,7 +43,7 @@ BFS_DEPTH_CAP = 12
 # a BFS level walks adjacency lists when its wave size times the widest
 # check times the variable's degree, a bound on the edges it can touch, is
 # at most this; wider levels run on numpy masks
-PEG_LIST_LEVEL_EDGES = 256
+PEG_LIST_LEVEL_EDGES = 512
 # settings that shape no code; older inputs that carry them still load
 RETIRED_PARAMS = ("zeta", "poisson_lam", "poisson_imax")
 
@@ -219,10 +219,10 @@ class PegCounts:
     """What one PEG growth did besides placing edges by the plain rule.
 
     spills: edges placed on a check already at capacity, because every
-    check the variable was not yet joined to was full.  The BFS of each edge
-    after a variable's first stops when it has seen every pool check
-    (pool_exits), else when it has run BFS_DEPTH_CAP levels
-    (depth_cap_exits), else when its wave runs empty (empty_wave_exits).
+    check the variable was not yet joined to was full.  Each edge after a
+    variable's first exits as a BFS from the variable's checks would stop:
+    on seeing every pool check (pool_exits), else after BFS_DEPTH_CAP
+    levels (depth_cap_exits), else on an empty wave (empty_wave_exits).
     trimmed_rows: checks dropped after growth.  widenings: doublings of the
     check-to-variable table, each caused by a spill past the widest capacity.
     """
@@ -255,25 +255,97 @@ def peg_generate(n_checks: int, n_vars: int, dist: DegreeDistribution,
 
     The graph grows twice per placed edge: in Python adjacency lists, and in
     a table with one column of variables per check, padded with a sentinel
-    variable.  Each BFS level takes one of two paths, chosen per level.  When
-    the wave size times the widest check times the variable's degree, a
-    bound on the edges the level can touch (variables are placed in
-    ascending degree), is at most PEG_LIST_LEVEL_EDGES, the level walks the
-    lists of the wave's checks and of the variables it reaches.  Otherwise
-    it runs on numpy masks: it gathers the wave checks' table columns into a
-    cleared mask, keeps the variables not seen before, then marks every
-    check whose column holds one of them (one gather over the whole table,
-    ORed down its rows), filtered the same way; that level costs O(checks x
-    widest check) whatever the wave.  Both paths read and write one set of
-    seen and not-yet-reached flags, bytearrays that numpy views in place, so
-    a BFS may switch paths between levels and every level set is the same
-    either way.  The pool checks not yet seen carry over from level to
-    level: the BFS stops as soon as none is left, and they are the
-    candidates when it stops before that.  The under-capacity mask is
-    updated per placed edge.  `_peg_grow` also returns the growth's
-    PegCounts.
+    variable.  While a variable is placed, the rest of the graph does not
+    change, so the BFS distance of a check from the variable's checks is the
+    least of its distances from each of them.  One uint8 array holds an
+    upper bound on that distance for every check (Ramalingam & Reps, J.
+    Algorithms 1996).  The second edge, and the edge on which a variable
+    first spills, run a BFS from all of the variable's checks.  Every later
+    edge relaxes the array from the one check added last: a level lowers
+    only bounds above it, and only the checks it lowered make the next
+    wave.  Either kind of run stops once no pool check's bound can drop,
+    or after BFS_DEPTH_CAP levels, or on an empty wave.  So the bounds are
+    exact on every pool check, and exact up to BFS_DEPTH_CAP on every check
+    until the variable's first pool exit; the pool only shrinks between
+    spills.  The exit and the candidates are read off the array: a pool
+    exit at the pool's largest distance D, with the pool checks at D, when
+    D is within the cap; else the pool checks beyond the cap, after a
+    depth-cap exit if some check sits at BFS_DEPTH_CAP - 1 and an
+    empty-wave exit if none does.  These are the exits and candidates of a
+    new BFS per edge that stops when it has seen every pool check.
+
+    Both kinds of run share one level routine, `_peg_level`, with two
+    paths chosen per level.  When the wave size times the widest check times
+    the variable's degree, a bound on the edges the level can touch
+    (variables are placed in ascending degree), is at most
+    PEG_LIST_LEVEL_EDGES, the level walks the lists of the wave's checks and
+    of the variables it reaches.  Otherwise it runs on numpy masks: it
+    gathers the wave checks' table columns into a cleared mask, keeps the
+    variables not seen before, then marks every check whose column holds
+    one of them (one gather over the whole table, ORed down its rows) and
+    whose bound is above the level; that level costs O(checks x widest
+    check) whatever the wave.  Both paths read and write one set of bounds,
+    pool flags and seen flags, bytearrays that numpy views in place, so a
+    run may switch paths between levels and gives the same bounds either
+    way.  A count of the pool checks at each bound tells when none can
+    drop.  The under-capacity mask is updated per placed edge.  `_peg_grow`
+    also returns the growth's PegCounts.
     """
     return _peg_grow(n_checks, n_vars, dist, seed)[0]
+
+
+def _peg_level(wave, level: int, budget: int, graph, marks,
+               hist: list[int]):
+    """Run one level of a PEG check-distance BFS and return its wave.
+
+    wave holds the checks this run has just set to level - 1 (for level 1,
+    the run's sources).  The level reaches their variables not seen yet in
+    this run, then sets every check of those
+    variables whose distance bound is above level to level, and returns the
+    checks it set.  graph is (chk_vars, var_checks, chk_adj) and marks is
+    (dist_b, pool_b, seen_v_b): bytearrays of the checks' bounds, of the pool,
+    and of the variables seen.  hist counts the pool checks at each bound
+    and is kept current.  When len(wave) * widest <= budget, the level walks
+    the adjacency lists.  Otherwise it runs on numpy masks and reads the
+    whole check table once.
+    """
+    chk_vars, var_checks, chk_adj = graph
+    dist_b, pool_b, seen_v_b = marks
+    if len(wave) * chk_adj.shape[0] <= budget:
+        # few edges: walk the wave's lists
+        vs = []
+        for c in wave:
+            for u in chk_vars[c]:
+                if not seen_v_b[u]:
+                    seen_v_b[u] = 1
+                    vs.append(u)
+        wave = []
+        for u in vs:
+            for c in var_checks[u]:
+                d = dist_b[c]
+                if d > level:
+                    dist_b[c] = level
+                    wave.append(c)
+                    if pool_b[c]:
+                        hist[d] -= 1
+                        hist[level] += 1
+        return wave
+    # many edges: masks over every variable and check
+    seen_v = np.frombuffer(seen_v_b, dtype=bool)
+    new_v = np.zeros(len(seen_v), dtype=bool)
+    new_v[chk_adj.take(wave, axis=1)] = True
+    np.greater(new_v, seen_v, out=new_v)
+    seen_v |= new_v
+    dist = np.frombuffer(dist_b, dtype=np.uint8)
+    new_c = np.logical_or.reduce(new_v.take(chk_adj))
+    new_c &= dist > level
+    wave = new_c.nonzero()[0]
+    dropped = dist[wave[np.frombuffer(pool_b, dtype=bool)[wave]]]
+    for d, n in enumerate(np.bincount(dropped).tolist()):
+        hist[d] -= n
+    hist[level] += len(dropped)
+    dist[wave] = level
+    return wave
 
 
 def _peg_grow(n_checks: int, n_vars: int, dist: DegreeDistribution,
@@ -295,6 +367,7 @@ def _peg_grow(n_checks: int, n_vars: int, dist: DegreeDistribution,
     rng.shuffle(chk_degs)
     deg = np.zeros(gen_checks, dtype=np.int64)
     under = deg < chk_degs           # deg < capacity, kept per placed edge
+    n_under = int(np.count_nonzero(under))
     # each check's variables as a list and as a column of a table padded with
     # the sentinel variable n_vars (widened when a spill outgrows it), and
     # each variable's checks as a list
@@ -302,118 +375,114 @@ def _peg_grow(n_checks: int, n_vars: int, dist: DegreeDistribution,
     chk_adj = np.full((max(chk_degs), gen_checks), n_vars, dtype=np.int64)
     chk_vars = [[] for _ in range(gen_checks)]
     var_checks = [[] for _ in range(n_vars)]
-    # candidate checks, and of them the ones the BFS has not reached yet; the
-    # seen and left flags are bytearrays that both level kinds write
-    pool, new_c = np.empty(gen_checks, bool), np.empty(gen_checks, bool)
-    new_v = np.empty(n_vars + 1, bool)
-    seen_c_b, left_b = bytearray(gen_checks), bytearray(gen_checks)
+    graph = chk_vars, var_checks, chk_adj
+    # each check's distance bound from the variable's checks (far: beyond
+    # the cap), the variable's candidate checks, and the variables a BFS
+    # has seen; bytearrays that numpy views in place
+    far = BFS_DEPTH_CAP + 1
+    dist_b, pool_b = bytearray(gen_checks), bytearray(gen_checks)
     seen_v_b = bytearray(n_vars + 1)
-    seen_c, left, seen_v = (np.frombuffer(b, dtype=bool)
-                            for b in (seen_c_b, left_b, seen_v_b))
+    marks = dist_b, pool_b, seen_v_b
+    dist_c = np.frombuffer(dist_b, dtype=np.uint8)
+    pool = np.frombuffer(pool_b, dtype=bool)
+    seen_v = np.frombuffer(seen_v_b, dtype=bool)
+    cand = np.empty(gen_checks, dtype=bool)
+    hist = [0] * (far + 1)           # pool checks at each bound
     spills = pool_exits = depth_caps = empty_waves = widenings = 0
     for v in order:
         # len(wave) * widest <= budget exactly when len(wave) * widest *
         # var_degs[v] <= PEG_LIST_LEVEL_EDGES
         budget = PEG_LIST_LEVEL_EDGES // var_degs[v]
         own = var_checks[v]
+        # the pool is the under-capacity checks v is not joined to; each
+        # placed edge takes its check out
+        np.copyto(pool, under)
+        n_left = n_under
+        spilled = False
         for k in range(var_degs[v]):
             # capacities are a soft preference: when every non-neighbor is
-            # already full, spill onto the least-loaded one instead of failing
-            np.copyto(pool, under)
-            pool[own] = False
-            n_left = np.count_nonzero(pool)
-            if not n_left:
+            # already full, spill onto the least-loaded one instead of
+            # failing; the pool then stays every non-neighbor
+            fresh = k == 1
+            if spilled or not n_left:
                 spills += 1
-                pool.fill(True)
-                pool[own] = False
-                n_left = np.count_nonzero(pool)
+                if not spilled:
+                    spilled = fresh = True
+                    pool.fill(True)
+                    pool[own] = False
+                    n_left = gen_checks - len(own)
                 if not n_left:
                     raise ValueError(
                         f"variable {v} needs {var_degs[v]} distinct checks but "
                         f"only {gen_checks} exist")
-            cand = pool
-            if k:
-                # BFS out of v until every pool check has been seen (the
-                # first level always runs: pool and own are disjoint)
-                seen_c.fill(False)
-                seen_v.fill(False)
-                for c in own:
-                    seen_c_b[c] = 1
-                seen_v_b[v] = seen_v_b[n_vars] = 1
-                np.copyto(left, pool)
-                wave = own
-                depth = 0
-                while True:
-                    depth += 1
-                    if len(wave) * chk_adj.shape[0] <= budget:
-                        # few edges: walk the wave's lists
-                        vs = []
-                        for c in wave:
-                            for u in chk_vars[c]:
-                                if not seen_v_b[u]:
-                                    seen_v_b[u] = 1
-                                    vs.append(u)
-                        wave, hit = [], []
-                        for u in vs:
-                            for c in var_checks[u]:
-                                if not seen_c_b[c]:
-                                    seen_c_b[c] = 1
-                                    wave.append(c)
-                                    if left_b[c]:
-                                        left_b[c] = 0
-                                        hit.append(c)
-                        n_left -= len(hit)
-                        if not n_left:
-                            pool_exits += 1
-                            cand = hit
-                            break
-                    else:
-                        # many edges: masks over every variable and check
-                        new_v.fill(False)
-                        new_v[chk_adj.take(wave, axis=1)] = True
-                        np.greater(new_v, seen_v, out=new_v)
-                        seen_v |= new_v
-                        np.logical_or.reduce(new_v.take(chk_adj), out=new_c)
-                        np.greater(new_c, seen_c, out=new_c)
-                        seen_c |= new_c
-                        np.greater(left, new_c, out=left)
-                        wave = new_c.nonzero()[0]
-                        n_left = np.count_nonzero(left)
-                        if not n_left:
-                            pool_exits += 1
-                            cand = pool & new_c
-                            break
-                    if depth == BFS_DEPTH_CAP:
-                        depth_caps += 1
-                        cand = left
-                        break
-                    if not len(wave):
-                        empty_waves += 1
-                        cand = left
-                        break
-            # lowest current degree, lowest index on ties
-            if type(cand) is list:
-                c = min(cand, key=lambda c: (deg[c], c))
+            if not k:
+                cs = pool.nonzero()[0]
             else:
+                seen_v.fill(False)
+                seen_v_b[v] = seen_v_b[n_vars] = 1
+                if fresh:
+                    # BFS out of all of v's checks
+                    dist_c.fill(far)
+                    for c in own:
+                        dist_b[c] = 0
+                    wave = own
+                    hist[:] = [0] * far + [n_left]
+                    top = far
+                else:
+                    # the bounds hold for v's older checks: relax them from
+                    # the newest one, which left the pool when it was placed
+                    c = own[-1]
+                    dist_b[c] = 0
+                    wave = [c]
+                    while not hist[top]:
+                        top -= 1
+                # level L can only lower bounds above L, so the levels stop
+                # once no pool check is farther than the next level
+                level = 0
+                while len(wave) and level < BFS_DEPTH_CAP and top > level + 1:
+                    level += 1
+                    wave = _peg_level(wave, level, budget, graph, marks, hist)
+                    while not hist[top]:
+                        top -= 1
+                if top < far:
+                    # every pool check within the cap: the farthest ones
+                    pool_exits += 1
+                    np.equal(dist_c, top, out=cand)
+                else:
+                    # the pool checks beyond the cap; a BFS would have run
+                    # BFS_DEPTH_CAP levels if any check sits one level short
+                    if (dist_c == BFS_DEPTH_CAP - 1).any():
+                        depth_caps += 1
+                    else:
+                        empty_waves += 1
+                    np.equal(dist_c, far, out=cand)
+                cand &= pool
                 cs = cand.nonzero()[0]
-                c = int(cs[deg[cs].argmin()])
+            # lowest current degree, lowest index on ties
+            c = int(cs[deg[cs].argmin()])
+            if k:
+                hist[dist_b[c]] -= 1
+            pool_b[c] = 0
+            n_left -= 1
             d = int(deg[c])
             if d == chk_adj.shape[0]:
                 widenings += 1
                 chk_adj = np.pad(chk_adj, ((0, d), (0, 0)),
                                  constant_values=n_vars)
+                graph = chk_vars, var_checks, chk_adj
             chk_adj[d, c] = v
             chk_vars[c].append(v)
             own.append(c)
             deg[c] = d + 1
             if d + 1 == chk_degs[c]:
                 under[c] = False
+                n_under -= 1
 
     keep = range(gen_checks)
     if gen_checks > n_checks:
         keep = sorted(rng.sample(keep, n_checks))
     rows = [chk_vars[c] for c in keep]
-    del chk_vars, var_checks    # the repair's elimination is the peak
+    del chk_vars, var_checks, graph   # the repair's elimination is the peak
     half = _repair_full_rank(rows, n_vars, rng)
     counts = PegCounts(spills, pool_exits, depth_caps, empty_waves,
                        gen_checks - n_checks, widenings)
@@ -600,16 +669,30 @@ def _generator_rows(b: BitMatrix, rows: int, cols: int) -> BitMatrix:
         b.edges()[1], np.cumsum(lengths), units))
 
 
+def _code_seed(seed, dist_id) -> int:
+    """seed as an int; TypeError unless seed is an integer and dist_id a
+    string, as load_code requires of a manifest, so that save_code can
+    record them and the build repeats."""
+    _require_int("seed", seed)
+    if not isinstance(dist_id, str):
+        raise TypeError(f"dist_id must be a string, got {dist_id!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class CompoundCode:
     """A built code: the outer check h, and on first read B's columns and
     the systematic generator g1 of the null space of its quantization
-    rows."""
+    rows.  The seed must be an integer, kept as an int, and dist_id a
+    string (TypeError otherwise), so that every code can be saved."""
 
     params: CodeParams
     h: BitMatrix
     seed: int
     dist_id: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _code_seed(self.seed, self.dist_id))
 
     @cached_property
     def b_columns(self) -> BitMatrix:
@@ -651,13 +734,9 @@ class CompoundCode:
 
 def build_compound_code(params: CodeParams, dist: DegreeDistribution, seed: int,
                         dist_id: str = "") -> CompoundCode:
-    """Full pipeline: validate, grow, diagonalize, mirror.  The seed must be
-    an integer and dist_id a string, as load_code requires of a manifest, so
-    that save_code can record them and the build repeats."""
-    _require_int("seed", seed)
-    if not isinstance(dist_id, str):
-        raise TypeError(f"dist_id must be a string, got {dist_id!r}")
-    seed = int(seed)
+    """Full pipeline: validate, grow, diagonalize, mirror.  The seed and
+    dist_id are checked as CompoundCode checks them, before any growth."""
+    seed = _code_seed(seed, dist_id)
     report = validate_params(params)
     if not report.ok:
         raise ParamValidationError(report)
@@ -671,19 +750,20 @@ def build_compound_code(params: CodeParams, dist: DegreeDistribution, seed: int,
 
 
 def save_code(code: CompoundCode, directory: str | Path) -> None:
-    """Write manifest.json and h.txt into directory."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "h.txt", "w", encoding="utf-8") as f:
-        write_matrix(f, code.h)
+    """Write manifest.json and h.txt into directory.  The manifest text is
+    made first, so a code it cannot record leaves no files behind."""
     r1, r2, rt = code.rates
-    manifest = {
+    manifest = json.dumps({
         "params": asdict(code.params),
         "seed": code.seed,
         "dist_id": code.dist_id,
         "rates": {"r1": r1, "r2": r2, "rt": rt},
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    }, indent=2)
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    with open(directory / "h.txt", "w", encoding="utf-8") as f:
+        write_matrix(f, code.h)
+    (directory / "manifest.json").write_text(manifest)
 
 
 def _read_manifest(path: Path) -> dict:

@@ -6,6 +6,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 import sys
 from collections import Counter
 
@@ -240,15 +241,16 @@ def digest(a):
     return hashlib.sha256(repr(a.row_support).encode()).hexdigest()[:16]
 
 
-def reference_peg(n_checks, n_vars, dist, seed, levels=None):
-    """peg_generate written plainly: adjacency as Python-int bitmasks, one
-    BFS level at a time, bit by bit.  Same RNG calls, so same output.
+def reference_peg(n_checks, n_vars, dist, seed, levels=None, exits=None):
+    """peg_generate written plainly: adjacency as Python-int bitmasks, a new
+    BFS for every edge after a variable's first, one level at a time, bit by
+    bit.  Same RNG calls, so same output.
 
-    When levels is a list, each BFS appends the list of its levels' bounds,
-    wave size x widest check x the variable's degree, the quantity _peg_grow
-    compares with PEG_LIST_LEVEL_EDGES to pick a level's path.  The widest
-    check starts at the widest capacity and doubles when a spill outgrows it,
-    as _peg_grow's table does."""
+    When levels is a list, each BFS appends the number of levels it ran.
+    When exits is a list, each variable appends one letter per edge: "-"
+    for its first, else how its BFS stopped, "p" on seeing every pool check,
+    "c" at BFS_DEPTH_CAP levels, "e" on an empty wave; upper case when the
+    edge spilled."""
     rng = random.Random(seed)
     var_degs = _node_degree_sequence(dist.lambda_terms, n_vars)
     n_edges = sum(var_degs)
@@ -263,18 +265,17 @@ def reference_peg(n_checks, n_vars, dist, seed, levels=None):
     adj_check = [0] * gen_checks
     every = (1 << gen_checks) - 1
     under = every
-    widest = max(chk_degs)
 
     for v in sorted(range(n_vars), key=lambda v: (var_degs[v], v)):
+        kinds = ""
         for k in range(var_degs[v]):
             pool = under & ~adj_var[v] or every & ~adj_var[v]
             cand = pool
+            kind = "-"
             if k:
                 seen_c, seen_v, wave, depth = adj_var[v], 1 << v, adj_var[v], 0
-                bounds = []
                 while pool & ~seen_c and wave and depth < BFS_DEPTH_CAP:
                     depth += 1
-                    bounds.append(wave.bit_count() * widest * var_degs[v])
                     new_v = 0
                     for c in _bit_indices(wave):
                         new_v |= adj_check[c]
@@ -287,15 +288,18 @@ def reference_peg(n_checks, n_vars, dist, seed, levels=None):
                     seen_c |= wave
                 cand = pool & ~seen_c or wave & pool or pool
                 if levels is not None:
-                    levels.append(bounds)
+                    levels.append(depth)
+                kind = ("e" if pool & ~seen_c and depth < BFS_DEPTH_CAP
+                        else "c" if pool & ~seen_c else "p")
+            kinds += kind.upper() if under & pool != pool else kind
             c = min(_bit_indices(cand), key=lambda c: (deg[c], c))
-            if deg[c] == widest:
-                widest *= 2
             adj_var[v] |= 1 << c
             adj_check[c] |= 1 << v
             deg[c] += 1
             if deg[c] == chk_degs[c]:
                 under &= ~(1 << c)
+        if exits is not None:
+            exits.append(kinds)
     rows = adj_check
     if gen_checks > n_checks:
         rows = [rows[i] for i in sorted(rng.sample(range(gen_checks), n_checks))]
@@ -388,17 +392,62 @@ class TestPegGolden:
                 assert reached[branch] > 0, (list_edges, branch)
         assert all_counts[1] == all_counts[0] == all_counts[2]
 
-    def test_bfs_switches_paths_both_ways(self, catalog):
+    def test_bfs_switches_paths_both_ways(self, catalog, monkeypatch):
         # under the default rule some BFS of this growth walks lists, then
-        # masks, then lists again; the output still equals the reference
+        # masks, then lists again; the output still equals the reference.
+        # A level walked on lists returns its wave as a list.
         dist = catalog["code3"].dist
-        levels = []
-        want = reference_peg(85, 100, dist, 11, levels)
-        limit = builder.PEG_LIST_LEVEL_EDGES
-        paths = ["".join("L" if b <= limit else "M" for b in bounds)
-                 for bounds in levels]
-        assert any("ML" in p[p.find("LM"):] for p in paths if "LM" in p)
+        want = reference_peg(85, 100, dist, 11)
+        paths = []
+        level_fn = builder._peg_level
+
+        def spy(wave, level, *rest):
+            if level == 1:
+                paths.append("")
+            wave = level_fn(wave, level, *rest)
+            paths[-1] += "L" if type(wave) is list else "M"
+            return wave
+
+        monkeypatch.setattr(builder, "_peg_level", spy)
         assert _peg_grow(85, 100, dist, seed=11)[0] == want
+        assert any("ML" in p[p.find("LM"):] for p in paths if "LM" in p)
+
+    @pytest.mark.parametrize("cid, n_checks, n_vars, seed, pattern", [
+        # relaxed pool exits, then a spill and a relaxation while spilling
+        ("code13", 15, 21, 255, r"^..[a-z]*p[a-z]*[A-Z]"),
+        # depth-cap exits, then a pool exit
+        ("code14", 25, 45, 318, r"^-.[a-z]*c[a-z]*p"),
+        # empty-wave exits, then a pool exit
+        ("code14", 26, 47, 175, r"^-.[a-z]*e[a-z]*p"),
+    ], ids=["spill-after-relaxed-pool", "cap-then-pool", "empty-then-pool"])
+    def test_relaxed_exits_match_reference(self, catalog, monkeypatch, cid,
+                                           n_checks, n_vars, seed, pattern):
+        """Inside one variable, the check distances relaxed from its newest
+        check give every exit and candidate set a new BFS would."""
+        dist = catalog[cid].dist
+        exits = []
+        want = reference_peg(n_checks, n_vars, dist, seed, exits=exits)
+        assert any(re.search(pattern, kinds) for kinds in exits)
+        letters = Counter("".join(exits).lower())
+        for list_edges in (builder.PEG_LIST_LEVEL_EDGES, 0, 10 ** 9):
+            monkeypatch.setattr(builder, "PEG_LIST_LEVEL_EDGES", list_edges)
+            a, counts = _peg_grow(n_checks, n_vars, dist, seed)
+            assert a == want, list_edges
+            assert (counts.pool_exits, counts.depth_cap_exits,
+                    counts.empty_wave_exits) == \
+                (letters["p"], letters["c"], letters["e"])
+
+    def test_growth_runs_fewer_levels_than_a_bfs_per_edge(self, catalog,
+                                                          monkeypatch):
+        dist = catalog["code11"].dist
+        levels = []
+        want = reference_peg(59, 200, dist, 11, levels)
+        ran = []
+        level_fn = builder._peg_level
+        monkeypatch.setattr(builder, "_peg_level",
+                            lambda *args: ran.append(args[1]) or level_fn(*args))
+        assert _peg_grow(59, 200, dist, seed=11)[0] == want
+        assert len(ran) < sum(levels)
 
     def test_cli_geometry_build(self, catalog):
         code = build_compound_code(CLI_PARAMS, catalog["code3"].dist,
@@ -689,6 +738,27 @@ class TestBuildRoundtrip:
         save_code(code, tmp_path / "code")
         assert json.loads(
             (tmp_path / "code" / "manifest.json").read_text())["seed"] == 5
+
+    @pytest.mark.parametrize("seed, dist_id", [
+        (b"x", "tiny"), (1.5, "tiny"), (True, "tiny"), (5, None), (5, b"tiny")])
+    def test_code_rejects_what_save_code_cannot_write(self, tiny_code,
+                                                      tmp_path, seed, dist_id):
+        with pytest.raises(TypeError, match="^(seed|dist_id) must be "):
+            save_code(CompoundCode(TINY_PARAMS, tiny_code.h, seed, dist_id),
+                      tmp_path / "code")
+        assert not (tmp_path / "code").exists()
+
+    def test_code_stores_a_numpy_integer_seed_as_an_int(self, tiny_code):
+        code = CompoundCode(TINY_PARAMS, tiny_code.h, np.int64(5), "tiny")
+        assert type(code.seed) is int and code == tiny_code
+
+    def test_save_code_writes_nothing_when_the_manifest_fails(self, tiny_code,
+                                                              tmp_path):
+        code = CompoundCode(TINY_PARAMS, tiny_code.h, 5, "tiny")
+        object.__setattr__(code, "seed", b"x")   # past the constructor's check
+        with pytest.raises(TypeError, match="JSON serializable"):
+            save_code(code, tmp_path / "code")
+        assert not (tmp_path / "code").exists()
 
     def test_save_load_roundtrip(self, tiny_code, tmp_path):
         save_code(tiny_code, tmp_path / "code")
