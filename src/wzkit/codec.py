@@ -366,24 +366,13 @@ def _encode_trials(code: CompoundCode, first: int, stop: int, seed: int,
     return list(zip(sources, side_infos, encode_all(code, sources, bip)))
 
 
-_WORKER_CODE: CompoundCode | None = None
-
-
-def _worker_init(code: CompoundCode) -> None:
-    global _WORKER_CODE
-    _WORKER_CODE = code
-
-
-def _call_in_worker(fn, args):
-    return fn(_WORKER_CODE, *args)
-
-
 def _map_trials(pool: ProcessPoolExecutor | None, fn, code: CompoundCode,
                 tasks: list[tuple]) -> list:
-    """fn(code, *task) for every task, in order, here or on the pool."""
+    """fn(code, *task) for every task, in order, here or on the pool; each
+    pool task carries the code with it."""
     if pool is None:
         return [fn(code, *t) for t in tasks]
-    return list(pool.map(partial(_call_in_worker, fn), tasks, chunksize=1))
+    return list(pool.map(partial(fn, code), *zip(*tasks), chunksize=1))
 
 
 def _clamp_crossover(q: float) -> float:
@@ -409,9 +398,9 @@ def run_experiment(code: CompoundCode, config: ExperimentConfig,
     n = code.params.n
     r1, r2, rt = code.params.rates
     dwz = invert_bound(rt, config.p)  # raises before any trial runs
-    code.quantizer  # built here, a pool's workers receive it with the code
-    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
-                                initargs=(code,)) if workers > 1 else None)
+    code.quantizer  # built here, every pool task carries it with the code
+    workers = min(workers, config.trials)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     # one contiguous chunk of trials per worker, quantized as one batch
     chunk = -(-config.trials // workers)
     with pool or nullcontext():

@@ -85,14 +85,13 @@ def has_four_cycle(g: BitMatrix) -> bool:
     if total_pairs > _FOUR_CYCLE_PAIR_BUDGET:
         return True
     flat = g.edges()[1]
-    starts = np.cumsum(lengths) - lengths
-    # one (rows x length) block of supports, and one pair index, per length
-    blocks = [np.empty(0, dtype=np.int64)]
-    for size in np.unique(lengths[lengths >= 2]).tolist():
-        sup = flat[starts[lengths == size, None] + np.arange(size)]
-        ii, jj = np.triu_indices(size, k=1)
-        blocks.append((sup[:, ii] * g.cols + sup[:, jj]).ravel())
-    keys = np.concatenate(blocks)
+    # pair every entry with each later entry of its row: entry e leads
+    # `later[e]` pairs, whose second entries are e + 1, e + 2, ...
+    later = np.repeat(np.cumsum(lengths), lengths) - np.arange(flat.size) - 1
+    first = np.repeat(np.arange(flat.size), later)
+    second = (first + 1 + np.arange(total_pairs)
+              - np.repeat(np.cumsum(later) - later, later))
+    keys = flat[first] * g.cols + flat[second]
     keys.sort()
     return bool(np.any(keys[1:] == keys[:-1]))
 

@@ -1,5 +1,6 @@
-"""Shared fixtures: two small compound codes sized for fast unit tests, and
-the slow marker on every test that uses the n = 10^4 scaled_code build."""
+"""Shared fixtures: two small compound codes sized for fast unit tests, the
+benchmark's CLI-geometry code, and the slow marker on every test that uses
+the n = 10^4 scaled_code build."""
 
 import pytest
 
@@ -17,6 +18,9 @@ one_minus_r2: 0.875
 TINY_PARAMS = CodeParams(n=96, m=92, k1=20, k2=60)
 
 SMALL_PARAMS = CodeParams(n=200, m=190, k1=40, k2=120)
+
+# code3 at n = 2000: the geometry of the perfbench cli-code3-p05 workload
+CLI_PARAMS = CodeParams(n=2000, m=1914, k1=400, k2=1200)
 
 
 def packed_matrix(rows: int, cols: int, bitrows) -> BitMatrix:
@@ -45,6 +49,13 @@ def small_code(catalog):
     """200-bit compound code on the code3 profile, same shape ratios as the large runs."""
     return build_compound_code(SMALL_PARAMS, catalog["code3"].dist, seed=11,
                                dist_id="code3")
+
+
+@pytest.fixture(scope="session")
+def cli_code(catalog):
+    """The cli-code3-p05 workload's code: code3 at n = 2000, seed 20260815."""
+    return build_compound_code(CLI_PARAMS, catalog["code3"].dist,
+                               seed=20260815, dist_id="code3")
 
 
 def pytest_collection_modifyitems(items):

@@ -233,10 +233,6 @@ def test_check_degree_sequence_matches_reference_where_it_succeeds():
     assert solved > 1000
 
 
-# code3 at n = 2000: the geometry of the perfbench cli-code3-p05 workload
-CLI_PARAMS = CodeParams(n=2000, m=1914, k1=400, k2=1200)
-
-
 def digest(a):
     return hashlib.sha256(repr(a.row_support).encode()).hexdigest()[:16]
 
@@ -449,10 +445,8 @@ class TestPegGolden:
         assert _peg_grow(59, 200, dist, seed=11)[0] == want
         assert len(ran) < sum(levels)
 
-    def test_cli_geometry_build(self, catalog):
-        code = build_compound_code(CLI_PARAMS, catalog["code3"].dist,
-                                   seed=20260815, dist_id="code3")
-        assert (digest(code.h), digest(code.g1)) == (
+    def test_cli_geometry_build(self, cli_code):
+        assert (digest(cli_code.h), digest(cli_code.g1)) == (
             "6423cbf341a46fe5", "4d0afca5466e3c0f")
 
 

@@ -346,6 +346,24 @@ class TestRunExperiment:
         parallel = run_experiment(tiny_code, self.config(), workers=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("trials, workers, pools", [
+        (2, 6, [2]), (1, 4, []), (5, 3, [3])])
+    def test_pool_has_at_most_one_process_per_trial(self, tiny_code,
+                                                   monkeypatch, trials,
+                                                   workers, pools):
+        sizes = []
+
+        class Spy(codec.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(codec, "ProcessPoolExecutor", Spy)
+        config = self.config(trials=trials)
+        assert (run_experiment(tiny_code, config, workers=workers)
+                == run_experiment(tiny_code, config, workers=1))
+        assert sizes == pools
+
     def test_pool_tasks_are_contiguous_trial_chunks(self, tiny_code,
                                                     monkeypatch):
         tasks = []
@@ -411,30 +429,37 @@ class TestRunExperiment:
         assert a == b
 
     @staticmethod
-    def count_four_cycle_searches(monkeypatch) -> list:
-        calls = []
+    def count_four_cycle_searches(monkeypatch, log):
+        """Append a line to the file log for every 4-cycle search, in this
+        process or in a pool worker; returns the line count."""
         real = quantizer.has_four_cycle
 
         def counting(g):
-            calls.append(g)
+            with open(log, "a") as f:
+                f.write("search\n")
             return real(g)
 
         monkeypatch.setattr(quantizer, "has_four_cycle", counting)
-        return calls
+        return lambda: len(log.read_text().split()) if log.exists() else 0
 
-    def test_four_cycle_search_runs_once(self, tiny_code, monkeypatch):
-        code = dataclasses.replace(tiny_code)  # no quantizer built yet
-        calls = self.count_four_cycle_searches(monkeypatch)
-        run_experiment(code, self.config(trials=3), workers=1)
-        assert len(calls) == 1
+    def test_four_cycle_search_runs_once(self, tiny_code, tmp_path,
+                                         monkeypatch):
+        searches = self.count_four_cycle_searches(monkeypatch,
+                                                  tmp_path / "searches")
+        for runs, workers in enumerate((1, 2), start=1):
+            code = dataclasses.replace(tiny_code)  # no quantizer built yet
+            run_experiment(code, self.config(trials=3), workers=workers)
+            # the pool's tasks carry the quantizer built here
+            assert searches() == runs
 
-    def test_one_quantizer_per_code(self, tiny_code, monkeypatch):
+    def test_one_quantizer_per_code(self, tiny_code, tmp_path, monkeypatch):
         code = dataclasses.replace(tiny_code)
-        calls = self.count_four_cycle_searches(monkeypatch)
+        searches = self.count_four_cycle_searches(monkeypatch,
+                                                  tmp_path / "searches")
         run_experiment(code, self.config(trials=2), workers=1)
         run_experiment(code, self.config(trials=2), workers=1)
         encode(code, BitVector(TINY_PARAMS.n, 12345))
-        assert len(calls) == 1
+        assert searches() == 1
         # the built quantizer travels with a pickled code
         copy = pickle.loads(pickle.dumps(code))
         assert copy.__dict__["quantizer"].g_sub == code.quantizer.g_sub

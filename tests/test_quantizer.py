@@ -138,7 +138,7 @@ class TestHasFourCycle:
         g = BitMatrix(len(rows), 10, rows)
         assert has_four_cycle(g) is reference_has_four_cycle(g) is expected
 
-    def test_matches_reference_on_random_generators(self):
+    def test_matches_reference_on_random_generators(self, cli_code):
         rng = random.Random(0xC7C1)
         seen = set()
         for _ in range(300):
@@ -152,6 +152,8 @@ class TestHasFourCycle:
             assert answer == reference_has_four_cycle(g)
             seen.add(answer)
         assert seen == {True, False}
+        g_sub = cli_code.quantizer.g_sub
+        assert has_four_cycle(g_sub) is reference_has_four_cycle(g_sub) is True
 
     def test_over_budget_assumed_cyclic(self, monkeypatch):
         g = BitMatrix(3, 12, [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]])  # 12 pairs
