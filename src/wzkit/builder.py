@@ -40,9 +40,10 @@ __all__ = [
 
 PEG_REPAIR_ATTEMPTS = 10
 BFS_DEPTH_CAP = 12
-# a BFS level walks adjacency lists when its wave size times the widest
-# check times the variable's degree, a bound on the edges it can touch, is
-# at most this; wider levels run on numpy masks
+# a BFS level walks adjacency lists when its wave size times the check
+# table's height (the largest capacity, doubled per widening) times the
+# variable's degree, a bound on the edges it can touch, is at most this;
+# wider levels run on numpy masks over the table's rows filled so far
 PEG_LIST_LEVEL_EDGES = 512
 # settings that shape no code; older inputs that carry them still load
 RETIRED_PARAMS = ("zeta", "poisson_lam", "poisson_imax")
@@ -275,26 +276,29 @@ def peg_generate(n_checks: int, n_vars: int, dist: DegreeDistribution,
     new BFS per edge that stops when it has seen every pool check.
 
     Both kinds of run share one level routine, `_peg_level`, with two
-    paths chosen per level.  When the wave size times the widest check times
-    the variable's degree, a bound on the edges the level can touch
+    paths chosen per level.  When the wave size times the table's height
+    times the variable's degree, a bound on the edges the level can touch
     (variables are placed in ascending degree), is at most
     PEG_LIST_LEVEL_EDGES, the level walks the lists of the wave's checks and
     of the variables it reaches.  Otherwise it runs on numpy masks: it
     gathers the wave checks' table columns into a cleared mask, keeps the
     variables not seen before, then marks every check whose column holds
-    one of them (one gather over the whole table, ORed down its rows) and
-    whose bound is above the level; that level costs O(checks x widest
-    check) whatever the wave.  Both paths read and write one set of bounds,
-    pool flags and seen flags, bytearrays that numpy views in place, so a
-    run may switch paths between levels and gives the same bounds either
-    way.  A count of the pool checks at each bound tells when none can
-    drop.  The under-capacity mask is updated per placed edge.  `_peg_grow`
-    also returns the growth's PegCounts.
+    one of them and whose bound is above the level.  That level reads the
+    table's rows filled so far, one gather over every check ORed down those
+    rows, so it costs O(checks x the widest check's current degree)
+    whatever the wave.  The growth keeps that degree, raising it on the
+    placement or spill that makes a check wider than all others; the rows
+    past it hold only the sentinel, which every run has seen.  Both paths
+    read and write one set of bounds, pool flags and seen flags, bytearrays
+    that numpy views in place, so a run may switch paths between levels and
+    gives the same bounds either way.  A count of the pool checks at each
+    bound tells when none can drop.  The under-capacity mask is updated per
+    placed edge.  `_peg_grow` also returns the growth's PegCounts.
     """
     return _peg_grow(n_checks, n_vars, dist, seed)[0]
 
 
-def _peg_level(wave, level: int, budget: int, graph, marks,
+def _peg_level(wave, level: int, max_wave: int, graph, marks,
                hist: list[int]):
     """Run one level of a PEG check-distance BFS and return its wave.
 
@@ -302,16 +306,18 @@ def _peg_level(wave, level: int, budget: int, graph, marks,
     the run's sources).  The level reaches their variables not seen yet in
     this run, then sets every check of those
     variables whose distance bound is above level to level, and returns the
-    checks it set.  graph is (chk_vars, var_checks, chk_adj) and marks is
-    (dist_b, pool_b, seen_v_b): bytearrays of the checks' bounds, of the pool,
-    and of the variables seen.  hist counts the pool checks at each bound
-    and is kept current.  When len(wave) * widest <= budget, the level walks
-    the adjacency lists.  Otherwise it runs on numpy masks and reads the
-    whole check table once.
+    checks it set.  graph is (chk_vars, var_checks, filled), filled being
+    the rows of the check table up to the widest check's degree.  marks is
+    (dist_b, pool_b, seen_v_b): bytearrays of the checks' bounds, of the
+    pool, and of the variables seen; then (dist, pool, seen_v), numpy views
+    of them; then new_v, a scratch mask over the variables and the sentinel.
+    hist counts the pool checks at each bound and is kept current.  When
+    len(wave) <= max_wave, the level walks the adjacency lists.  Otherwise
+    it runs on numpy masks and reads every column of filled once.
     """
-    chk_vars, var_checks, chk_adj = graph
-    dist_b, pool_b, seen_v_b = marks
-    if len(wave) * chk_adj.shape[0] <= budget:
+    chk_vars, var_checks, filled = graph
+    dist_b, pool_b, seen_v_b, dist, pool, seen_v, new_v = marks
+    if len(wave) <= max_wave:
         # few edges: walk the wave's lists
         vs = []
         for c in wave:
@@ -330,20 +336,20 @@ def _peg_level(wave, level: int, budget: int, graph, marks,
                         hist[d] -= 1
                         hist[level] += 1
         return wave
-    # many edges: masks over every variable and check
-    seen_v = np.frombuffer(seen_v_b, dtype=bool)
-    new_v = np.zeros(len(seen_v), dtype=bool)
-    new_v[chk_adj.take(wave, axis=1)] = True
+    # many edges: masks over every variable and check; the rows past the
+    # widest check hold only the sentinel, which every run has seen
+    new_v.fill(False)
+    new_v[filled.take(wave, axis=1)] = True
     np.greater(new_v, seen_v, out=new_v)
     seen_v |= new_v
-    dist = np.frombuffer(dist_b, dtype=np.uint8)
-    new_c = np.logical_or.reduce(new_v.take(chk_adj))
+    new_c = np.logical_or.reduce(new_v.take(filled))
     new_c &= dist > level
     wave = new_c.nonzero()[0]
-    dropped = dist[wave[np.frombuffer(pool_b, dtype=bool)[wave]]]
-    for d, n in enumerate(np.bincount(dropped).tolist()):
-        hist[d] -= n
-    hist[level] += len(dropped)
+    dropped = dist[wave[pool[wave]]]
+    if len(dropped):
+        for d, n in enumerate(np.bincount(dropped).tolist()):
+            hist[d] -= n
+        hist[level] += len(dropped)
     dist[wave] = level
     return wave
 
@@ -370,28 +376,32 @@ def _peg_grow(n_checks: int, n_vars: int, dist: DegreeDistribution,
     n_under = int(np.count_nonzero(under))
     # each check's variables as a list and as a column of a table padded with
     # the sentinel variable n_vars (widened when a spill outgrows it), and
-    # each variable's checks as a list
+    # each variable's checks as a list; levels read the table's rows up to
+    # the widest check's degree
     order = sorted(range(n_vars), key=lambda v: (var_degs[v], v))
     chk_adj = np.full((max(chk_degs), gen_checks), n_vars, dtype=np.int64)
+    widest = 0
     chk_vars = [[] for _ in range(gen_checks)]
     var_checks = [[] for _ in range(n_vars)]
-    graph = chk_vars, var_checks, chk_adj
+    graph = chk_vars, var_checks, chk_adj[:widest]
     # each check's distance bound from the variable's checks (far: beyond
     # the cap), the variable's candidate checks, and the variables a BFS
     # has seen; bytearrays that numpy views in place
     far = BFS_DEPTH_CAP + 1
     dist_b, pool_b = bytearray(gen_checks), bytearray(gen_checks)
     seen_v_b = bytearray(n_vars + 1)
-    marks = dist_b, pool_b, seen_v_b
     dist_c = np.frombuffer(dist_b, dtype=np.uint8)
     pool = np.frombuffer(pool_b, dtype=bool)
     seen_v = np.frombuffer(seen_v_b, dtype=bool)
+    marks = (dist_b, pool_b, seen_v_b, dist_c, pool, seen_v,
+             np.empty(n_vars + 1, dtype=bool))
     cand = np.empty(gen_checks, dtype=bool)
     hist = [0] * (far + 1)           # pool checks at each bound
     spills = pool_exits = depth_caps = empty_waves = widenings = 0
     for v in order:
-        # len(wave) * widest <= budget exactly when len(wave) * widest *
-        # var_degs[v] <= PEG_LIST_LEVEL_EDGES
+        # a level walks lists when len(wave) * the table's height *
+        # var_degs[v] <= PEG_LIST_LEVEL_EDGES, that is when len(wave) <=
+        # budget // the table's height
         budget = PEG_LIST_LEVEL_EDGES // var_degs[v]
         own = var_checks[v]
         # the pool is the under-capacity checks v is not joined to; each
@@ -438,10 +448,12 @@ def _peg_grow(n_checks: int, n_vars: int, dist: DegreeDistribution,
                         top -= 1
                 # level L can only lower bounds above L, so the levels stop
                 # once no pool check is farther than the next level
+                max_wave = budget // len(chk_adj)
                 level = 0
                 while len(wave) and level < BFS_DEPTH_CAP and top > level + 1:
                     level += 1
-                    wave = _peg_level(wave, level, budget, graph, marks, hist)
+                    wave = _peg_level(wave, level, max_wave, graph, marks,
+                                      hist)
                     while not hist[top]:
                         top -= 1
                 if top < far:
@@ -465,15 +477,17 @@ def _peg_grow(n_checks: int, n_vars: int, dist: DegreeDistribution,
             pool_b[c] = 0
             n_left -= 1
             d = int(deg[c])
-            if d == chk_adj.shape[0]:
+            if d == len(chk_adj):
                 widenings += 1
                 chk_adj = np.pad(chk_adj, ((0, d), (0, 0)),
                                  constant_values=n_vars)
-                graph = chk_vars, var_checks, chk_adj
             chk_adj[d, c] = v
             chk_vars[c].append(v)
             own.append(c)
             deg[c] = d + 1
+            if d == widest:          # c is now the widest check
+                widest += 1
+                graph = chk_vars, var_checks, chk_adj[:widest]
             if d + 1 == chk_degs[c]:
                 under[c] = False
                 n_under -= 1

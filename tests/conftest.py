@@ -22,6 +22,9 @@ SMALL_PARAMS = CodeParams(n=200, m=190, k1=40, k2=120)
 # code3 at n = 2000: the geometry of the perfbench cli-code3-p05 workload
 CLI_PARAMS = CodeParams(n=2000, m=1914, k1=400, k2=1200)
 
+# code11 at n = 4000: the geometry of the perfbench code11-p05 workload
+CODE11_PARAMS = CodeParams(n=4000, m=7200, k1=3270, k2=1106)
+
 
 def packed_matrix(rows: int, cols: int, bitrows) -> BitMatrix:
     """The rows x cols matrix whose row i has bit c of bitrows[i] at column

@@ -64,7 +64,7 @@ def codebook_floor(params):
 
 @pytest.fixture(scope="module")
 def scaled_code(catalog):
-    """Ten-thousand-bit build on the code3 profile; 2.0 to 2.8 s on two
+    """Ten-thousand-bit build on the code3 profile; 1.4 to 1.6 s on two
     cores."""
     return build_compound_code(SCALED_PARAMS, catalog["code3"].dist,
                                seed=RUN_SEED, dist_id="code3")

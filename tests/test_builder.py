@@ -13,7 +13,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import SMALL_PARAMS, TINY_PARAMS, packed_matrix, tiny_dist
+from conftest import (CODE11_PARAMS, SMALL_PARAMS, TINY_PARAMS, packed_matrix,
+                      tiny_dist)
 from wzkit import builder
 from wzkit.builder import (BFS_DEPTH_CAP, CodeParams, CompoundCode,
                            ParamValidationError, _check_degree_sequence,
@@ -344,6 +345,47 @@ class TestPegGolden:
         assert max(len(sup) for sup in a.row_support) == 6
         assert digest(a) == "279cbcbba833d5c5"
 
+    def test_levels_read_the_widest_check_after_spills(self, catalog,
+                                                       monkeypatch):
+        # the spills above all come last, so no level runs after them.  With
+        # every capacity halved (10 -> 5) half the edges spill, and spills
+        # make new widest checks and widen the table while levels still run.
+        # Each level must read the table's rows up to the widest check.
+        check_degrees = _check_degree_sequence
+
+        def halved(terms, n_checks, n_edges):
+            return [d // 2 for d in check_degrees(terms, n_checks, n_edges)]
+
+        monkeypatch.setattr(builder, "_check_degree_sequence", halved)
+        monkeypatch.setitem(globals(), "_check_degree_sequence", halved)
+        dist = catalog["regular-3-10"].dist
+        want = reference_peg(30, 100, dist, 3)
+        level_fn = builder._peg_level
+        heights = Counter()
+
+        def spy(wave, level, max_wave, graph, *rest):
+            chk_vars, _, filled = graph
+            assert len(filled) == max(map(len, chk_vars))
+            wave = level_fn(wave, level, max_wave, graph, *rest)
+            heights["L" if type(wave) is list else "M", len(filled)] += 1
+            return wave
+
+        monkeypatch.setattr(builder, "_peg_level", spy)
+        all_counts = []
+        for list_edges, paths in ((builder.PEG_LIST_LEVEL_EDGES, "LM"),
+                                  (0, "M"), (10 ** 9, "L")):
+            monkeypatch.setattr(builder, "PEG_LIST_LEVEL_EDGES", list_edges)
+            heights.clear()
+            a, counts = _peg_grow(30, 100, dist, 3)
+            assert a == want, list_edges
+            assert counts.spills and counts.widenings
+            assert {path for path, _ in heights} == set(paths)
+            # levels ran on a table taller than every capacity, that is
+            # after a widening spill
+            assert any(h > 5 for _, h in heights), list_edges
+            all_counts.append(counts)
+        assert all_counts[1] == all_counts[0] == all_counts[2]
+
     def test_matches_plain_reference(self, catalog, monkeypatch):
         # every check of the last profile has capacity 5, so its spills go
         # past the widest check and widen the check-to-variable table
@@ -448,6 +490,12 @@ class TestPegGolden:
     def test_cli_geometry_build(self, cli_code):
         assert (digest(cli_code.h), digest(cli_code.g1)) == (
             "6423cbf341a46fe5", "4d0afca5466e3c0f")
+
+    def test_code11_workload_build(self, catalog):
+        # the code11-p05 workload's code, seed 20260815
+        code = build_compound_code(CODE11_PARAMS, catalog["code11"].dist,
+                                   seed=20260815, dist_id="code11")
+        assert digest(code.h) == "0c23388fabfe75ea"
 
 
 class TestAllOneDiagonalize:
