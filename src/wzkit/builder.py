@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import InitVar, asdict, dataclass, fields
+from dataclasses import InitVar, asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .degrees import DegreeDistribution
-from .gf2 import (BitMatrix, RankDeficiencyError, _require_int, _require_ints,
+from .gf2 import (BitMatrix, RankDeficiencyError, ShapeError, _require_int,
                   permute, read_matrix, transpose, write_matrix)
 
 __all__ = [
@@ -54,7 +54,8 @@ class CodeParams:
     """Block geometry of one compound code instance.
 
     n is the outer length, m the inner length, k1/k2 the two nesting
-    surpluses.  The RETIRED_PARAMS keywords are accepted and discarded.
+    surpluses, each kept as a Python int.  The RETIRED_PARAMS keywords are
+    accepted and discarded.
     """
 
     n: int
@@ -67,9 +68,11 @@ class CodeParams:
 
     def __post_init__(self, *retired):
         for name in ("n", "m", "k1", "k2"):
-            _require_ints(self, name)
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            _require_int(name, value)
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, int(value))
         if self.m - self.k1 < 1:
             raise ValueError("m - k1 must be >= 1")
         if self.n - self.m + self.k1 < 1:
@@ -140,8 +143,6 @@ def validate_params(p: CodeParams) -> ValidationReport:
                    f"n-m+k1+k2={p.outer_checks}"),
         ParamCheck("syndrome_capacity", p.n - p.k2 <= p.m - p.k1,
                    f"n-k2={p.n - p.k2} vs m-k1={p.m - p.k1}"),
-        ParamCheck("generator_tail_fits", p.n // 2 <= p.m - p.k1,
-                   f"n/2={p.n // 2} vs m-k1={p.m - p.k1}"),
         ParamCheck("rate_window_low", p.k1 + p.k2 <= p.m,
                    f"k1+k2={p.k1 + p.k2} vs m={p.m}"),
         ParamCheck("rate_window_high", p.m <= 2 * p.k1 + p.k2,
@@ -365,9 +366,6 @@ def _peg_grow(n_checks: int, n_vars: int, dist: DegreeDistribution,
     gen_checks = max(design_checks, n_checks)
     chk_degs = _check_degree_sequence(dist.rho_terms, gen_checks, n_edges)
     gen_checks = len(chk_degs)  # an off-profile remainder check may extend it
-    if gen_checks < n_checks:
-        raise ValueError(
-            f"profile implies {gen_checks} checks, fewer than requested {n_checks}")
 
     rng.shuffle(var_degs)
     rng.shuffle(chk_degs)
@@ -651,18 +649,14 @@ def _b_columns(h: BitMatrix, params: CodeParams) -> BitMatrix:
     (identity | zeros | B) shape the mirrored construction produces, and
     raises ValueError naming the lowest row that does not."""
     r = params.quant_checks
-    o_width = params.mid_width
-    if o_width < 0:
-        raise ValueError("middle segment has negative width: n//2 > m - k1")
-    o_end = r + o_width
-    top = min(r, h.rows)
-    h1 = h.row_block(0, top)
+    o_end = r + params.mid_width
+    h1 = h.row_block(0, r)
     rows, cols = h1.edges()
     lead = cols < r
-    not_identity = ((np.bincount(rows[lead], minlength=top) != 1)
+    not_identity = ((np.bincount(rows[lead], minlength=r) != 1)
                     | (np.bincount(rows[lead & (cols != rows)],
-                                   minlength=top) > 0))
-    in_middle = np.bincount(rows[~lead & (cols < o_end)], minlength=top) > 0
+                                   minlength=r) > 0))
+    in_middle = np.bincount(rows[~lead & (cols < o_end)], minlength=r) > 0
     bad = np.flatnonzero(not_identity | in_middle)
     if bad.size:
         i = bad[0]
@@ -695,24 +689,33 @@ def _code_seed(seed, dist_id) -> int:
 
 @dataclass(frozen=True)
 class CompoundCode:
-    """A built code: the outer check h, and on first read B's columns and
-    the systematic generator g1 of the null space of its quantization
-    rows.  The seed must be an integer, kept as an int, and dist_id a
-    string (TypeError otherwise), so that every code can be saved."""
+    """A built code: the outer check h, B's columns, and on first read the
+    systematic generator g1 of the null space of its quantization rows.
+
+    Construction is the one check of a code, so a built, loaded or
+    hand-made code that exists can be saved and loaded back.  The seed must
+    be an integer, kept as an int, and dist_id a string (TypeError); the
+    geometry must pass validate_params (ParamValidationError); h must be
+    outer_checks x n (ShapeError); and h's top rows must read
+    (identity | zeros | B) (ValueError from _b_columns)."""
 
     params: CodeParams
     h: BitMatrix
     seed: int
     dist_id: str = ""
+    # row c holds the quantization rows where column c of B has a one
+    b_columns: BitMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _code_seed(self.seed, self.dist_id))
-
-    @cached_property
-    def b_columns(self) -> BitMatrix:
-        """_b_columns of h, read once per code: row c holds the quantization
-        rows where column c of B has a one."""
-        return _b_columns(self.h, self.params)
+        p, h = self.params, self.h
+        report = validate_params(p)
+        if not report.ok:
+            raise ParamValidationError(report)
+        if (h.rows, h.cols) != (p.outer_checks, p.n):
+            raise ShapeError(f"h is {h.rows}x{h.cols}, expected "
+                             f"{p.outer_checks}x{p.n}")
+        object.__setattr__(self, "b_columns", _b_columns(h, p))
 
     @cached_property
     def g1(self) -> BitMatrix:
@@ -748,8 +751,9 @@ class CompoundCode:
 
 def build_compound_code(params: CodeParams, dist: DegreeDistribution, seed: int,
                         dist_id: str = "") -> CompoundCode:
-    """Full pipeline: validate, grow, diagonalize, mirror.  The seed and
-    dist_id are checked as CompoundCode checks them, before any growth."""
+    """Full pipeline: validate, grow, diagonalize, mirror.  The seed,
+    dist_id and geometry are checked as CompoundCode checks them, before any
+    growth."""
     seed = _code_seed(seed, dist_id)
     report = validate_params(params)
     if not report.ok:
@@ -804,43 +808,30 @@ def _read_manifest(path: Path) -> dict:
         params = CodeParams(**given)
     except (TypeError, ValueError) as e:
         raise ValueError(f"manifest.json: params: {e}") from None
-    try:
-        _require_int("seed", manifest["seed"])
-    except TypeError as e:
-        raise ValueError(f"manifest.json: {e}") from None
-    if not isinstance(manifest.get("dist_id", ""), str):
-        raise ValueError(f"manifest.json: dist_id must be a string, got "
-                         f"{manifest['dist_id']!r}")
     return {**manifest, "params": params}
 
 
-def _read_code_matrix(path: Path, rows: int, cols: int) -> BitMatrix:
-    """The matrix in path, which must be rows x cols; ValueError naming the
-    file when it cannot be parsed or has another shape."""
+def _read_code_matrix(path: Path) -> BitMatrix:
+    """The matrix in path; ValueError naming the file when it cannot be
+    parsed."""
     with open(path, encoding="utf-8") as f:
         try:
-            mat = read_matrix(f)
+            return read_matrix(f)
         except ValueError as e:
             raise ValueError(f"{path.name}: {e}") from None
-    if (mat.rows, mat.cols) != (rows, cols):
-        raise ValueError(f"{path.name} is {mat.rows}x{mat.cols}, "
-                         f"expected {rows}x{cols}")
-    return mat
 
 
 def load_code(directory: str | Path) -> CompoundCode:
-    """Read a directory written by save_code.  The geometry, h's shape and
-    the quantization check's block shape are checked.  The g1.txt, h1.txt
-    and h2.txt files of older directories hold nothing h does not fix, and
-    are not read."""
+    """Read a directory written by save_code and make its code, which
+    checks it as every CompoundCode is checked; a seed or dist_id of the
+    wrong type is reported as ValueError("manifest.json: ...").  The
+    g1.txt, h1.txt and h2.txt files of older directories hold nothing h
+    does not fix, and are not read."""
     directory = Path(directory)
     manifest = _read_manifest(directory / "manifest.json")
-    params = manifest["params"]
-    report = validate_params(params)
-    if not report.ok:
-        raise ParamValidationError(report)
-    h = _read_code_matrix(directory / "h.txt", params.outer_checks, params.n)
-    code = CompoundCode(params, h, manifest["seed"],
-                        manifest.get("dist_id", ""))
-    code.b_columns  # raises unless h's top rows are (I | 0 | B)
-    return code
+    h = _read_code_matrix(directory / "h.txt")
+    try:
+        return CompoundCode(manifest["params"], h, manifest["seed"],
+                            manifest.get("dist_id", ""))
+    except TypeError as e:
+        raise ValueError(f"manifest.json: {e}") from None

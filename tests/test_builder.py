@@ -23,10 +23,11 @@ from wzkit.builder import (BFS_DEPTH_CAP, CodeParams, CompoundCode,
                            assemble_compound, build_compound_code,
                            empirical_fractions, hopcroft_karp, load_code,
                            peg_generate, save_code, validate_params)
+from wzkit.codec import ExperimentConfig, run_experiment
 from wzkit.degrees import DegreeDistribution
 from wzkit.gf2 import (BitMatrix, BitVector, EchelonBasis,
-                       RankDeficiencyError, _bit_indices, mat_mul, mul_vec,
-                       permute, rank)
+                       RankDeficiencyError, ShapeError, _bit_indices, mat_mul,
+                       mul_vec, permute, rank)
 
 
 def degree_multisets(a):
@@ -100,14 +101,15 @@ class TestValidateParams:
         report = validate_params(p)
         assert [c.name for c in report.failures()] == ["outer_checks_even"]
 
-    def test_reverse_geometry_fails_two_ways(self):
+    def test_reverse_geometry_fails_on_syndrome_capacity(self):
         p = CodeParams(n=3000, m=2000, k1=548, k2=1212)
-        names = {c.name for c in validate_params(p).failures()}
-        assert names == {"syndrome_capacity", "generator_tail_fits"}
+        names = [c.name for c in validate_params(p).failures()]
+        assert names == ["syndrome_capacity"]
 
     def test_every_check_is_its_own_inequality(self):
-        # each check fails somewhere, and no two pass and fail together on
-        # every geometry: a duplicate inequality would report one fault twice
+        # each check fails alone somewhere, and no two pass and fail together
+        # on every geometry: a duplicate inequality would report one fault
+        # twice, and one the others imply would never fail alone
         rng = random.Random(2024)
         outcomes = []
         while len(outcomes) < 5000:
@@ -118,8 +120,9 @@ class TestValidateParams:
             outcomes.append(tuple(c.ok for c in validate_params(p).checks))
         columns = list(zip(*outcomes))
         names = [c.name for c in validate_params(SMALL_PARAMS).checks]
-        for name, column in zip(names, columns):
-            assert not all(column), f"{name} never fails"
+        for i, name in enumerate(names):
+            assert any(not row[i] and sum(row) == len(row) - 1
+                       for row in outcomes), f"{name} never fails alone"
         for i, j in itertools.combinations(range(len(columns)), 2):
             assert columns[i] != columns[j], (
                 f"{names[i]} and {names[j]} agree on every geometry")
@@ -158,6 +161,14 @@ class TestPegGenerate:
             assert sum(seq) == sum(var_degs) and min(seq) >= 1
         a = peg_generate(400, 1003, gapped, seed=2)
         assert (a.rows, a.cols) == (400, 1003)
+
+    def test_variable_wider_than_the_check_count_fails(self):
+        # the profile implies one check, which cannot take a degree-5
+        # variable's five distinct edges
+        dist = DegreeDistribution(((5, 1.0),), ((10, 1.0),))
+        with pytest.raises(ValueError, match="^variable 0 needs 5 distinct "
+                                             "checks but only 1 exist$"):
+            _peg_grow(1, 2, dist, 1)
 
 
 def reference_check_degree_sequence(terms, n_checks, n_edges):
@@ -664,7 +675,7 @@ class TestAssembleCompound:
         # mirroring a 2x3 half with diagonal ones gives the block pattern
         # (e_i | a0_i) on top and (a0_j | e_j) below
         half = BitMatrix(2, 3, [[0, 1], [1, 2]])
-        params = CodeParams(n=6, m=5, k1=1, k2=2)
+        params = CodeParams(n=6, m=6, k1=2, k2=2)
         h = assemble_compound(half, params)
         assert h.row_support == ((0, 4), (1, 5), (1, 3), (2, 4))
         # the quantization check is the top n - m + k1 = 2 rows
@@ -794,6 +805,70 @@ class TestBuildRoundtrip:
         code = CompoundCode(TINY_PARAMS, tiny_code.h, np.int64(5), "tiny")
         assert type(code.seed) is int and code == tiny_code
 
+    @staticmethod
+    def with_entry(h, row, col):
+        """h with one more one, at (row, col)."""
+        rows = [list(sup) for sup in h.row_support]
+        rows[row].append(col)
+        return BitMatrix(h.rows, h.cols, rows)
+
+    @pytest.mark.parametrize("case, error, message", [
+        ("shape", ShapeError, "^h is 3x5, expected 84x96$"),
+        ("geometry", ParamValidationError, "syndrome_capacity$"),
+        ("identity", ValueError, "^row 1: leading block is not the identity$"),
+        ("middle", ValueError, "^row 0: middle zero block is populated$"),
+    ], ids=["shape", "geometry", "identity", "middle"])
+    def test_code_is_checked_where_it_is_made(self, tiny_code, tmp_path,
+                                              case, error, message):
+        """A hand-made code that load_code would refuse cannot be made, so
+        save_code never writes it."""
+        params, h = TINY_PARAMS, tiny_code.h
+        if case == "shape":
+            h = BitMatrix(3, 5, [[0], [1], [2]])
+        elif case == "geometry":
+            params = CodeParams(n=3000, m=2000, k1=548, k2=1212)
+        elif case == "identity":
+            h = self.with_entry(h, 1, 0)
+        else:
+            h = self.with_entry(h, 0, TINY_PARAMS.quant_checks)
+        with pytest.raises(error, match=message):
+            save_code(CompoundCode(params, h, 5, "tiny"), tmp_path / "code")
+        assert not (tmp_path / "code").exists()
+
+    def test_random_small_geometries_round_trip(self, tmp_path):
+        rng = random.Random(34)
+        built = []
+        while len(built) < 4:
+            try:
+                p = CodeParams(rng.randrange(8, 61, 2),
+                               *(rng.randint(1, 60) for _ in range(3)))
+            except ValueError:
+                continue
+            if not validate_params(p).ok:
+                continue
+            code = build_compound_code(p, tiny_dist(), seed=rng.randrange(99),
+                                       dist_id="tiny")
+            save_code(code, tmp_path / str(len(built)))
+            loaded = load_code(tmp_path / str(len(built)))
+            assert loaded == code and loaded.b_columns == code.b_columns
+            built.append(p)
+        assert len(set(built)) == 4
+
+    def test_numpy_integer_geometry_builds_saves_and_runs(self, tiny_code,
+                                                          tmp_path):
+        params = CodeParams(*map(np.int64, dataclasses.astuple(TINY_PARAMS)))
+        assert [type(v) for v in dataclasses.astuple(params)] == [int] * 4
+        code = build_compound_code(params, tiny_dist(), seed=5,
+                                   dist_id="tiny")
+        assert code == tiny_code
+        save_code(code, tmp_path / "code")
+        assert load_code(tmp_path / "code") == code
+        config = ExperimentConfig(code_id="tiny", params=params, p=0.25,
+                                  trials=2, seed=99)
+        assert run_experiment(code, config, workers=1) == run_experiment(
+            tiny_code, dataclasses.replace(config, params=TINY_PARAMS),
+            workers=1)
+
     def test_save_code_writes_nothing_when_the_manifest_fails(self, tiny_code,
                                                               tmp_path):
         code = CompoundCode(TINY_PARAMS, tiny_code.h, 5, "tiny")
@@ -829,8 +904,8 @@ class TestBuildRoundtrip:
         lines[0] = f"{rows - 1} {cols}"
         del lines[rows]
         path.write_text("\n".join(lines))
-        with pytest.raises(ValueError, match=f"{name}.txt is {rows - 1}x96, "
-                           f"expected {rows}x96"):
+        with pytest.raises(ShapeError, match=f"^{name} is {rows - 1}x96, "
+                           f"expected {rows}x96$"):
             load_code(tmp_path / "code")
 
     @pytest.mark.parametrize("name", ["h"])

@@ -69,8 +69,9 @@ class TestBuild:
         assert rc == 2
         captured = capsys.readouterr()
         report = captured.out + captured.err
-        assert "syndrome_capacity" in report
-        assert "generator_tail_fits" in report
+        assert "FAIL syndrome_capacity" in report
+        assert report.count("FAIL") == 1
+        assert len(report.splitlines()) == 5   # one line per check
 
     @staticmethod
     def build_args(workdir, out, **flags):
@@ -578,8 +579,9 @@ class TestRun:
         rc = cli.main(["run", "--config", str(config),
                        "--out", str(tmp_path / "o.csv")])
         assert (rc, builds) == (2, [])
-        assert ("invalid: experiment 0: generator_tail_fits "
-                "(n/2=1500 vs m-k1=1452)") in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "invalid: experiment 0: syndrome_capacity "
+            "(n-k2=1788 vs m-k1=1452)\n")
         assert not (tmp_path / "o.csv").exists()
 
     def test_unknown_experiment_key_is_usage_error(self, workdir, tmp_path,
