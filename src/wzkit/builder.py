@@ -673,7 +673,7 @@ def _generator_rows(b: BitMatrix, rows: int, cols: int) -> BitMatrix:
     lead = rows - b.rows
     units = np.arange(cols - rows, cols, dtype=np.int64)
     lengths = np.concatenate([np.zeros(lead, dtype=np.int64), b.row_lengths()])
-    return BitMatrix._adopt(rows, cols, lengths + 1, np.insert(
+    return BitMatrix.from_arrays(rows, cols, lengths + 1, np.insert(
         b.edges()[1], np.cumsum(lengths), units))
 
 

@@ -74,6 +74,8 @@ def _curve_slope(d: float, p: float) -> float:
 _BRENT_XTOL = 1e-12
 _BRENT_RTOL = 4 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
+# invert_bound bisects the distortion down to an interval this wide
+_BISECT_WIDTH = 1e-9
 
 
 def _brentq(f, xa: float, xb: float) -> float | None:
@@ -169,8 +171,8 @@ def wz_rate(d: float, p: float) -> float:
     return _rate(d, p, *wz_boundary(p))
 
 
-def invert_bound(rate: float, p: float, tol: float = 1e-9) -> float:
-    """Distortion at which the bound equals `rate`; bisection to width tol."""
+def invert_bound(rate: float, p: float) -> float:
+    """Distortion at which the bound equals `rate`, to _BISECT_WIDTH."""
     if not 0.0 < p < 0.5:
         raise ValueError(f"crossover must lie in (0, 0.5), got {p}")
     if math.isnan(rate):
@@ -181,7 +183,7 @@ def invert_bound(rate: float, p: float, tol: float = 1e-9) -> float:
         return 0.0
     d_c, r_c = wz_boundary(p)
     lo, hi = 0.0, p
-    while hi - lo > tol:
+    while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
         if _rate(mid, p, d_c, r_c) > rate:
             lo = mid
@@ -435,8 +437,8 @@ def run_experiment(code: CompoundCode, config: ExperimentConfig,
         trials=config.trials, failures=failures, seed=config.seed)
 
 
-CSV_COLUMNS = ["code_id", "n", "m", "k1", "k2", "p", "R1", "R2", "Rt", "d1",
-               "d2", "Dt", "Dt_pred", "Dwz", "gap", "trials", "failures", "seed"]
+CSV_COLUMNS = ("code_id", "n", "m", "k1", "k2", "p", "R1", "R2", "Rt", "d1",
+               "d2", "Dt", "Dt_pred", "Dwz", "gap", "trials", "failures", "seed")
 
 
 def write_results_csv(f: TextIO, results: Iterable[ExperimentResult]) -> None:

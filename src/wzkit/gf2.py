@@ -1,14 +1,16 @@
 """GF(2) vectors and sparse matrices, with one elimination core.
 
-Matrices are stored as two int64 arrays (the canonical form): the column of
-every entry, row by row with each row sorted, and where each row starts.  One
-vectorized check validates every constructor's input.  The Tanner-graph edge
-arrays, the per-row supports as tuples, a packed view of one Python int per
-row (bit c = entry in column c) and the row elimination (pivot columns and
-dependent rows) are built on first use and cached.  Packed rows make
-elimination word-parallel, so dimensions of a few times 10^5 per axis stay
-workable; memory is O(nnz) for storage and about rows*cols/8 bytes while an
-elimination runs.
+Matrices are stored as three read-only int64 arrays: the row and the column
+of every entry, row by row with each row sorted (the Tanner-graph edge arrays
+of edges()), and where each row starts.  One vectorized check validates the
+input of both constructors, BitMatrix(...) and BitMatrix.from_arrays, and
+builds the row array as it goes.  The per-row supports as tuples, the row
+elimination (pivot columns and dependent rows) and the check-slot view are
+cached on first use (functools.cached_property); a pickle carries the arrays
+only.  bitrows() packs every row into one Python int (bit c = entry in
+column c) on each call.  Packed rows make elimination word-parallel, so
+dimensions of a few times 10^5 per axis stay workable; memory is O(nnz) for
+storage and about rows*cols/8 bytes while an elimination runs.
 
 Bits cross between packed ints and numpy arrays through np.packbits and
 np.unpackbits with little-endian bit order, so every such crossing is O(n).
@@ -34,6 +36,7 @@ elimination runs in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence, TextIO
 
@@ -148,9 +151,6 @@ class BitMatrix:
     matrices.  transpose rejects one, since its result would have no columns.
     """
 
-    __slots__ = ("rows", "cols", "_starts", "_columns", "_row_support",
-                 "_bitrows", "_edges", "_slots", "_echelon")
-
     def __init__(self, rows: int, cols: int, row_support: Iterable[Iterable[int]]):
         supports = [sup if isinstance(sup, (tuple, list)) else tuple(sup)
                     for sup in row_support]
@@ -163,24 +163,18 @@ class BitMatrix:
     @classmethod
     def from_arrays(cls, rows: int, cols: int, lengths, columns) -> "BitMatrix":
         """Matrix whose row i holds the next lengths[i] entries of columns;
-        a row may come in any order, and is sorted."""
-        return cls._adopt(rows, cols, np.asarray(lengths, dtype=np.int64),
-                          np.array(columns, dtype=np.int64))
-
-    @classmethod
-    def _adopt(cls, rows: int, cols: int, lengths: np.ndarray,
-               columns: np.ndarray) -> "BitMatrix":
-        """from_arrays without the copy: columns must be an int64 array that
-        nothing else holds."""
+        a row may come in any order, and is sorted.  columns is copied."""
         self = object.__new__(cls)
-        self._init(rows, cols, lengths, columns)
+        self._init(rows, cols, np.asarray(lengths, dtype=np.int64),
+                   np.array(columns, dtype=np.int64))
         return self
 
     def _init(self, rows: int, cols: int, lengths: np.ndarray,
               columns: np.ndarray) -> None:
         """The one check every constructor runs, on a fresh columns array:
         the shape, then per row (lowest row first) duplicate columns and
-        columns outside [0, cols), then the row count."""
+        columns outside [0, cols), then the row count.  The row of every
+        entry it builds is kept as the first array of edges()."""
         if rows < 0 or cols < 1:
             raise ShapeError(f"bad shape {rows}x{cols}")
         if lengths.ndim != 1 or lengths.size and lengths.min() < 0:
@@ -205,40 +199,29 @@ class BitMatrix:
             raise ShapeError(f"expected {rows} rows, got {lengths.size}")
         starts = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(lengths, out=starts[1:])
-        starts.flags.writeable = columns.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_starts", starts)
-        object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_row_support", None)
-        object.__setattr__(self, "_bitrows", None)
-        object.__setattr__(self, "_edges", None)
-        object.__setattr__(self, "_slots", None)
-        object.__setattr__(self, "_echelon", None)
+        for a in (starts, row_of, columns):
+            a.flags.writeable = False
+        vars(self).update(rows=rows, cols=cols, _starts=starts,
+                          _edges=(row_of, columns))
 
     def __setattr__(self, name, value):
         raise AttributeError("BitMatrix is immutable")
 
     def __reduce__(self):
-        # the blocked __setattr__ defeats slot-state unpickling
+        # the arrays alone: a copy rebuilds its cached views on first use
         return (BitMatrix.from_arrays, (self.rows, self.cols,
-                                        self.row_lengths(), self._columns))
+                                        self.row_lengths(), self._edges[1]))
 
-    @property
+    @cached_property
     def row_support(self) -> tuple[tuple[int, ...], ...]:
         """Sorted column support of every row, built on first use and cached."""
-        cached = object.__getattribute__(self, "_row_support")
-        if cached is None:
-            # all rows share one int object per column
-            ints = list(range(self.cols))
-            out = []
-            for bounds, block in _row_blocks(self):
-                flat = list(map(ints.__getitem__, block.tolist()))
-                out.extend(tuple(flat[lo:hi])
-                           for lo, hi in zip(bounds, bounds[1:]))
-            cached = tuple(out)
-            object.__setattr__(self, "_row_support", cached)
-        return cached
+        # all rows share one int object per column
+        ints = list(range(self.cols))
+        out = []
+        for bounds, block in _row_blocks(self):
+            flat = list(map(ints.__getitem__, block.tolist()))
+            out.extend(tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        return tuple(out)
 
     def row_lengths(self) -> np.ndarray:
         """Number of entries in each row, as a new int64 array."""
@@ -251,15 +234,11 @@ class BitMatrix:
                              f"matrix")
         return BitMatrix.from_arrays(
             stop - start, self.cols, np.diff(self._starts[start:stop + 1]),
-            self._columns[self._starts[start]:self._starts[stop]])
+            self._edges[1][self._starts[start]:self._starts[stop]])
 
     def bitrows(self) -> tuple[int, ...]:
-        """Packed view, built on first use and cached."""
-        cached = object.__getattribute__(self, "_bitrows")
-        if cached is None:
-            cached = tuple(self._packed_rows())
-            object.__setattr__(self, "_bitrows", cached)
-        return cached
+        """Every row as one Python int, bit c set for an entry in column c."""
+        return tuple(self._packed_rows())
 
     def _packed_rows(self):
         """Every row as a packed int, in order, packed a chunk of rows at a
@@ -270,10 +249,9 @@ class BitMatrix:
         for at in range(0, self.rows, step):
             stop = min(at + step, self.rows)
             lo, hi = self._starts[at], self._starts[stop]
-            rows = np.repeat(np.arange(stop - at) * width,
-                             np.diff(self._starts[at:stop + 1]))
             dense = np.zeros((stop - at) * width, dtype=bool)
-            dense[rows + self._columns[lo:hi]] = True
+            dense[(self._edges[0][lo:hi] - at) * width
+                  + self._edges[1][lo:hi]] = True
             packed = np.packbits(dense, bitorder="little").tobytes()
             yield from (int.from_bytes(packed[k:k + nbytes], "little")
                         for k in range(0, len(packed), nbytes))
@@ -283,31 +261,24 @@ class BitMatrix:
         cached.
 
         One EchelonBasis pass inserts the rows in order, each packed as it
-        is inserted, so the bitrows() cache stays empty.  pivots are the
-        pivot columns in ascending order, as EchelonBasis.pivots() gives
-        them; dependent are the indices of the rows that lie in the span of
-        the rows above them.  The rank is len(pivots).
+        is inserted.  pivots are the pivot columns in ascending order, as
+        EchelonBasis.pivots() gives them; dependent are the indices of the
+        rows that lie in the span of the rows above them.  The rank is
+        len(pivots).
         """
-        cached = object.__getattribute__(self, "_echelon")
-        if cached is None:
-            basis = EchelonBasis()
-            dependent = tuple(i for i, bits in enumerate(self._packed_rows())
-                              if not basis.insert(bits))
-            cached = (tuple(basis.pivots()), dependent)
-            object.__setattr__(self, "_echelon", cached)
-        return cached
+        return self._echelon
+
+    @cached_property
+    def _echelon(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        basis = EchelonBasis()
+        dependent = tuple(i for i, bits in enumerate(self._packed_rows())
+                          if not basis.insert(bits))
+        return tuple(basis.pivots()), dependent
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, column) index of every entry in row-major order, as read-only
-        int64 arrays; the Tanner graph view, built on first use and cached."""
-        cached = object.__getattribute__(self, "_edges")
-        if cached is None:
-            rows = np.repeat(np.arange(self.rows, dtype=np.int64),
-                             self.row_lengths())
-            rows.flags.writeable = False
-            cached = (rows, self._columns)
-            object.__setattr__(self, "_edges", cached)
-        return cached
+        int64 arrays; the Tanner graph view, kept from construction."""
+        return self._edges
 
     def slots(self) -> tuple[np.ndarray, np.ndarray]:
         """(slots, pos): the check-slot view, built on first use and cached.
@@ -317,43 +288,39 @@ class BitMatrix:
         cols; pos is the read-only flat index into slots of every entry of
         edges(), so that slots.ravel()[pos] equals edges()[1].
         """
-        return self._slot_view()[:2]
+        return self._slot_view[:2]
 
     def slot_padding(self) -> np.ndarray:
         """The read-only flat indices into slots()[0] of its padding, in
         increasing order; cached with slots()."""
-        return self._slot_view()[2]
+        return self._slot_view[2]
 
+    @cached_property
     def _slot_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        cached = object.__getattribute__(self, "_slots")
-        if cached is None:
-            lengths = self.row_lengths()
-            rows, columns = self.edges()
-            width = int(lengths.max()) if lengths.size else 0
-            rank = (np.arange(columns.size, dtype=np.int64)
-                    - np.repeat(self._starts[:-1], lengths))
-            pos = rank * self.rows + rows
-            slots = np.full((width, self.rows), self.cols, dtype=np.int64)
-            slots.ravel()[pos] = columns
-            padding = np.flatnonzero(slots.ravel() == self.cols)
-            for a in (slots, pos, padding):
-                a.flags.writeable = False
-            cached = (slots, pos, padding)
-            object.__setattr__(self, "_slots", cached)
-        return cached
+        lengths = self.row_lengths()
+        rows, columns = self._edges
+        width = int(lengths.max()) if lengths.size else 0
+        rank = np.arange(columns.size, dtype=np.int64) - self._starts[rows]
+        pos = rank * self.rows + rows
+        slots = np.full((width, self.rows), self.cols, dtype=np.int64)
+        slots.ravel()[pos] = columns
+        padding = np.flatnonzero(slots.ravel() == self.cols)
+        for a in (slots, pos, padding):
+            a.flags.writeable = False
+        return slots, pos, padding
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BitMatrix) and self.rows == other.rows
                 and self.cols == other.cols
                 and np.array_equal(self._starts, other._starts)
-                and np.array_equal(self._columns, other._columns))
+                and np.array_equal(self._edges[1], other._edges[1]))
 
     def __hash__(self):
         return hash((self.rows, self.cols, self._starts.tobytes(),
-                     self._columns.tobytes()))
+                     self._edges[1].tobytes()))
 
     def __repr__(self) -> str:
-        return f"BitMatrix({self.rows}x{self.cols}, nnz={self._columns.size})"
+        return f"BitMatrix({self.rows}x{self.cols}, nnz={self._edges[1].size})"
 
 
 # packing a matrix unpacks at most about this many bits of it at once
@@ -371,7 +338,7 @@ def _row_blocks(a: BitMatrix):
     for at in range(0, a.rows, _ROW_BLOCK):
         bounds = starts[at:at + _ROW_BLOCK + 1]
         yield ([b - bounds[0] for b in bounds],
-               a._columns[bounds[0]:bounds[-1]])
+               a._edges[1][bounds[0]:bounds[-1]])
 
 
 def _bit_indices(bits: int) -> list[int]:
@@ -397,12 +364,12 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     # flat index into b's columns of every contributed entry
     at = (np.repeat(b._starts[ks] - np.cumsum(counts) + counts, counts)
           + np.arange(int(counts.sum()), dtype=np.int64))
-    keys, times = np.unique(np.repeat(rows, counts) * b.cols + b._columns[at],
+    keys, times = np.unique(np.repeat(rows, counts) * b.cols + b._edges[1][at],
                             return_counts=True)
     keys = keys[times % 2 == 1]
-    return BitMatrix._adopt(a.rows, b.cols,
-                            np.bincount(keys // b.cols, minlength=a.rows),
-                            keys % b.cols)
+    return BitMatrix.from_arrays(a.rows, b.cols,
+                                 np.bincount(keys // b.cols, minlength=a.rows),
+                                 keys % b.cols)
 
 
 def mul_vec(a: BitMatrix, v: BitVector) -> BitVector:
@@ -419,8 +386,9 @@ def transpose(a: BitMatrix) -> BitMatrix:
     if a.rows == 0:
         raise ShapeError("cannot transpose an empty matrix")
     rows, cols = a.edges()
-    return BitMatrix._adopt(a.cols, a.rows, np.bincount(cols, minlength=a.cols),
-                            rows[np.argsort(cols, kind="stable")])
+    return BitMatrix.from_arrays(a.cols, a.rows,
+                                 np.bincount(cols, minlength=a.cols),
+                                 rows[np.argsort(cols, kind="stable")])
 
 
 class EchelonBasis:
@@ -433,8 +401,6 @@ class EchelonBasis:
     bit lies above the tag, so a pivot never falls in the tag bits.  With row
     i inserted as ``row << t | 1 << i``, solve names the rows summing to a target.
     """
-
-    __slots__ = ("tag_bits", "_rows", "_count")
 
     def __init__(self, tag_bits: int = 0):
         self.tag_bits = tag_bits
@@ -569,6 +535,7 @@ _BYTE_CLASS = np.zeros(256, dtype=np.uint8)
 _BYTE_CLASS[list(b" \t\n\v\f\r")] = 1
 _BYTE_CLASS[list(b"0123456789")] = 2
 _BYTE_CLASS[list(b"+-")] = 3
+_BYTE_CLASS.flags.writeable = False
 
 
 def read_matrix(f: TextIO) -> BitMatrix:
@@ -597,8 +564,8 @@ def read_matrix(f: TextIO) -> BitMatrix:
                                    first_lineno=at + 2)
         lengths.append(count)
         columns.append(found)
-    return BitMatrix._adopt(rows, cols, np.concatenate(lengths),
-                            np.concatenate(columns))
+    return BitMatrix.from_arrays(rows, cols, np.concatenate(lengths),
+                                 np.concatenate(columns))
 
 
 def _parse_rows(lines: list[str], first_lineno: int

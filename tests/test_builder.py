@@ -713,11 +713,6 @@ class TestGeneratorDesign:
         assert all(not sup for sup in prod.row_support)
         assert rank(small_code.g1) == SMALL_PARAMS.info_rows
 
-    def test_rejects_malformed_check(self):
-        bad = BitMatrix(2, 8, [[0, 1, 6], [1, 7]])  # leading block not identity
-        with pytest.raises(ValueError):
-            CompoundCode(TINY_PARAMS, bad, seed=0).g1
-
     def test_mid_width_is_the_free_middle_block(self):
         assert TINY_PARAMS.mid_width == 72 - 48
         assert SMALL_PARAMS.mid_width == 150 - 100

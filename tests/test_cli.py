@@ -209,6 +209,20 @@ class TestQuantizeEncodeDecode:
         assert out.read_text().splitlines() == [
             word_line(enc.quantized.codeword)]
 
+    def test_unequal_side_and_syndrome_counts_is_usage_error(
+            self, workdir, tmp_path, capsys):
+        syndrome = tmp_path / "syndrome.txt"
+        syndrome.write_text("0" * TINY_PARAMS.k2 + "\n")
+        out = tmp_path / "decoded.txt"
+        rc = cli.main(["decode", "--code", str(workdir / "tiny-code"),
+                       "--side", str(workdir / "sources.txt"),
+                       "--syndrome", str(syndrome), "--crossover", "0.05",
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: 2 side words vs 1 syndromes\n")
+        assert not out.exists()
+
     def test_commands_pack_no_generator_rows(self, workdir, tmp_path,
                                              monkeypatch):
         """quantize, encode and decode on a saved code never pack a matrix
@@ -482,6 +496,29 @@ class TestRun:
                        "--out", str(tmp_path / "o.csv")])
         assert rc == 1
 
+    def test_malformed_json_names_line_and_column(self, workdir, tmp_path,
+                                                  capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"experiments": [\n  {"n": 96,}\n]}\n')
+        rc = cli.main(["run", "--config", str(config),
+                       "--catalog", str(workdir / "catalog.txt"),
+                       "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}:2:12: Expecting property name enclosed in "
+            f"double quotes\n")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_unknown_profile_fails_before_build(self, workdir, tmp_path,
+                                                monkeypatch, capsys):
+        entry = dict(self.experiment(), dist="nope")
+        rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err == "error: experiment 1: unknown degree profile 'nope'\n"
+        assert "building" not in out
+        assert not (tmp_path / "o.csv").exists()
+
     def test_missing_experiment_key_is_usage_error(self, workdir, tmp_path,
                                                    capsys):
         entry = self.experiment()
@@ -751,6 +788,15 @@ class TestBound:
 
     def test_bad_crossover_exits_three(self, capsys):
         assert cli.main(["bound", "--p", "0.75"]) == 3
+
+    @pytest.mark.parametrize("query, message", [
+        (["--p", "0.25", "--distortion", "0.7"], "distortion must lie in"),
+        (["--p", "0.25", "--distortion", "-0.1"], "distortion must lie in"),
+        (["--p", "0.6", "--distortion", "0.1"], "crossover must lie in")])
+    def test_distortion_query_outside_the_domain_exits_three(
+            self, capsys, query, message):
+        assert cli.main(["bound", *query]) == 3
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("query", [
         ["--p", "0.7", "--rate", "0"], ["--p", "0.7", "--rate", "5"],

@@ -108,6 +108,15 @@ class TestBoundary:
 
 
 class TestWzRate:
+    @pytest.mark.parametrize("d, p, message", [
+        (0.1, 0.0, "crossover must lie in"),
+        (0.1, 0.5, "crossover must lie in"),
+        (-0.1, 0.25, "distortion must lie in"),
+        (0.7, 0.25, "distortion must lie in")])
+    def test_rejects_arguments_out_of_range(self, d, p, message):
+        with pytest.raises(ValueError, match=message):
+            wz_rate(d, p)
+
     def test_endpoints(self):
         p = 0.25
         assert wz_rate(0.0, p) == pytest.approx(binary_entropy(p))
@@ -160,6 +169,13 @@ class TestInvertBound:
     def test_nan_rate_raises(self):
         with pytest.raises(ValueError, match="nan"):
             invert_bound(math.nan, 0.25)
+
+    def test_bisection_width_is_no_argument(self):
+        """The bisection width is fixed: a caller's width of 0 would never
+        end, and nan would return 0.125."""
+        with pytest.raises(TypeError, match="tol"):
+            invert_bound(0.3, 0.25, tol=1e-3)
+        assert invert_bound(0.3, 0.25) == pytest.approx(0.14056, abs=1e-5)
 
 
 class TestBoundCurve:

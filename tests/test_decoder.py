@@ -12,7 +12,7 @@ from wzkit import decoder
 from wzkit.decoder import (COSET_ENUM_LIMIT, DecodeResult, SpParams,
                            _check_product, _slot_check_pass, coset_members,
                            coset_nearest, sp_decode)
-from wzkit.gf2 import BitMatrix, BitVector, mul_vec, rank
+from wzkit.gf2 import BitMatrix, BitVector, ShapeError, mul_vec, rank
 
 ROW_PAIRS = list(combinations(range(6), 2))
 
@@ -424,6 +424,18 @@ class TestSpParams:
                            match=f"max_iter must be an integer, got {max_iter}"):
             SpParams(0.1, max_iter=max_iter)
         assert SpParams(0.1, max_iter=np.int64(3)).max_iter == 3
+
+
+class TestSpDecodeShapes:
+    H = BitMatrix(2, 3, [[0, 1], [1, 2]])
+
+    def test_syndrome_length_must_match_rows(self):
+        with pytest.raises(ShapeError, match="syndrome length 3 != rows 2"):
+            sp_decode(self.H, BitVector(3, 0), BitVector(3, 0), SpParams(0.1))
+
+    def test_side_info_length_must_match_cols(self):
+        with pytest.raises(ShapeError, match="side info length 4 != cols 3"):
+            sp_decode(self.H, BitVector(2, 0), BitVector(4, 0), SpParams(0.1))
 
 
 class TestCosetMembers:

@@ -2,10 +2,12 @@
 
 import ast
 import importlib
+import pkgutil
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wzkit
@@ -68,3 +70,20 @@ def test_public_names_resolve_to_their_module_objects():
             assert getattr(wzkit, attr) is homes[attr], attr
     # encode and encode_all are exported, so is the type they return
     assert "EncodeResult" in wzkit.__all__
+
+
+def test_modules_hold_no_mutable_state():
+    """No wzkit module keeps a list, dict, set, bytearray or writable array
+    at module level, so nothing one caller does changes what the next one
+    sees (a CSV header, a parser's byte table)."""
+    mutable = (list, dict, set, bytearray)
+    found = []
+    for info in pkgutil.iter_modules(wzkit.__path__):
+        mod = importlib.import_module(f"wzkit.{info.name}")
+        for name, value in vars(mod).items():
+            if name.startswith("__"):
+                continue
+            if (isinstance(value, mutable) or isinstance(value, np.ndarray)
+                    and value.flags.writeable):
+                found.append(f"wzkit.{info.name}.{name}")
+    assert found == []

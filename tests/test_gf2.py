@@ -471,7 +471,7 @@ class TestBitMatrix:
         a.slots()
         copy = pickle.loads(pickle.dumps(a))
         assert copy == a
-        assert object.__getattribute__(copy, "_slots") is None
+        assert set(vars(copy)) == {"rows", "cols", "_starts", "_edges"}
         np.testing.assert_array_equal(copy.slots()[0], a.slots()[0])
 
     def test_echelon_is_cached_read_only_and_not_pickled(self):
@@ -481,10 +481,9 @@ class TestBitMatrix:
         assert view == ((0, 3, 5), (2,))
         assert a.echelon() is view
         assert all(type(part) is tuple for part in view)
-        assert object.__getattribute__(a, "_bitrows") is None
         copy = pickle.loads(pickle.dumps(a))
         assert copy == a
-        assert object.__getattribute__(copy, "_echelon") is None
+        assert set(vars(copy)) == {"rows", "cols", "_starts", "_edges"}
         assert copy.echelon() == view
 
     def test_slots_invert_edges_on_random_matrices(self):
