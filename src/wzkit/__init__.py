@@ -11,8 +11,9 @@ from .gf2 import (BitMatrix, BitVector, EchelonBasis, RankDeficiencyError,
                   read_matrix, systematic_form, transpose, write_matrix)
 from .degrees import (CatalogEntry, DegreeDistribution, design_rate,
                       load_catalog, parse_catalog, parse_polynomial)
-from .builder import (CodeParams, CompoundCode, ParamValidationError,
-                      ValidationReport, all_one_diagonalize, assemble_compound,
+from .builder import (CodeParams, CompoundCode, CompoundQuantizer,
+                      ParamValidationError, ValidationReport,
+                      all_one_diagonalize, assemble_compound,
                       build_compound_code, empirical_fractions, load_code,
                       peg_generate, save_code, validate_params)
 from .quantizer import (BipParams, QuantizeResult, bip_quantize,
@@ -20,11 +21,10 @@ from .quantizer import (BipParams, QuantizeResult, bip_quantize,
                         generator_codeword, has_four_cycle)
 from .decoder import (DecodeResult, SpParams, coset_members, coset_nearest,
                       sp_decode)
-from .codec import (CompoundQuantizer, EncodeResult, ExperimentConfig,
-                    ExperimentResult, binary_convolve, binary_entropy,
-                    bound_curve, decode, encode, encode_all, invert_bound,
-                    run_experiment, write_curve_csv, write_results_csv,
-                    wz_boundary, wz_rate)
+from .codec import (EncodeResult, ExperimentConfig, ExperimentResult,
+                    binary_convolve, binary_entropy, bound_curve, decode,
+                    encode, encode_all, invert_bound, run_experiment,
+                    write_curve_csv, write_results_csv, wz_boundary, wz_rate)
 
 __version__ = "0.1.0"
 
@@ -38,18 +38,18 @@ __all__ = [
     "CatalogEntry", "DegreeDistribution", "design_rate", "load_catalog",
     "parse_catalog", "parse_polynomial",
     # builder
-    "CodeParams", "CompoundCode", "ParamValidationError", "ValidationReport",
-    "all_one_diagonalize", "assemble_compound", "build_compound_code",
-    "empirical_fractions", "load_code", "peg_generate", "save_code",
-    "validate_params",
+    "CodeParams", "CompoundCode", "CompoundQuantizer", "ParamValidationError",
+    "ValidationReport", "all_one_diagonalize", "assemble_compound",
+    "build_compound_code", "empirical_fractions", "load_code", "peg_generate",
+    "save_code", "validate_params",
     # quantizer
     "BipParams", "QuantizeResult", "bip_quantize", "bip_quantize_all",
     "exhaustive_quantize", "generator_codeword", "has_four_cycle",
     # decoder
     "DecodeResult", "SpParams", "coset_members", "coset_nearest", "sp_decode",
     # codec
-    "CompoundQuantizer", "EncodeResult", "ExperimentConfig",
-    "ExperimentResult", "binary_convolve", "binary_entropy", "bound_curve",
-    "decode", "encode", "encode_all", "invert_bound", "run_experiment",
-    "write_curve_csv", "write_results_csv", "wz_boundary", "wz_rate",
+    "EncodeResult", "ExperimentConfig", "ExperimentResult", "binary_convolve",
+    "binary_entropy", "bound_curve", "decode", "encode", "encode_all",
+    "invert_bound", "run_experiment", "write_curve_csv", "write_results_csv",
+    "wz_boundary", "wz_rate",
 ]

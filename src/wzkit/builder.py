@@ -5,21 +5,26 @@ matrix A realizes a degree profile at half the target shape, gets permuted to
 carry an all-one diagonal, and is mirrored into [[I, A0], [A0, I]] with A0 the
 off-diagonal part of A.  The top slice of the result checks the quantization
 code; its null space has a systematic generator read straight off that slice.
+A CompoundCode quantizes (CompoundQuantizer), forms its syndrome and decodes.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import InitVar, asdict, dataclass, field, fields
+from dataclasses import InitVar, asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
+from .decoder import DecodeResult, SpParams, sp_decode
 from .degrees import DegreeDistribution
-from .gf2 import (BitMatrix, RankDeficiencyError, ShapeError, _require_int,
-                  permute, read_matrix, transpose, write_matrix)
+from .gf2 import (BitMatrix, BitVector, RankDeficiencyError, ShapeError,
+                  _require_int, mul_vec, permute, read_matrix, transpose,
+                  write_matrix)
+from .quantizer import BipParams, QuantizeResult, _resolve, bip_quantize_all
 
 __all__ = [
     "CodeParams",
@@ -27,6 +32,7 @@ __all__ = [
     "ValidationReport",
     "ParamValidationError",
     "CompoundCode",
+    "CompoundQuantizer",
     "validate_params",
     "peg_generate",
     "empirical_fractions",
@@ -216,6 +222,41 @@ def _check_degree_sequence(terms, n_checks: int, n_edges: int) -> list[int]:
     return seq
 
 
+def _degree_sequences(n_checks: int, n_vars: int, dist: DegreeDistribution
+                      ) -> tuple[list[int], list[int]]:
+    """The variable and check degrees PEG grows: n_vars variables, and the
+    checks the profile implies but at least n_checks, sharing one edge count;
+    an off-profile remainder check may add one more.  ValueError when the
+    check side cannot take the edges, or a variable's edges need more
+    distinct checks than there are."""
+    var_degs = _node_degree_sequence(dist.lambda_terms, n_vars)
+    n_edges = sum(var_degs)
+    design_checks = round(n_edges * sum(f / d for d, f in dist.rho_terms))
+    chk_degs = _check_degree_sequence(dist.rho_terms,
+                                      max(design_checks, n_checks), n_edges)
+    widest = max(var_degs, default=0)
+    if widest > len(chk_degs):
+        raise ValueError(f"a degree-{widest} variable needs {widest} distinct "
+                         f"checks but only {len(chk_degs)} exist")
+    return var_degs, chk_degs
+
+
+def _check_build(params: CodeParams, dist: DegreeDistribution
+                 ) -> ValidationReport:
+    """validate_params(params), and once that passes, profile_fit: whether
+    dist's degree sequences exist at the half matrix's shape, computed as
+    peg_generate computes them before growth.  A failing profile_fit joins
+    the report; a passing one is left out."""
+    report = validate_params(params)
+    if report.ok:
+        try:
+            _degree_sequences(params.half_rows, params.half_cols, dist)
+        except ValueError as e:
+            fit = ParamCheck("profile_fit", False, str(e))
+            report = ValidationReport(report.checks + (fit,))
+    return report
+
+
 @dataclass(frozen=True)
 class PegCounts:
     """What one PEG growth did besides placing edges by the plain rule.
@@ -359,13 +400,8 @@ def _peg_grow(n_checks: int, n_vars: int, dist: DegreeDistribution,
               seed: int) -> tuple[BitMatrix, PegCounts]:
     """peg_generate's matrix and the PegCounts of its growth."""
     rng = random.Random(seed)
-    var_degs = _node_degree_sequence(dist.lambda_terms, n_vars)
-    n_edges = sum(var_degs)
-    rho_i = sum(f / d for d, f in dist.rho_terms)
-    design_checks = round(n_edges * rho_i)
-    gen_checks = max(design_checks, n_checks)
-    chk_degs = _check_degree_sequence(dist.rho_terms, gen_checks, n_edges)
-    gen_checks = len(chk_degs)  # an off-profile remainder check may extend it
+    var_degs, chk_degs = _degree_sequences(n_checks, n_vars, dist)
+    gen_checks = len(chk_degs)
 
     rng.shuffle(var_degs)
     rng.shuffle(chk_degs)
@@ -419,10 +455,6 @@ def _peg_grow(n_checks: int, n_vars: int, dist: DegreeDistribution,
                     pool.fill(True)
                     pool[own] = False
                     n_left = gen_checks - len(own)
-                if not n_left:
-                    raise ValueError(
-                        f"variable {v} needs {var_degs[v]} distinct checks but "
-                        f"only {gen_checks} exist")
             if not k:
                 cs = pool.nonzero()[0]
             else:
@@ -677,6 +709,67 @@ def _generator_rows(b: BitMatrix, rows: int, cols: int) -> BitMatrix:
         b.edges()[1], np.cumsum(lengths), units))
 
 
+class CompoundQuantizer:
+    """Bias propagation for one compound code, run in its systematic gauge.
+
+    The codewords of the quantization check are (B t2, t1, t2) over free
+    blocks t1 and t2 (CompoundCode.g1).  The middle block copies the source
+    at no cost, which leaves fitting (B t2, t2) to the parity and tail blocks
+    of the source: bip_quantize on g_sub, g1's tail rows without the middle
+    block, whose row j holds column j of B plus its own tail position, so
+    check degrees stay at B's column weights.  A word's coefficients over g1
+    are its free blocks (t1, t2)."""
+
+    def __init__(self, code: CompoundCode):
+        params = code.params
+        r, b = params.quant_checks, code.b_columns
+        self.n = params.n
+        self.parity_width = r
+        self.mid_width = params.mid_width
+        # row j: B's column j, then its private tail column r + j
+        self.g_sub = _generator_rows(b, b.rows, r + b.rows)
+        # default damping is a fact of g_sub: search it for 4-cycles once
+        self._damping = _resolve(BipParams(), self.g_sub)[1]
+
+    def quantize(self, source: BitVector,
+                 bip: BipParams = BipParams()) -> QuantizeResult:
+        """Codeword of the quantization check close to source in Hamming
+        distance, with its coefficients u over g1 and BiP's counters."""
+        return self.quantize_all([source], bip)[0]
+
+    def quantize_all(self, sources: Sequence[BitVector],
+                     bip: BipParams = BipParams()) -> list[QuantizeResult]:
+        """quantize for every source, all through one bip_quantize_all call."""
+        for source in sources:
+            if source.length != self.n:
+                raise ShapeError(f"source length {source.length} != n {self.n}")
+        r, mid = self.parity_width, self.mid_width
+        parity_mask = (1 << r) - 1
+        local = [BitVector(self.g_sub.cols,
+                           s.bits & parity_mask | s.bits >> (r + mid) << r)
+                 for s in sources]
+        if bip.damping is None:
+            bip = replace(bip, damping=self._damping)
+        out = []
+        for source, res in zip(sources, bip_quantize_all(self.g_sub, local, bip)):
+            sub_word = res.codeword
+            word = BitVector(self.n,
+                             sub_word.bits & parity_mask
+                             | (source.bits >> r & (1 << mid) - 1) << r
+                             | sub_word.bits >> r << (r + mid))
+            out.append(replace(res, u=self.coefficients(word), codeword=word,
+                               distortion=(word ^ source).weight() / self.n))
+        return out
+
+    def coefficients(self, word: BitVector) -> BitVector:
+        """Coefficients u over g1's rows with u @ g1 == word, for a codeword
+        of the quantization check: its free blocks, bits parity_width..n-1."""
+        if word.length != self.n:
+            raise ShapeError(f"word length {word.length} != n {self.n}")
+        return BitVector(self.n - self.parity_width,
+                         word.bits >> self.parity_width)
+
+
 def _code_seed(seed, dist_id) -> int:
     """seed as an int; TypeError unless seed is an integer and dist_id a
     string, as load_code requires of a manifest, so that save_code can
@@ -742,20 +835,33 @@ class CompoundCode:
         return self.params.rates
 
     @cached_property
-    def quantizer(self):
-        """The code's CompoundQuantizer, built on first use and kept; it
-        pickles with the code, so process-pool workers receive it built."""
-        from .codec import CompoundQuantizer  # codec imports this module
+    def quantizer(self) -> CompoundQuantizer:
+        """The code's CompoundQuantizer, built once; pool tasks get it built."""
         return CompoundQuantizer(self)
+
+    def syndrome(self, q: QuantizeResult) -> BitVector:
+        """The transmitted bits of a quantized word: h2 @ q.codeword."""
+        return mul_vec(self.h2, q.codeword)
+
+    def decode(self, side_info: BitVector, syndrome: BitVector,
+               sp: SpParams) -> DecodeResult:
+        """The quantized word, by sum-product on h from the syndrome prefixed
+        by zeros: the quantization checks hold by construction."""
+        p = self.params
+        if syndrome.length != p.k2:
+            raise ValueError(f"syndrome must have {p.k2} bits")
+        full = BitVector(self.h.rows, syndrome.bits << p.quant_checks)
+        return sp_decode(self.h, full, side_info, sp)
 
 
 def build_compound_code(params: CodeParams, dist: DegreeDistribution, seed: int,
                         dist_id: str = "") -> CompoundCode:
     """Full pipeline: validate, grow, diagonalize, mirror.  The seed,
-    dist_id and geometry are checked as CompoundCode checks them, before any
+    dist_id and geometry are checked as CompoundCode checks them, and the
+    profile's degree sequences are checked to fit (profile_fit), before any
     growth."""
     seed = _code_seed(seed, dist_id)
-    report = validate_params(params)
+    report = _check_build(params, dist)
     if not report.ok:
         raise ParamValidationError(report)
     rng = random.Random(seed)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .builder import (RETIRED_PARAMS, CodeParams, ParamValidationError,
-                      build_compound_code, load_code, save_code,
+                      _check_build, build_compound_code, load_code, save_code,
                       validate_params)
 from .codec import (ExperimentConfig, decode, encode_all, invert_bound,
                     run_experiment, write_curve_csv, write_results_csv,
@@ -245,8 +245,11 @@ def _cmd_run(args) -> int:
         except _InvalidGeometry as e:
             invalid.append(f"invalid: experiment {index}: {e}")
             continue
+        # a known profile is also checked to fit the geometry
+        report = (_check_build(config.params, catalog[dist_id].dist)
+                  if dist_id in catalog else validate_params(config.params))
         invalid += [f"invalid: experiment {index}: {c.name} ({c.detail})"
-                    for c in validate_params(config.params).failures()]
+                    for c in report.failures()]
         entries.append((config, dist_id, build_seed))
     if invalid:
         print("\n".join(invalid), file=sys.stderr)

@@ -4,7 +4,8 @@ The analytic bound for a doubly symmetric binary pair with crossover p is the
 lower convex envelope of h(d (*) p) - h(d) and the point (p, 0), where (*) is
 binary convolution.  The experiment harness quantizes random sources, ships
 the short syndrome, decodes against side information, and compares measured
-distortion at the transmitted rate with the bound.
+distortion at the transmitted rate with the bound.  It calls only a code's
+params, quantizer.quantize_all, syndrome and decode.
 """
 
 from __future__ import annotations
@@ -12,18 +13,20 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .builder import CodeParams, CompoundCode, _generator_rows
-from .decoder import SpParams, sp_decode
-from .gf2 import BitVector, ShapeError, _require_ints, mul_vec
-from .quantizer import BipParams, QuantizeResult, _resolve, bip_quantize_all
+from .builder import CodeParams, CompoundCode, CompoundQuantizer
+from .decoder import DecodeResult, SpParams
+from .gf2 import BitVector, _require_ints
+from .quantizer import BipParams, QuantizeResult
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "binary_entropy",
@@ -200,73 +203,10 @@ def bound_curve(p: float, points: int = 200) -> list[tuple[float, float]]:
             for i in range(points)]
 
 
-class CompoundQuantizer:
-    """Bias propagation for one compound code, run in its systematic gauge.
-
-    The quantization check reads (identity | zeros | B), so its codewords are
-    exactly the vectors (B t2, t1, t2) over free blocks t1 and t2.  The middle
-    block copies the source outright at no cost, which leaves fitting
-    (B t2, t2) to the parity and tail blocks of the source.  That residual
-    problem goes to bip_quantize on g_sub, the tail rows of the code's
-    systematic generator g1 without the middle block: row j holds column j
-    of B plus its own tail position, so check degrees stay at the B column
-    weights.  A word's coefficients over g1 are its free blocks (t1, t2).
-    """
-
-    def __init__(self, code: CompoundCode):
-        params = code.params
-        r, b = params.quant_checks, code.b_columns
-        self.n = params.n
-        self.parity_width = r
-        self.mid_width = params.mid_width
-        # row j: B's column j, then its private tail column r + j
-        self.g_sub = _generator_rows(b, b.rows, r + b.rows)
-        # default damping is a fact of g_sub: search it for 4-cycles once
-        self._damping = _resolve(BipParams(), self.g_sub)[1]
-
-    def quantize(self, source: BitVector,
-                 bip: BipParams = BipParams()) -> QuantizeResult:
-        """Codeword of the quantization check close to source in Hamming
-        distance, with its coefficients u over g1 and BiP's counters."""
-        return self.quantize_all([source], bip)[0]
-
-    def quantize_all(self, sources: Sequence[BitVector],
-                     bip: BipParams = BipParams()) -> list[QuantizeResult]:
-        """quantize for every source, all through one bip_quantize_all call."""
-        for source in sources:
-            if source.length != self.n:
-                raise ShapeError(f"source length {source.length} != n {self.n}")
-        r, mid = self.parity_width, self.mid_width
-        parity_mask = (1 << r) - 1
-        local = [BitVector(self.g_sub.cols,
-                           s.bits & parity_mask | s.bits >> (r + mid) << r)
-                 for s in sources]
-        if bip.damping is None:
-            bip = replace(bip, damping=self._damping)
-        out = []
-        for source, res in zip(sources, bip_quantize_all(self.g_sub, local, bip)):
-            sub_word = res.codeword
-            word = BitVector(self.n,
-                             sub_word.bits & parity_mask
-                             | (source.bits >> r & (1 << mid) - 1) << r
-                             | sub_word.bits >> r << (r + mid))
-            out.append(replace(res, u=self.coefficients(word), codeword=word,
-                               distortion=(word ^ source).weight() / self.n))
-        return out
-
-    def coefficients(self, word: BitVector) -> BitVector:
-        """Coefficients u over g1's rows with u @ g1 == word, for a codeword
-        of the quantization check: its free blocks, bits parity_width..n-1."""
-        if word.length != self.n:
-            raise ShapeError(f"word length {word.length} != n {self.n}")
-        return BitVector(self.n - self.parity_width,
-                         word.bits >> self.parity_width)
-
-
 @dataclass(frozen=True)
 class EncodeResult:
-    quantized: QuantizeResult  # the quantizer's result, over g1
-    syndrome: BitVector        # transmitted bits, h2 @ quantized.codeword
+    quantized: QuantizeResult  # the code's quantizer's result
+    syndrome: BitVector        # transmitted bits, code.syndrome(quantized)
 
 
 def encode(code: CompoundCode, source: BitVector,
@@ -278,24 +218,18 @@ def encode(code: CompoundCode, source: BitVector,
 def encode_all(code: CompoundCode, sources: Sequence[BitVector],
                bip: BipParams = BipParams()) -> list[EncodeResult]:
     """encode for every source, quantized together."""
-    return [EncodeResult(q, mul_vec(code.h2, q.codeword))
+    return [EncodeResult(q, code.syndrome(q))
             for q in code.quantizer.quantize_all(sources, bip)]
 
 
 def decode(code: CompoundCode, side_info: BitVector, syndrome: BitVector,
-           sp: SpParams):
+           sp: SpParams) -> DecodeResult:
     """Recover the quantized word from its syndrome and correlated side info.
 
     sp.crossover estimates P(word bit != side info bit); with quantization
-    distortion d1 over a pair channel p that is binary_convolve(d1, p).  The
-    full syndrome is the transmitted part prefixed by zeros, the quantization
-    checks being satisfied by construction.
+    distortion d1 over a pair channel p that is binary_convolve(d1, p).
     """
-    p = code.params
-    if syndrome.length != p.k2:
-        raise ValueError(f"syndrome must have {p.k2} bits")
-    full = BitVector(code.h.rows, syndrome.bits << p.quant_checks)
-    return sp_decode(code.h, full, side_info, sp)
+    return code.decode(side_info, syndrome, sp)
 
 
 @dataclass(frozen=True)
@@ -402,7 +336,10 @@ def run_experiment(code: CompoundCode, config: ExperimentConfig,
     dwz = invert_bound(rt, config.p)  # raises before any trial runs
     code.quantizer  # built here, every pool task carries it with the code
     workers = min(workers, config.trials)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
     # one contiguous chunk of trials per worker, quantized as one batch
     chunk = -(-config.trials // workers)
     with pool or nullcontext():

@@ -25,6 +25,22 @@ CLI_PARAMS = CodeParams(n=2000, m=1914, k1=400, k2=1200)
 # code11 at n = 4000: the geometry of the perfbench code11-p05 workload
 CODE11_PARAMS = CodeParams(n=4000, m=7200, k1=3270, k2=1106)
 
+# geometries that pass validate_params but whose catalog profile has no
+# degree sequences at the half matrix's shape: (profile id, geometry, the
+# profile_fit failure)
+UNFIT_PROFILES = [
+    ("code3", CodeParams(n=10000, m=9570, k1=2000, k2=7200),
+     "cannot realize check degrees: residual -380 edges"),
+    ("code5", CodeParams(n=10000, m=12000, k1=2180, k2=9600),
+     "cannot realize check degrees: residual -51 edges"),
+    ("code11", CodeParams(n=10000, m=18000, k1=8176, k2=2964),
+     "cannot realize check degrees: residual -145 edges"),
+    ("regular-3-10", CodeParams(n=10000, m=18000, k1=8236, k2=3264),
+     "cannot realize check degrees: residual -2500 edges"),
+    ("code1", CodeParams(n=20, m=23, k1=11, k2=8),
+     "a degree-11 variable needs 11 distinct checks but only 8 exist"),
+]
+
 
 def packed_matrix(rows: int, cols: int, bitrows) -> BitMatrix:
     """The rows x cols matrix whose row i has bit c of bitrows[i] at column

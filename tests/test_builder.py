@@ -13,11 +13,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import (CODE11_PARAMS, SMALL_PARAMS, TINY_PARAMS, packed_matrix,
-                      tiny_dist)
+from conftest import (CODE11_PARAMS, SMALL_PARAMS, TINY_PARAMS, UNFIT_PROFILES,
+                      packed_matrix, tiny_dist)
 from wzkit import builder
 from wzkit.builder import (BFS_DEPTH_CAP, CodeParams, CompoundCode,
-                           ParamValidationError, _check_degree_sequence,
+                           ParamValidationError, _check_build,
+                           _check_degree_sequence,
                            _node_degree_sequence, _peg_grow,
                            _repair_full_rank, all_one_diagonalize,
                            assemble_compound, build_compound_code,
@@ -132,6 +133,31 @@ class TestValidateParams:
         with pytest.raises(ParamValidationError):
             build_compound_code(p, tiny_dist(), seed=0)
 
+    @pytest.mark.parametrize("dist_id, params, detail", UNFIT_PROFILES,
+                             ids=[u[0] for u in UNFIT_PROFILES])
+    def test_build_refuses_a_profile_that_cannot_fit(
+            self, catalog, monkeypatch, dist_id, params, detail):
+        """The degree sequences are checked before growth, so the build
+        fails as a validation failure and starts no growth."""
+        grown = []
+        monkeypatch.setattr(builder, "_peg_grow",
+                            lambda *a: grown.append(a))
+        assert validate_params(params).ok
+        with pytest.raises(ParamValidationError,
+                           match="parameter validation failed: profile_fit$"
+                           ) as e:
+            build_compound_code(params, catalog[dist_id].dist, seed=0)
+        assert isinstance(e.value, ValueError) and grown == []
+        assert [(c.name, c.detail) for c in e.value.report.failures()] == [
+            ("profile_fit", detail)]
+
+    def test_a_fitting_profile_adds_no_check(self, catalog):
+        assert (_check_build(SMALL_PARAMS, catalog["code3"].dist)
+                == validate_params(SMALL_PARAMS))
+        # an invalid geometry reports its checks alone
+        p = CodeParams(n=3000, m=2000, k1=548, k2=1212)
+        assert _check_build(p, tiny_dist()) == validate_params(p)
+
 
 class TestPegGenerate:
     def test_degree_sequences_exact_on_fitting_profile(self):
@@ -166,8 +192,9 @@ class TestPegGenerate:
         # the profile implies one check, which cannot take a degree-5
         # variable's five distinct edges
         dist = DegreeDistribution(((5, 1.0),), ((10, 1.0),))
-        with pytest.raises(ValueError, match="^variable 0 needs 5 distinct "
-                                             "checks but only 1 exist$"):
+        with pytest.raises(ValueError, match="^a degree-5 variable needs 5 "
+                                             "distinct checks but only 1 "
+                                             "exist$"):
             _peg_grow(1, 2, dist, 1)
 
 
@@ -541,6 +568,10 @@ class TestAllOneDiagonalize:
             all_one_diagonalize(a)
         assert e.value.rank == rank(a) == 2
 
+    def test_rejects_more_rows_than_columns(self):
+        with pytest.raises(ValueError, match="need rows <= cols, got 3x2"):
+            all_one_diagonalize(BitMatrix(3, 2, [[0], [1], [0, 1]]))
+
 
 class TestRepairFullRank:
     # rows 2, 3 and 4 are dependent: a duplicate of row 0, an empty row and
@@ -701,6 +732,12 @@ class TestAssembleCompound:
         params = CodeParams(n=6, m=5, k1=1, k2=2)
         with pytest.raises(ValueError):
             assemble_compound(half, params)
+
+    def test_rejects_half_of_the_wrong_shape(self):
+        half = BitMatrix(2, 4, [[0], [1]])
+        with pytest.raises(ValueError, match="half matrix must be 2x3, got "
+                                             "2x4"):
+            assemble_compound(half, CodeParams(n=6, m=6, k1=2, k2=2))
 
 
 class TestGeneratorDesign:

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import TINY_CATALOG_TEXT, TINY_PARAMS
-from wzkit import builder, cli, codec
+from conftest import TINY_CATALOG_TEXT, TINY_PARAMS, UNFIT_PROFILES
+from wzkit import builder, cli
 from wzkit.builder import load_code
 from wzkit.codec import CSV_COLUMNS, encode
 from wzkit.gf2 import BitMatrix, BitVector, write_matrix
@@ -58,6 +58,21 @@ class TestBuild:
         ])
         assert rc == 1
         assert "unknown degree profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dist_id, params, detail", UNFIT_PROFILES,
+                             ids=[u[0] for u in UNFIT_PROFILES])
+    def test_profile_that_cannot_fit_exits_two(self, tmp_path, capsys,
+                                               dist_id, params, detail):
+        out = tmp_path / "x"
+        rc = cli.main(["build", "--n", str(params.n), "--m", str(params.m),
+                       "--k1", str(params.k1), "--k2", str(params.k2),
+                       "--dist", dist_id, "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert [line.split()[0] for line in captured.out.splitlines()] == \
+            ["ok"] * 5
+        assert captured.err == f"invalid: profile_fit ({detail})\n"
+        assert not out.exists()
 
     def test_invalid_geometry_exits_two(self, workdir, tmp_path, capsys):
         rc = cli.main([
@@ -168,13 +183,13 @@ class TestQuantizeEncodeDecode:
     def test_commands_quantize_all_words_in_one_call(self, workdir, tmp_path,
                                                      monkeypatch):
         calls = []
-        real = codec.bip_quantize_all
+        real = builder.bip_quantize_all
 
         def recording(g, sources, params):
             calls.append(len(sources))
             return real(g, sources, params)
 
-        monkeypatch.setattr(codec, "bip_quantize_all", recording)
+        monkeypatch.setattr(builder, "bip_quantize_all", recording)
         code = load_code(workdir / "tiny-code")
         sources = [BitVector.from_bits_list([int(c) for c in line]) for line in
                    (workdir / "sources.txt").read_text().splitlines()]
@@ -534,13 +549,13 @@ class TestRun:
     def test_quantizer_keys_reach_bip_quantize(self, workdir, tmp_path,
                                                monkeypatch):
         seen = []
-        real = codec.bip_quantize_all
+        real = builder.bip_quantize_all
 
         def recording(g, sources, params):
             seen.extend([params] * len(sources))
             return real(g, sources, params)
 
-        monkeypatch.setattr(codec, "bip_quantize_all", recording)
+        monkeypatch.setattr(builder, "bip_quantize_all", recording)
         entry = dict(self.experiment(), threshold=0.6, iters_per_round=7)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"experiments": [entry]}))
@@ -605,6 +620,27 @@ class TestRun:
         assert out == ""
         assert {line.split(": ")[1] for line in err.splitlines()} == {
             "experiment 0", "experiment 2"}
+
+    @pytest.mark.parametrize("dist_id, params, detail", UNFIT_PROFILES,
+                             ids=[u[0] for u in UNFIT_PROFILES])
+    def test_profile_that_cannot_fit_fails_before_build(
+            self, tmp_path, monkeypatch, capsys, dist_id, params, detail):
+        builds = []
+        monkeypatch.setattr(cli, "build_compound_code",
+                            lambda *a, **k: builds.append(a))
+        entry = {"code_id": dist_id, "dist": dist_id, "n": params.n,
+                 "m": params.m, "k1": params.k1, "k2": params.k2,
+                 "p": 0.25, "trials": 2, "seed": 3}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiments": [entry]}))
+        out = tmp_path / "o.csv"
+        rc = cli.main(["run", "--config", str(config), "--out", str(out)])
+        assert (rc, builds) == (2, [])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"invalid: experiment 0: profile_fit ({detail})\n")
+        assert not out.exists()
 
     def test_shipped_infeasible_config_exits_two(self, tmp_path, monkeypatch,
                                                  capsys):

@@ -1,5 +1,6 @@
 """End-to-end pipeline, analytic bound, and the experiment harness."""
 
+import concurrent.futures
 import dataclasses
 import functools
 import io
@@ -19,10 +20,11 @@ from wzkit.codec import (CSV_COLUMNS, CompoundQuantizer, ExperimentConfig,
                          encode, encode_all, invert_bound, run_experiment,
                          write_curve_csv, write_results_csv, wz_boundary,
                          wz_rate)
-from wzkit.decoder import SpParams
+from wzkit.decoder import DecodeResult, SpParams
 from wzkit.gf2 import (BitMatrix, BitVector, ShapeError, mat_mul, mul_vec,
                        transpose)
-from wzkit.quantizer import BipParams, bip_quantize_all, generator_codeword
+from wzkit.quantizer import (BipParams, QuantizeResult, bip_quantize_all,
+                             generator_codeword)
 
 # defaults, an undamped run with a large gamma, and a damped low threshold
 QUANTIZE_BIPS = [BipParams(), BipParams(gamma=20.0, damping=0.0),
@@ -352,6 +354,94 @@ class TestEncodeDecode:
                    BitVector(TINY_PARAMS.k2 + 1, 0), SpParams(crossover=0.1))
 
 
+class TinyLdgmCode:
+    """A construction that lives only here: a 4x6 generator G quantizes, and
+    its coefficients u obey one check H1 u = 0 and send one bit H2 u, as
+    Wainwright & Martinian nest an LDGM and an LDPC code.  Quantizing and
+    decoding search the admissible u exhaustively, the lowest u first on
+    ties.  It has only what the pipeline may call: params, a quantizer with
+    quantize_all (itself), syndrome and decode."""
+
+    params = CodeParams(n=6, m=4, k1=1, k2=1)
+    _G = BitMatrix(4, 6, [[0, 1, 3], [1, 2, 4], [2, 3, 5], [0, 4, 5]])
+    _H1 = BitMatrix(1, 4, [[0, 1, 2]])
+    _H2 = BitMatrix(1, 4, [[1, 3]])
+
+    @property
+    def quantizer(self):
+        return self
+
+    def _nearest(self, target, syndrome=None):
+        """(u, u G) nearest target over the u with H1 u = 0, and H2 u =
+        syndrome when one is given."""
+        us = [BitVector(4, bits) for bits in range(16)]
+        us = [u for u in us if mul_vec(self._H1, u).weight() == 0
+              and (syndrome is None or mul_vec(self._H2, u) == syndrome)]
+        return min(((u, generator_codeword(self._G, u)) for u in us),
+                   key=lambda uw: uw[1].hamming(target))
+
+    def quantize_all(self, sources, bip=BipParams()):
+        out = []
+        for source in sources:
+            u, word = self._nearest(source)
+            out.append(QuantizeResult(u, word, word.hamming(source) / 6,
+                                      0, 0, 0))
+        return out
+
+    def syndrome(self, q):
+        return mul_vec(self._H2, q.u)
+
+    def decode(self, side_info, syndrome, sp):
+        return DecodeResult(self._nearest(side_info, syndrome)[1], True, 0)
+
+
+class TestConstructionSeam:
+    """The pipeline runs a code it knows only through params, quantizer,
+    syndrome and decode."""
+
+    def test_stages_call_the_code(self):
+        code = TinyLdgmCode()
+        rng = random.Random(9)
+        sources = [BitVector(6, rng.getrandbits(6)) for _ in range(4)]
+        encoded = encode_all(code, sources)
+        assert encoded == [encode(code, s) for s in sources]
+        sp = SpParams(crossover=0.1)
+        for source, enc in zip(sources, encoded):
+            q = code.quantize_all([source])[0]
+            assert enc.quantized == q
+            assert enc.syndrome == code.syndrome(q)
+            side = source ^ BitVector(6, 1 << rng.randrange(6))
+            assert (decode(code, side, enc.syndrome, sp)
+                    == code.decode(side, enc.syndrome, sp))
+
+    def test_run_experiment_measures_the_code(self):
+        code = TinyLdgmCode()
+        config = ExperimentConfig(code_id="tiny-ldgm", params=code.params,
+                                  p=0.1, trials=8, seed=3)
+        result = run_experiment(code, config, workers=1)
+        # the same trials measured by the code itself
+        n, trials = code.params.n, config.trials
+        quantized, decoded, sources = [], [], []
+        for trial in range(trials):
+            rng = codec._trial_rng(config.seed, trial)
+            source = BitVector.from_array(rng.integers(0, 2, size=n,
+                                                       dtype=np.int64))
+            side = source ^ BitVector.from_array(rng.random(n) < config.p)
+            q = code.quantize_all([source])[0]
+            sources.append(source)
+            quantized.append(q)
+            decoded.append(code.decode(side, code.syndrome(q), None))
+        assert result.d1 == sum(q.distortion for q in quantized) / trials
+        assert result.d2 == sum(d.bits.hamming(q.codeword) / n for q, d
+                                in zip(quantized, decoded)) / trials
+        assert result.dt == sum(d.bits.hamming(s) / n for s, d
+                                in zip(sources, decoded)) / trials
+        assert result.failures == 0
+        # one decode of the eight lands four bits from its word
+        assert (result.d1, result.d2, result.dt) == pytest.approx(
+            (8 / 48, 4 / 48, 10 / 48))
+
+
 class TestRunExperiment:
     def config(self, trials=3):
         return ExperimentConfig(code_id="tiny", params=TINY_PARAMS, p=0.25,
@@ -369,12 +459,12 @@ class TestRunExperiment:
                                                    workers, pools):
         sizes = []
 
-        class Spy(codec.ProcessPoolExecutor):
+        class Spy(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(codec, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
         config = self.config(trials=trials)
         assert (run_experiment(tiny_code, config, workers=workers)
                 == run_experiment(tiny_code, config, workers=1))

@@ -466,6 +466,11 @@ class TestCosetMembers:
         with pytest.raises(ValueError):
             coset_members(h, BitVector(1, 0))
 
+    def test_syndrome_length_must_match_rows(self):
+        h = BitMatrix(2, 3, [[0, 1], [1, 2]])
+        with pytest.raises(ShapeError, match="syndrome length 3 != rows 2"):
+            coset_members(h, BitVector(3, 0))
+
 
 class TestCosetNearest:
     def test_returns_exact_member(self):
@@ -478,6 +483,13 @@ class TestCosetNearest:
         assert (member ^ target).weight() == dist
         assert dist == min((m ^ target).weight()
                            for m in coset_members(h, syndrome))
+
+    def test_lengths_must_match(self):
+        h = BitMatrix(2, 3, [[0, 1], [1, 2]])
+        with pytest.raises(ShapeError, match="target length 4 != cols 3"):
+            coset_nearest(h, BitVector(2, 0), BitVector(4, 0))
+        with pytest.raises(ShapeError, match="syndrome length 1 != rows 2"):
+            coset_nearest(h, BitVector(1, 0), BitVector(3, 0))
 
 
 class TestSpDecode:

@@ -19,6 +19,11 @@ class TestParsePolynomial:
         with pytest.raises(ValueError):
             parse_polynomial("0.5 y^2 + 0.5 x^3")
 
+    @pytest.mark.parametrize("text", ["", " + ", "+"])
+    def test_empty_polynomial_rejected(self, text):
+        with pytest.raises(ValueError, match="empty polynomial"):
+            parse_polynomial(text)
+
 
 class TestDegreeDistribution:
     def test_fractions_must_sum_to_one(self):
@@ -28,6 +33,21 @@ class TestDegreeDistribution:
     def test_degrees_strictly_increasing(self):
         with pytest.raises(ValueError):
             DegreeDistribution(((3, 0.5), (2, 0.5)), ((3, 1.0),))
+
+    @pytest.mark.parametrize("lam, rho, message", [
+        ((), ((3, 1.0),), "lambda side has no terms"),
+        (((3, 1.0),), (), "rho side has no terms"),
+        (((1, 0.5), (3, 0.5)), ((3, 1.0),), "lambda node degrees must be >= 2"),
+        (((3, 1.0),), ((1, 1.0),), "rho node degrees must be >= 2"),
+        (((2, 1.5), (3, -0.5)), ((3, 1.0),), r"lambda fractions must lie in "
+                                             r"\(0, 1\]"),
+        (((3, 1.0),), ((2, 0.0), (3, 1.0)), r"rho fractions must lie in "
+                                            r"\(0, 1\]")],
+        ids=["no-lambda", "no-rho", "lambda-degree-1", "rho-degree-1",
+             "lambda-out-of-range", "rho-zero"])
+    def test_malformed_sides_rejected(self, lam, rho, message):
+        with pytest.raises(ValueError, match=message):
+            DegreeDistribution(lam, rho)
 
 
 class TestDesignRate:
@@ -77,6 +97,15 @@ class TestCatalog:
     def test_total_too_far_from_one_rejected(self):
         with pytest.raises(ValueError, match="lambda fractions sum to 0.9"):
             parse_catalog(self.entry("0.3 x^1 + 0.6 x^2"))
+
+    def test_duplicate_id_rejected(self):
+        with pytest.raises(ValueError, match="duplicate catalog id 'c'"):
+            parse_catalog(self.entry("1.0 x^2") + self.entry("1.0 x^3"))
+
+    def test_unrecognized_line_rejected(self):
+        with pytest.raises(ValueError,
+                           match="unrecognized catalog line: 'stray words'"):
+            parse_catalog(self.entry("1.0 x^2") + "stray words\n")
 
     def test_parse_catalog_rejects_missing_field(self):
         with pytest.raises(ValueError):

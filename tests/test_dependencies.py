@@ -2,8 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,6 +51,62 @@ def test_scan_sees_lazy_imports(tmp_path):
         "def bound():\n"
         "    from scipy.optimize import brentq\n")
     assert third_party_imports(tmp_path) == {"numpy", "scipy"}
+
+
+def codec_importers(package: Path) -> set[str]:
+    """Stems of the package's modules that import its codec module, lazy
+    imports included, in any spelling of the import."""
+    found = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                hit = any(a.name == "wzkit.codec" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                hit = base in (".codec", "wzkit.codec") or (
+                    base in (".", "wzkit")
+                    and any(a.name == "codec" for a in node.names))
+            else:
+                continue
+            if hit:
+                found.add(path.stem)
+    return found
+
+
+def test_only_the_front_ends_import_codec(tmp_path):
+    """codec runs the pipeline over a code; the modules below it, builder
+    among them, never reach back into it."""
+    for i, line in enumerate(["from .codec import decode",
+                              "from . import codec, gf2",
+                              "import wzkit.codec",
+                              "from wzkit.codec import encode",
+                              "from wzkit import codec",
+                              "from .gf2 import BitVector",
+                              "from . import codecs"]):
+        (tmp_path / f"m{i}.py").write_text(f"def lazy():\n    {line}\n")
+    assert codec_importers(tmp_path) == {f"m{i}" for i in range(5)}
+    assert codec_importers(PACKAGE) == {"cli", "__init__"}
+
+
+def test_serial_run_never_imports_the_process_pool():
+    """A workers=1 run_experiment leaves multiprocessing unloaded; the pool
+    is imported only for a run that starts one."""
+    script = (
+        "import sys, wzkit\n"
+        "from wzkit import (CodeParams, DegreeDistribution,\n"
+        "                   ExperimentConfig, build_compound_code,\n"
+        "                   run_experiment)\n"
+        "params = CodeParams(n=96, m=92, k1=20, k2=60)\n"
+        "dist = DegreeDistribution(((3, 1.0),), ((3, 0.571429), "
+        "(4, 0.428571)))\n"
+        "code = build_compound_code(params, dist, seed=5)\n"
+        "run_experiment(code, ExperimentConfig('tiny', params, p=0.25, "
+        "trials=2, seed=1), workers=1)\n"
+        "print('multiprocessing' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert proc.stdout.strip() == "False"
 
 
 MODULES = ("gf2", "degrees", "builder", "quantizer", "decoder", "codec")

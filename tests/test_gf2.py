@@ -778,3 +778,44 @@ def test_read_matrix_rejects_rows_beyond_header(text, lineno):
     with pytest.raises(ValueError, match=f"line {lineno}: row beyond the 2 rows "
                        "the header declares: '5'"):
         read_matrix(io.StringIO(text))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: BitVector.from_array(np.zeros((2, 2), dtype=np.int64)),
+     ShapeError, r"1-D array of bits, got shape \(2, 2\)"),
+    (lambda: BitVector(3, 0)[3], IndexError, "3"),
+    (lambda: BitVector(3, 0)[-1], IndexError, "-1"),
+    (lambda: BitVector(3, 0).hamming(BitVector(4, 0)), ShapeError,
+     "length 3 vs 4"),
+    (lambda: BitMatrix.from_arrays(2, 3, [2, -1], [0]), ShapeError,
+     "counts >= 0"),
+    (lambda: BitMatrix.from_arrays(2, 3, [[1], [1]], [0, 1]), ShapeError,
+     "1-D array"),
+    (lambda: BitMatrix.from_arrays(2, 3, [1, 1], [0, 1, 2]), ShapeError,
+     "row lengths sum to 2, but 3 columns are given"),
+    (lambda: BitMatrix(2, 3, [[0], [1]]).row_block(1, 3), ShapeError,
+     "rows 1..2 of a 2-row matrix"),
+    (lambda: BitMatrix(2, 3, [[0], [1]]).row_block(2, 1), ShapeError,
+     "rows 2..0"),
+    (lambda: mul_vec(BitMatrix(2, 3, [[0], [1]]), BitVector(4, 0)),
+     ShapeError, "cannot apply 2x3 to length-4 vector"),
+    (lambda: transpose(BitMatrix(0, 3, [])), ShapeError,
+     "cannot transpose an empty matrix"),
+    (lambda: permute(BitMatrix(2, 3, [[0], [1]]), (0, 0), (0, 1, 2)),
+     ValueError, "row_perm is not a permutation"),
+    (lambda: permute(BitMatrix(2, 3, [[0], [1]]), (1, 0), (0, 1)),
+     ValueError, "col_perm is not a permutation"),
+], ids=["vector-2d", "index-past-end", "index-negative", "hamming-lengths",
+        "negative-length", "lengths-2d", "lengths-sum", "block-past-end",
+        "block-reversed", "mul-vec-lengths", "transpose-no-rows",
+        "row-perm", "col-perm"])
+def test_error_paths(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_matrix_attributes_cannot_be_assigned():
+    m = BitMatrix(2, 3, [[0], [1]])
+    with pytest.raises(AttributeError, match="BitMatrix is immutable"):
+        m.rows = 3
+    assert m.rows == 2

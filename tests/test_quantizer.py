@@ -256,6 +256,11 @@ class TestBipQuantizeAll:
         g = random_generator(rng, rows, cols, density)
         return g, [BitVector(cols, rng.getrandbits(cols)) for _ in range(count)]
 
+    def test_generator_without_rows_rejected(self):
+        with pytest.raises(ShapeError,
+                           match="generator needs at least one row"):
+            bip_quantize_all(BitMatrix(0, 3, []), [BitVector(3, 0b101)])
+
     @pytest.mark.parametrize("params", [
         BipParams(),
         BipParams(damping=0.0),
