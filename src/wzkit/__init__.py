@@ -16,9 +16,9 @@ from .builder import (CodeParams, CompoundCode, CompoundQuantizer,
                       all_one_diagonalize, assemble_compound,
                       build_compound_code, empirical_fractions, load_code,
                       peg_generate, save_code, validate_params)
-from .quantizer import (BipParams, QuantizeResult, bip_quantize,
-                        bip_quantize_all, exhaustive_quantize,
-                        generator_codeword, has_four_cycle)
+from .quantizer import (BipParams, QuantizeResult, bip_quantize_all,
+                        exhaustive_quantize, generator_codeword,
+                        has_four_cycle)
 from .decoder import (DecodeResult, SpParams, coset_members, coset_nearest,
                       sp_decode)
 from .codec import (EncodeResult, ExperimentConfig, ExperimentResult,
@@ -43,8 +43,8 @@ __all__ = [
     "build_compound_code", "empirical_fractions", "load_code", "peg_generate",
     "save_code", "validate_params",
     # quantizer
-    "BipParams", "QuantizeResult", "bip_quantize", "bip_quantize_all",
-    "exhaustive_quantize", "generator_codeword", "has_four_cycle",
+    "BipParams", "QuantizeResult", "bip_quantize_all", "exhaustive_quantize",
+    "generator_codeword", "has_four_cycle",
     # decoder
     "DecodeResult", "SpParams", "coset_members", "coset_nearest", "sp_decode",
     # codec

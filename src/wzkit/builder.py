@@ -625,8 +625,9 @@ def hopcroft_karp(adjacency: list[list[int]], n_left: int, n_right: int) -> list
     return match_l
 
 
-def all_one_diagonalize(a: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Permutations making every diagonal entry of permute(a, ...) equal one.
+def all_one_diagonalize(a: BitMatrix) -> tuple[int, ...]:
+    """A column order making every diagonal entry of
+    permute(a, range(a.rows), order) equal one.
 
     Requires full row rank and rows <= cols.  An invertible column subset, the
     pivot columns, is read from a's cached row elimination
@@ -634,8 +635,9 @@ def all_one_diagonalize(a: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]
     rank-deficient a raises RankDeficiencyError carrying its rank.  A perfect
     matching between rows and those columns over the support supplies the
     diagonal (such a matching exists because the invertible submatrix has odd
-    permanent).  Rows stay in place; matched columns move onto the diagonal
-    and the leftovers follow in ascending order.
+    permanent).  Rows stay in place, so only the column order is returned:
+    matched columns move onto the diagonal and the leftovers follow in
+    ascending order.
     """
     if a.rows > a.cols:
         raise ValueError(f"need rows <= cols, got {a.rows}x{a.cols}")
@@ -651,8 +653,7 @@ def all_one_diagonalize(a: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]
                                   sum(m != -1 for m in matching))
     diag_cols = [pivot_cols[m] for m in matching]
     used = set(diag_cols)
-    col_perm = tuple(diag_cols) + tuple(c for c in range(a.cols) if c not in used)
-    return tuple(range(a.rows)), col_perm
+    return tuple(diag_cols) + tuple(c for c in range(a.cols) if c not in used)
 
 
 def assemble_compound(a: BitMatrix, params: CodeParams) -> BitMatrix:
@@ -715,10 +716,10 @@ class CompoundQuantizer:
     The codewords of the quantization check are (B t2, t1, t2) over free
     blocks t1 and t2 (CompoundCode.g1).  The middle block copies the source
     at no cost, which leaves fitting (B t2, t2) to the parity and tail blocks
-    of the source: bip_quantize on g_sub, g1's tail rows without the middle
-    block, whose row j holds column j of B plus its own tail position, so
-    check degrees stay at B's column weights.  A word's coefficients over g1
-    are its free blocks (t1, t2)."""
+    of the source: bip_quantize_all on g_sub, g1's tail rows without the
+    middle block, whose row j holds column j of B plus its own tail
+    position, so check degrees stay at B's column weights.  A word's
+    coefficients over g1 are its free blocks (t1, t2)."""
 
     def __init__(self, code: CompoundCode):
         params = code.params
@@ -830,10 +831,6 @@ class CompoundCode:
         """The syndrome check: the k2 rows of h below h1."""
         return self.h.row_block(self.params.quant_checks, self.h.rows)
 
-    @property
-    def rates(self) -> tuple[float, float, float]:
-        return self.params.rates
-
     @cached_property
     def quantizer(self) -> CompoundQuantizer:
         """The code's CompoundQuantizer, built once; pool tasks get it built."""
@@ -867,8 +864,7 @@ def build_compound_code(params: CodeParams, dist: DegreeDistribution, seed: int,
     rng = random.Random(seed)
     seed_peg = rng.randrange(2 ** 62)
     half = peg_generate(params.half_rows, params.half_cols, dist, seed_peg)
-    row_perm, col_perm = all_one_diagonalize(half)
-    half = permute(half, row_perm, col_perm)
+    half = permute(half, range(half.rows), all_one_diagonalize(half))
     h = assemble_compound(half, params)
     return CompoundCode(params, h, seed, dist_id)
 
@@ -876,7 +872,7 @@ def build_compound_code(params: CodeParams, dist: DegreeDistribution, seed: int,
 def save_code(code: CompoundCode, directory: str | Path) -> None:
     """Write manifest.json and h.txt into directory.  The manifest text is
     made first, so a code it cannot record leaves no files behind."""
-    r1, r2, rt = code.rates
+    r1, r2, rt = code.params.rates
     manifest = json.dumps({
         "params": asdict(code.params),
         "seed": code.seed,

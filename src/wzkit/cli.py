@@ -120,7 +120,7 @@ def _cmd_build(args) -> int:
         return EXIT_INVALID
     code = build_compound_code(params, entry.dist, args.seed, dist_id=args.dist)
     save_code(code, args.out)
-    r1, r2, rt = code.rates
+    r1, r2, rt = params.rates
     print(f"built {args.dist} at n={params.n}: R1={r1:.4f} R2={r2:.4f} Rt={rt:.4f}")
     print(f"saved to {args.out}")
     return EXIT_OK

@@ -48,7 +48,7 @@ def _check_product(theta: np.ndarray, edge_check: np.ndarray,
                    n_checks: int) -> np.ndarray:
     """Per-edge product of the other incoming values on the same check.
 
-    The check update on an edge list, as bip_quantize runs it on its live
+    The check update on an edge list, as bip_quantize_all runs it on its live
     subgraph; sp_decode's _slot_check_pass runs the same formula's
     magnitude on padded check slots, goes on to a capped arctanh in half
     LLRs and sets the sign last.  Edges may come in any order and a

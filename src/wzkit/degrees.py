@@ -47,10 +47,6 @@ class DegreeDistribution:
             if abs(total - 1.0) > 1e-6:
                 raise ValueError(f"{name} fractions sum to {total}, expected 1")
 
-    @property
-    def max_lambda_degree(self) -> int:
-        return self.lambda_terms[-1][0]
-
 
 @dataclass(frozen=True)
 class CatalogEntry:

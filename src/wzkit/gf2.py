@@ -454,15 +454,13 @@ class EchelonBasis:
 
 def _column_basis(a: BitMatrix) -> tuple[EchelonBasis, list[int], list[int]]:
     """One pass over a's columns, left to right, column c tagged 1 << c.
+    Column c is row c of transpose(a), packed as echelon() packs rows.
 
     Returns (basis, pivot columns, null vectors).  The basis solves a x = y
     for x.  Each dependent column f yields the null vector made of f and the
     earlier pivot columns that sum to it, in ascending order of f.
     """
-    cols = [0] * a.cols
-    for i, sup in enumerate(a.row_support):
-        for c in sup:
-            cols[c] |= 1 << i
+    cols = transpose(a).bitrows() if a.rows else (0,) * a.cols
     basis = EchelonBasis(a.cols)
     pivots, null = [], []
     for c, bits in enumerate(cols):
@@ -528,7 +526,7 @@ def write_matrix(f: TextIO, a: BitMatrix) -> None:
 
 # read_matrix parses this many row lines at a time, which bounds its
 # temporaries whatever the size of the matrix
-_PARSE_LINES = 256
+_PARSE_LINES = 4096
 # byte classes of the matrix format: 1 ASCII whitespace, 2 digit, 3 sign,
 # 0 anything else
 _BYTE_CLASS = np.zeros(256, dtype=np.uint8)

@@ -14,7 +14,6 @@ from .gf2 import BitMatrix, BitVector, ShapeError, _require_ints
 __all__ = [
     "BipParams",
     "QuantizeResult",
-    "bip_quantize",
     "bip_quantize_all",
     "exhaustive_quantize",
     "generator_codeword",
@@ -103,13 +102,6 @@ def _resolve(params: BipParams, g: BitMatrix) -> tuple[float, float]:
     else:
         damping = 0.5 if has_four_cycle(g) else 0.0
     return gamma, damping
-
-
-def bip_quantize(g: BitMatrix, source: BitVector, params: BipParams = BipParams()
-                 ) -> QuantizeResult:
-    """Pick an information word u whose codeword u @ g sits close to source;
-    bip_quantize_all on one word."""
-    return bip_quantize_all(g, [source], params)[0]
 
 
 def bip_quantize_all(g: BitMatrix, sources: Sequence[BitVector],

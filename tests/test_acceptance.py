@@ -23,7 +23,8 @@ from wzkit.codec import (ExperimentConfig, binary_convolve, binary_entropy,
 from wzkit.decoder import SpParams, coset_nearest, sp_decode
 from wzkit.degrees import design_rate
 from wzkit.gf2 import BitMatrix, BitVector, mat_mul, mul_vec, rank, transpose
-from wzkit.quantizer import bip_quantize, exhaustive_quantize, generator_codeword
+from wzkit.quantizer import (bip_quantize_all, exhaustive_quantize,
+                             generator_codeword)
 
 import test_builder
 import test_decoder
@@ -276,8 +277,7 @@ def test_07_property_suites(tiny_code, small_code, scaled_code):
         if rank(a) < 8:
             continue
         done += 1
-        row_perm, col_perm = all_one_diagonalize(a)
-        b = permute(a, row_perm, col_perm)
+        b = permute(a, range(a.rows), all_one_diagonalize(a))
         diag_ok += all(i in sup for i, sup in enumerate(b.row_support))
     suites.append(("all_one_diagonalize_100_full_rank", diag_ok == 100))
 
@@ -318,7 +318,7 @@ def test_07_property_suites(tiny_code, small_code, scaled_code):
         cols = rows + rng.randrange(4, 12)
         g = test_quantizer.random_generator(rng, rows, cols)
         src = BitVector(cols, rng.getrandbits(cols))
-        res = bip_quantize(g, src)
+        res = bip_quantize_all(g, [src])[0]
         _, d_min = exhaustive_quantize(g, src)
         bip_ok = bip_ok and res.distortion >= d_min - 1e-12
     suites.append(("bip_never_beats_exhaustive_100", bip_ok))

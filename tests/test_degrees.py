@@ -78,7 +78,7 @@ class TestCatalog:
         assert entry.code_id == "code3"
         assert entry.one_minus_r2 == 0.843
         assert entry.dist.rho_terms == ((4, 0.5), (5, 0.5))
-        assert entry.dist.max_lambda_degree == 67
+        assert entry.dist.lambda_terms[-1][0] == 67
 
     def test_code3_design_rate_frozen(self, catalog):
         # long-hand: 1 - (0.5/4 + 0.5/5) / sum(f_i / d_i) after renormalizing

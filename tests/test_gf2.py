@@ -128,6 +128,33 @@ def test_echelon_matches_reference():
         assert a.echelon() == (tuple(ref.pivots()), dependent), a.row_support
 
 
+def reference_column_basis(a):
+    """_column_basis as it packed columns before it read transpose(a): an
+    O(nnz) loop over row_support; kept as its reference."""
+    cols = [0] * a.cols
+    for i, sup in enumerate(a.row_support):
+        for c in sup:
+            cols[c] |= 1 << i
+    basis = EchelonBasis(a.cols)
+    pivots, null = [], []
+    for c, bits in enumerate(cols):
+        left = basis.reduce(bits << a.cols | 1 << c)
+        if basis.insert(left):
+            pivots.append(c)
+        else:
+            null.append(left)
+    return basis, pivots, null
+
+
+def test_column_basis_matches_reference():
+    """Same pivots, null vectors and basis rows, 0-row matrices included."""
+    for a in elimination_cases():
+        basis, pivots, null = _column_basis(a)
+        ref, ref_pivots, ref_null = reference_column_basis(a)
+        assert (pivots, null) == (ref_pivots, ref_null), a.row_support
+        assert basis._rows == ref._rows and len(basis) == len(ref)
+
+
 class TestEchelonBasis:
     def test_dependent_insert_leaves_basis_unchanged(self):
         basis = EchelonBasis()
@@ -741,6 +768,19 @@ def test_read_matrix_rejects_indices_int_would_read(text, parse_lines,
     # decimal integers only
     monkeypatch.setattr(gf2, "_PARSE_LINES", parse_lines)
     with pytest.raises(ValueError, match="line 4: .* is not a decimal integer"):
+        read_matrix(io.StringIO(text))
+
+
+@pytest.mark.parametrize("bad_row", [4095, 4096, 4500])
+def test_read_matrix_names_the_line_past_the_first_chunk(bad_row):
+    # 5000 rows span two chunks of the default _PARSE_LINES = 4096; the
+    # header is line 1, so row i is line i + 2.  int() reads "1_0", so the
+    # error is the reader's own, which names the line
+    lines = ["1 3"] * 5000
+    lines[bad_row] = "1 1_0"
+    text = "5000 5\n" + "\n".join(lines) + "\n"
+    with pytest.raises(ValueError,
+                       match=f"^line {bad_row + 2}: '1_0' is not a decimal"):
         read_matrix(io.StringIO(text))
 
 

@@ -11,9 +11,8 @@ from wzkit import quantizer
 from wzkit.decoder import _check_product
 from wzkit.gf2 import BitMatrix, BitVector, ShapeError
 from wzkit.quantizer import (EXHAUSTIVE_LIMIT, BipParams, QuantizeResult,
-                             bip_quantize, bip_quantize_all,
-                             exhaustive_quantize, generator_codeword,
-                             has_four_cycle)
+                             bip_quantize_all, exhaustive_quantize,
+                             generator_codeword, has_four_cycle)
 
 
 def random_generator(rng, rows, cols, density=0.35):
@@ -194,6 +193,8 @@ class TestBipParams:
 
 
 class TestBipQuantize:
+    """One word at a time: bip_quantize_all on a batch of one."""
+
     def test_never_beats_exhaustive_oracle(self):
         """Heuristic distortion is bounded below by the exact minimum, 100 codebooks."""
         rng = random.Random(0xBEEF)
@@ -202,7 +203,7 @@ class TestBipQuantize:
             cols = rows + rng.randrange(4, 12)
             g = random_generator(rng, rows, cols)
             src = BitVector(cols, rng.getrandbits(cols))
-            res = bip_quantize(g, src)
+            res = bip_quantize_all(g, [src])[0]
             _, d_min = exhaustive_quantize(g, src)
             assert res.distortion >= d_min - 1e-12
             word = generator_codeword(g, res.u)
@@ -216,14 +217,14 @@ class TestBipQuantize:
         for _ in range(50):
             g = random_generator(rng, 6, 16)
             word = generator_codeword(g, BitVector(6, rng.getrandbits(6)))
-            res = bip_quantize(g, word)
+            res = bip_quantize_all(g, [word])[0]
             hits += res.distortion == 0.0
         assert hits >= 45
 
     def test_counters_and_shapes(self):
         rng = random.Random(3)
         g = random_generator(rng, 8, 20)
-        res = bip_quantize(g, BitVector(20, rng.getrandbits(20)))
+        res = bip_quantize_all(g, [BitVector(20, rng.getrandbits(20))])[0]
         assert res.steps >= 1
         assert res.u.length == 8
         assert res.fallback_fixes >= 0
@@ -232,14 +233,14 @@ class TestBipQuantize:
     def test_shape_error(self):
         g = BitMatrix(2, 4, [[0], [1]])
         with pytest.raises(ShapeError):
-            bip_quantize(g, BitVector(3, 0))
+            bip_quantize_all(g, [BitVector(3, 0)])
 
     def test_deterministic(self):
         rng = random.Random(11)
         g = random_generator(rng, 10, 24)
         src = BitVector(24, rng.getrandbits(24))
-        a = bip_quantize(g, src)
-        b = bip_quantize(g, src)
+        a = bip_quantize_all(g, [src])[0]
+        b = bip_quantize_all(g, [src])[0]
         assert a == b
 
 
@@ -248,7 +249,7 @@ class TestBipQuantizeAll:
 
     @staticmethod
     def alone(g, sources, params):
-        return [bip_quantize(g, s, params) for s in sources]
+        return [bip_quantize_all(g, [s], params)[0] for s in sources]
 
     @staticmethod
     def case(seed, rows, cols, count, density=0.2):
@@ -624,7 +625,7 @@ class TestSkipsUntouchedComponents:
         that step runs no sweep at all."""
         g, source = self.DISJOINT
         params = BipParams(threshold=0.99, iters_per_round=5)
-        res = bip_quantize(g, source, params)
+        res = bip_quantize_all(g, [source], params)[0]
         assert res.steps == 1
         assert sweep_sizes == []
         reference = quantize_with_reference(monkeypatch, g, [source], params)
@@ -644,7 +645,7 @@ class TestSkipsUntouchedComponents:
         g = BitMatrix(7, 13, block_a + [[11, 12]])
         source = BitVector(13, 0b01_001_1010_0110)
         params = BipParams(iters_per_round=5)
-        res = bip_quantize(g, source, params)
+        res = bip_quantize_all(g, [source], params)[0]
         assert res.steps >= 3
         assert sweep_sizes[:5] == [23] * 5
         later = sweep_sizes[5:]
