@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -72,61 +71,23 @@ def _curve_slope(d: float, p: float) -> float:
             - math.log2((1.0 - d) / d))
 
 
-# Brent's root finder (Brent 1973, ch. 4) as scipy's brentq.c runs it, step
-# for step, so the tangency point matches scipy.optimize.brentq bit for bit.
-_BRENT_XTOL = 1e-12
-_BRENT_RTOL = 4 * sys.float_info.epsilon
-_BRENT_MAXITER = 100
 # invert_bound bisects the distortion down to an interval this wide
 _BISECT_WIDTH = 1e-9
 
 
-def _brentq(f, xa: float, xb: float) -> float | None:
-    """Root of f in [xa, xb]; None when f(xa) and f(xb) share a sign."""
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        return None
-    for _ in range(_BRENT_MAXITER):
-        if (fpre != 0 and fcur != 0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            a, b = abs(spre), 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (a if a < b else b):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+def _bisect(below, lo: float, hi: float, width: float) -> float:
+    """Bisect [lo, hi] on below, which holds left of the root, until the
+    ends lie at most width apart or are adjacent doubles; return their
+    midpoint."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if below(mid):
+            lo = mid
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"Brent's method did not converge in "
-                       f"{_BRENT_MAXITER} iterations, value is {xcur}")
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def wz_boundary(p: float) -> tuple[float, float]:
@@ -144,9 +105,16 @@ def wz_boundary(p: float) -> tuple[float, float]:
     def f(d: float) -> float:
         return _curve_slope(d, p) * (p - d) + _curve(d, p)
 
+    # f rises through its root, so the bracket holds it when f(lo) < 0 <
+    # f(hi); below p = 1.65e-6 the root lies under lo, and within about 1e-8
+    # of 0.5 f(hi) is rounding noise
     lo, hi = 1e-12, p - 1e-12
-    d_c = _brentq(f, lo, hi) if lo < hi else None
-    if d_c is None:
+    f_lo, f_hi = (f(lo), f(hi)) if lo < hi else (math.nan, math.nan)
+    if f_lo == 0.0 or f_hi == 0.0:
+        d_c = lo if f_lo == 0.0 else hi
+    elif f_lo < 0.0 < f_hi:
+        d_c = _bisect(lambda d: f(d) < 0.0, lo, hi, 0.0)
+    else:
         raise ValueError(
             f"crossover {p!r} has no computable tangency point: "
             f"[1e-12, p - 1e-12] brackets it only for p from about 1.65e-6 "
@@ -185,14 +153,8 @@ def invert_bound(rate: float, p: float) -> float:
     if rate >= binary_entropy(p):
         return 0.0
     d_c, r_c = wz_boundary(p)
-    lo, hi = 0.0, p
-    while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if _rate(mid, p, d_c, r_c) > rate:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda d: _rate(d, p, d_c, r_c) > rate, 0.0, p,
+                   _BISECT_WIDTH)
 
 
 def bound_curve(p: float, points: int = 200) -> list[tuple[float, float]]:

@@ -570,7 +570,7 @@ def _parse_rows(lines: list[str], first_lineno: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """How many indices each line holds, and all of them in order, 0-based,
     parsed from the lines' bytes at once.  The first malformed index raises
-    ValueError, in int()'s words where int() rejects it too."""
+    ValueError naming its line."""
     text = "\n".join(lines).encode()
     raw = np.frombuffer(text, dtype=np.uint8)
     kind = _BYTE_CLASS[raw]
@@ -588,7 +588,6 @@ def _parse_rows(lines: list[str], first_lineno: int
         lo = int(np.flatnonzero(first[:at + 1])[-1])
         hi = at + int(np.argmax(np.append(space[at:], True)))
         token = text[lo:hi].decode()
-        int(token)  # int()'s own ValueError where it rejects the token too
         lineno = first_lineno + text.count(b"\n", 0, at)
         raise ValueError(f"line {lineno}: {token!r} is not a decimal integer")
     starts = np.flatnonzero(first)

@@ -880,6 +880,16 @@ class TestParser:
             cli.main(["frobnicate"])
         assert exc.value.code == 1
 
+    def test_assertion_error_propagates(self, monkeypatch):
+        """Only OSError and ValueError become exit 3: the package holds no
+        assert statement, so an AssertionError is a bug and keeps its
+        traceback."""
+        def broken(args):
+            raise AssertionError("broken invariant")
+        monkeypatch.setattr(cli, "_cmd_bound", broken)
+        with pytest.raises(AssertionError, match="broken invariant"):
+            cli.main(["bound", "--p", "0.25"])
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
@@ -901,9 +911,9 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded():
 
 
 def test_bound_and_run_leave_scipy_unloaded(tmp_path):
-    """`wzkit bound` and `wzkit run` take numpy alone: the tangency point's
-    root finder is a port of scipy's Brent solver, and importing
-    scipy.optimize for it would cost each call about 0.6 s and 27 MiB."""
+    """`wzkit bound` and `wzkit run` take numpy alone: the tangency point is
+    bisected by codec itself, and importing scipy.optimize for a root
+    finder would cost each call about 0.6 s and 27 MiB."""
     catalog = tmp_path / "catalog.txt"
     catalog.write_text(TINY_CATALOG_TEXT)
     config = tmp_path / "config.json"

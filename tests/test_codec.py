@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import functools
+import hashlib
 import io
 import math
 import pickle
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY_PARAMS, tiny_dist
-from wzkit import builder, codec, quantizer
+from wzkit import builder, cli, codec, quantizer
 from wzkit.builder import (CodeParams, CompoundCode, build_compound_code,
                            load_code, save_code)
 from wzkit.codec import (CSV_COLUMNS, CompoundQuantizer, ExperimentConfig,
@@ -95,9 +96,13 @@ class TestBoundary:
         with pytest.raises(ValueError, match=f"crossover {p!r} .*1.65e-6"):
             wz_boundary(p)
 
-    def test_matches_scipy_brentq_bit_for_bit(self):
-        """The private Brent port against scipy's, on 2400 crossovers that
-        span the window, log-spaced and uniform."""
+    def test_within_brentq_tolerance(self):
+        """The bisection against scipy's brentq, on 2400 crossovers that span
+        the window, log-spaced and uniform: within brentq's xtol of 1e-12,
+        and the rate is the curve's at the returned point.  Within about
+        4e-5 of 0.5, f is rounding noise of a few 1e-16 near its root and
+        changes sign many times there; the two may pick different sign
+        changes, but f must stay noise between them."""
         from scipy.optimize import brentq
         lo, hi = 1.7e-6, 0.5 - 1e-7
         grid = np.concatenate([np.geomspace(lo, hi, 1200),
@@ -106,7 +111,12 @@ class TestBoundary:
             def f(d):
                 return codec._curve_slope(d, p) * (p - d) + codec._curve(d, p)
             expected = brentq(f, 1e-12, p - 1e-12, xtol=1e-12)
-            assert wz_boundary(p) == (expected, codec._curve(expected, p)), p
+            d_c, rate = wz_boundary(p)
+            if abs(d_c - expected) > 1e-12:
+                assert p > 0.5 - 1e-4, p
+                assert max(abs(f(float(d)))
+                           for d in np.linspace(d_c, expected, 101)) < 1e-15
+            assert rate == codec._curve(d_c, p), p
 
 
 class TestWzRate:
@@ -192,6 +202,44 @@ class TestBoundCurve:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             bound_curve(0.25, points=1)
+
+
+@pytest.mark.parametrize("query, args, expected", [
+    # invert_bound(k2 / n, p) for every distinct pair in configs/*.json
+    ("invert_bound", (0.444, 0.25), "0.08802692079916596"),
+    ("invert_bound", (0.5, 0.25), "0.06878306670114398"),
+    ("invert_bound", (0.6, 0.25), "0.039786234963685274"),
+    ("invert_bound", (0.7, 0.25), "0.017044541891664267"),
+    ("invert_bound", (0.8, 0.25), "0.0010725543834269047"),
+    ("invert_bound", (0.2764, 0.05), "0.001406076923012734"),
+    ("invert_bound", (0.404, 0.27), "0.11043817109428344"),
+    ("invert_bound", (0.4807142857142857, 0.134), "0.015985382877290247"),
+    ("wzkit bound", ["--p", "0.25"],
+     "boundary point: distortion=0.088021 rate=0.444017"),
+    ("wzkit bound", ["--p", "0.05"],
+     "boundary point: distortion=0.001401 rate=0.276427"),
+    ("wzkit bound", ["--p", "0.25", "--rate", "0.3"], "0.140558730"),
+    ("wzkit bound", ["--p", "0.25", "--distortion", "0.1"], "0.411179440"),
+    ("wzkit bound", ["--p", "0.134", "--distortion", "0.02"], "0.464361325"),
+    ("write_curve_csv", 0.25,
+     "77902390da344e4ad37b91023555cdad945c4cf8d18640b6e6a84b67de309a49"),
+    ("write_curve_csv", 0.05,
+     "82984215905054c0383482855db9e43c0dddffedd6f59f8163758dbaec635730"),
+    ("write_curve_csv", 0.134,
+     "44fc03372ad14ee7560f109dfd71ec5d4cb48dd591cc9f43954a111785a7b509")])
+def test_bound_outputs_pinned(capsys, query, args, expected):
+    """Every number the bound feeds to results, stdout and curve files,
+    pinned bit for bit, so that a change of root finder cannot move them."""
+    if query == "invert_bound":
+        got = repr(invert_bound(*args))
+    elif query == "wzkit bound":
+        assert cli.main(["bound", *args]) == 0
+        got = capsys.readouterr().out.rstrip("\n")
+    else:
+        f = io.StringIO()
+        write_curve_csv(f, args)
+        got = hashlib.sha256(f.getvalue().encode()).hexdigest()
+    assert got == expected
 
 
 class TestCompoundQuantizer:

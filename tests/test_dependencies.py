@@ -53,6 +53,16 @@ def test_scan_sees_lazy_imports(tmp_path):
     assert third_party_imports(tmp_path) == {"numpy", "scipy"}
 
 
+def test_package_holds_no_assert_statement():
+    """python -O strips assert statements, so a check the package relies on
+    must raise explicitly."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def codec_importers(package: Path) -> set[str]:
     """Stems of the package's modules that import its codec module, lazy
     imports included, in any spelling of the import."""

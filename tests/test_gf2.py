@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -714,6 +715,10 @@ def reference_read_matrix(f):
         line = f.readline()
         if line == "":
             raise ValueError(f"unexpected end of file at row {i}")
+        for tok in line.split():
+            if not re.fullmatch("[+-]?[0-9]+", tok):
+                raise ValueError(f"line {i + 2}: {tok!r} is not a decimal "
+                                 f"integer")
         supports.append([int(tok) - 1 for tok in line.split()])
     for lineno, line in enumerate(f, start=rows + 2):
         if line.strip():
@@ -774,14 +779,16 @@ def test_read_matrix_rejects_indices_int_would_read(text, parse_lines,
 @pytest.mark.parametrize("bad_row", [4095, 4096, 4500])
 def test_read_matrix_names_the_line_past_the_first_chunk(bad_row):
     # 5000 rows span two chunks of the default _PARSE_LINES = 4096; the
-    # header is line 1, so row i is line i + 2.  int() reads "1_0", so the
-    # error is the reader's own, which names the line
-    lines = ["1 3"] * 5000
-    lines[bad_row] = "1 1_0"
-    text = "5000 5\n" + "\n".join(lines) + "\n"
-    with pytest.raises(ValueError,
-                       match=f"^line {bad_row + 2}: '1_0' is not a decimal"):
-        read_matrix(io.StringIO(text))
+    # header is line 1, so row i is line i + 2.  int() reads "1_0" and
+    # rejects the other two; each error names the line
+    for token in ("1_0", "x", "1.5"):
+        lines = ["1 3"] * 5000
+        lines[bad_row] = f"1 {token}"
+        text = "5000 5\n" + "\n".join(lines) + "\n"
+        with pytest.raises(ValueError, match=f"^line {bad_row + 2}: "
+                                             f"{re.escape(repr(token))} is "
+                                             f"not a decimal integer$"):
+            read_matrix(io.StringIO(text))
 
 
 def test_write_matrix_matches_row_writer(monkeypatch):
