@@ -98,7 +98,8 @@ def _given(source: dict, cls) -> dict:
 def _add_bip_args(sub) -> None:
     # flags left out stay out of the namespace, so BipParams supplies them
     sub.add_argument("--gamma", type=float, default=SUPPRESS,
-                     help="source confidence (default: twice the generator rate)")
+                     help="source confidence, finite, positive and below "
+                     "about 17.585 (default: twice the generator rate)")
     sub.add_argument("--threshold", type=float, default=SUPPRESS)
     sub.add_argument("--iters-per-round", type=int, default=SUPPRESS)
     sub.add_argument("--damping", type=float, default=SUPPRESS,
@@ -203,9 +204,12 @@ def _experiment_from(entry: dict, index: int) -> tuple[ExperimentConfig, str, in
         params = CodeParams(**_given(entry, CodeParams))
     except ValueError as e:
         raise _InvalidGeometry(e) from None
-    config = ExperimentConfig(
-        params=params, bip=BipParams(**_given(entry, BipParams)),
-        **_given(entry, ExperimentConfig))
+    try:
+        config = ExperimentConfig(
+            params=params, bip=BipParams(**_given(entry, BipParams)),
+            **_given(entry, ExperimentConfig))
+    except ValueError as e:
+        raise ValueError(f"experiment {index}: {e}") from None
     return config, entry["dist"], entry.get("build_seed", entry["seed"])
 
 

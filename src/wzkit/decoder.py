@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +18,16 @@ __all__ = [
 ]
 
 COSET_ENUM_LIMIT = 24  # 2^24 members is the largest exact search we attempt
+# sp_decode clips every message at this many LLRs.  Its half-LLR cap of 15
+# lies below arctanh(1 - 1e-15) ~ 17.6, which is what lets one cap after
+# arctanh stand for a clip before it (see _slot_check_pass)
+LLR_CLIP = 30.0
 
 
 @dataclass(frozen=True)
 class SpParams:
     crossover: float
     max_iter: int = 100
-    llr_clip: float = 30.0
 
     def __post_init__(self):
         _require_ints(self, "max_iter")
@@ -33,8 +35,6 @@ class SpParams:
             raise ValueError(f"crossover must lie in (0, 0.5), got {self.crossover}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not 0.0 < self.llr_clip < math.inf:
-            raise ValueError("llr_clip must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,13 @@ def _slot_check_pass(t: np.ndarray, syn: np.ndarray, cap: float,
     the sums down each column run in slot order, as bincount's do in edge
     order.  Only when a check's log sum is -inf, which only an exact zero's
     log gives, are zeros read as 1.0 and the sums redone; a slot whose check
-    holds another zero then gets magnitude 0.0.  The cap stands for the
-    clip at 1 - 1e-15 before arctanh and the clip at half of llr_clip after
-    it, so cap = min(llr_clip/2, arctanh(1 - 1e-15)); that is exact while
-    arctanh is non-decreasing (TestSignFold checks it).  The sign bit is
-    set on the non-negative magnitude afterwards; arctanh is odd, so no
-    non-zero output changes, and a zero output may carry the other sign.
+    holds another zero then gets magnitude 0.0.  sp_decode passes cap =
+    LLR_CLIP/2, below arctanh(1 - 1e-15), so the one cap stands for a clip
+    at 1 - 1e-15 before arctanh and the clip at LLR_CLIP/2 after it; that
+    is exact while arctanh is non-decreasing (TestSignFold checks it).  The
+    sign bit is set on the non-negative magnitude afterwards; arctanh is
+    odd, so no non-zero output changes, and a zero output may carry the
+    other sign.
     """
     np.abs(t, out=out)
     np.log(out, out=out)
@@ -133,7 +134,7 @@ def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
     Messages follow the tanh product rule on the check-slot view of h; a set
     syndrome bit flips the sign of its check's outgoing messages.  Channel
     LLRs, messages and posteriors are all kept at half their value, so the
-    tanh takes them as they are and the clips are at llr_clip/2.  Every
+    tanh takes them as they are and the clips are at LLR_CLIP/2.  Every
     value is exactly half of what the full-LLR formula gives: halving is
     exact, and so are sums and differences of doubles that are multiples
     of 2^-1073, subnormal results included.  Every iteration runs the one
@@ -163,8 +164,7 @@ def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
     channel = half_llr0 * (1.0 - 2.0 * j_bits)
     posterior = np.append(channel, np.inf)  # one past the end: empty slots
     var_posterior = posterior[:-1]
-    clip = 0.5 * params.llr_clip
-    cap = min(clip, float(np.arctanh(1.0 - 1e-15)))
+    clip = 0.5 * LLR_CLIP
 
     # iteration 0 tests the side information: the channel half-LLR is
     # negative exactly at its 1 bits, since half_llr0 > 0
@@ -176,7 +176,7 @@ def sp_decode(h: BitMatrix, syndrome: BitVector, side_info: BitVector,
     with np.errstate(divide="ignore"):
         for it in range(1, params.max_iter + 1):
             np.tanh(msg_vc, out=msg_vc)
-            _slot_check_pass(msg_vc, syn, cap, msg_cv)
+            _slot_check_pass(msg_vc, syn, clip, msg_cv)
             np.add(channel, np.bincount(edge_var, weights=msg_cv.ravel()[pos],
                                         minlength=h.cols), out=var_posterior)
             msg_vc = posterior[slots]

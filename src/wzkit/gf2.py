@@ -35,6 +35,7 @@ elimination runs in.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -534,16 +535,19 @@ _BYTE_CLASS[list(b" \t\n\v\f\r")] = 1
 _BYTE_CLASS[list(b"0123456789")] = 2
 _BYTE_CLASS[list(b"+-")] = 3
 _BYTE_CLASS.flags.writeable = False
+# the same rule for the header's two numbers
+_DECIMAL = re.compile("[+-]?[0-9]+")
 
 
 def read_matrix(f: TextIO) -> BitMatrix:
     """Inverse of write_matrix.  Blank lines may follow the declared rows;
-    any other line there is an error.  Indices are decimal integers, an
-    optional sign then ASCII digits, separated by ASCII whitespace."""
+    any other line there is an error.  The header's two numbers and the
+    indices are decimal integers, an optional sign then ASCII digits,
+    separated by ASCII whitespace."""
     header = f.readline()
     parts = header.split()
-    if len(parts) != 2:
-        raise ValueError(f"bad header line: {header!r}")
+    if len(parts) != 2 or not all(map(_DECIMAL.fullmatch, parts)):
+        raise ValueError(f"bad header line: {header.strip()!r}")
     rows, cols = int(parts[0]), int(parts[1])
     lines = f.read().split("\n")
     if lines[-1] == "":

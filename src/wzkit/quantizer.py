@@ -33,9 +33,11 @@ class BipParams:
     """Knobs for the decimation loop.
 
     gamma defaults to twice the generator rate (rows/cols); damping defaults to
-    0.5 when the generator graph contains a 4-cycle and 0 otherwise.  Each
-    decimation round restarts messages from their initial value with the fixed
-    variables clamped.
+    0.5 when the generator graph contains a 4-cycle and 0 otherwise.  An
+    explicit gamma must be finite, positive and small enough that
+    tanh(gamma) stays below 1 - 1e-15 (gamma below about 17.585; see
+    _source_term).  Each decimation round restarts messages from their
+    initial value with the fixed variables clamped.
     """
 
     gamma: float | None = None
@@ -46,8 +48,10 @@ class BipParams:
     def __post_init__(self):
         _require_ints(self, "iters_per_round")
         # nan fails every comparison, so test for the good range
-        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
-            raise ValueError("gamma must be finite and positive")
+        if self.gamma is not None:
+            if not 0.0 < self.gamma < math.inf:
+                raise ValueError("gamma must be finite and positive")
+            _source_term(self.gamma)
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0, 1)")
         if self.iters_per_round < 1:
@@ -63,7 +67,17 @@ class QuantizeResult:
     distortion: float
     steps: int  # decimation steps in which the word had free variables
     fallback_fixes: int  # components fixed by their largest bias alone
-    clashes: int  # variables met by opposing saturated messages, per sweep
+
+
+def _source_term(gamma: float) -> float:
+    """tanh(gamma), the magnitude of every check's source term.  A gamma
+    whose tanh rounds to 1 - 1e-15 or above raises ValueError: at 1.0
+    arctanh of a message is infinite, and the loop keeps no clip."""
+    mag = float(np.tanh(gamma))
+    if mag >= _SAT:
+        raise ValueError(f"gamma {gamma} saturates the source term: "
+                         f"tanh(gamma) must stay below 1 - 1e-15")
+    return mag
 
 
 def generator_codeword(g: BitMatrix, u: BitVector) -> BitVector:
@@ -131,10 +145,13 @@ def bip_quantize_all(g: BitMatrix, sources: Sequence[BitVector],
     such as each private tail column of CompoundQuantizer.g_sub, sends
     that edge its source term in every sweep, so a step computes that
     message once and sweeps only the edges of shared checks.  Per word,
-    steps counts the steps in which it had free variables, fallback_fixes
-    the components that fixed their largest-bias variable because none
-    cleared the threshold, and clashes the variables that opposing
-    saturated messages met, once per sweep.
+    steps counts the steps in which it had free variables and
+    fallback_fixes the components that fixed their largest-bias variable
+    because none cleared the threshold.
+
+    A default gamma whose tanh reaches 1 - 1e-15 (a generator with about
+    8.8 or more rows per column) raises ValueError, as BipParams does for
+    an explicit one.
     """
     for source in sources:
         if source.length != g.cols:
@@ -143,7 +160,7 @@ def bip_quantize_all(g: BitMatrix, sources: Sequence[BitVector],
     if g.rows < 1:
         raise ShapeError("generator needs at least one row")
     gamma, damping = _resolve(params, g)
-    src_mag = float(np.tanh(gamma))
+    src_mag = _source_term(gamma)
     per_batch = max(1, _BATCH_EDGE_BUDGET // max(1, g.edges()[0].size))
     results: list[QuantizeResult] = []
     for at in range(0, len(sources), per_batch):
@@ -166,27 +183,21 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
     every component at once: it fixes the component's variables over the
     threshold, or else its largest-bias variable (first index on ties), and
     the fixed bits are the round-by-round loop's.  Every step adds, per word
-    that has free variables, one step, its fallback components and its
-    clashes.
+    that has free variables, one step and its fallback components.
 
     A check with one live edge sends that edge exactly its source term: in
     _check_product its log sum minus the edge's own log is +0.0, exp gives
     1.0, the check's sign parity is the edge's own sign, and an exact zero
     counts as log 1 and is no other zero on the check.  So each step takes
-    the arctanh of those messages, and their saturation flags, once; the
-    iters_per_round sweeps run the check update, the source term and the
-    theta update on the edges of shared checks only, and a step without a
-    shared check runs none.  Every variable sum is still one bincount over
-    all live edges in edge order, so the bits, steps, fallback fixes and
-    clashes are those of sweeping every live edge.  Such checks link no two
+    the arctanh of those messages once; the iters_per_round sweeps run the
+    check update, the source term and the theta update on the edges of
+    shared checks only, and a step without a shared check runs none.  Every variable sum is still one bincount over
+    all live edges in edge order, so the bits, steps and fallback fixes
+    are those of sweeping every live edge.  Such checks link no two
     variables, so the components come from the shared edges alone.
     """
     words, n_var, n_chk = len(sources), g.rows, g.cols
     n_vars, n_chks = words * n_var, words * n_chk
-    # |theta| <= 1, so the float sum of a check's logs is at most any one of
-    # them, every leave-one-out magnitude is at most 1 and |phi| <= src_mag:
-    # below _SAT nothing saturates and the clip changes nothing
-    saturates = src_mag >= _SAT
     # word w owns variables w*n_var.. and checks w*n_chk.., in word order
     ev, ec = g.edges()
     shift = np.arange(words, dtype=np.int64)[:, None]
@@ -198,7 +209,6 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
     fixed = np.full(n_vars, -1, dtype=np.int64)  # -1 unfixed, else 0/1
     steps = np.zeros(words, dtype=np.int64)
     fallback_fixes = np.zeros(words, dtype=np.int64)
-    clashes = np.zeros(words, dtype=np.int64)
 
     while True:
         unfixed = fixed < 0
@@ -207,7 +217,6 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
             break
         # the free variables, numbered 0.. in order: every sum's bin keeps its
         # addends in order, and a variable without edges gets bias tanh(0) = 0
-        # and no clashes
         sweep_var = (np.cumsum(unfixed) - 1)[edge_var]
         # a check with one live edge sends it its source term in every sweep,
         # so only the edges of shared checks are swept
@@ -217,24 +226,19 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
         n_sh_chk = np.count_nonzero(chk_live)
         sh_var = sweep_var[shared]
         bias_sum = np.zeros(free.size, dtype=np.float64)
-        clash = np.zeros(free.size, dtype=np.int64)
         if edge_var.size:
             # every live edge's message in the arctanh domain; those of
-            # checks with one edge are final
+            # checks with one edge are final.  |theta| <= 1, so the float
+            # sum of a check's logs is at most any one of them, every
+            # leave-one-out magnitude is at most 1 and |phi| <= src_mag,
+            # which _source_term keeps below 1: every arctanh is finite
             w = src_mag * sign_eff[edge_check]
             src_term = w[shared]
-            if saturates:
-                sat_pos = _marked(sweep_var[alone & (w >= _SAT)], free.size)
-                sat_neg = _marked(sweep_var[alone & (w <= -_SAT)],
-                                  free.size)
-                np.minimum(np.maximum(w, -_SAT, out=w), _SAT, out=w)
             np.arctanh(w, out=w)
             if not n_sh_chk:
                 # the iters_per_round sweeps would all be this one
                 bias_sum = np.bincount(sweep_var, weights=w,
                                        minlength=free.size)
-                if saturates:
-                    clash += params.iters_per_round * (sat_pos & sat_neg)
             theta = np.ones(shared.size)
             for _ in range(params.iters_per_round if n_sh_chk else 0):
                 # check pass: leave-one-out product of theta times the source term
@@ -242,14 +246,6 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
                 phi *= src_term
 
                 # variable pass in the arctanh domain
-                if saturates:
-                    clash += ((sat_pos | _marked(sh_var[phi >= _SAT],
-                                                 free.size))
-                              & (sat_neg | _marked(sh_var[phi <= -_SAT],
-                                                   free.size)))
-                    # clip to +-_SAT in place (np.clip costs more on short
-                    # arrays)
-                    np.minimum(np.maximum(phi, -_SAT, out=phi), _SAT, out=phi)
                 w[shared] = np.arctanh(phi, out=phi)
                 bias_sum = np.bincount(sweep_var, weights=w,
                                        minlength=free.size)
@@ -264,8 +260,6 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
         word_of = free // n_var
         steps += np.bincount(word_of, minlength=words) > 0
         fallback_fixes += np.bincount(word_of[fallback], minlength=words)
-        clashes += np.bincount(word_of, weights=clash,
-                               minlength=words).astype(np.int64)
 
         # fold fixed ones into the source signs and drop the settled edges
         on_fixed = fixed[edge_var] >= 0
@@ -280,8 +274,7 @@ def _decimate(g: BitMatrix, sources: Sequence[BitVector], params: BipParams,
         u = BitVector.from_array(fixed[k * n_var:(k + 1) * n_var])
         word = generator_codeword(g, u)
         results.append(QuantizeResult(u, word, word.hamming(source) / g.cols,
-                                      int(steps[k]), int(fallback_fixes[k]),
-                                      int(clashes[k])))
+                                      int(steps[k]), int(fallback_fixes[k])))
     return results
 
 
@@ -327,17 +320,11 @@ def _pick(root: np.ndarray, bias: np.ndarray, threshold: float
     return over, ~thr[root] & (first[root] == at)
 
 
-def _marked(ids: np.ndarray, size: int) -> np.ndarray:
-    """Which of 0..size-1 occur in ids."""
-    marked = np.zeros(size, dtype=bool)
-    marked[ids] = True
-    return marked
-
-
 def _renumber(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Which of 0..size-1 occur in ids, and ids renumbered 0.. over those,
     in increasing order."""
-    live = _marked(ids, size)
+    live = np.zeros(size, dtype=bool)
+    live[ids] = True
     return live, np.cumsum(live)[ids] - 1
 
 

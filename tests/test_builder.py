@@ -961,6 +961,17 @@ class TestBuildRoundtrip:
                            match=f"{name}.txt: line {rows + 2}: row beyond"):
             load_code(tmp_path / "code")
 
+    @pytest.mark.parametrize("header", ["84 x", "84.0 96", "84 9_6"])
+    def test_load_names_a_bad_header(self, tiny_code, tmp_path, header):
+        save_code(tiny_code, tmp_path / "code")
+        path = tmp_path / "code" / "h.txt"
+        lines = path.read_text().split("\n")
+        lines[0] = header
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=f"^h.txt: bad header line: "
+                                             f"{re.escape(repr(header))}$"):
+            load_code(tmp_path / "code")
+
     def test_load_validates_manifest_geometry(self, tiny_code, tmp_path):
         save_code(tiny_code, tmp_path / "code")
         path = tmp_path / "code" / "manifest.json"

@@ -304,6 +304,8 @@ class TestQuantizeEncodeDecode:
         ("decode", ["--crossover", "0.7"], "crossover must lie in (0, 0.5)"),
         ("quantize", ["--gamma", "nan"], "gamma must be finite and positive"),
         ("encode", ["--gamma", "inf"], "gamma must be finite and positive"),
+        ("quantize", ["--gamma", "20"], "gamma 20.0 saturates the source "
+                                        "term"),
     ])
     def test_bad_flags_fail_before_loading_the_code(
             self, workdir, tmp_path, capsys, command, flag, message):
@@ -696,6 +698,26 @@ class TestRun:
         rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
         assert rc == 1
         assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("trials", 0, "trials must be >= 1"),
+        ("p", 0.7, "p must lie in (0, 0.5), got 0.7"),
+        ("max_iter", 0, "max_iter must be >= 1"),
+        ("seed", -3, "seed must be >= 0"),
+        ("gamma", -1.0, "gamma must be finite and positive"),
+        ("gamma", 20, "gamma 20 saturates the source term: tanh(gamma) "
+                      "must stay below 1 - 1e-15"),
+    ])
+    def test_value_out_of_range_names_the_entry(self, workdir, tmp_path,
+                                                monkeypatch, capsys, key,
+                                                value, message):
+        entry = dict(self.experiment(), **{key: value})
+        rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert err == f"error: experiment 1: {message}\n"
+        assert "building" not in out
+        assert not (tmp_path / "o.csv").exists()
 
     def test_zero_max_iter_fails_before_build(self, workdir, tmp_path,
                                               monkeypatch, capsys):

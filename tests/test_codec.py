@@ -28,7 +28,7 @@ from wzkit.quantizer import (BipParams, QuantizeResult, bip_quantize_all,
                              generator_codeword)
 
 # defaults, an undamped run with a large gamma, and a damped low threshold
-QUANTIZE_BIPS = [BipParams(), BipParams(gamma=20.0, damping=0.0),
+QUANTIZE_BIPS = [BipParams(), BipParams(gamma=17.5, damping=0.0),
                  BipParams(damping=0.5, threshold=0.6)]
 
 
@@ -345,8 +345,8 @@ class TestCompoundQuantizer:
             assert res.u == qz.coefficients(res.codeword)
             assert mul_vec(code.h1, res.codeword).weight() == 0
             assert parity_and_tail(res.codeword) == sub.codeword
-            assert (res.steps, res.fallback_fixes, res.clashes) == (
-                sub.steps, sub.fallback_fixes, sub.clashes)
+            assert (res.steps, res.fallback_fixes) == (sub.steps,
+                                                       sub.fallback_fixes)
 
     def test_shape_errors(self, tiny_code):
         qz = CompoundQuantizer(tiny_code)
@@ -433,7 +433,7 @@ class TinyLdgmCode:
         for source in sources:
             u, word = self._nearest(source)
             out.append(QuantizeResult(u, word, word.hamming(source) / 6,
-                                      0, 0, 0))
+                                      0, 0))
         return out
 
     def syndrome(self, q):

@@ -1,8 +1,8 @@
 """Syndrome sum-product decoding against exact coset search."""
 
-import math
 import random
 import warnings
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -62,14 +62,15 @@ def reference_check_pass(theta, edge_check, n_checks):
 
 def reference_sp_decode(h, syndrome, side_info, params):
     """sp_decode as it ran on the edge list before the check-slot layout, with
-    the reference check pass; sp_decode must match it bit for bit."""
+    the reference check pass and the clip decoder.LLR_CLIP has at the call;
+    sp_decode must match it bit for bit."""
     edge_check, edge_var = h.edges()
     syn = syndrome.to_array().astype(np.int64)
     syn_scale = 2.0 - 4.0 * syn[edge_check]
     llr0 = float(np.log((1.0 - params.crossover) / params.crossover))
     j_bits = side_info.to_array().astype(np.int64)
     channel = llr0 * (1.0 - 2.0 * j_bits)
-    lo, hi = -params.llr_clip, params.llr_clip
+    lo, hi = -decoder.LLR_CLIP, decoder.LLR_CLIP
 
     def syndrome_ok(bits):
         counts = np.bincount(edge_check[bits[edge_var]], minlength=h.rows)
@@ -96,7 +97,7 @@ def reference_sp_decode(h, syndrome, side_info, params):
     return DecodeResult(BitVector.from_array(hard), False, params.max_iter)
 
 
-# the cap of a check message in half LLRs when llr_clip is no tighter
+# a cap at which arctanh's output stands for the clip at 1 - 1e-15 before it
 ARCTANH_TOP = float(np.arctanh(1.0 - 1e-15))
 
 
@@ -122,9 +123,10 @@ def random_check_matrix(rng, rows, cols, max_len):
 
 
 def zero_message_cases(rng, count):
-    """(h, syndrome, side info, params) with llr_clip at the channel LLR,
-    where a variable can send exactly 0.0: a degree-2 variable whose two
-    messages are both clipped to minus its channel LLR does."""
+    """(h, syndrome, side info, params, clip) for a decode with LLR_CLIP at
+    clip, the channel LLR, where a variable can send exactly 0.0: a
+    degree-2 variable whose two messages are both clipped to minus its
+    channel LLR does."""
     for case in range(count):
         rows, cols = rng.randint(2, 12), rng.randint(4, 30)
         h = random_check_matrix(rng, rows, cols, rng.choice([3, 6]))
@@ -136,29 +138,8 @@ def zero_message_cases(rng, count):
                                     if rng.random() < p))
         crossover = rng.choice([0.05, 0.13, 0.2, 0.3])
         llr0 = float(np.log((1.0 - crossover) / crossover))
-        params = SpParams(crossover=crossover,
-                          max_iter=rng.choice([5, 30]), llr_clip=llr0)
-        yield h, syndrome, truth ^ noise, params
-
-
-def saturating_cases(rng, count):
-    """(h, syndrome, side info, params) on rows of 17-18 entries, like
-    code11's checks, at a crossover near 1e-9 and llr_clip 40 or 60, above
-    2 arctanh(1 - 1e-15) ~ 35.2.  Messages saturate at tanh = 1.0, so a
-    check's leave-one-out product reaches exactly 1.0, and most decodes of
-    noisy side information run to max_iter."""
-    for _ in range(count):
-        rows, cols = rng.randint(4, 12), rng.randint(24, 40)
-        h = BitMatrix(rows, cols, [rng.sample(range(cols), rng.randint(17, 18))
-                                   for _ in range(rows)])
-        truth = BitVector(cols, rng.getrandbits(cols))
-        p = rng.choice([0.05, 0.1, 0.2])
-        noise = BitVector(cols, sum(1 << i for i in range(cols)
-                                    if rng.random() < p))
-        params = SpParams(crossover=rng.choice([1e-9, 3e-9]),
-                          max_iter=rng.choice([30, 60]),
-                          llr_clip=rng.choice([40.0, 60.0]))
-        yield h, mul_vec(h, truth), truth ^ noise, params
+        params = SpParams(crossover=crossover, max_iter=rng.choice([5, 30]))
+        yield h, syndrome, truth ^ noise, params, llr0
 
 
 def recording_pass(monkeypatch):
@@ -376,12 +357,10 @@ class TestSignFold:
         assert -(1.0 - 1e-15) == -1.0 + 1e-15
 
     def test_arctanh_is_non_decreasing_up_to_one(self):
-        """sp_decode caps arctanh's output at min(llr_clip/2, arctanh(TOP))
-        where the reference clips its input at TOP.  The two agree only
-        while arctanh is non-decreasing across TOP and at least 17 (above
-        every llr_clip/2 cap below arctanh(TOP)) on each of the doubles from
-        TOP to 1, and while the arctanh(TOP) that sp_decode computes as a
-        scalar equals the one computed in every lane of an array."""
+        """sp_decode caps arctanh's output at LLR_CLIP/2 where the
+        reference clips its input at TOP as well.  The two agree only
+        while arctanh is non-decreasing across TOP and above LLR_CLIP/2 on
+        each of the doubles from TOP to 1."""
         rng = np.random.default_rng(16)
         top = self.TOP
         bits = np.array([top]).view(np.uint64)[0]
@@ -395,13 +374,7 @@ class TestSignFold:
         with np.errstate(divide="ignore"):
             y = np.arctanh(x)
         assert np.all(np.diff(y) >= 0.0)
-        assert np.all(y[x >= top] >= 17.0)
-        cap = float(np.arctanh(top))
-        for size in (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 33, 18 * 1176):
-            lanes = np.full(size, top)
-            np.testing.assert_array_equal(np.arctanh(lanes), cap)
-            np.arctanh(lanes, out=lanes)  # in place, as the decoder calls it
-            np.testing.assert_array_equal(lanes, cap)
+        assert np.all(y[x >= top] > decoder.LLR_CLIP / 2)
 
 
 class TestSpParams:
@@ -410,13 +383,14 @@ class TestSpParams:
         {"crossover": 0.5},
         {"crossover": -0.1},
         {"crossover": 0.1, "max_iter": 0},
-        {"crossover": 0.1, "llr_clip": 0.0},
-        {"crossover": 0.1, "llr_clip": math.nan},
-        {"crossover": 0.1, "llr_clip": math.inf},
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
             SpParams(**kwargs)
+
+    def test_fields(self):
+        # the clip is the module constant LLR_CLIP, not a knob
+        assert [f.name for f in fields(SpParams)] == ["crossover", "max_iter"]
 
     @pytest.mark.parametrize("max_iter", [2.5, 3.0, True])
     def test_max_iter_must_be_an_integer(self, max_iter):
@@ -614,9 +588,9 @@ class TestSpDecode:
         b = sp_decode(h, mul_vec(h, truth), side, SpParams(crossover=0.07))
         assert a == b
 
-    def test_matches_reference_on_random_matrices(self):
+    def test_matches_reference_on_random_matrices(self, monkeypatch):
         """Empty rows, degree-1 checks, padded slots, set syndrome bits,
-        converging and stopped runs, and small LLR clips."""
+        converging and stopped runs, and LLR_CLIP patched to small clips."""
         rng = random.Random(0x5107)
         seen = {"converged": 0, "stopped": 0, "empty row": 0,
                 "degree 1": 0, "padded": 0, "small clip": 0}
@@ -630,8 +604,9 @@ class TestSpDecode:
             noise = BitVector(cols, sum(1 << i for i in range(cols)
                                         if rng.random() < p))
             params = SpParams(crossover=rng.choice([0.03, 0.08, 0.15, 0.3]),
-                              max_iter=rng.choice([1, 5, 30]),
-                              llr_clip=rng.choice([30.0, 3.0, 0.5]))
+                              max_iter=rng.choice([1, 5, 30]))
+            clip = rng.choice([30.0, 3.0, 0.5])
+            monkeypatch.setattr(decoder, "LLR_CLIP", clip)
             got = sp_decode(h, syndrome, truth ^ noise, params)
             assert got == reference_sp_decode(h, syndrome, truth ^ noise,
                                               params), case
@@ -641,55 +616,40 @@ class TestSpDecode:
             seen["empty row"] += bool((lengths == 0).any())
             seen["degree 1"] += bool((lengths == 1).any())
             seen["padded"] += bool((lengths < lengths.max()).any())
-            seen["small clip"] += params.llr_clip < 1.0
+            seen["small clip"] += clip < 1.0
         assert min(seen.values()) >= 10, seen
 
     def test_matches_reference_through_exact_zeros(self, monkeypatch):
-        """With llr_clip at the channel LLR a variable can send exactly 0.0
+        """With LLR_CLIP at the channel LLR a variable can send exactly 0.0
         (zero_message_cases).  The check pass then sees zero inputs, and its
         zero outputs may carry another sign than the reference's.  The
         decodes must still match, with one check pass per iteration."""
         passes, _ = recording_pass(monkeypatch)
         iterations = 0
-        for case, (h, syndrome, side, params) in enumerate(
+        for case, (h, syndrome, side, params, clip) in enumerate(
                 zero_message_cases(random.Random(0x2E50), 300)):
+            monkeypatch.setattr(decoder, "LLR_CLIP", clip)
             got = sp_decode(h, syndrome, side, params)
             assert got == reference_sp_decode(h, syndrome, side, params), case
             iterations += got.iterations
         assert len(passes) == iterations
         assert sum(passes) >= 10, sum(passes)
 
-    def test_matches_reference_with_clips_above_the_arctanh_cap(
-            self, monkeypatch):
-        """The reference clips a leave-one-out product of exactly 1.0 at
-        1 - 1e-15 before arctanh, then the message at llr_clip; sp_decode
-        caps arctanh's output once, at min(llr_clip/2, arctanh(1 - 1e-15))
-        in half LLRs.  With llr_clip above 35.2 the arctanh bound is the
-        tighter one, and a cap at llr_clip/2 alone changes decodes here."""
-        _, capped = recording_pass(monkeypatch)
-        stopped = 0
-        for case, (h, syndrome, side, params) in enumerate(
-                saturating_cases(random.Random(0xCA9), 60)):
-            got = sp_decode(h, syndrome, side, params)
-            assert got == reference_sp_decode(h, syndrome, side, params), case
-            stopped += not got.converged
-        assert stopped >= 10, stopped
-        assert sum(capped) >= 50, sum(capped)
-
     def test_no_floating_point_warning_escapes(self, monkeypatch):
         """The check pass takes log 0 = -inf at an exact zero and
-        arctanh(1.0) = inf at a saturated check; with numpy warning on
-        both and warnings turned into errors, sp_decode stays quiet."""
+        arctanh(1.0) = inf at a check with one edge, whose product is
+        empty; with numpy warning on both and warnings turned into errors,
+        sp_decode stays quiet."""
         zeros, capped = recording_pass(monkeypatch)
-        lone = BitMatrix(2, 18, [[0], list(range(1, 18))])  # empty product
+        lone = BitMatrix(2, 18, [[0], list(range(1, 18))])
         cases = [*zero_message_cases(random.Random(0x2E50), 60),
-                 *saturating_cases(random.Random(0xCA9), 10),
                  (lone, BitVector(2, 0b10), BitVector(18, 0b110),
-                  SpParams(crossover=1e-9, llr_clip=60.0))]
+                  SpParams(crossover=1e-9), decoder.LLR_CLIP)]
         with warnings.catch_warnings(), np.errstate(
                 divide="warn", over="warn", invalid="warn"):
             warnings.simplefilter("error")
-            for h, syndrome, side, params in cases:
+            for h, syndrome, side, params, clip in cases:
+                monkeypatch.setattr(decoder, "LLR_CLIP", clip)
                 sp_decode(h, syndrome, side, params)
             state = np.geterr()
         assert (state["divide"], state["invalid"]) == ("warn", "warn")

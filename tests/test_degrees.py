@@ -66,6 +66,16 @@ class TestDesignRate:
                             abs_tol=1e-12)
 
 
+    @pytest.mark.parametrize("lam, rho, rate", [
+        ("1.0 x^1", "1.0 x^1", "0.0"),     # equal sides: rate 0
+        ("1.0 x^2", "1.0 x^1", "-0.5")])   # checks lighter than variables
+    def test_rate_outside_unit_interval_rejected(self, lam, rho, rate):
+        dist = DegreeDistribution(parse_polynomial(lam), parse_polynomial(rho))
+        with pytest.raises(ValueError,
+                           match=rf"^design rate {rate} outside \(0, 1\)$"):
+            design_rate(dist)
+
+
 class TestCatalog:
     def test_all_entries_present(self, catalog):
         assert set(catalog) == {

@@ -475,6 +475,25 @@ class TestBitMatrix:
         with pytest.raises(ValueError):
             cols[0] = 2
 
+    def test_hash_agrees_with_equality_across_constructors(self):
+        """One matrix built three ways: from supports, from arrays with
+        unsorted rows and an empty row, and read from text."""
+        rows = [[4, 0, 2], [], [1, 5]]
+        built = BitMatrix(3, 6, rows)
+        from_arrays = BitMatrix.from_arrays(3, 6, [3, 0, 2], [2, 4, 0, 5, 1])
+        read = read_matrix(io.StringIO("3 6\n3 1 5\n\n6 2\n"))
+        assert built == from_arrays == read
+        assert len({hash(built), hash(from_arrays), hash(read)}) == 1
+        assert len({built, from_arrays, read}) == 1
+        # the same column list, split into rows otherwise
+        other = BitMatrix(3, 6, [[4, 0, 2], [1], [5]])
+        assert other != built and len({built, other}) == 2
+
+    def test_repr(self):
+        assert repr(BitMatrix(3, 6, [[4, 0, 2], [], [1, 5]])) == (
+            "BitMatrix(3x6, nnz=5)")
+        assert repr(BitMatrix(0, 2, [])) == "BitMatrix(0x2, nnz=0)"
+
     def test_pickle_roundtrip(self):
         import pickle
         m = BitMatrix(2, 4, [[0, 2], [3]])
@@ -707,8 +726,9 @@ def reference_read_matrix(f):
     array parser."""
     header = f.readline()
     parts = header.split()
-    if len(parts) != 2:
-        raise ValueError(f"bad header line: {header!r}")
+    if len(parts) != 2 or not all(re.fullmatch("[+-]?[0-9]+", tok)
+                                  for tok in parts):
+        raise ValueError(f"bad header line: {header.strip()!r}")
     rows, cols = int(parts[0]), int(parts[1])
     supports = []
     for i in range(rows):
@@ -754,7 +774,11 @@ def read_outcome(reader, text):
     "0 5\n",
     "2 5\n1 3\n2\n4\n",               # a row beyond the header's count
     "2 x\n1\n2\n",                     # a bad header
+    "2.0 5\n1\n2\n",                   # a fractional header number
+    "2 1_0\n1\n2\n",                   # a digit separator int() reads
+    "+2 005\r\n1\n2\n",                # a sign, leading zeros, CRLF
     "2 5 1\n1\n2\n",
+    "\n",
 ])
 @pytest.mark.parametrize("parse_lines", [1, 2, 256])
 def test_read_matrix_matches_line_parser(text, parse_lines, monkeypatch):
@@ -774,6 +798,14 @@ def test_read_matrix_rejects_indices_int_would_read(text, parse_lines,
     monkeypatch.setattr(gf2, "_PARSE_LINES", parse_lines)
     with pytest.raises(ValueError, match="line 4: .* is not a decimal integer"):
         read_matrix(io.StringIO(text))
+
+
+@pytest.mark.parametrize("header", ["2 x", "2.0 5", "2 1_0", "2 \u0665",
+                                    "2", "2 5 1"])
+def test_read_matrix_names_a_bad_header(header):
+    with pytest.raises(ValueError, match=f"^bad header line: "
+                                         f"{re.escape(repr(header))}$"):
+        read_matrix(io.StringIO(header + "\n1\n2\n"))
 
 
 @pytest.mark.parametrize("bad_row", [4095, 4096, 4500])

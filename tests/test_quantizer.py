@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +24,28 @@ def random_generator(rng, rows, cols, density=0.35):
         if not sup:
             sup.append(rng.randrange(cols))
     return BitMatrix(rows, cols, mat)
+
+
+# the source term's magnitude at which the quantizer stops taking a gamma
+SAT = 1.0 - 1e-15
+
+
+def saturation_boundary():
+    """The largest double gamma whose float(np.tanh(gamma)) stays below
+    SAT and the next double up, found by bisection on np.tanh."""
+    lo, hi = 1.0, 40.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, hi
+        if float(np.tanh(mid)) >= SAT:
+            hi = mid
+        else:
+            lo = mid
+
+
+# the largest gamma BipParams takes: its source term lies nearest 1
+TOP_GAMMA = saturation_boundary()[0]
 
 
 def reference_codeword(g, u):
@@ -184,6 +208,18 @@ class TestBipParams:
         with pytest.raises(ValueError):
             BipParams(**kwargs)
 
+    def test_gamma_must_not_saturate_the_source_term(self):
+        """tanh rounds to 1 - 1e-15 or above from about gamma 17.585 on;
+        the first such double is rejected, the one below it taken."""
+        below, first = saturation_boundary()
+        assert np.nextafter(below, math.inf) == first
+        assert 17.5 < below < 17.6
+        assert BipParams(gamma=below).gamma == below
+        for gamma in (first, 20.0, 1e300):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"gamma {gamma} saturates")):
+                BipParams(gamma=gamma)
+
     @pytest.mark.parametrize("iters", [2.5, 25.0, False])
     def test_iters_per_round_must_be_an_integer(self, iters):
         with pytest.raises(TypeError, match="iters_per_round must be an "
@@ -228,7 +264,10 @@ class TestBipQuantize:
         assert res.steps >= 1
         assert res.u.length == 8
         assert res.fallback_fixes >= 0
-        assert res.clashes >= 0
+
+    def test_result_fields(self):
+        assert [f.name for f in fields(QuantizeResult)] == [
+            "u", "codeword", "distortion", "steps", "fallback_fixes"]
 
     def test_shape_error(self):
         g = BitMatrix(2, 4, [[0], [1]])
@@ -257,6 +296,16 @@ class TestBipQuantizeAll:
         g = random_generator(rng, rows, cols, density)
         return g, [BitVector(cols, rng.getrandbits(cols)) for _ in range(count)]
 
+    def test_default_gamma_must_not_saturate(self):
+        """The default gamma is twice the rows per column: 9 rows on one
+        column give 18, which saturates; 35 rows on 4 columns give 17.5."""
+        g = BitMatrix(9, 1, [[0]] * 9)
+        with pytest.raises(ValueError, match="gamma 18.0 saturates"):
+            bip_quantize_all(g, [BitVector(1, 1)])
+        g = BitMatrix(35, 4, [[r % 4] for r in range(35)])
+        res = bip_quantize_all(g, [BitVector(4, 0b0110)])[0]
+        assert res.codeword == generator_codeword(g, res.u)
+
     def test_generator_without_rows_rejected(self):
         with pytest.raises(ShapeError,
                            match="generator needs at least one row"):
@@ -266,7 +315,7 @@ class TestBipQuantizeAll:
         BipParams(),
         BipParams(damping=0.0),
         BipParams(damping=0.5),
-        BipParams(gamma=20.0, damping=0.0),
+        BipParams(gamma=TOP_GAMMA, damping=0.0),
         BipParams(damping=0.5, threshold=0.6, iters_per_round=4),
     ])
     def test_equals_each_word_alone(self, params):
@@ -299,14 +348,6 @@ class TestBipQuantizeAll:
         assert bits(expected) == bits(reference)
         assert bip_quantize_all(g, sources, params) == expected
         assert bip_quantize_all(g, sources[::-1], params) == expected[::-1]
-
-    def test_clashes_counted_per_word(self):
-        params = BipParams(gamma=20.0, damping=0.0)
-        g, sources = self.case(4, 12, 30, 6, density=0.3)
-        expected = self.alone(g, sources, params)
-        clashes = [r.clashes for r in expected]
-        assert max(clashes) > 0 and len(set(clashes)) > 1
-        assert bip_quantize_all(g, sources, params) == expected
 
     def test_edge_budget_split_equals_one_batch(self, monkeypatch):
         g, sources = self.case(17, 20, 50, 7)
@@ -370,8 +411,9 @@ def bits(results):
 
 def reference_decimate(g, sources, params, src_mag, damping):
     """The decimation loop before it skipped untouched components: every
-    round restarts the messages at ones and sweeps every live edge.
-    quantizer._decimate must match its bits."""
+    round restarts the messages at ones and sweeps every live edge, and
+    clips every message to +-SAT before arctanh.  quantizer._decimate,
+    which keeps no clip, must match its bits."""
     words, n_var, n_chk = len(sources), g.rows, g.cols
     n_vars, n_chks = words * n_var, words * n_chk
     ev, ec = g.edges()
@@ -398,8 +440,8 @@ def reference_decimate(g, sources, params, src_mag, damping):
         for _ in range(params.iters_per_round):
             phi = _check_product(theta, sweep_check, n_live_chk)
             phi *= src_term
-            w = np.arctanh(np.minimum(np.maximum(phi, -quantizer._SAT, out=phi),
-                                      quantizer._SAT, out=phi), out=phi)
+            w = np.arctanh(np.minimum(np.maximum(phi, -SAT, out=phi), SAT,
+                                      out=phi), out=phi)
             bias_sum = np.bincount(sweep_var, weights=w, minlength=n_live_var)
             theta_new = np.tanh(bias_sum[sweep_var] - w)
             theta = damping * theta + (1.0 - damping) * theta_new
@@ -476,7 +518,7 @@ class TestSkipsUntouchedComponents:
 
     PARAMS = [
         BipParams(),
-        BipParams(gamma=20.0, damping=0.0),
+        BipParams(gamma=TOP_GAMMA, damping=0.0),
         BipParams(damping=0.0),
         BipParams(damping=0.5),
         BipParams(threshold=0.5),
@@ -490,7 +532,7 @@ class TestSkipsUntouchedComponents:
 
     def test_matches_reference_on_random_generators(self, monkeypatch):
         rng = random.Random(0xDEC1)
-        seen = {"clashes": 0, "empty rows": 0}
+        seen = {"empty rows": 0, "rejected": 0}
         for case in range(300):
             rows = rng.randrange(1, 25)
             cols = rng.randrange(2, 50)
@@ -501,12 +543,17 @@ class TestSkipsUntouchedComponents:
             sources = [BitVector(cols, rng.getrandbits(cols))
                        for _ in range(rng.randrange(1, 6))]
             params = self.PARAMS[case % len(self.PARAMS)]
+            seen["empty rows"] += any(not sup for sup in g.row_support)
+            if params.gamma is None and 2.0 * rows / cols > TOP_GAMMA:
+                # the default gamma, twice the rows per column, saturates
+                seen["rejected"] += 1
+                with pytest.raises(ValueError, match="saturates"):
+                    bip_quantize_all(g, sources, params)
+                continue
             got = bip_quantize_all(g, sources, params)
             assert bits(got) == bits(quantize_with_reference(
                 monkeypatch, g, sources, params))
-            seen["clashes"] += sum(r.clashes > 0 for r in got)
-            seen["empty rows"] += any(not sup for sup in g.row_support)
-        assert min(seen.values()) >= 20
+        assert seen["empty rows"] >= 20 and seen["rejected"] >= 1, seen
 
     @staticmethod
     def corner_case(rng, kind):
@@ -523,11 +570,11 @@ class TestSkipsUntouchedComponents:
             # rows of weight 2 on columns of their own: with opposite source
             # bits the two messages cancel and the bias is exactly 0, with
             # equal bits it is the same for every such row, so the
-            # round-by-round loop fires them one per round.  At gamma 20 the
-            # opposite pair clashes
+            # round-by-round loop fires them one per round, also at the
+            # top gamma
             pairs = rng.randrange(2, 6)
             if rng.random() < 0.5:
-                params = BipParams(gamma=20.0, damping=0.0)
+                params = BipParams(gamma=TOP_GAMMA, damping=0.0)
             mat += [[cols + 2 * i, cols + 2 * i + 1] for i in range(pairs)]
             cols += 2 * pairs
         elif kind == "empty rows":
@@ -541,8 +588,8 @@ class TestSkipsUntouchedComponents:
                    for _ in range(rows)]
             params = BipParams()
         elif kind == "conflicts":
-            params = rng.choice([BipParams(gamma=20.0, damping=0.0),
-                                 BipParams(gamma=20.0, damping=0.5)])
+            params = rng.choice([BipParams(gamma=TOP_GAMMA, damping=0.0),
+                                 BipParams(gamma=TOP_GAMMA, damping=0.5)])
             mat = [[c for c in range(cols) if rng.random() < 0.3]
                    for _ in range(rows)]
         g = BitMatrix(len(mat), cols, mat)
@@ -556,7 +603,7 @@ class TestSkipsUntouchedComponents:
         rng = random.Random(0xC0DE)
         kinds = ["ties", "empty rows", "conflicts", "far apart", "plain"]
         seen = {"ties": 0, "threshold beside waiting": 0, "empty rows": 0,
-                "clashes at gamma 20": 0, "far apart": 0}
+                "top gamma": 0, "far apart": 0}
         for case in range(150):
             g, sources, params = self.corner_case(rng, kinds[case % 5])
             fired.clear()
@@ -573,8 +620,7 @@ class TestSkipsUntouchedComponents:
             seen["ties"] += ties
             seen["threshold beside waiting"] += beside
             seen["empty rows"] += any(not sup for sup in g.row_support)
-            seen["clashes at gamma 20"] += (
-                params.gamma == 20.0 and any(r.clashes for r in got))
+            seen["top gamma"] += params.gamma == TOP_GAMMA
             rounds = [r.rounds for r in reference]
             seen["far apart"] += max(rounds) >= 4 * min(rounds)
         assert min(seen.values()) >= 20, seen
@@ -603,11 +649,10 @@ class TestSkipsUntouchedComponents:
 
     def test_matches_reference_at_default_gamma(self, small_code,
                                                 monkeypatch):
-        """At the default gamma tanh(gamma) < _SAT, so the sweep skips the
-        saturation test and the clip; the reference still runs both."""
+        """The sweep keeps no clip; the reference still clips."""
         g = small_code.quantizer.g_sub
         gamma, _ = quantizer._resolve(BipParams(), g)
-        assert np.tanh(gamma) < quantizer._SAT
+        assert gamma < 2.0
         rng = random.Random(0x6A3)
         sources = [BitVector(g.cols, rng.getrandbits(g.cols))
                    for _ in range(4)]
@@ -615,7 +660,6 @@ class TestSkipsUntouchedComponents:
             got = bip_quantize_all(g, sources, params)
             assert bits(got) == bits(quantize_with_reference(
                 monkeypatch, g, sources, params))
-            assert all(r.clashes == 0 for r in got)
 
     def test_rows_sharing_no_column_sweep_once(self, sweep_sizes,
                                                monkeypatch):
@@ -662,7 +706,6 @@ def unfolded_decimate(g, sources, params, src_mag, damping):
     edge.  quantizer._decimate must match all of its results."""
     words, n_var, n_chk = len(sources), g.rows, g.cols
     n_vars, n_chks = words * n_var, words * n_chk
-    saturates = src_mag >= quantizer._SAT
     ev, ec = g.edges()
     shift = np.arange(words, dtype=np.int64)[:, None]
     edge_var = (ev + shift * n_var).ravel()
@@ -673,7 +716,6 @@ def unfolded_decimate(g, sources, params, src_mag, damping):
     fixed = np.full(n_vars, -1, dtype=np.int64)
     steps = np.zeros(words, dtype=np.int64)
     fallback_fixes = np.zeros(words, dtype=np.int64)
-    clashes = np.zeros(words, dtype=np.int64)
 
     while True:
         unfixed = fixed < 0
@@ -684,24 +726,12 @@ def unfolded_decimate(g, sources, params, src_mag, damping):
         chk_live, sweep_check = quantizer._renumber(edge_check, n_chks)
         n_live_chk = np.count_nonzero(chk_live)
         bias_sum = np.zeros(free.size, dtype=np.float64)
-        clash = np.zeros(free.size, dtype=np.int64)
         if edge_var.size:
             theta = np.ones(edge_var.size)
             src_term = src_mag * sign_eff[edge_check]
             for _ in range(params.iters_per_round):
                 phi = _check_product(theta, sweep_check, n_live_chk)
                 phi *= src_term
-                if saturates:
-                    sat_pos = phi >= quantizer._SAT
-                    sat_neg = phi <= -quantizer._SAT
-                    if sat_pos.any() and sat_neg.any():
-                        clash += (
-                            (np.bincount(sweep_var[sat_pos],
-                                         minlength=free.size) > 0)
-                            & (np.bincount(sweep_var[sat_neg],
-                                           minlength=free.size) > 0))
-                    np.minimum(np.maximum(phi, -quantizer._SAT, out=phi),
-                               quantizer._SAT, out=phi)
                 w = np.arctanh(phi, out=phi)
                 bias_sum = np.bincount(sweep_var, weights=w,
                                        minlength=free.size)
@@ -717,8 +747,6 @@ def unfolded_decimate(g, sources, params, src_mag, damping):
         word_of = free // n_var
         steps += np.bincount(word_of, minlength=words) > 0
         fallback_fixes += np.bincount(word_of[fallback], minlength=words)
-        clashes += np.bincount(word_of, weights=clash,
-                               minlength=words).astype(np.int64)
 
         on_fixed = fixed[edge_var] >= 0
         ones_edges = edge_check[on_fixed & (fixed[edge_var] == 1)]
@@ -732,8 +760,7 @@ def unfolded_decimate(g, sources, params, src_mag, damping):
         u = BitVector.from_array(fixed[k * n_var:(k + 1) * n_var])
         word = generator_codeword(g, u)
         results.append(QuantizeResult(u, word, word.hamming(source) / g.cols,
-                                      int(steps[k]), int(fallback_fixes[k]),
-                                      int(clashes[k])))
+                                      int(steps[k]), int(fallback_fixes[k])))
     return results
 
 
@@ -777,8 +804,8 @@ class TestFoldsPrivateChecks:
     PARAMS = [
         BipParams(damping=0.0),
         BipParams(damping=0.5),
-        BipParams(gamma=20.0, damping=0.0),
-        BipParams(gamma=20.0, damping=0.5, iters_per_round=3),
+        BipParams(gamma=TOP_GAMMA, damping=0.0),
+        BipParams(gamma=TOP_GAMMA, damping=0.5, iters_per_round=3),
         BipParams(iters_per_round=1),
         BipParams(threshold=0.6, iters_per_round=3),
     ]
@@ -786,8 +813,7 @@ class TestFoldsPrivateChecks:
     def test_matches_unfolded_on_g_sub_shaped_generators(self, fired,
                                                          monkeypatch):
         rng = random.Random(0xF01D)
-        seen = {"alone mid-run": 0, "clashes at gamma 20": 0,
-                "empty rows": 0}
+        seen = {"alone mid-run": 0, "top gamma": 0, "empty rows": 0}
         for case in range(120):
             rows = rng.randrange(2, 20)
             g = g_sub_shaped(rng, rows, rng.randrange(2, 2 * rows),
@@ -803,8 +829,7 @@ class TestFoldsPrivateChecks:
             got = bip_quantize_all(g, sources, params)
             seen["alone mid-run"] += alone_mid_run(g, len(sources), fired)
             assert got == quantize_unfolded(monkeypatch, g, sources, params)
-            seen["clashes at gamma 20"] += (
-                params.gamma == 20.0 and any(r.clashes for r in got))
+            seen["top gamma"] += params.gamma == TOP_GAMMA
             seen["empty rows"] += any(not sup for sup in g.row_support)
         assert min(seen.values()) >= 15, seen
 
@@ -812,8 +837,7 @@ class TestFoldsPrivateChecks:
     def test_all_private_generator_sweeps_nothing(self, params, sweep_sizes,
                                                   monkeypatch):
         """Rows of one to three columns of their own: no check is shared,
-        so nothing is swept.  At gamma 20 a row whose source bits differ
-        clashes in every sweep that the unfolded loop runs."""
+        so nothing is swept."""
         rng = random.Random(0xA11)
         lengths = [rng.randrange(1, 4) for _ in range(12)]
         starts = np.cumsum([0] + lengths)
@@ -826,22 +850,18 @@ class TestFoldsPrivateChecks:
         assert sweep_sizes == []
         assert got == quantize_unfolded(monkeypatch, g, sources, params)
         assert all(r.steps == 1 for r in got)
-        if params.gamma == 20.0:
-            assert all(r.clashes > 0 for r in got)
-            assert all(r.clashes % params.iters_per_round == 0 for r in got)
 
     def test_edge_budget_split(self, monkeypatch):
         rng = random.Random(0xB0D)
         g = g_sub_shaped(rng, 16, 20, 0.2)
         sources = [BitVector(g.cols, rng.getrandbits(g.cols))
                    for _ in range(7)]
-        params = BipParams(gamma=20.0, damping=0.5)
+        params = BipParams(gamma=TOP_GAMMA, damping=0.5)
         whole = bip_quantize_all(g, sources, params)
         monkeypatch.setattr(quantizer, "_BATCH_EDGE_BUDGET",
                             3 * g.edges()[0].size)
         assert bip_quantize_all(g, sources, params) == whole
         assert quantize_unfolded(monkeypatch, g, sources, params) == whole
-        assert any(r.clashes for r in whole)
 
     def test_small_code_sweeps_only_shared_checks(self, small_code,
                                                   sweep_sizes, monkeypatch):
@@ -853,7 +873,7 @@ class TestFoldsPrivateChecks:
         rng = random.Random(0x5EB)
         sources = [BitVector(g.cols, rng.getrandbits(g.cols))
                    for _ in range(3)]
-        for params in (BipParams(), BipParams(gamma=20.0, damping=0.5)):
+        for params in (BipParams(), BipParams(gamma=TOP_GAMMA, damping=0.5)):
             sweep_sizes.clear()
             got = bip_quantize_all(g, sources, params)
             assert sweep_sizes[0] == 3 * (g.edges()[0].size - g.rows)
