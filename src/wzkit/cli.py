@@ -12,9 +12,7 @@ import argparse
 import json
 import sys
 from argparse import SUPPRESS
-from dataclasses import fields
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -28,7 +26,6 @@ from .codec import (ExperimentConfig, decode, encode_all, invert_bound,
 from .decoder import SpParams
 from .degrees import CatalogEntry, load_catalog, parse_catalog
 from .gf2 import BitVector
-from .quantizer import BipParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,23 +86,6 @@ def _resolve_dist(args) -> CatalogEntry:
     return catalog[args.dist]
 
 
-def _given(source: dict, cls) -> dict:
-    """The fields of dataclass cls that source holds; the rest keep cls's
-    own defaults."""
-    return {f.name: source[f.name] for f in fields(cls) if f.name in source}
-
-
-def _add_bip_args(sub) -> None:
-    # flags left out stay out of the namespace, so BipParams supplies them
-    sub.add_argument("--gamma", type=float, default=SUPPRESS,
-                     help="source confidence, finite, positive and below "
-                     "about 17.585 (default: twice the generator rate)")
-    sub.add_argument("--threshold", type=float, default=SUPPRESS)
-    sub.add_argument("--iters-per-round", type=int, default=SUPPRESS)
-    sub.add_argument("--damping", type=float, default=SUPPRESS,
-                     help="message damping (default: 0.5 with 4-cycles, else 0)")
-
-
 def _cmd_build(args) -> int:
     entry = _resolve_dist(args)
     try:
@@ -128,12 +108,11 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_quantize(args) -> int:
-    bip = BipParams(**_given(vars(args), BipParams))
     code = load_code(args.code)
     words = _read_words(args.infile, code.params.n)
     out = []
     total = 0.0
-    for res in code.quantizer.quantize_all(words, bip):
+    for res in code.quantizer.quantize_all(words):
         out.append(res.u)
         total += res.distortion
     _write_words(args.out, out)
@@ -142,12 +121,11 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    bip = BipParams(**_given(vars(args), BipParams))
     code = load_code(args.code)
     words = _read_words(args.infile, code.params.n)
     syndromes = []
     total = 0.0
-    for res in encode_all(code, words, bip):
+    for res in encode_all(code, words):
         syndromes.append(res.syndrome)
         total += res.quantized.distortion
     _write_words(args.out, syndromes)
@@ -175,52 +153,49 @@ def _cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _experiment_from(entry: dict, index: int) -> tuple[ExperimentConfig, str, int]:
+def _experiment_from(entry: dict, number: int
+                     ) -> tuple[ExperimentConfig, str, int]:
+    """The config, profile id and build seed of the entry that experiment
+    messages call `number`, counted from 1."""
     if not isinstance(entry, dict):
-        raise UsageError(f"experiment {index}: expected an object, got "
+        raise UsageError(f"experiment {number}: expected an object, got "
                          f"{json.dumps(entry)}")
     entry = {k: v for k, v in entry.items() if k not in RETIRED_PARAMS}
-    required = ("code_id", "dist", "n", "m", "k1", "k2", "p", "trials",
-                "seed")
-    for key in required:
-        if key not in entry:
-            raise UsageError(f"experiment {index}: missing key {key!r}")
-    # the type of every key: params and bip come from the flat keys of their
-    # own dataclasses; dist and build_seed name no field
-    types = {"dist": str, "build_seed": int}
-    for cls in (CodeParams, BipParams, ExperimentConfig):
-        types.update((k, t) for k, t in get_type_hints(cls).items()
-                     if k not in ("params", "bip"))
+    # every key but build_seed is required
+    types = {"code_id": str, "dist": str, "n": int, "m": int, "k1": int,
+             "k2": int, "p": float, "trials": int, "seed": int,
+             "build_seed": int}
+    for key in types:
+        if key not in entry and key != "build_seed":
+            raise UsageError(f"experiment {number}: missing key {key!r}")
     for key, value in entry.items():
         if key not in types:
-            raise UsageError(f"experiment {index}: unknown key {key!r}")
-        # true and false are no integers; a float field takes any number
-        kinds = get_args(types[key]) or (types[key],)
-        if not (type(value) in kinds or float in kinds and type(value) is int):
-            raise UsageError(f"experiment {index}: key {key!r} must be "
-                             f"{getattr(types[key], '__name__', types[key])}"
-                             f", got {json.dumps(value)}")
+            raise UsageError(f"experiment {number}: unknown key {key!r}")
+        # true and false are no integers; a float key takes any number
+        kind = types[key]
+        if not (type(value) is kind or kind is float and type(value) is int):
+            raise UsageError(f"experiment {number}: key {key!r} must be "
+                             f"{kind.__name__}, got {json.dumps(value)}")
     try:
-        params = CodeParams(**_given(entry, CodeParams))
+        params = CodeParams(entry["n"], entry["m"], entry["k1"], entry["k2"])
     except ValueError as e:
         raise _InvalidGeometry(e) from None
     try:
-        config = ExperimentConfig(
-            params=params, bip=BipParams(**_given(entry, BipParams)),
-            **_given(entry, ExperimentConfig))
+        config = ExperimentConfig(entry["code_id"], params, entry["p"],
+                                  entry["trials"], entry["seed"])
     except ValueError as e:
-        raise ValueError(f"experiment {index}: {e}") from None
+        raise ValueError(f"experiment {number}: {e}") from None
     return config, entry["dist"], entry.get("build_seed", entry["seed"])
 
 
 def _run_entries(entries, catalog, workers: int):
     """Build and run each entry, yielding each result as it ends."""
-    for index, (config, dist_id, build_seed) in enumerate(entries):
-        print(f"[{index + 1}/{len(entries)}] building {config.code_id} "
+    for number, (config, dist_id, build_seed) in enumerate(entries, start=1):
+        print(f"[{number}/{len(entries)}] building {config.code_id} "
               f"(n={config.params.n})", flush=True)
         code = build_compound_code(config.params, catalog[dist_id].dist,
                                    build_seed, dist_id=dist_id)
-        print(f"[{index + 1}/{len(entries)}] running {config.trials} "
+        print(f"[{number}/{len(entries)}] running {config.trials} "
               f"trials at p={config.p}", flush=True)
         result = run_experiment(code, config, workers=workers)
         print(f"  d1={result.d1:.4f} d2={result.d2:.4f} Dt={result.dt:.4f} "
@@ -243,24 +218,25 @@ def _cmd_run(args) -> int:
     catalog = _resolve_catalog(args.catalog)
     # every entry is checked before the first build, which can take hours
     entries, invalid = [], []
-    for index, entry in enumerate(doc["experiments"]):
+    # entries are numbered from 1, as the progress lines count them
+    for number, entry in enumerate(doc["experiments"], start=1):
         try:
-            config, dist_id, build_seed = _experiment_from(entry, index)
+            config, dist_id, build_seed = _experiment_from(entry, number)
         except _InvalidGeometry as e:
-            invalid.append(f"invalid: experiment {index}: {e}")
+            invalid.append(f"invalid: experiment {number}: {e}")
             continue
         # a known profile is also checked to fit the geometry
         report = (_check_build(config.params, catalog[dist_id].dist)
                   if dist_id in catalog else validate_params(config.params))
-        invalid += [f"invalid: experiment {index}: {c.name} ({c.detail})"
+        invalid += [f"invalid: experiment {number}: {c.name} ({c.detail})"
                     for c in report.failures()]
         entries.append((config, dist_id, build_seed))
     if invalid:
         print("\n".join(invalid), file=sys.stderr)
         return EXIT_INVALID
-    for index, (config, dist_id, _) in enumerate(entries):
+    for number, (config, dist_id, _) in enumerate(entries, start=1):
         if dist_id not in catalog:
-            raise UsageError(f"experiment {index}: unknown degree profile "
+            raise UsageError(f"experiment {number}: unknown degree profile "
                              f"{dist_id!r}")
         # a p whose bound has no value fails here, not after the build
         invert_bound(config.params.rates[2], config.p)
@@ -329,14 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--code", required=True, help="code directory")
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--out", required=True)
-    _add_bip_args(q)
     q.set_defaults(func=_cmd_quantize)
 
     e = subs.add_parser("encode", help="quantize and emit syndromes")
     e.add_argument("--code", required=True)
     e.add_argument("--in", dest="infile", required=True)
     e.add_argument("--out", required=True)
-    _add_bip_args(e)
     e.set_defaults(func=_cmd_encode)
 
     d = subs.add_parser("decode", help="reconstruct from syndrome and side info")

@@ -203,23 +203,15 @@ class ExperimentConfig:
     p: float
     trials: int
     seed: int
-    bip: BipParams = BipParams()
-    max_iter: int = SpParams.max_iter
-    crossover: float | None = None   # decoder estimate override
 
     def __post_init__(self):
-        _require_ints(self, "trials", "seed", "max_iter")
+        _require_ints(self, "trials", "seed")
         if not 0.0 < self.p < 0.5:
             raise ValueError(f"p must lie in (0, 0.5), got {self.p}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.crossover is not None and not 0.0 < self.crossover < 0.5:
-            raise ValueError(f"crossover must lie in (0, 0.5), got "
-                             f"{self.crossover}")
 
 
 @dataclass(frozen=True)
@@ -249,8 +241,7 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _encode_trials(code: CompoundCode, first: int, stop: int, seed: int,
-                   p: float, bip: BipParams
-                   ) -> list[tuple[BitVector, BitVector, EncodeResult]]:
+                   p: float) -> list[tuple[BitVector, BitVector, EncodeResult]]:
     """(source, side info, encoding) of trials first..stop-1, their sources
     encoded together."""
     n = code.params.n
@@ -261,7 +252,7 @@ def _encode_trials(code: CompoundCode, first: int, stop: int, seed: int,
             rng.integers(0, 2, size=n, dtype=np.int64)))
         side_infos.append(sources[-1]
                           ^ BitVector.from_array(rng.random(n) < p))
-    return list(zip(sources, side_infos, encode_all(code, sources, bip)))
+    return list(zip(sources, side_infos, encode_all(code, sources)))
 
 
 def _map_trials(pool: ProcessPoolExecutor | None, fn, code: CompoundCode,
@@ -283,9 +274,11 @@ def run_experiment(code: CompoundCode, config: ExperimentConfig,
 
     Per-trial randomness comes from (seed, trial index), and quantizing a
     source gives the same result in any batch, so results do not depend on
-    the worker count.  All sources are quantized first; each decode
-    then estimates its channel from the running mean quantization distortion
-    over trials up to and including its own, unless config.crossover pins it.
+    the worker count.  All sources are quantized first, with the default
+    BipParams(); each decode then runs for at most the default
+    SpParams.max_iter iterations, at a crossover estimated from the running
+    mean quantization distortion over trials up to and including its own.
+    Scripts that tune either loop call encode_all and decode themselves.
     Failures are trials whose decoder never matched the syndrome; their
     best-effort output still counts toward the measured distortion.
     """
@@ -306,18 +299,15 @@ def run_experiment(code: CompoundCode, config: ExperimentConfig,
     chunk = -(-config.trials // workers)
     with pool or nullcontext():
         encoded = [out for outs in _map_trials(pool, _encode_trials, code, [
-            (t, min(t + chunk, config.trials), config.seed, config.p, config.bip)
+            (t, min(t + chunk, config.trials), config.seed, config.p)
             for t in range(0, config.trials, chunk)]) for out in outs]
         running = 0.0
         dec_tasks = []
         for trial, (_, side_info, enc) in enumerate(encoded):
             running += enc.quantized.distortion
-            if config.crossover is not None:
-                q = config.crossover
-            else:
-                q = binary_convolve(running / (trial + 1), config.p)
-            dec_tasks.append((side_info, enc.syndrome, SpParams(
-                crossover=_clamp_crossover(q), max_iter=config.max_iter)))
+            q = binary_convolve(running / (trial + 1), config.p)
+            dec_tasks.append((side_info, enc.syndrome,
+                              SpParams(crossover=_clamp_crossover(q))))
         decoded = _map_trials(pool, decode, code, dec_tasks)
 
     d1 = sum(enc.quantized.distortion

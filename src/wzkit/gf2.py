@@ -535,8 +535,8 @@ _BYTE_CLASS[list(b" \t\n\v\f\r")] = 1
 _BYTE_CLASS[list(b"0123456789")] = 2
 _BYTE_CLASS[list(b"+-")] = 3
 _BYTE_CLASS.flags.writeable = False
-# the same rule for the header's two numbers
-_DECIMAL = re.compile("[+-]?[0-9]+")
+# the same rule for the header's two numbers (ASCII \s and \d)
+_HEADER = re.compile(r"\s*([+-]?\d+)\s+([+-]?\d+)\s*", re.ASCII)
 
 
 def read_matrix(f: TextIO) -> BitMatrix:
@@ -545,10 +545,10 @@ def read_matrix(f: TextIO) -> BitMatrix:
     indices are decimal integers, an optional sign then ASCII digits,
     separated by ASCII whitespace."""
     header = f.readline()
-    parts = header.split()
-    if len(parts) != 2 or not all(map(_DECIMAL.fullmatch, parts)):
+    numbers = _HEADER.fullmatch(header)
+    if numbers is None:
         raise ValueError(f"bad header line: {header.strip()!r}")
-    rows, cols = int(parts[0]), int(parts[1])
+    rows, cols = int(numbers[1]), int(numbers[2])
     lines = f.read().split("\n")
     if lines[-1] == "":
         lines.pop()  # the text ends in a newline, or is empty

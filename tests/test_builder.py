@@ -961,7 +961,8 @@ class TestBuildRoundtrip:
                            match=f"{name}.txt: line {rows + 2}: row beyond"):
             load_code(tmp_path / "code")
 
-    @pytest.mark.parametrize("header", ["84 x", "84.0 96", "84 9_6"])
+    @pytest.mark.parametrize("header", ["84 x", "84.0 96", "84 9_6",
+                                        "84\xa096", "84\u200396"])
     def test_load_names_a_bad_header(self, tiny_code, tmp_path, header):
         save_code(tiny_code, tmp_path / "code")
         path = tmp_path / "code" / "h.txt"

@@ -269,6 +269,25 @@ class TestQuantizeEncodeDecode:
         assert exc.value.code == 1
         assert loads == []
 
+    @pytest.mark.parametrize("command, flag", [
+        ("quantize", ["--gamma", "1.0"]), ("encode", ["--threshold", "0.6"])],
+        ids=["quantize-gamma", "encode-threshold"])
+    def test_removed_bip_flags_fail_before_load(self, workdir, tmp_path,
+                                                monkeypatch, capsys, command,
+                                                flag):
+        """BiP runs at BipParams() in both commands; its settings are
+        library parameters, not flags."""
+        loads = []
+        monkeypatch.setattr(cli, "load_code", loads.append)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--code", str(workdir / "tiny-code"),
+                      "--in", str(workdir / "sources.txt"),
+                      "--out", str(tmp_path / "o.txt"), *flag])
+        assert exc.value.code == 1
+        assert loads == []
+        assert f"unrecognized arguments: {' '.join(flag)}" in (
+            capsys.readouterr().err)
+
     def test_malformed_word_file_is_usage_error(self, workdir, tmp_path,
                                                 capsys):
         bad = tmp_path / "bad.txt"
@@ -298,27 +317,17 @@ class TestQuantizeEncodeDecode:
         assert rc == 2
         assert "invalid: n_even" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag, message", [
-        ("quantize", ["--threshold", "1.5"], "threshold must lie in (0, 1)"),
-        ("encode", ["--damping", "1.0"], "damping must lie in [0, 1)"),
-        ("decode", ["--crossover", "0.7"], "crossover must lie in (0, 0.5)"),
-        ("quantize", ["--gamma", "nan"], "gamma must be finite and positive"),
-        ("encode", ["--gamma", "inf"], "gamma must be finite and positive"),
-        ("quantize", ["--gamma", "20"], "gamma 20.0 saturates the source "
-                                        "term"),
-    ])
-    def test_bad_flags_fail_before_loading_the_code(
-            self, workdir, tmp_path, capsys, command, flag, message):
+    def test_bad_crossover_fails_before_loading_the_code(self, workdir,
+                                                         tmp_path, capsys):
         """The code directory is missing, yet the flag's error is the one
         reported."""
         words = str(workdir / "sources.txt")
-        inputs = (["--side", words, "--syndrome", words]
-                  if command == "decode" else ["--in", words])
-        rc = cli.main([command, "--code", str(tmp_path / "nowhere"), *inputs,
-                       *flag, "--out", str(tmp_path / "o.txt")])
+        rc = cli.main(["decode", "--code", str(tmp_path / "nowhere"),
+                       "--side", words, "--syndrome", words,
+                       "--crossover", "0.7", "--out", str(tmp_path / "o.txt")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert message in err and "nowhere" not in err
+        assert "crossover must lie in (0, 0.5)" in err and "nowhere" not in err
 
     @pytest.mark.parametrize("change", [
         lambda m: m.pop("seed"),
@@ -532,7 +541,7 @@ class TestRun:
         rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
         assert rc == 1
         out, err = capsys.readouterr()
-        assert err == "error: experiment 1: unknown degree profile 'nope'\n"
+        assert err == "error: experiment 2: unknown degree profile 'nope'\n"
         assert "building" not in out
         assert not (tmp_path / "o.csv").exists()
 
@@ -547,34 +556,6 @@ class TestRun:
                        "--out", str(tmp_path / "o.csv")])
         assert rc == 1
         assert "seed" in capsys.readouterr().err
-
-    def test_quantizer_keys_reach_bip_quantize(self, workdir, tmp_path,
-                                               monkeypatch):
-        seen = []
-        real = builder.bip_quantize_all
-
-        def recording(g, sources, params):
-            seen.extend([params] * len(sources))
-            return real(g, sources, params)
-
-        monkeypatch.setattr(builder, "bip_quantize_all", recording)
-        entry = dict(self.experiment(), threshold=0.6, iters_per_round=7)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"experiments": [entry]}))
-        rc = cli.main(["run", "--config", str(config),
-                       "--catalog", str(workdir / "catalog.txt"),
-                       "--out", str(tmp_path / "o.csv")])
-        assert rc == 0
-        assert len(seen) == entry["trials"]
-        assert {(p.threshold, p.iters_per_round)
-                for p in seen} == {(0.6, 7)}
-
-    def test_invalid_quantizer_key_fails_before_build(self, workdir, tmp_path,
-                                                      monkeypatch, capsys):
-        entry = dict(self.experiment(), threshold=1.5)
-        rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
-        assert rc == 3
-        assert "threshold" in capsys.readouterr().err
 
     def run_without_build(self, workdir, tmp_path, monkeypatch, entry):
         """Run a config whose second experiment is entry; nothing may be
@@ -592,8 +573,8 @@ class TestRun:
         return rc
 
     @pytest.mark.parametrize("key, value, line", [
-        ("n", 201, "invalid: experiment 1: n_even (n=201)"),
-        ("n", 0, "invalid: experiment 1: n must be >= 1")],
+        ("n", 201, "invalid: experiment 2: n_even (n=201)"),
+        ("n", 0, "invalid: experiment 2: n must be >= 1")],
         ids=["odd-n", "zero-n"])
     def test_invalid_geometry_fails_before_build(self, workdir, tmp_path,
                                                  monkeypatch, capsys, key,
@@ -621,7 +602,7 @@ class TestRun:
         out, err = capsys.readouterr()
         assert out == ""
         assert {line.split(": ")[1] for line in err.splitlines()} == {
-            "experiment 0", "experiment 2"}
+            "experiment 1", "experiment 3"}
 
     @pytest.mark.parametrize("dist_id, params, detail", UNFIT_PROFILES,
                              ids=[u[0] for u in UNFIT_PROFILES])
@@ -641,7 +622,7 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"invalid: experiment 0: profile_fit ({detail})\n")
+            f"invalid: experiment 1: profile_fit ({detail})\n")
         assert not out.exists()
 
     def test_shipped_infeasible_config_exits_two(self, tmp_path, monkeypatch,
@@ -655,16 +636,24 @@ class TestRun:
                        "--out", str(tmp_path / "o.csv")])
         assert (rc, builds) == (2, [])
         assert capsys.readouterr().err == (
-            "invalid: experiment 0: syndrome_capacity "
+            "invalid: experiment 1: syndrome_capacity "
             "(n-k2=1788 vs m-k1=1452)\n")
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("key", [
+        "treshold", "gamma", "threshold", "iters_per_round", "damping",
+        "max_iter", "crossover"])
     def test_unknown_experiment_key_is_usage_error(self, workdir, tmp_path,
-                                                   monkeypatch, capsys):
-        entry = dict(self.experiment(), treshold=0.5)
+                                                   monkeypatch, capsys, key):
+        """A misspelt key, and every BiP and decoder setting: a run
+        quantizes at BipParams() and decodes at SpParams's max_iter."""
+        entry = dict(self.experiment(), **{key: 0.5})
         rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
         assert rc == 1
-        assert "unknown key 'treshold'" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert err == f"error: experiment 2: unknown key {key!r}\n"
+        assert "building" not in out
+        assert not (tmp_path / "o.csv").exists()
 
     def test_removed_warm_start_key_is_unknown(self, workdir, tmp_path,
                                                monkeypatch, capsys):
@@ -682,14 +671,14 @@ class TestRun:
         rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
         assert rc == 1
         out, err = capsys.readouterr()
-        assert f"experiment 1: key {key!r} must be" in err
+        assert f"experiment 2: key {key!r} must be" in err
         assert "building" not in out
 
     def test_entry_that_is_not_an_object(self, workdir, tmp_path,
                                          monkeypatch, capsys):
         rc = self.run_without_build(workdir, tmp_path, monkeypatch, 5)
         assert rc == 1
-        assert "experiment 1: expected an object" in capsys.readouterr().err
+        assert "experiment 2: expected an object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["params", "bip"])
     def test_nested_dataclass_keys_are_unknown(self, workdir, tmp_path,
@@ -702,11 +691,7 @@ class TestRun:
     @pytest.mark.parametrize("key, value, message", [
         ("trials", 0, "trials must be >= 1"),
         ("p", 0.7, "p must lie in (0, 0.5), got 0.7"),
-        ("max_iter", 0, "max_iter must be >= 1"),
         ("seed", -3, "seed must be >= 0"),
-        ("gamma", -1.0, "gamma must be finite and positive"),
-        ("gamma", 20, "gamma 20 saturates the source term: tanh(gamma) "
-                      "must stay below 1 - 1e-15"),
     ])
     def test_value_out_of_range_names_the_entry(self, workdir, tmp_path,
                                                 monkeypatch, capsys, key,
@@ -715,17 +700,9 @@ class TestRun:
         rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
         assert rc == 3
         out, err = capsys.readouterr()
-        assert err == f"error: experiment 1: {message}\n"
+        assert err == f"error: experiment 2: {message}\n"
         assert "building" not in out
         assert not (tmp_path / "o.csv").exists()
-
-    def test_zero_max_iter_fails_before_build(self, workdir, tmp_path,
-                                              monkeypatch, capsys):
-        entry = dict(self.experiment(), max_iter=0)
-        rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
-        assert rc == 3
-        out, err = capsys.readouterr()
-        assert "max_iter" in err and "building" not in out
 
     def test_negative_seed_fails_before_build(self, workdir, tmp_path,
                                               monkeypatch, capsys):
@@ -734,15 +711,6 @@ class TestRun:
         assert rc == 3
         out, err = capsys.readouterr()
         assert "seed" in err and "building" not in out
-
-    def test_crossover_out_of_range_fails_before_build(self, workdir,
-                                                       tmp_path, monkeypatch,
-                                                       capsys):
-        entry = dict(self.experiment(), crossover=0.9)
-        rc = self.run_without_build(workdir, tmp_path, monkeypatch, entry)
-        assert rc == 3
-        out, err = capsys.readouterr()
-        assert "crossover" in err and "building" not in out
 
     def test_crossover_without_bound_fails_before_build(self, workdir,
                                                         tmp_path, monkeypatch,
@@ -761,7 +729,7 @@ class TestRun:
             for index, entry in enumerate(
                     json.loads(path.read_text())["experiments"]):
                 assert not set(entry) & set(builder.RETIRED_PARAMS)
-                config, dist, _ = cli._experiment_from(entry, index)
+                config, dist, _ = cli._experiment_from(entry, index + 1)
                 assert (config.code_id, dist) == (entry["code_id"],
                                                   entry["dist"])
 

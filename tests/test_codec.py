@@ -535,9 +535,8 @@ class TestRunExperiment:
         assert tasks[2] == ("_encode_trials", [(0, 2), (2, 4), (4, 5)])
 
     @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("crossover", [None, 0.2])
     def test_decode_phase_maps_public_decode(self, tiny_code, monkeypatch,
-                                             workers, crossover):
+                                             workers):
         calls = []
         real = codec._map_trials
 
@@ -546,7 +545,7 @@ class TestRunExperiment:
             return real(pool, fn, code, fn_tasks)
 
         monkeypatch.setattr(codec, "_map_trials", recording)
-        config = dataclasses.replace(self.config(trials=5), crossover=crossover)
+        config = self.config(trials=5)
         run_experiment(tiny_code, config, workers=workers)
         fn, tasks = calls[-1]
         assert fn is codec.decode
@@ -562,10 +561,8 @@ class TestRunExperiment:
             assert side_info == source ^ noise
             assert syndrome == enc.syndrome
             running += enc.quantized.distortion
-            q = (crossover if crossover is not None
-                 else binary_convolve(running / (trial + 1), config.p))
-            assert sp == SpParams(crossover=min(max(q, 1e-9), 0.5 - 1e-9),
-                                  max_iter=config.max_iter)
+            q = binary_convolve(running / (trial + 1), config.p)
+            assert sp == SpParams(crossover=min(max(q, 1e-9), 0.5 - 1e-9))
 
     def test_bound_fails_before_any_trial(self, tiny_code, monkeypatch):
         def no_trials(*args):
@@ -631,9 +628,9 @@ class TestRunExperiment:
 
     def test_pinned_results(self, tiny_code):
         """Exact results, derived before the message passers shared their
-        check update.  The second configuration pins the decoder's crossover
-        so that no decode converges: every trial runs all 100 iterations,
-        where floating-point drift in the messages would show in d2 and Dt."""
+        check update.  At p = 0.25 no decode converges: every trial runs all
+        100 iterations, where floating-point drift in the messages would show
+        in d2 and Dt."""
         converging = ExperimentConfig(code_id="tiny", params=TINY_PARAMS,
                                       p=0.05, trials=4, seed=3)
         assert repr(run_experiment(tiny_code, converging)) == (
@@ -641,18 +638,19 @@ class TestRunExperiment:
             "p=0.05, r1=0.75, r2=0.125, rt=0.625, d1=0.0859375, "
             "d2=0.0, dt=0.0859375, dt_pred=0.0859375, dwz=0.0, "
             "gap=0.0859375, trials=4, failures=0, seed=3)")
-        stuck = dataclasses.replace(converging, p=0.25, crossover=0.45)
+        stuck = dataclasses.replace(converging, p=0.25)
         assert repr(run_experiment(tiny_code, stuck)) == (
             "ExperimentResult(code_id='tiny', n=96, m=92, k1=20, k2=60, "
             "p=0.25, r1=0.75, r2=0.125, rt=0.625, d1=0.0859375, "
-            "d2=0.2708333333333333, dt=0.25260416666666663, "
-            "dt_pred=0.31022135416666663, dwz=0.03352693608030677, "
-            "gap=0.21907723058635986, trials=4, failures=4, seed=3)")
+            "d2=0.24479166666666666, dt=0.2526041666666667, "
+            "dt_pred=0.28865559895833337, dwz=0.03352693608030677, "
+            "gap=0.21907723058635992, trials=4, failures=4, seed=3)")
 
-    def test_max_iter_validated_up_front(self):
-        with pytest.raises(ValueError, match="max_iter"):
-            ExperimentConfig(code_id="x", params=TINY_PARAMS, p=0.25,
-                             trials=1, seed=0, max_iter=0)
+    def test_config_holds_no_loop_settings(self):
+        """BiP and the decoder run at their defaults in a run; scripts that
+        tune them call encode_all and decode."""
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+            "code_id", "params", "p", "trials", "seed"]
 
     def test_negative_seed_validated_up_front(self):
         with pytest.raises(ValueError, match="^seed must be >= 0$"):
@@ -660,17 +658,6 @@ class TestRunExperiment:
                              trials=1, seed=-1)
         ExperimentConfig(code_id="x", params=TINY_PARAMS, p=0.25, trials=1,
                          seed=0)
-
-    @pytest.mark.parametrize("crossover", [0.0, 0.5, 0.9, -1.0, float("nan")])
-    def test_crossover_validated_up_front(self, crossover):
-        with pytest.raises(ValueError, match="crossover"):
-            ExperimentConfig(code_id="x", params=TINY_PARAMS, p=0.25,
-                             trials=1, seed=0, crossover=crossover)
-
-    def test_crossover_inside_the_interval_accepted(self):
-        for crossover in (None, 1e-9, 0.25, 0.5 - 1e-9):
-            ExperimentConfig(code_id="x", params=TINY_PARAMS, p=0.25,
-                             trials=1, seed=0, crossover=crossover)
 
     def test_result_fields(self, tiny_code):
         res = run_experiment(tiny_code, self.config(), workers=1)
@@ -694,7 +681,7 @@ class TestRunExperiment:
             run_experiment(tiny_code, cfg, workers=1)
 
     @pytest.mark.parametrize("key, value", [
-        ("trials", 1.5), ("trials", 2.0), ("max_iter", 2.5), ("seed", 1.0),
+        ("trials", 1.5), ("trials", 2.0), ("seed", 1.0),
         ("seed", True), ("seed", None), ("trials", None)])
     def test_integer_fields_reject_other_numbers(self, key, value):
         config = dict(code_id="x", params=TINY_PARAMS, p=0.25, trials=1,

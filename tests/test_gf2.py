@@ -801,8 +801,10 @@ def test_read_matrix_rejects_indices_int_would_read(text, parse_lines,
 
 
 @pytest.mark.parametrize("header", ["2 x", "2.0 5", "2 1_0", "2 \u0665",
-                                    "2", "2 5 1"])
+                                    "2", "2 5 1", "2\xa05", "2\u20035"])
 def test_read_matrix_names_a_bad_header(header):
+    # the header's numbers are parted by ASCII whitespace alone, as the
+    # rows' indices are: no no-break or em space
     with pytest.raises(ValueError, match=f"^bad header line: "
                                          f"{re.escape(repr(header))}$"):
         read_matrix(io.StringIO(header + "\n1\n2\n"))
